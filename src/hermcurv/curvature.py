@@ -29,11 +29,18 @@ the jet's mixed second derivatives.  These normalizations are pinned by two
 calibration identities that the test suite enforces exactly: the two-path
 scalar relations at every t, and |del omega|^2 = |delbar* omega|^2 in
 complex dimension two.
+
+Two paths produce the scalars.  `torsion_traces` is the pointwise pipeline:
+one pass over the jet gives tau, del del* omega, the torsion norms and S_C1
+without building any 4-tensor, and the grid metric, `scalar_via_identity`,
+`torsion_diagnostics` and the class residuals all read its bundle.  The
+full-tensor path (`chern_curvature`, `gauduchon_curvature`,
+`ricci_and_scalars`) builds R_{i jbar k lbar} and is the oracle for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,7 +53,8 @@ __all__ = [
     "EinsteinReport", "chern_torsion", "chern_curvature",
     "gauduchon_curvature", "ricci_and_scalars", "torsion_diagnostics",
     "scalar_via_identity", "scalar_comparison_defect", "einstein_residual",
-    "classify", "report_matrix", "oneone_norm2",
+    "classify", "report_matrix", "oneone_norm2", "TorsionTraces",
+    "torsion_traces", "class_residual_fields",
 ]
 
 IMAG_TOL = 1e-10
@@ -92,6 +100,12 @@ class ClassFlags:
     balanced: tuple
     gauduchon: tuple
     pluriclosed: tuple
+
+    @classmethod
+    def from_residuals(cls, residuals: dict, tol: float) -> "ClassFlags":
+        """Flags from `class_residual_fields` output: max over points vs tol."""
+        worst = {k: float(np.max(v)) for k, v in residuals.items()}
+        return cls(**{k: (r < tol, r) for k, r in worst.items()})
 
     def as_dict(self):
         return {"kahler": self.kahler, "balanced": self.balanced,
@@ -172,84 +186,147 @@ def ricci_and_scalars(curv: "CurvatureTensor | np.ndarray", jet: MetricJet,
     return RicciForms(ric1, ric2, ric3, ric4, s1.real, s2.real, t)
 
 
-def _dtau_bar(jet: MetricJet, ginv: np.ndarray) -> np.ndarray:
-    """dtau_bar[..., i, j] = d tau_j / dzbar^i, from mixed second derivatives."""
-    minv = np.swapaxes(ginv, -1, -2)  # plain matrix inverse of h
-    dbar_h = np.conj(np.swapaxes(jet.dh, -1, -2))  # d h_{a bbar}/dzbar^i
-    dminv = -np.einsum("...ab,...ibc,...cd->...iad", minv, dbar_h, minv)
-    dginv = np.swapaxes(dminv, -1, -2)  # d h^{p lbar}/dzbar^i, index [i, p, l]
-    asym = jet.dh - np.swapaxes(jet.dh, -3, -2)  # dh[j,p,l] - dh[p,j,l]
-    term1 = np.einsum("...ipl,...jpl->...ij", dginv, asym)
-    # d/dzbar^i of (dh[j,p,l] - dh[p,j,l]) = ddh[j,i,p,l] - ddh[p,i,j,l]
-    term2 = np.einsum("...pl,...jipl->...ij", ginv, jet.ddh)
-    term3 = np.einsum("...pl,...pijl->...ij", ginv, jet.ddh)
-    return term1 + term2 - term3
+def _batch_last(a: np.ndarray, k: int) -> np.ndarray:
+    """Contiguous copy of `a` with its trailing k index axes moved first."""
+    return np.ascontiguousarray(np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k))))
 
 
-def torsion_diagnostics(jet: MetricJet, ginv: np.ndarray | None = None,
-                        torsion: np.ndarray | None = None,
-                        with_lee: bool = True) -> TorsionDiagnostics:
-    """Torsion traces, adjoint forms, Lee form and the calibrated norms."""
+def _sum(terms):
+    """Sum of freshly computed arrays, accumulated in place into the first."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
+def _raise_last2(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """z[i, l, p] = g[k, l] g[p, q] x[i, k, q] on batch-last arrays."""
+    n = g.shape[0]
+    w = _sum(g[None, None, :, q] * x[:, :, None, q] for q in range(n))
+    return _sum(g[None, k, :, None] * w[:, k, None, :] for k in range(n))
+
+
+def _full_norm2(x: np.ndarray, z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g[i, j] g[k, l] g[p, q] x[i, k, q] conj(x[j, l, p]), with z = _raise_last2(x, g)."""
+    n = g.shape[0]
+    raised = _sum(g[i, :, None, None] * z[i, None] for i in range(n))
+    # Re sum x conj(raised) equals Re sum conj(x) raised; no conj(x) copy
+    np.conj(raised, out=raised)
+    raised *= x
+    return raised.sum(axis=(0, 1, 2)).real
+
+
+@dataclass(frozen=True)
+class TorsionTraces:
+    """Pointwise torsion traces and scalars of one metric jet.
+
+    Every array broadcasts over the jet's batch axes; `tau` and `ddstar`
+    carry their index axes last, like the rest of the engine.
+    """
+
+    tau: np.ndarray           # tau_i = sum_p T_{ip}^p = eta^{1,0}_i
+    ddstar: np.ndarray        # (1,1)-matrix of del del* omega
+    pairing: np.ndarray       # <del del* omega, omega>
+    del_omega_sq: np.ndarray  # |del omega|^2
+    del_star_sq: np.ndarray   # |del* omega|^2 = |delbar* omega|^2
+    s_c1: np.ndarray          # first Chern scalar curvature
+
+    def __getitem__(self, idx) -> "TorsionTraces":
+        return TorsionTraces(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    @property
+    def lee(self) -> np.ndarray:
+        """Real Lee-form components ordered (x1, y1, x2, y2, ...)."""
+        lee = np.empty(self.tau.shape[:-1] + (2 * self.tau.shape[-1],))
+        lee[..., 0::2] = 2 * self.tau.real
+        lee[..., 1::2] = -2 * self.tau.imag
+        return lee
+
+    def scalars(self, t: float):
+        """(s1, s2) of the Gauduchon connection at t via the torsion-trace identities.
+
+        s1 = S_C1 - 2 t <dd* w, w>
+        s2 = S_C1 - (1 - 2t) <dd* w, w> - t^2 (2 |dw|^2 + |d* w|^2)
+        """
+        s1 = self.s_c1 - 2 * t * self.pairing
+        s2 = self.s_c1 - (1 - 2 * t) * self.pairing - t * t * (
+            2 * self.del_omega_sq + self.del_star_sq)
+        return s1, s2
+
+
+def torsion_traces(jet: MetricJet, ginv: np.ndarray | None = None) -> TorsionTraces:
+    """One pass over the jet for tau, del del* omega, the torsion norms and S_C1.
+
+    Works on batch-last component arrays and never forms the Chern 4-tensor:
+    S_C1 = h^{i jbar} h^{k lbar} (-ddh[i,j,k,l]
+                                  + h^{p qbar} conj(dh[j,l,p]) dh[i,k,q]).
+    The lowered torsion T_{ik}^p h_{p qbar} is dh[i,k,q] - dh[k,i,q], and
+    d tau_j / dzbar^i follows from the jet's mixed second derivatives.
+    """
     if ginv is None:
         ginv, _ = inverse_and_det(jet)
-    if torsion is None:
-        torsion = chern_torsion(jet, ginv)
     n = jet.n
-    tau = np.einsum("...ipp->...i", torsion)
-    del_star = -1j * np.conj(tau)
-    delbar_star = 1j * tau
+    r = range(n)
+    g = _batch_last(ginv, 2)       # g[i, j] = h^{i jbar}
+    dh = _batch_last(jet.dh, 3)    # dh[i, j, l] = d h_{j lbar} / dz^i
+    ddh = jet.ddh                  # read component-wise, never copied
+    # trace of ddh over its last index pair, and over its outer pair
+    inner = [[_sum(g[k, l] * ddh[..., a, b, k, l] for k in r for l in r)
+              for b in r] for a in r]
+    outer = [[_sum(g[p, l] * ddh[..., p, i, j, l] for p in r for l in r)
+              for j in r] for i in r]
+    trace_ddh = _sum(g[a, b] * inner[a][b] for a in r for b in r).real
+    s_c1 = _full_norm2(dh, _raise_last2(dh, g), g) - trace_ddh
 
-    w = np.einsum("...ij,...i,...j->...", ginv, tau, np.conj(tau)).real
-    lowered = np.einsum("...ikp,...pq->...ikq", torsion, jet.h)
-    p_full = np.einsum("...ij,...kl,...ikq,...jlq->...",
-                       ginv, ginv, lowered, np.conj(torsion)).real
-    del_omega_sq = 0.5 * p_full
+    low = dh - dh.swapaxes(0, 1)   # lowered torsion
+    tau = (low * g).sum(axis=(1, 2))
+    z = _raise_last2(low, g)
+    del_omega_sq = 0.5 * _full_norm2(low, z, g)
+    del low
+    # real copies, so that no complex array stays alive behind the bundle
+    del_star_sq = _sum(g[i, j] * tau[i] * np.conj(tau[j]) for i in r for j in r).real.copy()
 
-    dtau_bar = _dtau_bar(jet, ginv)
-    ddstar = -np.conj(dtau_bar)  # matrix of del del* omega on i dz^i ^ dzbar^j
-    dbardbstar = np.conj(np.swapaxes(ddstar, -1, -2))
-    pairing = np.einsum("...ij,...ij->...", ginv, ddstar)
+    # ddstar[i, j] = -conj(d tau_j / dzbar^i): the derivative of the inverse
+    # metric in tau, then the mixed second derivatives of h
+    np.conj(z, out=z)
+    ddstar = np.empty((n, n) + tau.shape[1:], complex)
+    for i in r:
+        for j in r:
+            ddstar[i, j] = _sum(dh[i, c, b] * z[j, c, b] for c in r for b in r)
+            ddstar[i, j] += np.conj(outer[i][j] - inner[j][i])
+    pairing = _sum(g[i, j] * ddstar[i, j] for i in r for j in r)
     scale = max(1.0, float(np.max(np.abs(pairing))))
     if float(np.max(np.abs(pairing.imag))) > IMAG_TOL * scale:
         raise ArithmeticError("pairing <del del* omega, omega> is not real")
+    return TorsionTraces(np.moveaxis(tau, 0, -1), np.moveaxis(ddstar, (0, 1), (-2, -1)),
+                         pairing.real.copy(), del_omega_sq, del_star_sq, s_c1)
 
-    lee_holo = forms.lee_form(jet) if with_lee else np.zeros(jet.h.shape[:-1])
-    lee = np.zeros(jet.h.shape[:-2] + (2 * n,))
-    if with_lee:
-        for k in range(n):
-            lee[..., 2 * k] = 2 * lee_holo[..., k].real
-            lee[..., 2 * k + 1] = -2 * lee_holo[..., k].imag
-    lee_norm2 = 2 * np.einsum("...ij,...i,...j->...",
-                              ginv, lee_holo, np.conj(lee_holo)).real
 
+def torsion_diagnostics(jet: MetricJet,
+                        ginv: np.ndarray | None = None) -> TorsionDiagnostics:
+    """Torsion traces, adjoint forms, Lee form and the calibrated norms.
+
+    The Lee form is eta^{1,0} = tau in closed form; `forms.lee_form` solves
+    its defining equation independently and is the test oracle for it.
+    """
+    tr = torsion_traces(jet, ginv)
     norms = {
-        "del_star_sq": w,                 # |del* omega|^2 = |delbar* omega|^2
-        "delbar_star_sq": w,
-        "del_omega_sq": del_omega_sq,
-        "pairing": pairing.real,          # <del del* omega, omega>
-        "lee_sq": lee_norm2,
+        "del_star_sq": tr.del_star_sq,
+        "delbar_star_sq": tr.del_star_sq,
+        "del_omega_sq": tr.del_omega_sq,
+        "pairing": tr.pairing,
+        "lee_sq": 2 * tr.del_star_sq,
     }
-    return TorsionDiagnostics(tau, del_star, delbar_star, lee, lee_holo,
-                              ddstar, dbardbstar, norms)
+    return TorsionDiagnostics(tr.tau, -1j * np.conj(tr.tau), 1j * tr.tau, tr.lee,
+                              tr.tau, tr.ddstar,
+                              np.conj(np.swapaxes(tr.ddstar, -1, -2)), norms)
 
 
 def scalar_via_identity(jet: MetricJet, t: float,
                         ginv: np.ndarray | None = None):
-    """(s1, s2) of the Gauduchon connection via the torsion-trace identities.
-
-    s1 = S_C1 - 2 t <dd* w, w>
-    s2 = S_C1 - (1 - 2t) <dd* w, w> - t^2 (2 |dw|^2 + |d* w|^2)
-    """
-    if ginv is None:
-        ginv, _ = inverse_and_det(jet)
-    theta = chern_curvature(jet, ginv)
-    s1c = np.einsum("...ij,...kl,...ijkl->...", ginv, ginv, theta).real
-    diag = torsion_diagnostics(jet, ginv, with_lee=False)
-    pair = diag.norms["pairing"]
-    s1 = s1c - 2 * t * pair
-    s2 = s1c - (1 - 2 * t) * pair - t * t * (2 * diag.norms["del_omega_sq"]
-                                             + diag.norms["del_star_sq"])
-    return s1, s2
+    """(s1, s2) of the Gauduchon connection via the torsion-trace identities."""
+    return torsion_traces(jet, ginv).scalars(t)
 
 
 def scalar_comparison_defect(jet: MetricJet, t: float,
@@ -259,10 +336,10 @@ def scalar_comparison_defect(jet: MetricJet, t: float,
         ginv, _ = inverse_and_det(jet)
     curv = gauduchon_curvature(jet, t, ginv)
     ric = ricci_and_scalars(curv, jet, ginv)
-    diag = torsion_diagnostics(jet, ginv, with_lee=False)
+    tr = torsion_traces(jet, ginv)
     return (ric.s2 - ric.s1
-            + (t * t - 4 * t + 1) * diag.norms["delbar_star_sq"]
-            + 2 * t * t * diag.norms["del_omega_sq"])
+            + (t * t - 4 * t + 1) * tr.del_star_sq
+            + 2 * t * t * tr.del_omega_sq)
 
 
 def oneone_norm2(m: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -286,36 +363,38 @@ def einstein_residual(jet: MetricJet, ginv: np.ndarray | None = None) -> Einstei
     sum34 = ric.ric3 + ric.ric4
     resid = np.sqrt(np.maximum(oneone_norm2(
         sum34 - f_hat[..., None, None] * jet.h, ginv), 0.0))
-    diag = torsion_diagnostics(jet, ginv, with_lee=False)
-    other = 2 * ric.ric1 - (diag.ddstar + diag.dbardbstar)
+    ddstar = torsion_traces(jet, ginv).ddstar
+    other = 2 * ric.ric1 - (ddstar + np.conj(np.swapaxes(ddstar, -1, -2)))
     cross = np.sqrt(np.maximum(oneone_norm2(sum34 - other, ginv), 0.0))
     return EinsteinReport(f_hat, resid, cross, ric.ric3, ric.ric4)
 
 
-def classify(man: ModelManifold, points: np.ndarray, tol: float = 1e-8) -> ClassFlags:
-    """Max-over-samples metric-norm residuals of the four metric classes.
+def class_residual_fields(jet: MetricJet, ginv: np.ndarray | None = None,
+                          traces: TorsionTraces | None = None) -> dict:
+    """Pointwise metric-norm residuals of the four metric classes.
 
     kahler: |d omega|, balanced: |eta|, gauduchon: |del delbar omega^{n-1}|,
-    pluriclosed: |del delbar omega|.  A flag holds iff its residual < tol.
+    pluriclosed: |del delbar omega|; each an array over the jet's batch axes.
     """
+    if ginv is None:
+        ginv, _ = inverse_and_det(jet)
+    if traces is None:
+        traces = torsion_traces(jet, ginv)
+    n = jet.n
+    pluri = forms.del_delbar_omega(jet).norm2(ginv)
+    gaud = pluri if n == 2 else forms.del_delbar_omega_power(jet, n - 1).norm2(ginv)
+    batch = jet.h.shape[:-2]
+    squares = {"kahler": 2 * traces.del_omega_sq, "balanced": 2 * traces.del_star_sq,
+               "gauduchon": gaud, "pluriclosed": pluri}
+    return {k: np.sqrt(np.maximum(np.broadcast_to(v, batch), 0.0))
+            for k, v in squares.items()}
+
+
+def classify(man: ModelManifold, points: np.ndarray, tol: float = 1e-8) -> ClassFlags:
+    """Max-over-samples class residuals; a flag holds iff its residual < tol."""
     z = np.asarray(points, dtype=complex)
     if z.ndim == 1:
         z = z[None, :]
     if z.shape[0] < 1:
         raise ValueError("classification needs at least one sample point")
-    jet = man.jet(z)
-    ginv, _ = inverse_and_det(jet)
-    diag = torsion_diagnostics(jet, ginv)
-    r_kahler = float(np.max(np.sqrt(np.maximum(2 * diag.norms["del_omega_sq"], 0))))
-    r_bal = float(np.max(np.sqrt(np.maximum(diag.norms["lee_sq"], 0))))
-    n = man.n
-    gaud_form = forms.del_delbar_omega_power(jet, n - 1)
-    r_gaud = float(np.max(np.sqrt(np.maximum(gaud_form.norm2(ginv), 0))))
-    pc_form = forms.del_delbar_omega(jet)
-    r_pc = float(np.max(np.sqrt(np.maximum(pc_form.norm2(ginv), 0))))
-    return ClassFlags(
-        kahler=(r_kahler < tol, r_kahler),
-        balanced=(r_bal < tol, r_bal),
-        gauduchon=(r_gaud < tol, r_gaud),
-        pluriclosed=(r_pc < tol, r_pc),
-    )
+    return ClassFlags.from_residuals(class_residual_fields(man.jet(z)), tol)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import scalar_via_identity, torsion_diagnostics
+from .curvature import ClassFlags, class_residual_fields, torsion_traces
 from .jets import FactorJet, MetricJet, conformal_jet, inverse_and_det
 from .manifolds import ModelManifold
 
@@ -222,24 +222,23 @@ class GridMetric:
     def volume(self) -> float:
         return float(np.sum(self.weights()))
 
-    def _diag(self):
-        if "diag" not in self._cache:
-            self._cache["diag"] = torsion_diagnostics(self.jet, self.ginv)
-        return self._cache["diag"]
+    def _traces(self):
+        if "traces" not in self._cache:
+            self._cache["traces"] = torsion_traces(self.jet, self.ginv)
+        return self._cache["traces"]
 
     def tau(self) -> np.ndarray:
-        return self._diag().tau
+        return self._traces().tau
 
     def lee_real(self) -> np.ndarray:
-        return self._diag().lee
+        return self._traces().lee
 
     def scalar_fields(self) -> dict:
-        """S_C^(1), S_C^(2), S_B^(2) fields (identity path, cross-checked)."""
-        if "scal" not in self._cache:
-            s1c, s2c = scalar_via_identity(self.jet, 0.0, self.ginv)
-            _, s2b = scalar_via_identity(self.jet, 1.0, self.ginv)
-            self._cache["scal"] = {"s_c1": s1c, "s_c2": s2c, "s_b2": s2b}
-        return self._cache["scal"]
+        """S_C^(1), S_C^(2), S_B^(2) fields from the cached torsion-trace bundle."""
+        tr = self._traces()
+        s_c1, s_c2 = tr.scalars(0.0)
+        _, s_b2 = tr.scalars(1.0)
+        return {"s_c1": s_c1, "s_c2": s_c2, "s_b2": s_b2}
 
     def class_residuals(self, samples: int = 200, seed: int = 0,
                         tol: float = 1e-8) -> dict:
@@ -249,25 +248,13 @@ class GridMetric:
         conformally transformed grid metrics whose coefficients no longer
         match the base manifold.
         """
-        from . import forms
         rng = np.random.default_rng(seed)
         count = min(samples, self.grid.node_count)
-        idx = rng.integers(0, self.grid.node_count, size=count)
-        n = self.n
-        jet = MetricJet(self.jet.h.reshape(-1, n, n)[idx],
-                        self.jet.dh.reshape(-1, n, n, n)[idx],
-                        self.jet.ddh.reshape(-1, n, n, n, n)[idx])
-        ginv = self.ginv.reshape(-1, n, n)[idx]
-        diag = torsion_diagnostics(jet, ginv)
-        r_k = float(np.max(np.sqrt(np.maximum(
-            2 * diag.norms["del_omega_sq"], 0))))
-        r_b = float(np.max(np.sqrt(np.maximum(diag.norms["lee_sq"], 0))))
-        r_g = float(np.max(np.sqrt(np.maximum(
-            forms.del_delbar_omega_power(jet, n - 1).norm2(ginv), 0))))
-        r_p = float(np.max(np.sqrt(np.maximum(
-            forms.del_delbar_omega(jet).norm2(ginv), 0))))
-        return {"kahler": (r_k < tol, r_k), "balanced": (r_b < tol, r_b),
-                "gauduchon": (r_g < tol, r_g), "pluriclosed": (r_p < tol, r_p)}
+        idx = np.unravel_index(rng.integers(0, self.grid.node_count, size=count),
+                               self.grid.shape)
+        fields = class_residual_fields(self.jet[idx], self.ginv[idx],
+                                       self._traces()[idx])
+        return ClassFlags.from_residuals(fields, tol).as_dict()
 
     def conformal(self, f: "TorusField | np.ndarray") -> "GridMetric":
         """Grid metric of e^f h, with f differentiated by the grid scheme."""

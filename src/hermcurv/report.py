@@ -13,9 +13,8 @@ import io
 
 import numpy as np
 
-from . import forms
-from .curvature import (gauduchon_curvature, report_matrix, ricci_and_scalars,
-                        torsion_diagnostics)
+from .curvature import (class_residual_fields, gauduchon_curvature,
+                        report_matrix, ricci_and_scalars, torsion_traces)
 from .jets import inverse_and_det
 from .manifolds import ModelManifold
 
@@ -52,10 +51,10 @@ def curvature_records(man: ModelManifold, points: np.ndarray,
         z = z[None, :]
     jet = man.jet(z)
     ginv, _ = inverse_and_det(jet)
-    diag = torsion_diagnostics(jet, ginv)
+    traces = torsion_traces(jet, ginv)
+    lee = traces.lee
+    residuals = class_residual_fields(jet, ginv, traces)
     n = man.n
-    gaud = forms.del_delbar_omega_power(jet, n - 1).norm2(ginv)
-    pluri = forms.del_delbar_omega(jet).norm2(ginv)
     records = []
     for t in ts:
         ric = ricci_and_scalars(gauduchon_curvature(jet, t, ginv), jet, ginv)
@@ -69,23 +68,15 @@ def curvature_records(man: ModelManifold, points: np.ndarray,
             for idx, m in ((1, ric.ric1), (2, ric.ric2), (3, ric.ric3),
                            (4, ric.ric4)):
                 _flatten_matrix(f"ric{idx}", report_matrix(m[p]), rec)
-            rec["norm.del_omega_sq"] = float(diag.norms["del_omega_sq"][p])
-            rec["norm.del_star_sq"] = float(diag.norms["del_star_sq"][p])
-            rec["norm.pairing"] = float(diag.norms["pairing"][p])
+            rec["norm.del_omega_sq"] = float(traces.del_omega_sq[p])
+            rec["norm.del_star_sq"] = float(traces.del_star_sq[p])
+            rec["norm.pairing"] = float(traces.pairing[p])
             for a in range(2 * n):
-                rec[f"lee[{a}]"] = float(diag.lee[p, a])
-            rec["residual.kahler"] = float(np.sqrt(max(
-                2 * diag.norms["del_omega_sq"][p], 0.0)))
-            rec["residual.balanced"] = float(np.sqrt(max(
-                diag.norms["lee_sq"][p], 0.0)))
-            rec["residual.gauduchon"] = float(np.sqrt(max(_at(gaud, p), 0.0)))
-            rec["residual.pluriclosed"] = float(np.sqrt(max(_at(pluri, p), 0.0)))
+                rec[f"lee[{a}]"] = float(lee[p, a])
+            for key, field in residuals.items():
+                rec[f"residual.{key}"] = float(field[p])
             records.append(rec)
     return records
-
-
-def _at(arr, p):
-    return float(np.asarray(arr).reshape(-1)[p]) if np.ndim(arr) else float(arr)
 
 
 def records_to_text(records: list[dict]) -> str:

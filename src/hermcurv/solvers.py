@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conformal import bismut_s2_transform
 from .grid import (GridMetric, TorusField, complex_laplacian, dz,
-                   gauduchon_degrees, integrate)
+                   factor_jet_from_field, gauduchon_degrees, integrate)
 
 __all__ = ["SolverReport", "YamabeConstants", "PreconditionError",
            "ConvergenceError", "solve_chern_zero", "normalize_to_negative",
@@ -525,7 +526,9 @@ def bismut_yamabe_minimize(gm: GridMetric, q: float | None = None,
                 if smin < 0 else 0.0)
     n = gm.n
     f = (2 * n - 1) / (n * n - 1) * np.log(phi)
-    sup_dev = _bismut_transform_dev(gm, f, s_field, mu)
+    s_new = bismut_s2_transform(gm.jet, factor_jet_from_field(gm.grid, f), gm.ginv,
+                                s2_base=s_field)
+    sup_dev = float(np.max(np.abs(s_new - mu)))
     rep = SolverReport(
         solution=TorusField(gm.grid, phi), lam=mu,
         residual_linf=float(np.max(np.abs(r))), residual_l2=rnorm,
@@ -543,26 +546,6 @@ def bismut_yamabe_minimize(gm: GridMetric, q: float | None = None,
     if smin < 0 and mu < mu_lower - 1e-8 * max(1.0, abs(mu_lower)):
         raise ConvergenceError("minimum violates the coercivity lower bound")
     return rep
-
-
-def _bismut_transform_dev(gm: GridMetric, f: np.ndarray, s_b2: np.ndarray,
-                          lam: float) -> float:
-    """Sup-deviation of S_B2(e^f omega) from lam via the t = 1 transform."""
-    n = gm.n
-    lap = complex_laplacian(gm, f)
-    dfs = [dz(f, i, gm.grid) for i in range(n)]
-    grad2 = np.zeros(gm.grid.shape)
-    for i in range(n):
-        for j in range(n):
-            grad2 += (gm.ginv[..., i, j] * dfs[i] * np.conj(dfs[j])).real
-    tau = gm.tau()
-    kappa = np.zeros(gm.grid.shape)
-    for k in range(n):
-        for j in range(n):
-            kappa += (-gm.ginv[..., k, j] * np.conj(tau[..., j]) * dfs[k]).real
-    s_new = np.exp(-f) * (s_b2 - (2 * n - 1) * lap - (n * n - 1) * grad2
-                          + 2 * (n + 1) * kappa)
-    return float(np.max(np.abs(s_new - lam)))
 
 
 # -- Einstein-type constancy check ----------------------------------------------

@@ -100,7 +100,7 @@ def test_golden_inoue_s1():
     man, z, jet, ginv, ric = scalars_at("tricerri", count=100)
     dev_s1 = float(np.max(np.abs(ric.s1 - (-0.25))))
     dev_s2 = float(np.max(np.abs(ric.s2 - (-0.5))))
-    diag = torsion_diagnostics(jet, ginv, with_lee=False)
+    diag = torsion_diagnostics(jet, ginv)
     y = z[:, 0].imag
     dev_dd = float(np.max(np.abs(diag.ddstar[:, 0, 0] - 0.25 / y ** 2)))
     ok = max(dev_s1, dev_s2, dev_dd) < GOLDEN_TOL

@@ -215,7 +215,7 @@ def test_degrees_pluriclosed_bump_negative():
     assert g2 < -1e-4              # second degree strictly negative
     # Gamma^2 = -||delbar* omega||^2 for Gauduchon torus metrics
     from hermcurv.curvature import torsion_diagnostics
-    diag = torsion_diagnostics(gm.jet, gm.ginv, with_lee=False)
+    diag = torsion_diagnostics(gm.jet, gm.ginv)
     cross = -integrate(gm, diag.norms["delbar_star_sq"])
     np.testing.assert_allclose(g2, cross, rtol=1e-8)
 
@@ -259,13 +259,44 @@ def test_balanced_representative_trivial_on_balanced_input():
 
 
 def test_balanced_representative_obstruction():
-    gm = make_gm("pluriclosed-bump", N=8)
+    # a private metric: the injected Lee form must not reach the shared cache
+    man = builtin("pluriclosed-bump")
+    gm = GridMetric.from_manifold(man, TorusGrid(n=man.n, N=8))
     eta = gm.lee_real().copy()
     eta[..., 0] += 0.3  # inject a harmonic (constant) part: nonzero period
-    gm._cache["diag"] = type(gm._diag())(
-        tau=gm.tau(), del_star_omega=gm._diag().del_star_omega,
-        delbar_star_omega=gm._diag().delbar_star_omega, lee=eta,
-        lee_holo=gm._diag().lee_holo, ddstar=gm._diag().ddstar,
-        dbardbstar=gm._diag().dbardbstar, norms=gm._diag().norms)
+    gm.lee_real = lambda: eta
     with pytest.raises(GridError, match="harmonic"):
         balanced_representative(gm)
+
+
+@pytest.mark.parametrize("scheme", ["fd2", "spectral"])
+@pytest.mark.parametrize("name", ["pluriclosed-bump", "kaehler-bump"])
+def test_scalar_fields_match_full_tensor_oracle(name, scheme):
+    from hermcurv.curvature import gauduchon_curvature, ricci_and_scalars
+    gm = make_gm(name, N=8, scheme=scheme)
+    fields = gm.scalar_fields()
+    for key, t in (("s_c2", 0.0), ("s_b2", 1.0)):
+        want = ricci_and_scalars(gauduchon_curvature(gm.jet, t, gm.ginv),
+                                 gm.jet, gm.ginv).s2
+        dev = np.abs(fields[key] - want) / np.maximum(1.0, np.abs(want))
+        assert np.max(dev) <= 1e-12, (name, scheme, key)
+
+
+def test_grid_metric_runs_the_fused_pass_once(monkeypatch):
+    import hermcurv.grid as grid_mod
+    calls = []
+    real = grid_mod.torsion_traces
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod, "torsion_traces", counted)
+    man = builtin("pluriclosed-bump")
+    gm = GridMetric.from_manifold(man, TorusGrid(n=man.n, N=8))
+    gm.scalar_fields()
+    gm.tau()
+    gm.lee_real()
+    gauduchon_degrees(gm)
+    gm.scalar_fields()
+    assert len(calls) == 1
