@@ -173,8 +173,7 @@ def cmd_solve(args) -> int:
     digest = {"manifold": man.name, "n": man.n,
               "params": ";".join(f"{k}={v:g}" for k, v in sorted(man.params.items())),
               "grid": args.grid, "scheme": args.scheme, "tol": args.tol,
-              "seed": args.seed, "threads": args.threads,
-              "problem": args.problem}
+              "seed": args.seed, "problem": args.problem}
     if args.problem == "chern-zero":
         rep = solve_chern_zero(gm, resid_tol=args.tol)
     elif args.problem == "chern-negative":
@@ -258,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     common_options(p_sol, manifold_positional=False)
     grid_options(p_sol)
     p_sol.add_argument("--tol", type=float, default=1e-6)
-    p_sol.add_argument("--threads", type=int, default=1,
-                       help="recorded in the report; maps are deterministic")
     p_sol.add_argument("--dump-solution", default=None, metavar="PATH",
                        help="write the solution field as node-indexed CSV")
     return ap

@@ -19,7 +19,8 @@ from .curvature import chern_torsion
 from .manifolds import ModelManifold, factor_jet_from_expr
 
 __all__ = ["TransformedCurvature", "transformed_s2", "transformed_ric34",
-           "chern_s2_transform", "bismut_s2_transform", "conformal_oracle_check"]
+           "chern_s2_transform", "bismut_s2_transform", "conformal_oracle_check",
+           "torsion_pairing"]
 
 
 @dataclass
@@ -30,17 +31,28 @@ class TransformedCurvature:
     t: float
 
 
+def torsion_pairing(ginv: np.ndarray, tau: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """kappa = <del* omega, i delbar f> = -h^{k jbar} conj(tau_j) f_k."""
+    return -np.einsum("...kj,...j,...k->...", ginv, np.conj(tau), df)
+
+
 def _factor_terms(jet: MetricJet, fj: FactorJet, ginv: np.ndarray):
-    """Shared ingredients: laplacian, gradient norm, torsion pairings."""
+    """Shared ingredients: laplacian, gradient norm, torsion trace, pairing."""
     lap = np.einsum("...ij,...ij->...", ginv, fj.ddf)
     if np.max(np.abs(lap.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(lap)))):
         raise ArithmeticError("complex laplacian of a real factor is not real")
     grad2 = np.einsum("...ij,...i,...j->...", ginv, fj.df, np.conj(fj.df)).real
-    torsion = chern_torsion(jet, ginv)
-    tau = np.einsum("...ipp->...i", torsion)
-    # kappa = <del* omega, i delbar f> = -h^{k jbar} conj(tau_j) f_k
-    kappa = -np.einsum("...kj,...j,...k->...", ginv, np.conj(tau), fj.df)
-    return lap.real, grad2, torsion, tau, kappa
+    # tau_i = T_{ip}^p = h^{p lbar} (d h_{p lbar}/dz^i - d h_{i lbar}/dz^p)
+    dh = jet.dh
+    tau = np.einsum("...pl,...ipl->...i", ginv, dh - np.swapaxes(dh, -3, -2))
+    return lap.real, grad2, tau, torsion_pairing(ginv, tau, fj.df)
+
+
+def _s2_law(n: int, t: float, fj: FactorJet, s2_base, lap, grad2, kappa):
+    return np.exp(-fj.f) * (s2_base
+                            - (1 + 2 * (n - 1) * t) * lap
+                            - (n * n - 1) * t * t * grad2
+                            + 2 * (n + 1) * t * t * kappa.real)
 
 
 def transformed_s2(jet: MetricJet, fj: FactorJet, t: float,
@@ -57,12 +69,8 @@ def transformed_s2(jet: MetricJet, fj: FactorJet, t: float,
     if s2_base is None:
         ric = ricci_and_scalars(gauduchon_curvature(jet, t, ginv), jet, ginv)
         s2_base = ric.s2
-    n = jet.n
-    lap, grad2, _, _, kappa = _factor_terms(jet, fj, ginv)
-    return np.exp(-fj.f) * (s2_base
-                            - (1 + 2 * (n - 1) * t) * lap
-                            - (n * n - 1) * t * t * grad2
-                            + 2 * (n + 1) * t * t * kappa.real)
+    lap, grad2, _, kappa = _factor_terms(jet, fj, ginv)
+    return _s2_law(jet.n, t, fj, s2_base, lap, grad2, kappa)
 
 
 def chern_s2_transform(jet: MetricJet, fj: FactorJet,
@@ -93,7 +101,8 @@ def transformed_ric34(jet: MetricJet, fj: FactorJet, t: float,
     n = jet.n
     h = jet.h
     ric = ricci_and_scalars(gauduchon_curvature(jet, t, ginv), jet, ginv)
-    lap, grad2, torsion, tau, kappa = _factor_terms(jet, fj, ginv)
+    lap, grad2, tau, kappa = _factor_terms(jet, fj, ginv)
+    torsion = chern_torsion(jet, ginv)
     dfbar = np.conj(fj.df)
     v = np.einsum("...pq,...q->...p", ginv, dfbar)  # (dbar f)^sharp
     c = np.einsum("...kj,...pik,...p->...ij", h, torsion, v)  # T(V) matrix
@@ -111,7 +120,7 @@ def transformed_ric34(jet: MetricJet, fj: FactorJet, t: float,
             + t2 * kappa[..., None, None] * h
             - t2 * tau_outer)
     ric4 = np.conj(np.swapaxes(ric3, -1, -2))
-    s2 = transformed_s2(jet, fj, t, ginv, ric.s2)
+    s2 = _s2_law(n, t, fj, ric.s2, lap, grad2, kappa)
     return TransformedCurvature(ric3, ric4, s2, float(t))
 
 

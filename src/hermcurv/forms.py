@@ -20,8 +20,8 @@ import numpy as np
 from .jets import MetricJet
 
 __all__ = ["PQForm", "omega_form", "del_omega", "delbar_omega",
-           "del_delbar_omega", "omega_power", "d_omega_power",
-           "del_omega_power", "del_delbar_omega_power", "lee_form"]
+           "del_delbar_omega", "omega_power", "del_omega_power",
+           "del_delbar_omega_power", "lee_form"]
 
 
 def _merge(a: tuple, b: tuple):
@@ -105,11 +105,6 @@ class PQForm:
                 total = total + v1 * np.conj(v2) * gi * gj
         return np.real(total)
 
-    def max_abs(self) -> np.ndarray:
-        if not self.coeffs:
-            return np.zeros(())
-        return np.max([np.max(np.abs(v)) for v in self.coeffs.values()])
-
 
 def _gram_det(ginv, I: tuple, K: tuple):
     if len(I) == 0:
@@ -177,12 +172,6 @@ def del_omega_power(jet: MetricJet, k: int) -> PQForm:
     if k > 1:
         out = out.wedge(omega_power(jet, k - 1)).scaled(float(k))
     return out
-
-
-def d_omega_power(jet: MetricJet, k: int):
-    """(del + delbar)(omega^k), returned as the pair of pure-type parts."""
-    dpart = del_omega_power(jet, k)
-    return dpart, dpart.conj()
 
 
 def del_delbar_omega_power(jet: MetricJet, k: int) -> PQForm:

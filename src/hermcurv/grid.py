@@ -7,6 +7,11 @@ differences ("fd2", the default) and Fourier-spectral ("spectral").  The
 mixed Wirtinger second derivatives share one stencil builder so that exact
 cancellations (flat-metric Laplacian duality, linearity) hold to roundoff.
 
+The Chern Laplacian lap_C u = h^{i jbar} d^2 u / dz^i dzbar^j is one table of
+terms sum_k c_k S_k per grid metric: real coefficient fields c_k times
+symmetric real stencils S_k from the same builder.  `complex_laplacian`
+applies it as sum_k c_k S_k(u), and its transpose is sum_k S_k(c_k v).
+
 Quadrature: the volume form is det(h) * 2^n dx1 dy1 ... , so periodic
 trapezoid integration is the plain node mean times det(h) 2^n and the cell
 volume.
@@ -15,6 +20,7 @@ volume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,14 +171,36 @@ def dz_dzbar(u: "TorusField | np.ndarray", i: int, j: int,
     which is what makes the flat-metric duality identity exact.
     """
     grid, v = _unpack(u, grid)
+    if i == j:
+        return 0.25 * _stencil(grid, v, i, i).astype(complex)
+    return 0.25 * (_stencil(grid, v, i, j) + 1j * _stencil(grid, v, i, j, imag=True))
+
+
+def _stencil(grid: TorusGrid, v: np.ndarray, i: int, j: int,
+             imag: bool = False) -> np.ndarray:
+    """Real part, or with `imag` the imaginary part, of 4 d^2 v/dz^i dzbar^j.
+
+    Both are symmetric real stencils; for i = j the imaginary part is zero.
+    """
     xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
     if i == j:
-        return 0.25 * (grid.d2_axis(v, xi) + grid.d2_axis(v, yi)).astype(complex)
-    dxj = grid.d_axis(v, xj)
-    dyj = grid.d_axis(v, yj)
-    real_part = grid.d_axis(dxj, xi) + grid.d_axis(dyj, yi)
-    imag_part = grid.d_axis(dyj, xi) - grid.d_axis(dxj, yi)
-    return 0.25 * (real_part + 1j * imag_part)
+        return grid.d2_axis(v, xi) + grid.d2_axis(v, yi)
+    d = grid.d_axis
+    if imag:
+        return d(d(v, yj), xi) - d(d(v, xj), yi)
+    return d(d(v, xj), xi) + d(d(v, yj), yi)
+
+
+class StencilTerm(NamedTuple):
+    """One term c * S of lap_C: a real coefficient field and a `_stencil`."""
+
+    coef: np.ndarray
+    i: int
+    j: int
+    imag: bool = False
+
+    def stencil(self, grid: TorusGrid, v: np.ndarray) -> np.ndarray:
+        return _stencil(grid, v, self.i, self.j, self.imag)
 
 
 def _unpack(u, grid):
@@ -221,6 +249,34 @@ class GridMetric:
 
     def volume(self) -> float:
         return float(np.sum(self.weights()))
+
+    def laplacian_terms(self) -> tuple:
+        """lap_C = sum_k c_k S_k as a tuple of StencilTerm, built once.
+
+        With h^{i jbar} Hermitian, the (i, j) and (j, i) terms of
+        h^{i jbar} d_i d_jbar pair into real arithmetic:
+
+          1/4 Re h^{i ibar}  (d2 on x_i + d2 on y_i),
+          1/2 Re h^{i jbar}  (d_xi d_xj + d_yi d_yj),   i < j,
+         -1/2 Im h^{i jbar}  (d_xi d_yj - d_yi d_xj),   i < j.
+
+        Terms whose coefficient field is identically zero are left out.  A
+        non-Hermitian inverse metric raises GridError.
+        """
+        if "lap" not in self._cache:
+            g = self.ginv
+            dev = float(np.max(np.abs(g - np.conj(np.swapaxes(g, -1, -2)))))
+            if dev > IMAG_TOL * max(1.0, float(np.max(np.abs(g)))):
+                raise GridError(f"inverse metric is not Hermitian "
+                                f"(deviation {dev:.3e})")
+            terms = [StencilTerm(0.25 * g[..., i, i].real, i, i)
+                     for i in range(self.n)]
+            for i in range(self.n):
+                for j in range(i + 1, self.n):
+                    terms += [StencilTerm(0.5 * g[..., i, j].real, i, j),
+                              StencilTerm(-0.5 * g[..., i, j].imag, i, j, True)]
+            self._cache["lap"] = tuple(t for t in terms if np.any(t.coef))
+        return self._cache["lap"]
 
     def _traces(self):
         if "traces" not in self._cache:
@@ -293,16 +349,13 @@ def _check_periodicity(man: ModelManifold, grid: TorusGrid, samples: int = 32):
 
 
 def complex_laplacian(gm: GridMetric, u: "TorusField | np.ndarray") -> np.ndarray:
-    """h^{i jbar} d^2 u / dz^i dzbar^j, real part (imaginary residue checked)."""
+    """h^{i jbar} d^2 u / dz^i dzbar^j as sum_k c_k S_k(u) over the metric's
+    stencil table (`GridMetric.laplacian_terms`)."""
     v = u.values if isinstance(u, TorusField) else np.asarray(u)
-    out = np.zeros(gm.grid.shape, complex)
-    for i in range(gm.n):
-        for j in range(gm.n):
-            out += gm.ginv[..., i, j] * dz_dzbar(v, i, j, gm.grid)
-    resid = float(np.max(np.abs(out.imag)))
-    if resid > IMAG_TOL * max(1.0, float(np.max(np.abs(out)))):
-        raise GridError(f"complex laplacian imaginary residue {resid:.3e}")
-    return out.real
+    out = np.zeros(gm.grid.shape)
+    for t in gm.laplacian_terms():
+        out += t.coef * t.stencil(gm.grid, v)
+    return out
 
 
 def real_metric(gm: GridMetric):

@@ -41,9 +41,6 @@ class MetricJet:
     def n(self) -> int:
         return self.h.shape[-1]
 
-    def point_count(self) -> int:
-        return int(np.prod(self.h.shape[:-2], dtype=int)) if self.h.ndim > 2 else 1
-
     def __getitem__(self, idx) -> "MetricJet":
         return MetricJet(self.h[idx], self.dh[idx], self.ddh[idx])
 

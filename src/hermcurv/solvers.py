@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import bismut_s2_transform
+from .conformal import bismut_s2_transform, torsion_pairing
 from .grid import (GridMetric, TorusField, complex_laplacian, dz,
                    factor_jet_from_field, gauduchon_degrees, integrate)
 
@@ -80,47 +80,30 @@ class _LaplacianOp:
     def __init__(self, gm: GridMetric):
         self.gm = gm
         self.grid = gm.grid
-        n = gm.n
-        self._re = [[gm.ginv[..., i, j].real for j in range(n)] for i in range(n)]
-        self._im = [[gm.ginv[..., i, j].imag for j in range(n)] for i in range(n)]
+        self.terms = gm.laplacian_terms()
         self.symbol = self._flat_symbol()
 
     def _flat_symbol(self) -> np.ndarray:
+        # Fourier symbol of the diagonal terms with mean coefficients
         grid = self.grid
         sym = np.zeros(grid.shape)
-        for i in range(self.gm.n):
-            gii = float(np.mean(self._re[i][i]))
-            for a in (2 * i, 2 * i + 1):
+        for t in (t for t in self.terms if t.i == t.j):
+            c = float(np.mean(t.coef))
+            for a in (2 * t.i, 2 * t.i + 1):
                 s = grid.d2_symbol(a)
                 shape = [1] * (2 * self.gm.n)
                 shape[a] = grid.N
-                sym = sym + 0.25 * gii * s.reshape(shape)
+                sym = sym + c * s.reshape(shape)
         return sym
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return complex_laplacian(self.gm, f)
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        # lap = sum M_c S_c with diagonal fields M_c and symmetric stencils
-        # S_c (second differences and products of centered differences), so
-        # lap^T = sum S_c M_c.
-        grid = self.grid
-        n = self.gm.n
-        out = np.zeros(grid.shape)
-        for i in range(n):
-            for j in range(n):
-                re, im = self._re[i][j], self._im[i][j]
-                if i == j:
-                    out += 0.25 * (grid.d2_axis(re * v, 2 * i)
-                                   + grid.d2_axis(re * v, 2 * i + 1))
-                    continue
-                xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
-                rxv = re * v
-                ixv = im * v
-                out += 0.25 * (grid.d_axis(grid.d_axis(rxv, xi), xj)
-                               + grid.d_axis(grid.d_axis(rxv, yi), yj))
-                out -= 0.25 * (grid.d_axis(grid.d_axis(ixv, xi), yj)
-                               - grid.d_axis(grid.d_axis(ixv, yi), xj))
+        # lap = sum c_k S_k with symmetric stencils S_k, so lap^T = sum S_k c_k
+        out = np.zeros(self.grid.shape)
+        for t in self.terms:
+            out += t.stencil(self.grid, t.coef * v)
         return out
 
     def precondition(self, r: np.ndarray, shift: float = 0.0,
@@ -570,13 +553,9 @@ def lozenge_constancy_check(gm: GridMetric, precond_tol: float = 1e-6,
     s2 = gm.scalar_fields()["s_c2"]
     f_hat = 2.0 * s2 / n
     lap = complex_laplacian(gm, f_hat)
-    tau = gm.tau()
-    pair = np.zeros(gm.grid.shape)
-    for i in range(n):
-        dfi = dz(f_hat, i, gm.grid)
-        for j in range(n):
-            pair += (gm.ginv[..., i, j] * dfi * np.conj(tau[..., j])).real
-    lozenge = n * lap + 2 * pair
+    df = np.stack([dz(f_hat, i, gm.grid) for i in range(n)], axis=-1)
+    # Re<del f, tau> = -Re kappa, the pairing of the conformal law
+    lozenge = n * lap - 2 * torsion_pairing(gm.ginv, gm.tau(), df).real
     ein = einstein_residual(gm.jet, gm.ginv)
     ein_max = float(np.max(ein.residual))
     mean = integrate(gm, s2) / gm.volume()

@@ -18,25 +18,15 @@ from hermcurv.curvature import (classify, einstein_residual,
                                 ricci_and_scalars, scalar_comparison_defect,
                                 scalar_via_identity, torsion_diagnostics)
 from hermcurv.dsl import parse_expr
-from hermcurv.grid import (GridMetric, TorusGrid, gauduchon_degrees,
-                           laplacian_duality_defect)
+from hermcurv.grid import gauduchon_degrees, laplacian_duality_defect
 from hermcurv.jets import inverse_and_det
 from hermcurv.manifolds import builtin, factor_jet_from_expr, _TrigSum
 from hermcurv.solvers import (bismut_yamabe_minimize, continuity_solve,
                               solve_chern_zero)
 
+from conftest import make_gm
+
 GOLDEN_TOL = 1e-8
-
-_GM_CACHE = {}
-
-
-def make_gm(name, N, scheme="fd2", **params):
-    key = (name, N, scheme, tuple(sorted(params.items())))
-    if key not in _GM_CACHE:
-        man = builtin(name, **params)
-        _GM_CACHE[key] = GridMetric.from_manifold(
-            man, TorusGrid(n=man.n, N=N, scheme=scheme))
-    return _GM_CACHE[key]
 
 
 def report(crit: str, ok: bool, detail: str = ""):

@@ -97,7 +97,7 @@ def test_pairing_term_vanishes_on_balanced_base():
     d = conformal_oracle_check(man, "re(z2)/4", 1.0, z)
     assert d["max"] < 1e-9
     from hermcurv.conformal import _factor_terms
-    _, _, _, _, kappa = _factor_terms(jet, fj, ginv)
+    _, _, _, kappa = _factor_terms(jet, fj, ginv)
     assert np.max(np.abs(kappa)) < 1e-12
 
 

@@ -7,17 +7,7 @@ from hermcurv.grid import (GridError, GridMetric, TorusField, TorusGrid,
                            laplacian_duality_defect)
 from hermcurv.manifolds import builtin, conformal_manifold
 
-
-_GM_CACHE = {}
-
-
-def make_gm(name="flat-torus", N=8, scheme="fd2", **params):
-    key = (name, N, scheme, tuple(sorted(params.items())))
-    if key not in _GM_CACHE:
-        man = builtin(name, **params)
-        grid = TorusGrid(n=man.n, N=N, scheme=scheme)
-        _GM_CACHE[key] = GridMetric.from_manifold(man, grid)
-    return _GM_CACHE[key]
+from conftest import make_gm
 
 
 def x_field(grid, a):
@@ -109,6 +99,43 @@ def test_operator_linearity():
     lv = complex_laplacian(gm, v)
     luv = complex_laplacian(gm, 2.5 * u - 1.25 * v)
     np.testing.assert_allclose(luv, 2.5 * lu - 1.25 * lv, atol=1e-11)
+
+
+def _synthetic_n3_metric(hermitian=True):
+    # n = 3, N = 4 with a non-diagonal Hermitian inverse metric; only the
+    # Laplacian's stencil table reads it
+    grid = TorusGrid(n=3, N=4)
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=grid.shape + (3, 3)) + 1j * rng.normal(size=grid.shape + (3, 3))
+    ginv = a @ np.conj(np.swapaxes(a, -1, -2)) + 3 * np.eye(3)
+    if not hermitian:
+        ginv[..., 0, 1] += 0.1
+    return GridMetric(grid, None, None, ginv, np.ones(grid.shape))
+
+
+@pytest.mark.parametrize("case", ["pluriclosed-bump/fd2", "pluriclosed-bump/spectral",
+                                  "kaehler-bump/fd2", "kaehler-bump/spectral",
+                                  "synthetic-n3"])
+def test_laplacian_transpose_is_adjoint(case):
+    from hermcurv.solvers import _LaplacianOp
+    if case == "synthetic-n3":
+        gm = _synthetic_n3_metric()
+    else:
+        name, scheme = case.split("/")
+        gm = make_gm(name, N=8, scheme=scheme)
+    rng = np.random.default_rng(2)
+    u = rng.normal(size=gm.grid.shape)
+    v = rng.normal(size=gm.grid.shape)
+    op = _LaplacianOp(gm)
+    lhs = float(np.sum(op.apply(u) * v))
+    rhs = float(np.sum(u * op.apply_transpose(v)))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs), (case, lhs, rhs)
+
+
+def test_non_hermitian_inverse_metric_raises():
+    gm = _synthetic_n3_metric(hermitian=False)
+    with pytest.raises(GridError, match="Hermitian"):
+        complex_laplacian(gm, np.ones(gm.grid.shape))
 
 
 def test_flat_laplacian_is_quarter_euclidean():

@@ -9,16 +9,7 @@ from hermcurv.solvers import (ConvergenceError, PreconditionError, SolverReport,
                               lozenge_constancy_check, normalize_to_negative,
                               solve_chern_negative, solve_chern_zero)
 
-_GM_CACHE = {}
-
-
-def make_gm(name, N, scheme="fd2", **params):
-    key = (name, N, scheme, tuple(sorted(params.items())))
-    if key not in _GM_CACHE:
-        man = builtin(name, **params)
-        _GM_CACHE[key] = GridMetric.from_manifold(
-            man, TorusGrid(n=man.n, N=N, scheme=scheme))
-    return _GM_CACHE[key]
+from conftest import make_gm
 
 
 def analytic_laplacian(gm, trig):
