@@ -1,54 +1,3 @@
 """Hermitian curvature engine and constant-scalar-curvature solvers."""
 
 __version__ = "0.1.0"
-
-from .jets import MetricJet, FactorJet, JetError, inverse_and_det, conformal_jet
-from .manifolds import (ChartPoint, ModelManifold, DomainError, builtin,
-                        builtin_names, conformal_manifold, factor_jet_from_expr,
-                        manifold_from_manifest)
-from .dsl import MetricExpr, ParseError, parse_expr, parse_metric, load_manifest
-from .expr import wirtinger_derivative, to_source
-from .curvature import (CurvatureTensor, RicciForms, TorsionDiagnostics,
-                        ClassFlags, EinsteinReport, chern_torsion,
-                        chern_curvature, gauduchon_curvature, ricci_and_scalars,
-                        torsion_diagnostics, scalar_via_identity,
-                        scalar_comparison_defect, einstein_residual, classify,
-                        report_matrix)
-from .conformal import (TransformedCurvature, transformed_s2, transformed_ric34,
-                        chern_s2_transform, bismut_s2_transform,
-                        conformal_oracle_check)
-from .grid import (TorusGrid, TorusField, GridMetric, GridError, dz, dzbar,
-                   complex_laplacian, laplacian_duality_defect, integrate,
-                   gauduchon_degrees, balanced_representative)
-from .solvers import (SolverReport, YamabeConstants, PreconditionError,
-                      ConvergenceError, solve_chern_zero, normalize_to_negative,
-                      solve_chern_negative, continuity_solve,
-                      bismut_yamabe_minimize, lozenge_constancy_check)
-
-__all__ = [
-    "__version__",
-    # jets and manifolds
-    "MetricJet", "FactorJet", "JetError", "inverse_and_det", "conformal_jet",
-    "ChartPoint", "ModelManifold", "DomainError", "builtin", "builtin_names",
-    "conformal_manifold", "factor_jet_from_expr", "manifold_from_manifest",
-    # DSL
-    "MetricExpr", "ParseError", "parse_expr", "parse_metric", "load_manifest",
-    "wirtinger_derivative", "to_source",
-    # curvature
-    "CurvatureTensor", "RicciForms", "TorsionDiagnostics", "ClassFlags",
-    "EinsteinReport", "chern_torsion", "chern_curvature",
-    "gauduchon_curvature", "ricci_and_scalars", "torsion_diagnostics",
-    "scalar_via_identity", "scalar_comparison_defect", "einstein_residual",
-    "classify", "report_matrix",
-    # conformal
-    "TransformedCurvature", "transformed_s2", "transformed_ric34",
-    "chern_s2_transform", "bismut_s2_transform", "conformal_oracle_check",
-    # grid
-    "TorusGrid", "TorusField", "GridMetric", "GridError", "dz", "dzbar",
-    "complex_laplacian", "laplacian_duality_defect", "integrate",
-    "gauduchon_degrees", "balanced_representative",
-    # solvers
-    "SolverReport", "YamabeConstants", "PreconditionError", "ConvergenceError",
-    "solve_chern_zero", "normalize_to_negative", "solve_chern_negative",
-    "continuity_solve", "bismut_yamabe_minimize", "lozenge_constancy_check",
-]

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .curvature import gauduchon_curvature, ricci_and_scalars
-from .jets import FactorJet, MetricJet, conformal_jet, inverse_and_det
-from .curvature import chern_torsion
+from .curvature import chern_torsion, gauduchon_curvature, ricci_and_scalars
+from .jets import FactorJet, MetricJet, conformal_jet
 from .manifolds import ModelManifold, factor_jet_from_expr
 
 __all__ = ["TransformedCurvature", "transformed_s2", "transformed_ric34",
@@ -31,13 +30,14 @@ class TransformedCurvature:
     t: float
 
 
-def torsion_pairing(ginv: np.ndarray, tau: np.ndarray, df: np.ndarray) -> np.ndarray:
+def torsion_pairing(jet: MetricJet, tau: np.ndarray, df: np.ndarray) -> np.ndarray:
     """kappa = <del* omega, i delbar f> = -h^{k jbar} conj(tau_j) f_k."""
-    return -np.einsum("...kj,...j,...k->...", ginv, np.conj(tau), df)
+    return -np.einsum("...kj,...j,...k->...", jet.ginv, np.conj(tau), df)
 
 
-def _factor_terms(jet: MetricJet, fj: FactorJet, ginv: np.ndarray):
+def _factor_terms(jet: MetricJet, fj: FactorJet):
     """Shared ingredients: laplacian, gradient norm, torsion trace, pairing."""
+    ginv = jet.ginv
     lap = np.einsum("...ij,...ij->...", ginv, fj.ddf)
     if np.max(np.abs(lap.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(lap)))):
         raise ArithmeticError("complex laplacian of a real factor is not real")
@@ -45,7 +45,7 @@ def _factor_terms(jet: MetricJet, fj: FactorJet, ginv: np.ndarray):
     # tau_i = T_{ip}^p = h^{p lbar} (d h_{p lbar}/dz^i - d h_{i lbar}/dz^p)
     dh = jet.dh
     tau = np.einsum("...pl,...ipl->...i", ginv, dh - np.swapaxes(dh, -3, -2))
-    return lap.real, grad2, tau, torsion_pairing(ginv, tau, fj.df)
+    return lap.real, grad2, tau, torsion_pairing(jet, tau, fj.df)
 
 
 def _s2_law(n: int, t: float, fj: FactorJet, s2_base, lap, grad2, kappa):
@@ -55,8 +55,7 @@ def _s2_law(n: int, t: float, fj: FactorJet, s2_base, lap, grad2, kappa):
                             + 2 * (n + 1) * t * t * kappa.real)
 
 
-def transformed_s2(jet: MetricJet, fj: FactorJet, t: float,
-                   ginv: np.ndarray | None = None,
+def transformed_s2(jet: MetricJet, fj: FactorJet, t: float, *,
                    s2_base: np.ndarray | None = None) -> np.ndarray:
     """Second scalar curvature of e^f omega from base-metric data.
 
@@ -64,31 +63,25 @@ def transformed_s2(jet: MetricJet, fj: FactorJet, t: float,
                             - (n^2 - 1) t^2 |df|^2
                             + 2 (n+1) t^2 Re<del* w, i dbar f> ).
     """
-    if ginv is None:
-        ginv, _ = inverse_and_det(jet)
     if s2_base is None:
-        ric = ricci_and_scalars(gauduchon_curvature(jet, t, ginv), jet, ginv)
-        s2_base = ric.s2
-    lap, grad2, _, kappa = _factor_terms(jet, fj, ginv)
+        s2_base = ricci_and_scalars(gauduchon_curvature(jet, t), jet).s2
+    lap, grad2, _, kappa = _factor_terms(jet, fj)
     return _s2_law(jet.n, t, fj, s2_base, lap, grad2, kappa)
 
 
-def chern_s2_transform(jet: MetricJet, fj: FactorJet,
-                       ginv: np.ndarray | None = None,
+def chern_s2_transform(jet: MetricJet, fj: FactorJet, *,
                        s2_base: np.ndarray | None = None) -> np.ndarray:
     """t = 0 specialization: s2(e^f w) = e^{-f} (s2(w) - lap f)."""
-    return transformed_s2(jet, fj, 0.0, ginv, s2_base)
+    return transformed_s2(jet, fj, 0.0, s2_base=s2_base)
 
 
-def bismut_s2_transform(jet: MetricJet, fj: FactorJet,
-                        ginv: np.ndarray | None = None,
+def bismut_s2_transform(jet: MetricJet, fj: FactorJet, *,
                         s2_base: np.ndarray | None = None) -> np.ndarray:
     """t = 1 specialization (the Bismut connection)."""
-    return transformed_s2(jet, fj, 1.0, ginv, s2_base)
+    return transformed_s2(jet, fj, 1.0, s2_base=s2_base)
 
 
-def transformed_ric34(jet: MetricJet, fj: FactorJet, t: float,
-                      ginv: np.ndarray | None = None) -> TransformedCurvature:
+def transformed_ric34(jet: MetricJet, fj: FactorJet, t: float) -> TransformedCurvature:
     """Third/fourth Ricci forms of e^f omega assembled from base-metric data.
 
     All nine contributions, with the torsion contraction T(V) taken at the
@@ -96,15 +89,13 @@ def transformed_ric34(jet: MetricJet, fj: FactorJet, t: float,
     (-n t^2 on T(V), -t^2 on its conjugate) is implemented as displayed and
     validated against the direct recomputation oracle.
     """
-    if ginv is None:
-        ginv, _ = inverse_and_det(jet)
     n = jet.n
     h = jet.h
-    ric = ricci_and_scalars(gauduchon_curvature(jet, t, ginv), jet, ginv)
-    lap, grad2, tau, kappa = _factor_terms(jet, fj, ginv)
-    torsion = chern_torsion(jet, ginv)
+    ric = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
+    lap, grad2, tau, kappa = _factor_terms(jet, fj)
+    torsion = chern_torsion(jet)
     dfbar = np.conj(fj.df)
-    v = np.einsum("...pq,...q->...p", ginv, dfbar)  # (dbar f)^sharp
+    v = np.einsum("...pq,...q->...p", jet.ginv, dfbar)  # (dbar f)^sharp
     c = np.einsum("...kj,...pik,...p->...ij", h, torsion, v)  # T(V) matrix
     ch = np.conj(np.swapaxes(c, -1, -2))
     df_outer = np.einsum("...i,...j->...ij", fj.df, dfbar)
@@ -136,14 +127,12 @@ def conformal_oracle_check(man: ModelManifold, f: "ex.Expr | str", t: float,
         f = parse_expr(f, man.n)
     z = np.asarray(points, dtype=complex)
     jet = man.jet(z)
-    ginv, _ = inverse_and_det(jet)
     fj = factor_jet_from_expr(f, z, man.n, man.params)
 
-    formula = transformed_ric34(jet, fj, t, ginv)
+    formula = transformed_ric34(jet, fj, t)
 
     jet_f = conformal_jet(jet, fj)
-    ginv_f, _ = inverse_and_det(jet_f)
-    ric_f = ricci_and_scalars(gauduchon_curvature(jet_f, t, ginv_f), jet_f, ginv_f)
+    ric_f = ricci_and_scalars(gauduchon_curvature(jet_f, t), jet_f)
 
     d_s2 = float(np.max(np.abs(formula.s2 - ric_f.s2)))
     d_r3 = float(np.max(np.abs(formula.ric3 - ric_f.ric3)))

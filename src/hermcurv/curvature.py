@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import forms
-from .jets import MetricJet, inverse_and_det
+from .jets import MetricJet
 from .manifolds import ModelManifold
 
 __all__ = [
@@ -126,53 +126,38 @@ def report_matrix(m: np.ndarray) -> np.ndarray:
     return np.conj(m)
 
 
-def chern_torsion(jet: MetricJet, ginv: np.ndarray | None = None) -> np.ndarray:
-    if ginv is None:
-        ginv, _ = inverse_and_det(jet)
+def chern_torsion(jet: MetricJet) -> np.ndarray:
     a = jet.dh - np.swapaxes(jet.dh, -3, -2)  # dh[i,j,l] - dh[j,i,l]
-    return np.einsum("...kl,...ijl->...ijk", ginv, a)
+    return np.einsum("...kl,...ijl->...ijk", jet.ginv, a)
 
 
-def chern_curvature(jet: MetricJet, ginv: np.ndarray | None = None) -> np.ndarray:
-    if ginv is None:
-        ginv, _ = inverse_and_det(jet)
-    quad = np.einsum("...pq,...jlp,...ikq->...ijkl", ginv, np.conj(jet.dh), jet.dh)
+def chern_curvature(jet: MetricJet) -> np.ndarray:
+    quad = np.einsum("...pq,...jlp,...ikq->...ijkl", jet.ginv, np.conj(jet.dh), jet.dh)
     return -jet.ddh + quad
 
 
-def gauduchon_curvature(jet: MetricJet, t: float,
-                        ginv: np.ndarray | None = None,
-                        theta: np.ndarray | None = None,
-                        torsion: np.ndarray | None = None) -> CurvatureTensor:
+def gauduchon_curvature(jet: MetricJet, t: float) -> CurvatureTensor:
     """Curvature of the Gauduchon connection (1-t) Chern + t Bismut.
 
     At t = 0 this returns the Chern tensor bit-identically.
     """
-    if ginv is None:
-        ginv, _ = inverse_and_det(jet)
-    if theta is None:
-        theta = chern_curvature(jet, ginv)
+    theta = chern_curvature(jet)
     if t == 0:
         return CurvatureTensor(theta, 0.0, "chern")
-    if torsion is None:
-        torsion = chern_torsion(jet, ginv)
+    torsion = chern_torsion(jet)
     sw1 = np.einsum("...ilkj->...ijkl", theta)
     sw2 = np.einsum("...kjil->...ijkl", theta)
     a_term = np.einsum("...ikp,...jlq,...pq->...ijkl",
                        torsion, np.conj(torsion), jet.h)
     lowered = np.einsum("...ipm,...ml->...ipl", torsion, jet.h)
     b_term = np.einsum("...pq,...ipl,...jqk->...ijkl",
-                       ginv, lowered, np.conj(lowered))
+                       jet.ginv, lowered, np.conj(lowered))
     R = theta + t * (sw1 + sw2 - 2 * theta) + t * t * (a_term - b_term)
     return CurvatureTensor(R, float(t), f"gauduchon({t})")
 
 
-def ricci_and_scalars(curv: "CurvatureTensor | np.ndarray", jet: MetricJet,
-                      ginv: np.ndarray | None = None) -> RicciForms:
-    if ginv is None:
-        ginv, _ = inverse_and_det(jet)
-    R = curv.R if isinstance(curv, CurvatureTensor) else curv
-    t = curv.t if isinstance(curv, CurvatureTensor) else 0.0
+def ricci_and_scalars(curv: CurvatureTensor, jet: MetricJet) -> RicciForms:
+    ginv, R = jet.ginv, curv.R
     ric1 = np.einsum("...kl,...ijkl->...ij", ginv, R)
     ric2 = np.einsum("...kl,...klij->...ij", ginv, R)
     ric3 = np.einsum("...kl,...ilkj->...ij", ginv, R)
@@ -183,7 +168,7 @@ def ricci_and_scalars(curv: "CurvatureTensor | np.ndarray", jet: MetricJet,
     worst = max(float(np.max(np.abs(s1.imag))), float(np.max(np.abs(s2.imag))))
     if worst > IMAG_TOL * scale:
         raise ArithmeticError(f"scalar curvature has imaginary part {worst:.3e}")
-    return RicciForms(ric1, ric2, ric3, ric4, s1.real, s2.real, t)
+    return RicciForms(ric1, ric2, ric3, ric4, s1.real, s2.real, curv.t)
 
 
 def _batch_last(a: np.ndarray, k: int) -> np.ndarray:
@@ -255,7 +240,7 @@ class TorsionTraces:
         return s1, s2
 
 
-def torsion_traces(jet: MetricJet, ginv: np.ndarray | None = None) -> TorsionTraces:
+def torsion_traces(jet: MetricJet) -> TorsionTraces:
     """One pass over the jet for tau, del del* omega, the torsion norms and S_C1.
 
     Works on batch-last component arrays and never forms the Chern 4-tensor:
@@ -264,11 +249,9 @@ def torsion_traces(jet: MetricJet, ginv: np.ndarray | None = None) -> TorsionTra
     The lowered torsion T_{ik}^p h_{p qbar} is dh[i,k,q] - dh[k,i,q], and
     d tau_j / dzbar^i follows from the jet's mixed second derivatives.
     """
-    if ginv is None:
-        ginv, _ = inverse_and_det(jet)
     n = jet.n
     r = range(n)
-    g = _batch_last(ginv, 2)       # g[i, j] = h^{i jbar}
+    g = _batch_last(jet.ginv, 2)   # g[i, j] = h^{i jbar}
     dh = _batch_last(jet.dh, 3)    # dh[i, j, l] = d h_{j lbar} / dz^i
     ddh = jet.ddh                  # read component-wise, never copied
     # trace of ddh over its last index pair, and over its outer pair
@@ -303,14 +286,13 @@ def torsion_traces(jet: MetricJet, ginv: np.ndarray | None = None) -> TorsionTra
                          pairing.real.copy(), del_omega_sq, del_star_sq, s_c1)
 
 
-def torsion_diagnostics(jet: MetricJet,
-                        ginv: np.ndarray | None = None) -> TorsionDiagnostics:
+def torsion_diagnostics(jet: MetricJet) -> TorsionDiagnostics:
     """Torsion traces, adjoint forms, Lee form and the calibrated norms.
 
     The Lee form is eta^{1,0} = tau in closed form; `forms.lee_form` solves
     its defining equation independently and is the test oracle for it.
     """
-    tr = torsion_traces(jet, ginv)
+    tr = torsion_traces(jet)
     norms = {
         "del_star_sq": tr.del_star_sq,
         "delbar_star_sq": tr.del_star_sq,
@@ -323,20 +305,15 @@ def torsion_diagnostics(jet: MetricJet,
                               np.conj(np.swapaxes(tr.ddstar, -1, -2)), norms)
 
 
-def scalar_via_identity(jet: MetricJet, t: float,
-                        ginv: np.ndarray | None = None):
+def scalar_via_identity(jet: MetricJet, t: float):
     """(s1, s2) of the Gauduchon connection via the torsion-trace identities."""
-    return torsion_traces(jet, ginv).scalars(t)
+    return torsion_traces(jet).scalars(t)
 
 
-def scalar_comparison_defect(jet: MetricJet, t: float,
-                             ginv: np.ndarray | None = None) -> np.ndarray:
+def scalar_comparison_defect(jet: MetricJet, t: float) -> np.ndarray:
     """s2 - s1 + (t^2 - 4t + 1)|delbar* w|^2 + 2 t^2 |dw|^2; ~0 for Gauduchon."""
-    if ginv is None:
-        ginv, _ = inverse_and_det(jet)
-    curv = gauduchon_curvature(jet, t, ginv)
-    ric = ricci_and_scalars(curv, jet, ginv)
-    tr = torsion_traces(jet, ginv)
+    ric = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
+    tr = torsion_traces(jet)
     return (ric.s2 - ric.s1
             + (t * t - 4 * t + 1) * tr.del_star_sq
             + 2 * t * t * tr.del_omega_sq)
@@ -348,41 +325,38 @@ def oneone_norm2(m: np.ndarray, ginv: np.ndarray) -> np.ndarray:
                      m, np.conj(m), ginv, ginv).real
 
 
-def einstein_residual(jet: MetricJet, ginv: np.ndarray | None = None) -> EinsteinReport:
+def einstein_residual(jet: MetricJet) -> EinsteinReport:
     """Deviation of Theta3 + Theta4 from f * omega with f = (2/n) S_C2.
 
     Also cross-checks Theta3 + Theta4 against 2 Theta1 - (dd* w + dbar dbar* w),
     whose two sides are computed along independent code paths.
     """
-    if ginv is None:
-        ginv, _ = inverse_and_det(jet)
-    theta = chern_curvature(jet, ginv)
-    ric = ricci_and_scalars(CurvatureTensor(theta, 0.0, "chern"), jet, ginv)
+    ginv = jet.ginv
+    theta = chern_curvature(jet)
+    ric = ricci_and_scalars(CurvatureTensor(theta, 0.0, "chern"), jet)
     n = jet.n
     f_hat = 2.0 * ric.s2 / n
     sum34 = ric.ric3 + ric.ric4
     resid = np.sqrt(np.maximum(oneone_norm2(
         sum34 - f_hat[..., None, None] * jet.h, ginv), 0.0))
-    ddstar = torsion_traces(jet, ginv).ddstar
+    ddstar = torsion_traces(jet).ddstar
     other = 2 * ric.ric1 - (ddstar + np.conj(np.swapaxes(ddstar, -1, -2)))
     cross = np.sqrt(np.maximum(oneone_norm2(sum34 - other, ginv), 0.0))
     return EinsteinReport(f_hat, resid, cross, ric.ric3, ric.ric4)
 
 
-def class_residual_fields(jet: MetricJet, ginv: np.ndarray | None = None,
+def class_residual_fields(jet: MetricJet, *,
                           traces: TorsionTraces | None = None) -> dict:
     """Pointwise metric-norm residuals of the four metric classes.
 
     kahler: |d omega|, balanced: |eta|, gauduchon: |del delbar omega^{n-1}|,
     pluriclosed: |del delbar omega|; each an array over the jet's batch axes.
     """
-    if ginv is None:
-        ginv, _ = inverse_and_det(jet)
     if traces is None:
-        traces = torsion_traces(jet, ginv)
+        traces = torsion_traces(jet)
     n = jet.n
-    pluri = forms.del_delbar_omega(jet).norm2(ginv)
-    gaud = pluri if n == 2 else forms.del_delbar_omega_power(jet, n - 1).norm2(ginv)
+    pluri = forms.del_delbar_omega(jet).norm2(jet.ginv)
+    gaud = pluri if n == 2 else forms.del_delbar_omega_power(jet, n - 1).norm2(jet.ginv)
     batch = jet.h.shape[:-2]
     squares = {"kahler": 2 * traces.del_omega_sq, "balanced": 2 * traces.del_star_sq,
                "gauduchon": gaud, "pluriclosed": pluri}

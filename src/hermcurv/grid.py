@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import ClassFlags, class_residual_fields, torsion_traces
-from .jets import FactorJet, MetricJet, conformal_jet, inverse_and_det
+from .jets import FactorJet, MetricJet, conformal_jet
 from .manifolds import ModelManifold
 
 __all__ = ["TorusGrid", "TorusField", "GridMetric", "GridError",
@@ -152,25 +152,21 @@ class TorusField:
             self.values = self.values.real
 
 
-def dz(u: "TorusField | np.ndarray", k: int, grid: TorusGrid = None) -> np.ndarray:
+def dz(v: np.ndarray, k: int, grid: TorusGrid) -> np.ndarray:
     """Discrete Wirtinger derivative d/dz^k = (d_x - i d_y)/2."""
-    grid, v = _unpack(u, grid)
     return 0.5 * (grid.d_axis(v, 2 * k) - 1j * grid.d_axis(v, 2 * k + 1))
 
 
-def dzbar(u: "TorusField | np.ndarray", k: int, grid: TorusGrid = None) -> np.ndarray:
-    grid, v = _unpack(u, grid)
+def dzbar(v: np.ndarray, k: int, grid: TorusGrid) -> np.ndarray:
     return 0.5 * (grid.d_axis(v, 2 * k) + 1j * grid.d_axis(v, 2 * k + 1))
 
 
-def dz_dzbar(u: "TorusField | np.ndarray", i: int, j: int,
-             grid: TorusGrid = None) -> np.ndarray:
+def dz_dzbar(v: np.ndarray, i: int, j: int, grid: TorusGrid) -> np.ndarray:
     """Discrete d^2/dz^i dzbar^j sharing stencils with dz/dzbar.
 
     For i = j the pure second-difference stencil is used on each real axis,
     which is what makes the flat-metric duality identity exact.
     """
-    grid, v = _unpack(u, grid)
     if i == j:
         return 0.25 * _stencil(grid, v, i, i).astype(complex)
     return 0.25 * (_stencil(grid, v, i, j) + 1j * _stencil(grid, v, i, j, imag=True))
@@ -203,14 +199,6 @@ class StencilTerm(NamedTuple):
         return _stencil(grid, v, self.i, self.j, self.imag)
 
 
-def _unpack(u, grid):
-    if isinstance(u, TorusField):
-        return u.grid, u.values
-    if grid is None:
-        raise GridError("bare arrays need an explicit grid")
-    return grid, np.asarray(u)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -221,8 +209,6 @@ class GridMetric:
     grid: TorusGrid
     manifold: ModelManifold
     jet: MetricJet
-    ginv: np.ndarray
-    det: np.ndarray
     _cache: dict = field(default_factory=dict)
 
     @classmethod
@@ -236,12 +222,20 @@ class GridMetric:
         z = grid.points()
         jet = man.jet(z, check_domain=False)
         _check_periodicity(man, grid)
-        ginv, det = inverse_and_det(jet)
-        return cls(grid, man, jet, ginv, det)
+        jet.ginv  # invert now, so that a JetError surfaces at build time
+        return cls(grid, man, jet)
 
     @property
     def n(self) -> int:
         return self.grid.n
+
+    @property
+    def ginv(self) -> np.ndarray:
+        return self.jet.ginv
+
+    @property
+    def det(self) -> np.ndarray:
+        return self.jet.det
 
     def weights(self) -> np.ndarray:
         """Quadrature weight per node: det(h) 2^n * cell volume."""
@@ -280,7 +274,7 @@ class GridMetric:
 
     def _traces(self):
         if "traces" not in self._cache:
-            self._cache["traces"] = torsion_traces(self.jet, self.ginv)
+            self._cache["traces"] = torsion_traces(self.jet)
         return self._cache["traces"]
 
     def tau(self) -> np.ndarray:
@@ -308,27 +302,26 @@ class GridMetric:
         count = min(samples, self.grid.node_count)
         idx = np.unravel_index(rng.integers(0, self.grid.node_count, size=count),
                                self.grid.shape)
-        fields = class_residual_fields(self.jet[idx], self.ginv[idx],
-                                       self._traces()[idx])
+        fields = class_residual_fields(self.jet[idx], traces=self._traces()[idx])
         return ClassFlags.from_residuals(fields, tol).as_dict()
 
-    def conformal(self, f: "TorusField | np.ndarray") -> "GridMetric":
+    def conformal(self, f: np.ndarray) -> "GridMetric":
         """Grid metric of e^f h, with f differentiated by the grid scheme."""
-        fv = f.values if isinstance(f, TorusField) else np.asarray(f)
-        fj = factor_jet_from_field(self.grid, fv)
-        jet2 = conformal_jet(self.jet, fj)
-        ginv2, det2 = inverse_and_det(jet2)
-        return GridMetric(self.grid, self.manifold, jet2, ginv2, det2)
+        jet2 = conformal_jet(self.jet, factor_jet_from_field(self.grid, f))
+        jet2.ginv  # invert now, so that a JetError surfaces at build time
+        return GridMetric(self.grid, self.manifold, jet2)
 
 
 def factor_jet_from_field(grid: TorusGrid, f: np.ndarray) -> FactorJet:
+    """2-jet of a real field; ddf is Hermitian, so only j >= i is computed."""
     n = grid.n
     df = np.empty(grid.shape + (n,), complex)
     ddf = np.empty(grid.shape + (n, n), complex)
     for i in range(n):
         df[..., i] = dz(f, i, grid)
-        for j in range(n):
+        for j in range(i, n):
             ddf[..., i, j] = dz_dzbar(f, i, j, grid)
+            ddf[..., j, i] = np.conj(ddf[..., i, j])
     return FactorJet(np.asarray(f, float), df, ddf)
 
 
@@ -348,10 +341,9 @@ def _check_periodicity(man: ModelManifold, grid: TorusGrid, samples: int = 32):
 # -- operators ---------------------------------------------------------------
 
 
-def complex_laplacian(gm: GridMetric, u: "TorusField | np.ndarray") -> np.ndarray:
-    """h^{i jbar} d^2 u / dz^i dzbar^j as sum_k c_k S_k(u) over the metric's
+def complex_laplacian(gm: GridMetric, v: np.ndarray) -> np.ndarray:
+    """h^{i jbar} d^2 v / dz^i dzbar^j as sum_k c_k S_k(v) over the metric's
     stencil table (`GridMetric.laplacian_terms`)."""
-    v = u.values if isinstance(u, TorusField) else np.asarray(u)
     out = np.zeros(gm.grid.shape)
     for t in gm.laplacian_terms():
         out += t.coef * t.stencil(gm.grid, v)
@@ -375,13 +367,12 @@ def real_metric(gm: GridMetric):
     return g, ginv
 
 
-def laplace_de_rham(gm: GridMetric, u: "TorusField | np.ndarray") -> np.ndarray:
+def laplace_de_rham(gm: GridMetric, v: np.ndarray) -> np.ndarray:
     """Laplace-de Rham operator on functions (positive convention).
 
-    Delta_d u = -(g^{ab} d_a d_b u + J^{-1} d_a(J g^{ab}) d_b u), with the
+    Delta_d v = -(g^{ab} d_a d_b v + J^{-1} d_a(J g^{ab}) d_b v), with the
     same-axis second derivatives taken by the d2 stencil used everywhere.
     """
-    v = u.values if isinstance(u, TorusField) else np.asarray(u)
     grid = gm.grid
     _, ginv_r = real_metric(gm)
     jac = gm.det * (2 ** gm.n)  # sqrt(det g)
@@ -404,9 +395,8 @@ def laplace_de_rham(gm: GridMetric, u: "TorusField | np.ndarray") -> np.ndarray:
     return -(first + second)
 
 
-def metric_pairing_du_eta(gm: GridMetric, u: "TorusField | np.ndarray") -> np.ndarray:
-    """<du, eta(omega)> with the real metric, stencil-consistent."""
-    v = u.values if isinstance(u, TorusField) else np.asarray(u)
+def metric_pairing_du_eta(gm: GridMetric, v: np.ndarray) -> np.ndarray:
+    """<dv, eta(omega)> with the real metric, stencil-consistent."""
     _, ginv_r = real_metric(gm)
     eta = gm.lee_real()
     nn = 2 * gm.n
@@ -418,19 +408,18 @@ def metric_pairing_du_eta(gm: GridMetric, u: "TorusField | np.ndarray") -> np.nd
     return out
 
 
-def laplacian_duality_defect(gm: GridMetric, u: "TorusField | np.ndarray") -> float:
+def laplacian_duality_defect(gm: GridMetric, u: np.ndarray) -> float:
     """Grid max of | -2 lap_C u - Delta_d u - <du, eta> |."""
     lhs = -2 * complex_laplacian(gm, u)
     rhs = laplace_de_rham(gm, u) + metric_pairing_du_eta(gm, u)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def integrate(gm: GridMetric, u: "TorusField | np.ndarray") -> float:
-    v = u.values if isinstance(u, TorusField) else np.asarray(u)
+def integrate(gm: GridMetric, v: np.ndarray) -> float:
     return float(np.sum(v * gm.weights()))
 
 
-def gauduchon_degrees(gm: GridMetric, tol: float = 1e-6):
+def gauduchon_degrees(gm: GridMetric):
     """(Gamma^1, Gamma^2) by quadrature; warns when the input fails the
     Gauduchon residual test instead of silently reporting degrees."""
     fields = gm.scalar_fields()

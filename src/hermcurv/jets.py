@@ -7,6 +7,10 @@ A `MetricJet` bundles, at one or many chart points,
 * ``ddh`` -- ddh[..., i, j, k, l] = d^2 h_{k lbar} / d z^i d zbar^j,
              shape (..., n, n, n, n).
 
+It also owns ``ginv`` (h^{i jbar}) and ``det`` (det h): `inverse_and_det`
+computes both on first use and the jet keeps them, so every contraction
+downstream reads the same inverse and no function takes it as an argument.
+
 Antiholomorphic first derivatives are never stored: d h_{j lbar}/d zbar^i
 equals conj(dh[i, l, j]).  Every curvature formula downstream consumes
 exactly this data; all functions broadcast over leading batch axes, so a
@@ -16,6 +20,7 @@ single point and a million grid nodes go through the same code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +29,8 @@ __all__ = ["MetricJet", "FactorJet", "JetError", "inverse_and_det",
 
 # smallest Cholesky pivot must exceed this times the largest diagonal entry
 PD_PIVOT_RTOL = 1e-10
+# largest condition number estimated from the Cholesky pivots
+COND_LIMIT = 1e12
 INVERSE_RTOL = 1e-12
 
 
@@ -41,8 +48,26 @@ class MetricJet:
     def n(self) -> int:
         return self.h.shape[-1]
 
+    @cached_property
+    def _inverse(self) -> tuple:
+        return inverse_and_det(self)
+
+    @property
+    def ginv(self) -> np.ndarray:
+        """h^{i jbar}, ginv[..., i, j]; computed once, on first use."""
+        return self._inverse[0]
+
+    @property
+    def det(self) -> np.ndarray:
+        """det h, from the same factorization as `ginv`."""
+        return self._inverse[1]
+
     def __getitem__(self, idx) -> "MetricJet":
-        return MetricJet(self.h[idx], self.dh[idx], self.ddh[idx])
+        sub = MetricJet(self.h[idx], self.dh[idx], self.ddh[idx])
+        if "_inverse" in self.__dict__:  # a computed inverse is sliced, not redone
+            ginv, det = self._inverse
+            sub._inverse = (ginv[idx], det[idx])
+        return sub
 
 
 @dataclass
@@ -72,7 +97,7 @@ def check_jet_invariants(jet: MetricJet, atol: float = 1e-10) -> None:
         raise JetError(f"ddh conjugation symmetry broken: max deviation {dev:.3e}")
 
 
-def inverse_and_det(jet: MetricJet, cond_limit: float = 1e12):
+def inverse_and_det(jet: MetricJet):
     """Inverse metric h^{i jbar} and det h, with positivity diagnostics.
 
     Returns (ginv, det) where ginv[..., i, j] = h^{i jbar}, i.e. the matrix
@@ -81,7 +106,7 @@ def inverse_and_det(jet: MetricJet, cond_limit: float = 1e12):
 
     Positivity is checked by Cholesky factorization: the smallest pivot has
     to exceed PD_PIVOT_RTOL times the largest diagonal entry.  A condition
-    number beyond `cond_limit` (estimated from the pivots) raises JetError.
+    number beyond COND_LIMIT (estimated from the pivots) raises JetError.
     """
     h = jet.h
     try:
@@ -95,9 +120,9 @@ def inverse_and_det(jet: MetricJet, cond_limit: float = 1e12):
         raise JetError("metric is not positive definite: Cholesky pivot below "
                        f"{PD_PIVOT_RTOL} * max diagonal")
     cond_est = (pivots.max(axis=-1) / pivots.min(axis=-1)) ** 1.0
-    if np.any(cond_est > cond_limit):
+    if np.any(cond_est > COND_LIMIT):
         raise JetError(f"metric numerically singular: condition estimate "
-                       f"{float(np.max(cond_est)):.3e} beyond {cond_limit:.1e}")
+                       f"{float(np.max(cond_est)):.3e} beyond {COND_LIMIT:.1e}")
     minv = np.linalg.inv(h)
     ginv = np.swapaxes(minv, -1, -2)
     det = np.prod(pivots, axis=-1)

@@ -150,8 +150,7 @@ class ModelManifold:
         """Public pointwise evaluation, with full invariant checking."""
         z = p.array() if isinstance(p, ChartPoint) else np.asarray(p, complex)
         jet = self.jet(z, check_domain=True, check_invariants=True)
-        from .jets import inverse_and_det
-        inverse_and_det(jet)  # raises JetError when positivity fails
+        jet.ginv  # raises JetError when positivity fails
         return jet
 
     def expression_jet(self, z: np.ndarray) -> MetricJet:

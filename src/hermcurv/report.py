@@ -15,7 +15,6 @@ import numpy as np
 
 from .curvature import (class_residual_fields, gauduchon_curvature,
                         report_matrix, ricci_and_scalars, torsion_traces)
-from .jets import inverse_and_det
 from .manifolds import ModelManifold
 
 SCHEMA_VERSION = "hermcurv-report-1"
@@ -50,14 +49,13 @@ def curvature_records(man: ModelManifold, points: np.ndarray,
     if z.ndim == 1:
         z = z[None, :]
     jet = man.jet(z)
-    ginv, _ = inverse_and_det(jet)
-    traces = torsion_traces(jet, ginv)
+    traces = torsion_traces(jet)
     lee = traces.lee
-    residuals = class_residual_fields(jet, ginv, traces)
+    residuals = class_residual_fields(jet, traces=traces)
     n = man.n
     records = []
     for t in ts:
-        ric = ricci_and_scalars(gauduchon_curvature(jet, t, ginv), jet, ginv)
+        ric = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
         for p in range(z.shape[0]):
             rec = {"schema": SCHEMA_VERSION, "manifold": man.name, "t": float(t)}
             for k in range(n):

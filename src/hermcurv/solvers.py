@@ -423,21 +423,19 @@ def bismut_yamabe_minimize(gm: GridMetric, q: float | None = None,
         mass = N1 * float(np.sum(w * np.maximum(phi, 0.0) ** q))
         return phi * mass ** (-1.0 / q)
 
-    def U(phi):
-        e, _ = _grad_energy_norm(gm, phi)
-        return e + N1 * float(np.sum(w * s_field * phi ** 2))
+    def objective(phi):
+        """(U(phi), grad U(phi)) from one energy evaluation."""
+        e, g = _grad_energy_norm(gm, phi)
+        return (e + N1 * float(np.sum(w * s_field * phi ** 2)),
+                g + 2 * N1 * w * s_field * phi)
 
-    def gradU(phi):
-        _, g = _grad_energy_norm(gm, phi)
-        return g + 2 * N1 * w * s_field * phi
-
+    # energy is U(phi) throughout, and g is grad U(phi) during the descent
     phi = project(np.ones(gm.grid.shape))
-    mu_upper_exact = U(phi)  # = Y_q(1), exact discrete value
-    energy = U(phi)
+    energy, g = objective(phi)
+    mu_upper_exact = energy  # = Y_q(1), exact discrete value
     trace = [(0, energy, 0.0)]
     step = 1.0
     for it in range(1, max_pgd + 1):
-        g = gradU(phi)
         gg = float(np.sum(g * g))
         if gg < 1e-28:
             break
@@ -448,9 +446,9 @@ def bismut_yamabe_minimize(gm: GridMetric, q: float | None = None,
                 step *= 0.5
                 continue
             cand = project(cand)
-            e_new = U(cand)
+            e_new, g_new = objective(cand)
             if e_new <= energy - 1e-6 * step * gg:
-                phi, energy = cand, e_new
+                phi, energy, g = cand, e_new, g_new
                 accepted = True
                 step *= 1.6
                 break
@@ -469,7 +467,7 @@ def bismut_yamabe_minimize(gm: GridMetric, q: float | None = None,
 
     op = _LaplacianOp(gm)
     for _ in range(40):
-        mu = U(phi)
+        mu = energy
         r = el_residual(phi, mu)
         rnorm = float(np.sqrt(integrate(gm, r ** 2)))
         if rnorm < el_tol:
@@ -491,10 +489,11 @@ def bismut_yamabe_minimize(gm: GridMetric, q: float | None = None,
         if np.min(cand) <= 0:
             break
         cand = project(cand)
-        if U(cand) > energy + 1e-12 * max(1.0, abs(energy)):
+        e_new, _ = objective(cand)
+        if e_new > energy + 1e-12 * max(1.0, abs(energy)):
             break
-        phi, energy = cand, U(cand)
-    mu = U(phi)
+        phi, energy = cand, e_new
+    mu = energy
     r = el_residual(phi, mu)
     rnorm = float(np.sqrt(integrate(gm, r ** 2)))
     if rnorm > el_tol:
@@ -509,7 +508,7 @@ def bismut_yamabe_minimize(gm: GridMetric, q: float | None = None,
                 if smin < 0 else 0.0)
     n = gm.n
     f = (2 * n - 1) / (n * n - 1) * np.log(phi)
-    s_new = bismut_s2_transform(gm.jet, factor_jet_from_field(gm.grid, f), gm.ginv,
+    s_new = bismut_s2_transform(gm.jet, factor_jet_from_field(gm.grid, f),
                                 s2_base=s_field)
     sup_dev = float(np.max(np.abs(s_new - mu)))
     rep = SolverReport(
@@ -555,8 +554,8 @@ def lozenge_constancy_check(gm: GridMetric, precond_tol: float = 1e-6,
     lap = complex_laplacian(gm, f_hat)
     df = np.stack([dz(f_hat, i, gm.grid) for i in range(n)], axis=-1)
     # Re<del f, tau> = -Re kappa, the pairing of the conformal law
-    lozenge = n * lap - 2 * torsion_pairing(gm.ginv, gm.tau(), df).real
-    ein = einstein_residual(gm.jet, gm.ginv)
+    lozenge = n * lap - 2 * torsion_pairing(gm.jet, gm.tau(), df).real
+    ein = einstein_residual(gm.jet)
     ein_max = float(np.max(ein.residual))
     mean = integrate(gm, s2) / gm.volume()
     variance = integrate(gm, (s2 - mean) ** 2) / gm.volume()

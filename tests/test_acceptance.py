@@ -19,7 +19,6 @@ from hermcurv.curvature import (classify, einstein_residual,
                                 scalar_via_identity, torsion_diagnostics)
 from hermcurv.dsl import parse_expr
 from hermcurv.grid import gauduchon_degrees, laplacian_duality_defect
-from hermcurv.jets import inverse_and_det
 from hermcurv.manifolds import builtin, factor_jet_from_expr, _TrigSum
 from hermcurv.solvers import (bismut_yamabe_minimize, continuity_solve,
                               solve_chern_zero)
@@ -39,16 +38,15 @@ def scalars_at(name, count=100, t=0.0, seed=2024, **params):
     man = builtin(name, **params)
     z = man.sample_points(count, seed=seed)
     jet = man.jet(z)
-    ginv, _ = inverse_and_det(jet)
-    ric = ricci_and_scalars(gauduchon_curvature(jet, t, ginv), jet, ginv)
-    return man, z, jet, ginv, ric
+    ric = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
+    return man, z, jet, ric
 
 
 # -- criterion 1: golden pointwise values (tolerance 1e-8, < 1 s each) --------
 
 def test_golden_hopf_n2():
     t0 = time.perf_counter()
-    man, z, jet, ginv, ric = scalars_at("hopf", count=100)
+    man, z, jet, ric = scalars_at("hopf", count=100)
     ok = (np.max(np.abs(ric.s1 - 0.5)) < GOLDEN_TOL
           and np.max(np.abs(ric.s2 - 0.25)) < GOLDEN_TOL)
     ok = ok and np.max(np.abs(ric.ric2 - 0.25 * jet.h)) < GOLDEN_TOL
@@ -65,7 +63,7 @@ def test_golden_hopf_n2():
 
 def test_golden_hopf_n3():
     t0 = time.perf_counter()
-    _, _, _, _, ric = scalars_at("hopf", count=100, n=3)
+    _, _, _, ric = scalars_at("hopf", count=100, n=3)
     ok = (np.max(np.abs(ric.s1 - 1.5)) < GOLDEN_TOL
           and np.max(np.abs(ric.s2 - 0.5)) < GOLDEN_TOL)
     report("1.hopf-n3", ok and time.perf_counter() - t0 < 1.0,
@@ -74,7 +72,7 @@ def test_golden_hopf_n3():
 
 def test_golden_elliptic_surface():
     t0 = time.perf_counter()
-    man, z, jet, ginv, ric = scalars_at("elliptic", count=100)
+    man, z, jet, ric = scalars_at("elliptic", count=100)
     dev_s1 = float(np.max(np.abs(ric.s1 - (-0.5))))
     dev_s2 = float(np.max(np.abs(ric.s2 - (-0.75))))
     y = z[:, 0].imag
@@ -87,10 +85,10 @@ def test_golden_elliptic_surface():
 
 def test_golden_inoue_s1():
     t0 = time.perf_counter()
-    man, z, jet, ginv, ric = scalars_at("tricerri", count=100)
+    man, z, jet, ric = scalars_at("tricerri", count=100)
     dev_s1 = float(np.max(np.abs(ric.s1 - (-0.25))))
     dev_s2 = float(np.max(np.abs(ric.s2 - (-0.5))))
-    diag = torsion_diagnostics(jet, ginv)
+    diag = torsion_diagnostics(jet)
     y = z[:, 0].imag
     dev_dd = float(np.max(np.abs(diag.ddstar[:, 0, 0] - 0.25 / y ** 2)))
     ok = max(dev_s1, dev_s2, dev_dd) < GOLDEN_TOL
@@ -102,7 +100,7 @@ def test_golden_inoue_s1():
 @pytest.mark.parametrize("m", [0.0, 1.0, 2.0])
 def test_golden_inoue_s2(m):
     t0 = time.perf_counter()
-    _, _, _, _, ric = scalars_at("vaisman", count=100, m=m)
+    _, _, _, ric = scalars_at("vaisman", count=100, m=m)
     dev_s1 = float(np.max(np.abs(ric.s1 - (-0.5))))
     want_s2 = -(3.0 + m * m) / 4.0
     dev_s2 = float(np.max(np.abs(ric.s2 - want_s2)))
@@ -133,12 +131,11 @@ def test_conformal_oracle_suite():
     man = builtin("vaisman", m=1.0)
     z = man.sample_points(15, seed=7)
     jet = man.jet(z)
-    ginv, _ = inverse_and_det(jet)
     fj = factor_jet_from_expr(parse_expr(CONFORMAL_FACTORS[2], 2), z, 2)
-    bits = (np.array_equal(transformed_s2(jet, fj, 0.0, ginv),
-                           chern_s2_transform(jet, fj, ginv))
-            and np.array_equal(transformed_s2(jet, fj, 1.0, ginv),
-                               bismut_s2_transform(jet, fj, ginv)))
+    bits = (np.array_equal(transformed_s2(jet, fj, 0.0),
+                           chern_s2_transform(jet, fj))
+            and np.array_equal(transformed_s2(jet, fj, 1.0),
+                               bismut_s2_transform(jet, fj)))
     report("2.conformal-oracle", worst < 1e-7 and bits and dt < 30.0,
            f"max defect {worst:.3e} over 5x5x20x4 ({dt:.1f}s); "
            f"specializations bit-consistent: {bits}")
@@ -166,10 +163,9 @@ def test_two_path_scalars_suite():
         man = builtin(name, **params)
         z = man.sample_points(50, seed=13)
         jet = man.jet(z)
-        ginv, _ = inverse_and_det(jet)
         for t in (-1.0, 0.0, 0.3, 1.0, 2.0):
-            ric = ricci_and_scalars(gauduchon_curvature(jet, t, ginv), jet, ginv)
-            s1, s2 = scalar_via_identity(jet, t, ginv)
+            ric = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
+            s1, s2 = scalar_via_identity(jet, t)
             worst = max(worst, float(np.max(np.abs(ric.s1 - s1))),
                         float(np.max(np.abs(ric.s2 - s2))))
     report("2.two-path-scalars", worst < 1e-7, f"max defect {worst:.3e}")

@@ -107,6 +107,23 @@ def test_solve_negative_end_to_end(capsys, tmp_path):
     assert len(lines) == 8 ** 4 + 1
 
 
+def test_solve_negative_deterministic(capsys, tmp_path):
+    # the reports of two identical solves differ only in the wall time
+    reports = []
+    for k in range(2):
+        out_path = tmp_path / f"report{k}.txt"
+        dump = tmp_path / f"field{k}.csv"
+        code, _, _ = run(capsys, "solve", "chern-negative", "--manifold",
+                         "pluriclosed-bump", "--grid", "8", "--out", str(out_path),
+                         "--dump-solution", str(dump))
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert sum(line.startswith("wall_time_s: ") for line in lines) == 1
+        reports.append(([line for line in lines if not line.startswith("wall_time_s: ")],
+                         dump.read_bytes()))
+    assert reports[0] == reports[1]
+
+
 def test_solve_bismut_flat(capsys):
     code, out, _ = run(capsys, "solve", "bismut", "--manifold", "flat-torus", "--n", "2",
                        "--grid", "8", "--tol", "1e-8")

@@ -5,7 +5,7 @@ from hermcurv.conformal import (bismut_s2_transform, chern_s2_transform,
                                 transformed_s2)
 from hermcurv.curvature import classify, gauduchon_curvature, ricci_and_scalars
 from hermcurv.dsl import parse_expr
-from hermcurv.jets import conformal_jet, inverse_and_det
+from hermcurv.jets import conformal_jet
 from hermcurv.manifolds import builtin, conformal_manifold, factor_jet_from_expr
 
 METRICS = [
@@ -51,12 +51,11 @@ def test_constant_factor_scales_s2_and_fixes_ric3():
     man = builtin("tricerri")
     z = man.sample_points(15, seed=3)
     jet = man.jet(z)
-    ginv, _ = inverse_and_det(jet)
     c = 0.8
     fj = factor_jet_from_expr(parse_expr(f"{c}", 2), z, 2)
     for t in TS:
-        base = ricci_and_scalars(gauduchon_curvature(jet, t, ginv), jet, ginv)
-        out = transformed_ric34(jet, fj, t, ginv)
+        base = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
+        out = transformed_ric34(jet, fj, t)
         np.testing.assert_allclose(out.s2, np.exp(-c) * base.s2, rtol=1e-12)
         np.testing.assert_allclose(out.ric3, base.ric3, rtol=1e-12, atol=1e-14)
 
@@ -65,12 +64,11 @@ def test_specializations_bit_consistent():
     man = builtin("vaisman", m=1.0)
     z = man.sample_points(25, seed=5)
     jet = man.jet(z)
-    ginv, _ = inverse_and_det(jet)
     fj = factor_jet_from_expr(parse_expr(FACTORS[2], 2), z, 2)
-    assert np.array_equal(transformed_s2(jet, fj, 0.0, ginv),
-                          chern_s2_transform(jet, fj, ginv))
-    assert np.array_equal(transformed_s2(jet, fj, 1.0, ginv),
-                          bismut_s2_transform(jet, fj, ginv))
+    assert np.array_equal(transformed_s2(jet, fj, 0.0),
+                          chern_s2_transform(jet, fj))
+    assert np.array_equal(transformed_s2(jet, fj, 1.0),
+                          bismut_s2_transform(jet, fj))
 
 
 def test_chern_specialization_ric3_is_ric3_minus_hessian():
@@ -78,10 +76,9 @@ def test_chern_specialization_ric3_is_ric3_minus_hessian():
     man = builtin("elliptic")
     z = man.sample_points(15, seed=8)
     jet = man.jet(z)
-    ginv, _ = inverse_and_det(jet)
     fj = factor_jet_from_expr(parse_expr("re(z1)/3", 2), z, 2)
-    base = ricci_and_scalars(gauduchon_curvature(jet, 0.0, ginv), jet, ginv)
-    out = transformed_ric34(jet, fj, 0.0, ginv)
+    base = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
+    out = transformed_ric34(jet, fj, 0.0)
     np.testing.assert_allclose(out.ric3, base.ric3 - fj.ddf, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(out.ric4, base.ric4 - fj.ddf, rtol=1e-12, atol=1e-14)
 
@@ -92,12 +89,11 @@ def test_pairing_term_vanishes_on_balanced_base():
     man = builtin("kaehler-bump")
     z = man.sample_points(10, seed=4)
     jet = man.jet(z)
-    ginv, _ = inverse_and_det(jet)
     fj = factor_jet_from_expr(parse_expr("re(z2)/4", 2), z, 2)
     d = conformal_oracle_check(man, "re(z2)/4", 1.0, z)
     assert d["max"] < 1e-9
     from hermcurv.conformal import _factor_terms
-    _, _, _, kappa = _factor_terms(jet, fj, ginv)
+    _, _, _, kappa = _factor_terms(jet, fj)
     assert np.max(np.abs(kappa)) < 1e-12
 
 

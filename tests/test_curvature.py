@@ -6,7 +6,6 @@ from hermcurv.curvature import (chern_curvature, chern_torsion,
                                 report_matrix, ricci_and_scalars,
                                 scalar_comparison_defect, scalar_via_identity,
                                 torsion_diagnostics, torsion_traces)
-from hermcurv.jets import inverse_and_det
 from hermcurv.manifolds import builtin
 
 BUILTINS = [
@@ -25,27 +24,46 @@ GAUDUCHON_BUILTINS = [b for b in BUILTINS]  # every catalog metric is Gauduchon
 def sample_jet(name, params, count=50, seed=2):
     man = builtin(name, **params)
     z = man.sample_points(count, seed=seed)
-    jet = man.jet(z)
-    ginv, det = inverse_and_det(jet)
-    return man, jet, ginv
+    return man, man.jet(z)
+
+
+def test_jet_inverts_once(monkeypatch):
+    import hermcurv.jets as jets_mod
+    calls = []
+    real = jets_mod.inverse_and_det
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jets_mod, "inverse_and_det", counted)
+    _, jet = sample_jet("pluriclosed-bump", {}, count=10)
+    ginv, det = jet.ginv, jet.det
+    torsion_traces(jet)
+    gauduchon_curvature(jet, 0.5)
+    ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
+    sub = jet[2:5]  # a slice carries the computed inverse along
+    np.testing.assert_array_equal(sub.ginv, ginv[2:5])
+    np.testing.assert_array_equal(sub.det, det[2:5])
+    assert len(calls) == 1
 
 
 # -- torsion ------------------------------------------------------------------
 
 def test_flat_torus_torsion_vanishes():
-    _, jet, ginv = sample_jet("flat-torus", {})
-    assert np.max(np.abs(chern_torsion(jet, ginv))) == 0.0
+    _, jet = sample_jet("flat-torus", {})
+    assert np.max(np.abs(chern_torsion(jet))) == 0.0
 
 
 def test_kaehler_torsion_vanishes():
-    _, jet, ginv = sample_jet("kaehler-bump", {})
-    assert np.max(np.abs(chern_torsion(jet, ginv))) < 1e-12
+    _, jet = sample_jet("kaehler-bump", {})
+    assert np.max(np.abs(chern_torsion(jet))) < 1e-12
 
 
 def test_torsion_antisymmetry_exact():
     for name, params in BUILTINS:
-        _, jet, ginv = sample_jet(name, params, count=20)
-        T = chern_torsion(jet, ginv)
+        _, jet = sample_jet(name, params, count=20)
+        T = chern_torsion(jet)
         assert np.max(np.abs(T + np.swapaxes(T, -3, -2))) == 0.0
 
 
@@ -80,27 +98,27 @@ def test_hopf_chern_tensor_closed_form():
 
 def test_curvature_hermitian_symmetry():
     for name, params in BUILTINS:
-        _, jet, ginv = sample_jet(name, params, count=20)
+        _, jet = sample_jet(name, params, count=20)
         for t in (0.0, 0.7, 1.0, -1.0):
-            R = gauduchon_curvature(jet, t, ginv).R
+            R = gauduchon_curvature(jet, t).R
             flip = np.conj(np.transpose(R, (0, 2, 1, 4, 3)))
             scale = max(1.0, float(np.max(np.abs(R))))
             assert np.max(np.abs(R - flip)) / scale < 1e-12, (name, t)
 
 
 def test_gauduchon_at_zero_is_chern_bitwise():
-    _, jet, ginv = sample_jet("tricerri", {})
-    theta = chern_curvature(jet, ginv)
-    curv = gauduchon_curvature(jet, 0.0, ginv)
+    _, jet = sample_jet("tricerri", {})
+    theta = chern_curvature(jet)
+    curv = gauduchon_curvature(jet, 0.0)
     assert curv.origin == "chern"
     assert np.array_equal(curv.R, theta)
 
 
 def test_kaehler_gauduchon_family_is_constant_in_t():
-    _, jet, ginv = sample_jet("kaehler-bump", {}, count=20)
-    theta = chern_curvature(jet, ginv)
+    _, jet = sample_jet("kaehler-bump", {}, count=20)
+    theta = chern_curvature(jet)
     for t in (0.5, 1.0, -2.0):
-        R = gauduchon_curvature(jet, t, ginv).R
+        R = gauduchon_curvature(jet, t).R
         assert np.max(np.abs(R - theta)) < 1e-12
 
 
@@ -111,8 +129,7 @@ def test_hopf_scalars_and_ricci2():
         man = builtin("hopf", n=n)
         z = man.sample_points(40, seed=3)
         jet = man.jet(z)
-        ginv, _ = inverse_and_det(jet)
-        ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0, ginv), jet, ginv)
+        ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
         np.testing.assert_allclose(ric.s1, s1_want, rtol=1e-10)
         np.testing.assert_allclose(ric.s2, s2_want, rtol=1e-10)
         want = (n - 1) / 4 * jet.h
@@ -123,8 +140,7 @@ def test_hopf_theta34_closed_form():
     man = builtin("hopf", n=2)
     z = man.sample_points(40, seed=13)
     jet = man.jet(z)
-    ginv, _ = inverse_and_det(jet)
-    ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0, ginv), jet, ginv)
+    ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
     r = np.sum(np.abs(z) ** 2, axis=-1)
     want = (np.eye(2) * r[:, None, None]
             - np.einsum("pi,pj->pij", z, np.conj(z))) / (r ** 2)[:, None, None]
@@ -134,9 +150,9 @@ def test_hopf_theta34_closed_form():
 
 def test_ric3_is_conj_transpose_of_ric4():
     for name, params in BUILTINS:
-        _, jet, ginv = sample_jet(name, params, count=15)
+        _, jet = sample_jet(name, params, count=15)
         for t in (0.0, 0.6, 1.0):
-            ric = ricci_and_scalars(gauduchon_curvature(jet, t, ginv), jet, ginv)
+            ric = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
             lhs = ric.ric3
             rhs = np.conj(np.swapaxes(ric.ric4, -1, -2))
             scale = max(1.0, float(np.max(np.abs(lhs))))
@@ -145,8 +161,8 @@ def test_ric3_is_conj_transpose_of_ric4():
 
 def test_ric1_ric2_hermitian():
     for name, params in BUILTINS:
-        _, jet, ginv = sample_jet(name, params, count=15)
-        ric = ricci_and_scalars(gauduchon_curvature(jet, 0.3, ginv), jet, ginv)
+        _, jet = sample_jet(name, params, count=15)
+        ric = ricci_and_scalars(gauduchon_curvature(jet, 0.3), jet)
         for m in (ric.ric1, ric.ric2):
             assert np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))) < 1e-11
 
@@ -165,8 +181,8 @@ SURFACE_SCALARS = [
 
 @pytest.mark.parametrize("name,params,s1_want,s2_want", SURFACE_SCALARS)
 def test_surface_scalars_engine_values(name, params, s1_want, s2_want):
-    _, jet, ginv = sample_jet(name, params, count=40, seed=21)
-    ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0, ginv), jet, ginv)
+    _, jet = sample_jet(name, params, count=40, seed=21)
+    ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
     np.testing.assert_allclose(ric.s1, s1_want, rtol=1e-10)
     np.testing.assert_allclose(ric.s2, s2_want, rtol=1e-10)
 
@@ -259,8 +275,7 @@ def test_tricerri_theta1_coefficient():
     man = builtin("tricerri")
     z = np.array([[0.3 + 0.8j, 0.2 + 0.1j], [1j, 0j]])
     jet = man.jet(z)
-    ginv, _ = inverse_and_det(jet)
-    ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0, ginv), jet, ginv)
+    ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
     y = z[:, 0].imag
     np.testing.assert_allclose(ric.ric1[:, 0, 0], -1 / (4 * y ** 2), rtol=1e-12)
     np.testing.assert_allclose(ric.ric1[:, 1, 1], 0, atol=1e-13)
@@ -310,8 +325,8 @@ def test_vaisman_del_star_components():
 
 
 def test_balanced_metric_has_zero_lee_and_del_star():
-    _, jet, ginv = sample_jet("kaehler-bump", {}, count=20)
-    diag = torsion_diagnostics(jet, ginv)
+    _, jet = sample_jet("kaehler-bump", {}, count=20)
+    diag = torsion_diagnostics(jet)
     assert np.max(np.abs(diag.del_star_omega)) < 1e-12
     assert np.max(np.abs(diag.lee)) < 1e-10
 
@@ -319,9 +334,9 @@ def test_balanced_metric_has_zero_lee_and_del_star():
 def test_ddstar_matches_theta1_minus_theta3():
     # del del* omega = Theta^(1) - Theta^(3) at t = 0, along independent paths
     for name, params in BUILTINS:
-        _, jet, ginv = sample_jet(name, params, count=25)
-        ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0, ginv), jet, ginv)
-        diag = torsion_diagnostics(jet, ginv)
+        _, jet = sample_jet(name, params, count=25)
+        ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
+        diag = torsion_diagnostics(jet)
         lhs = diag.ddstar
         rhs = ric.ric1 - ric.ric3
         scale = max(1.0, float(np.max(np.abs(rhs))))
@@ -330,9 +345,9 @@ def test_ddstar_matches_theta1_minus_theta3():
 
 def test_pairing_equals_s1_minus_s2():
     for name, params in BUILTINS:
-        _, jet, ginv = sample_jet(name, params, count=25)
-        ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0, ginv), jet, ginv)
-        diag = torsion_diagnostics(jet, ginv)
+        _, jet = sample_jet(name, params, count=25)
+        ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
+        diag = torsion_diagnostics(jet)
         np.testing.assert_allclose(diag.norms["pairing"], ric.s1 - ric.s2,
                                    rtol=1e-9, atol=1e-11)
 
@@ -380,9 +395,9 @@ def test_lee_holomorphic_part_is_torsion_trace():
 def test_two_path_scalars(t):
     # the fused pass never builds R; the full-tensor path is its oracle
     for name, params in BUILTINS + [("hopf", {"n": 3})]:
-        _, jet, ginv = sample_jet(name, params, count=50, seed=17)
-        ric = ricci_and_scalars(gauduchon_curvature(jet, t, ginv), jet, ginv)
-        s1_id, s2_id = scalar_via_identity(jet, t, ginv)
+        _, jet = sample_jet(name, params, count=50, seed=17)
+        ric = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
+        s1_id, s2_id = scalar_via_identity(jet, t)
         for want, got in ((ric.s1, s1_id), (ric.s2, s2_id)):
             dev = np.abs(want - got) / np.maximum(1.0, np.abs(want))
             assert np.max(dev) <= 1e-12, (name, params, t)
@@ -391,8 +406,8 @@ def test_two_path_scalars(t):
 @pytest.mark.parametrize("t", [-1.0, 0.0, 0.3, 0.5, 1.0, 2.0])
 def test_comparison_identity_on_gauduchon_builtins(t):
     for name, params in GAUDUCHON_BUILTINS:
-        _, jet, ginv = sample_jet(name, params, count=40, seed=19)
-        defect = scalar_comparison_defect(jet, t, ginv)
+        _, jet = sample_jet(name, params, count=40, seed=19)
+        defect = scalar_comparison_defect(jet, t)
         assert np.max(np.abs(defect)) < 1e-8, (name, t)
 
 
@@ -402,8 +417,8 @@ def test_n2_norm_identity():
         man = builtin(name, **params)
         if man.n != 2:
             continue
-        _, jet, ginv = sample_jet(name, params, count=30)
-        diag = torsion_diagnostics(jet, ginv)
+        _, jet = sample_jet(name, params, count=30)
+        diag = torsion_diagnostics(jet)
         np.testing.assert_allclose(diag.norms["del_omega_sq"],
                                    diag.norms["delbar_star_sq"],
                                    rtol=1e-9, atol=1e-12)
@@ -411,8 +426,8 @@ def test_n2_norm_identity():
 
 def test_comparison_defect_reduces_to_n2_form():
     # (3t-1)(t-1)|del omega|^2 equals (t^2-4t+1)|dbar* w|^2 + 2t^2 |dw|^2 at n=2
-    _, jet, ginv = sample_jet("tricerri", {}, count=20)
-    diag = torsion_diagnostics(jet, ginv)
+    _, jet = sample_jet("tricerri", {}, count=20)
+    diag = torsion_diagnostics(jet)
     for t in (-1.0, 0.25, 0.9, 2.0):
         lhs = (3 * t - 1) * (t - 1) * diag.norms["del_omega_sq"]
         rhs = ((t * t - 4 * t + 1) * diag.norms["delbar_star_sq"]
@@ -424,8 +439,8 @@ def test_comparison_defect_reduces_to_n2_form():
 
 def test_einstein_cross_check_is_tight():
     for name, params in BUILTINS:
-        _, jet, ginv = sample_jet(name, params, count=25)
-        rep = einstein_residual(jet, ginv)
+        _, jet = sample_jet(name, params, count=25)
+        rep = einstein_residual(jet)
         assert np.max(rep.cross_defect) < 1e-9, name
 
 
@@ -442,8 +457,8 @@ def test_einstein_residual_tricerri():
 
 
 def test_kaehler_einstein_flat_residual_zero():
-    _, jet, ginv = sample_jet("flat-torus", {})
-    rep = einstein_residual(jet, ginv)
+    _, jet = sample_jet("flat-torus", {})
+    rep = einstein_residual(jet)
     assert np.max(rep.residual) < 1e-13
     np.testing.assert_allclose(rep.f_hat, 0.0, atol=1e-13)
 
@@ -511,9 +526,8 @@ def test_einstein_trace_identity():
         man = builtin(name, **params)
         z = man.sample_points(10, seed=12)
         jet = man.jet(z)
-        ginv, _ = inverse_and_det(jet)
-        rep = einstein_residual(jet, ginv)
-        ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0, ginv), jet, ginv)
+        rep = einstein_residual(jet)
+        ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
         np.testing.assert_allclose(man.n * rep.f_hat, 2 * ric.s2, rtol=1e-15)
 
 
@@ -531,18 +545,17 @@ h[2][2] = 1/(1 + abs2(z1) + abs2(z2)) - zb2*z2/pow(1 + abs2(z1) + abs2(z2), 2)
                         metric_expr=parse_metric(src, 2))
     z = man.sample_points(15, seed=2)
     jet = man.jet(z)
-    ginv, _ = inverse_and_det(jet)
-    rep = einstein_residual(jet, ginv)
+    rep = einstein_residual(jet)
     assert np.max(rep.residual) < 1e-9
     np.testing.assert_allclose(rep.f_hat, 2 * (2 + 1), rtol=1e-10)
-    ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0, ginv), jet, ginv)
+    ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
     np.testing.assert_allclose(ric.ric1, 3 * jet.h, rtol=1e-9, atol=1e-11)
 
 
 def test_diagnostic_norms_nonnegative_and_pairing_real():
     for name, params in BUILTINS:
-        _, jet, ginv = sample_jet(name, params, count=20)
-        diag = torsion_diagnostics(jet, ginv)
+        _, jet = sample_jet(name, params, count=20)
+        diag = torsion_diagnostics(jet)
         assert np.min(diag.norms["del_star_sq"]) >= 0
         assert np.min(diag.norms["del_omega_sq"]) >= -1e-14
         assert np.isrealobj(diag.norms["pairing"])

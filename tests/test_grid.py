@@ -5,6 +5,7 @@ from hermcurv.grid import (GridError, GridMetric, TorusField, TorusGrid,
                            balanced_representative, complex_laplacian, dz,
                            dzbar, gauduchon_degrees, integrate,
                            laplacian_duality_defect)
+from hermcurv.jets import MetricJet
 from hermcurv.manifolds import builtin, conformal_manifold
 
 from conftest import make_gm
@@ -102,15 +103,17 @@ def test_operator_linearity():
 
 
 def _synthetic_n3_metric(hermitian=True):
-    # n = 3, N = 4 with a non-diagonal Hermitian inverse metric; only the
-    # Laplacian's stencil table reads it
+    # n = 3, N = 4 with a non-diagonal Hermitian metric; only the Laplacian's
+    # stencil table reads it, through the jet's inverse
     grid = TorusGrid(n=3, N=4)
     rng = np.random.default_rng(5)
     a = rng.normal(size=grid.shape + (3, 3)) + 1j * rng.normal(size=grid.shape + (3, 3))
-    ginv = a @ np.conj(np.swapaxes(a, -1, -2)) + 3 * np.eye(3)
+    h = a @ np.conj(np.swapaxes(a, -1, -2)) + 3 * np.eye(3)
     if not hermitian:
-        ginv[..., 0, 1] += 0.1
-    return GridMetric(grid, None, None, ginv, np.ones(grid.shape))
+        # Cholesky reads the lower triangle only, so this passes the
+        # positivity check and leaves the inverse non-Hermitian
+        h[..., 0, 1] += 0.1
+    return GridMetric(grid, None, MetricJet(h, None, None))
 
 
 @pytest.mark.parametrize("case", ["pluriclosed-bump/fd2", "pluriclosed-bump/spectral",
@@ -242,7 +245,7 @@ def test_degrees_pluriclosed_bump_negative():
     assert g2 < -1e-4              # second degree strictly negative
     # Gamma^2 = -||delbar* omega||^2 for Gauduchon torus metrics
     from hermcurv.curvature import torsion_diagnostics
-    diag = torsion_diagnostics(gm.jet, gm.ginv)
+    diag = torsion_diagnostics(gm.jet)
     cross = -integrate(gm, diag.norms["delbar_star_sq"])
     np.testing.assert_allclose(g2, cross, rtol=1e-8)
 
@@ -303,8 +306,7 @@ def test_scalar_fields_match_full_tensor_oracle(name, scheme):
     gm = make_gm(name, N=8, scheme=scheme)
     fields = gm.scalar_fields()
     for key, t in (("s_c2", 0.0), ("s_b2", 1.0)):
-        want = ricci_and_scalars(gauduchon_curvature(gm.jet, t, gm.ginv),
-                                 gm.jet, gm.ginv).s2
+        want = ricci_and_scalars(gauduchon_curvature(gm.jet, t), gm.jet).s2
         dev = np.abs(fields[key] - want) / np.maximum(1.0, np.abs(want))
         assert np.max(dev) <= 1e-12, (name, scheme, key)
 

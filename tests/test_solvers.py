@@ -177,6 +177,22 @@ def test_bismut_flat_torus():
     assert rep.extras["constraint_defect"] < 1e-10
 
 
+def test_bismut_flat_torus_evaluates_the_objective_once(monkeypatch):
+    # a constant phi is already the minimizer: one energy evaluation serves
+    # the start, mu, its upper bound and the polish
+    import hermcurv.solvers as solvers_mod
+    calls = []
+    real = solvers_mod._grad_energy_norm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers_mod, "_grad_energy_norm", counted)
+    bismut_yamabe_minimize(make_gm("flat-torus", 12))
+    assert len(calls) == 1
+
+
 def test_bismut_rejects_unbalanced():
     gm = make_gm("pluriclosed-bump", 8)
     with pytest.raises(PreconditionError, match="balanced"):
