@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def _ts_list(arg: str):
     return [float(x) for x in arg.split(",") if x != ""]
 
 
-def _periods(args, n):
+def _periods(args):
     if not getattr(args, "periods", None):
         return None
     vals = [float(x) for x in args.periods.split(",") if x != ""]
@@ -150,7 +151,7 @@ def cmd_check(args) -> int:
         return EXIT_OK if worst < tol else EXIT_NO_CONVERGENCE
     # duality
     grid = TorusGrid(n=man.n, N=args.grid, scheme=args.scheme,
-                     periods=_periods(args, man.n))
+                     periods=_periods(args))
     gm = GridMetric.from_manifold(man, grid)
     rng = np.random.default_rng(args.seed)
     x = grid.points()
@@ -167,12 +168,13 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     man = _resolve_manifold(args.manifold, args.n, _parse_params(args.param))
     grid = TorusGrid(n=man.n, N=args.grid, scheme=args.scheme,
-                     periods=_periods(args, man.n))
+                     periods=_periods(args))
     gm = GridMetric.from_manifold(man, grid)
     digest = {"manifold": man.name, "n": man.n,
               "params": ";".join(f"{k}={v:g}" for k, v in sorted(man.params.items())),
               "grid": args.grid, "scheme": args.scheme, "tol": args.tol,
               "seed": args.seed, "problem": args.problem}
+    t0 = time.perf_counter()
     if args.problem == "chern-zero":
         rep = solve_chern_zero(gm, resid_tol=args.tol)
     elif args.problem == "chern-negative":
@@ -182,6 +184,7 @@ def cmd_solve(args) -> int:
                 f"final residual {rep.residual_linf:.3e} > tol {args.tol:g}")
     else:
         rep = bismut_yamabe_minimize(gm, el_tol=args.tol)
+    wall = time.perf_counter() - t0
     rec = solver_record(rep, digest)
     text = records_to_csv([rec]) if args.format == "csv" \
         else records_to_text([rec])
@@ -191,7 +194,7 @@ def cmd_solve(args) -> int:
     g1, g2, _ = gauduchon_degrees(gm)
     print(f"{args.problem}: lambda={rep.lam:.10g} residual_linf="
           f"{rep.residual_linf:.3e} residual_l2={rep.residual_l2:.3e} "
-          f"degrees=({g1:.3e}, {g2:.3e}) wall={rep.wall_time:.2f}s")
+          f"degrees=({g1:.3e}, {g2:.3e}) wall={wall:.2f}s")
     return EXIT_OK
 
 

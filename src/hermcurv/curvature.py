@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 IMAG_TOL = 1e-10
+CLASS_TOL = 1e-8  # a class flag holds iff its residual is below this
 
 
 @dataclass
@@ -102,10 +103,10 @@ class ClassFlags:
     pluriclosed: tuple
 
     @classmethod
-    def from_residuals(cls, residuals: dict, tol: float) -> "ClassFlags":
-        """Flags from `class_residual_fields` output: max over points vs tol."""
+    def from_residuals(cls, residuals: dict) -> "ClassFlags":
+        """Flags from `class_residual_fields` output: max over points < CLASS_TOL."""
         worst = {k: float(np.max(v)) for k, v in residuals.items()}
-        return cls(**{k: (r < tol, r) for k, r in worst.items()})
+        return cls(**{k: (r < CLASS_TOL, r) for k, r in worst.items()})
 
     def as_dict(self):
         return {"kahler": self.kahler, "balanced": self.balanced,
@@ -364,11 +365,11 @@ def class_residual_fields(jet: MetricJet, *,
             for k, v in squares.items()}
 
 
-def classify(man: ModelManifold, points: np.ndarray, tol: float = 1e-8) -> ClassFlags:
-    """Max-over-samples class residuals; a flag holds iff its residual < tol."""
+def classify(man: ModelManifold, points: np.ndarray) -> ClassFlags:
+    """Max-over-samples class residuals; a flag holds iff it is < CLASS_TOL."""
     z = np.asarray(points, dtype=complex)
     if z.ndim == 1:
         z = z[None, :]
     if z.shape[0] < 1:
         raise ValueError("classification needs at least one sample point")
-    return ClassFlags.from_residuals(class_residual_fields(man.jet(z)), tol)
+    return ClassFlags.from_residuals(class_residual_fields(man.jet(z)))

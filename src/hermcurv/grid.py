@@ -19,7 +19,8 @@ volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -207,9 +208,7 @@ class GridMetric:
     """Metric jet data and cached curvature fields on every grid node."""
 
     grid: TorusGrid
-    manifold: ModelManifold
     jet: MetricJet
-    _cache: dict = field(default_factory=dict)
 
     @classmethod
     def from_manifold(cls, man: ModelManifold, grid: TorusGrid) -> "GridMetric":
@@ -221,9 +220,9 @@ class GridMetric:
                             f"manifold's {tuple(man.periods)}")
         z = grid.points()
         jet = man.jet(z, check_domain=False)
-        _check_periodicity(man, grid)
+        _check_periodicity(man, grid, z)
         jet.ginv  # invert now, so that a JetError surfaces at build time
-        return cls(grid, man, jet)
+        return cls(grid, jet)
 
     @property
     def n(self) -> int:
@@ -244,6 +243,7 @@ class GridMetric:
     def volume(self) -> float:
         return float(np.sum(self.weights()))
 
+    @cached_property
     def laplacian_terms(self) -> tuple:
         """lap_C = sum_k c_k S_k as a tuple of StencilTerm, built once.
 
@@ -257,59 +257,55 @@ class GridMetric:
         Terms whose coefficient field is identically zero are left out.  A
         non-Hermitian inverse metric raises GridError.
         """
-        if "lap" not in self._cache:
-            g = self.ginv
-            dev = float(np.max(np.abs(g - np.conj(np.swapaxes(g, -1, -2)))))
-            if dev > IMAG_TOL * max(1.0, float(np.max(np.abs(g)))):
-                raise GridError(f"inverse metric is not Hermitian "
-                                f"(deviation {dev:.3e})")
-            terms = [StencilTerm(0.25 * g[..., i, i].real, i, i)
-                     for i in range(self.n)]
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    terms += [StencilTerm(0.5 * g[..., i, j].real, i, j),
-                              StencilTerm(-0.5 * g[..., i, j].imag, i, j, True)]
-            self._cache["lap"] = tuple(t for t in terms if np.any(t.coef))
-        return self._cache["lap"]
+        g = self.ginv
+        dev = float(np.max(np.abs(g - np.conj(np.swapaxes(g, -1, -2)))))
+        if dev > IMAG_TOL * max(1.0, float(np.max(np.abs(g)))):
+            raise GridError(f"inverse metric is not Hermitian "
+                            f"(deviation {dev:.3e})")
+        terms = [StencilTerm(0.25 * g[..., i, i].real, i, i)
+                 for i in range(self.n)]
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                terms += [StencilTerm(0.5 * g[..., i, j].real, i, j),
+                          StencilTerm(-0.5 * g[..., i, j].imag, i, j, True)]
+        return tuple(t for t in terms if np.any(t.coef))
 
+    @cached_property
     def _traces(self):
-        if "traces" not in self._cache:
-            self._cache["traces"] = torsion_traces(self.jet)
-        return self._cache["traces"]
+        return torsion_traces(self.jet)
 
     def tau(self) -> np.ndarray:
-        return self._traces().tau
+        return self._traces.tau
 
     def lee_real(self) -> np.ndarray:
-        return self._traces().lee
+        return self._traces.lee
 
     def scalar_fields(self) -> dict:
         """S_C^(1), S_C^(2), S_B^(2) fields from the cached torsion-trace bundle."""
-        tr = self._traces()
+        tr = self._traces
         s_c1, s_c2 = tr.scalars(0.0)
         _, s_b2 = tr.scalars(1.0)
         return {"s_c1": s_c1, "s_c2": s_c2, "s_b2": s_b2}
 
-    def class_residuals(self, samples: int = 200, seed: int = 0,
-                        tol: float = 1e-8) -> dict:
-        """Metric-norm class residuals on a node subsample.
+    def class_residuals(self) -> dict:
+        """Metric-norm class residuals on a seeded subsample of 200 nodes.
 
         Works from this metric's own jet data, so it stays correct for
         conformally transformed grid metrics whose coefficients no longer
         match the base manifold.
         """
-        rng = np.random.default_rng(seed)
-        count = min(samples, self.grid.node_count)
+        rng = np.random.default_rng(0)
+        count = min(200, self.grid.node_count)
         idx = np.unravel_index(rng.integers(0, self.grid.node_count, size=count),
                                self.grid.shape)
-        fields = class_residual_fields(self.jet[idx], traces=self._traces()[idx])
-        return ClassFlags.from_residuals(fields, tol).as_dict()
+        fields = class_residual_fields(self.jet[idx], traces=self._traces[idx])
+        return ClassFlags.from_residuals(fields).as_dict()
 
     def conformal(self, f: np.ndarray) -> "GridMetric":
         """Grid metric of e^f h, with f differentiated by the grid scheme."""
         jet2 = conformal_jet(self.jet, factor_jet_from_field(self.grid, f))
         jet2.ginv  # invert now, so that a JetError surfaces at build time
-        return GridMetric(self.grid, self.manifold, jet2)
+        return GridMetric(self.grid, jet2)
 
 
 def factor_jet_from_field(grid: TorusGrid, f: np.ndarray) -> FactorJet:
@@ -325,14 +321,14 @@ def factor_jet_from_field(grid: TorusGrid, f: np.ndarray) -> FactorJet:
     return FactorJet(np.asarray(f, float), df, ddf)
 
 
-def _check_periodicity(man: ModelManifold, grid: TorusGrid, samples: int = 32):
+def _check_periodicity(man: ModelManifold, grid: TorusGrid, z: np.ndarray):
+    """h at 32 seeded nodes of z (the grid points) against h one period on."""
     rng = np.random.default_rng(1)
-    z = np.array([grid.points().reshape(-1, grid.n)[i]
-                  for i in rng.integers(0, grid.node_count, samples)])
+    z = z.reshape(-1, grid.n)[rng.integers(0, grid.node_count, 32)]
+    h0 = man.jet(z, check_domain=False).h
     for a in range(2 * grid.n):
         shift = np.zeros(grid.n, complex)
         shift[a // 2] = grid.periods[a] if a % 2 == 0 else 1j * grid.periods[a]
-        h0 = man.jet(z, check_domain=False).h
         h1 = man.jet(z + shift, check_domain=False).h
         if np.max(np.abs(h0 - h1)) > 1e-9:
             raise GridError(f"metric coefficients are not periodic along axis {a}")
@@ -345,7 +341,7 @@ def complex_laplacian(gm: GridMetric, v: np.ndarray) -> np.ndarray:
     """h^{i jbar} d^2 v / dz^i dzbar^j as sum_k c_k S_k(v) over the metric's
     stencil table (`GridMetric.laplacian_terms`)."""
     out = np.zeros(gm.grid.shape)
-    for t in gm.laplacian_terms():
+    for t in gm.laplacian_terms:
         out += t.coef * t.stencil(gm.grid, v)
     return out
 
@@ -430,7 +426,7 @@ def gauduchon_degrees(gm: GridMetric):
     return g1, g2, warn
 
 
-def balanced_representative(gm: GridMetric, tol: float = 1e-8):
+def balanced_representative(gm: GridMetric):
     """Balanced metric e^{-u/(n-1)} omega_G from an exact Lee form.
 
     Solves the least-squares problem min ||du - eta||^2 over grid functions
@@ -442,6 +438,7 @@ def balanced_representative(gm: GridMetric, tol: float = 1e-8):
     grid = gm.grid
     eta = gm.lee_real()
     nn = 2 * gm.n
+    tol = 1e-8
     means = [float(np.mean(eta[..., a])) for a in range(nn)]
     if max(abs(m) for m in means) > tol:
         raise GridError(

@@ -32,6 +32,8 @@ PD_PIVOT_RTOL = 1e-10
 # largest condition number estimated from the Cholesky pivots
 COND_LIMIT = 1e12
 INVERSE_RTOL = 1e-12
+# tolerance of the symmetry identities `check_jet_invariants` asserts
+INVARIANT_ATOL = 1e-10
 
 
 class JetError(ValueError):
@@ -84,16 +86,16 @@ class FactorJet:
         return self.df.shape[-1]
 
 
-def check_jet_invariants(jet: MetricJet, atol: float = 1e-10) -> None:
+def check_jet_invariants(jet: MetricJet) -> None:
     """Assert Hermitian symmetry of h and the two conjugation identities."""
     h, dh, ddh = jet.h, jet.dh, jet.ddh
     herm = np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))
-    if herm > atol:
+    if herm > INVARIANT_ATOL:
         raise JetError(f"h is not Hermitian: max deviation {herm:.3e}")
     # conj(ddh[i,j,k,l]) must equal ddh[j,i,l,k]
     flip = np.conj(np.transpose(ddh, axes=(*range(ddh.ndim - 4), -3, -4, -1, -2)))
     dev = np.max(np.abs(ddh - flip))
-    if dev > atol * max(1.0, float(np.max(np.abs(ddh)))):
+    if dev > INVARIANT_ATOL * max(1.0, float(np.max(np.abs(ddh)))):
         raise JetError(f"ddh conjugation symmetry broken: max deviation {dev:.3e}")
 
 

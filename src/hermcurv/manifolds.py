@@ -58,17 +58,17 @@ class Domain:
     sample: Callable[[np.random.Generator, int, int], np.ndarray]
 
 
-def _full_domain(n):
+def _full_domain():
     return Domain(
         description="all of C^n",
         contains=lambda z: np.ones(z.shape[:-1], dtype=bool),
-        sample=lambda rng, count, n=n: (rng.uniform(-1, 1, (count, n))
-                                        + 1j * rng.uniform(-1, 1, (count, n))),
+        sample=lambda rng, count, n: (rng.uniform(-1, 1, (count, n))
+                                      + 1j * rng.uniform(-1, 1, (count, n))),
     )
 
 
-def _punctured_domain(n):
-    def sample(rng, count, n=n):
+def _punctured_domain():
+    def sample(rng, count, n):
         z = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
         r = np.linalg.norm(z, axis=-1, keepdims=True)
         return z / r * rng.uniform(0.5, 1.5, (count, 1))
@@ -80,7 +80,7 @@ def _punctured_domain(n):
     )
 
 
-def _halfplane_domain(n, punctured_axes=()):
+def _halfplane_domain(punctured_axes=()):
     """Im z^1 > 0; optional punctured axes require z^k != 0."""
 
     def contains(z):
@@ -89,7 +89,7 @@ def _halfplane_domain(n, punctured_axes=()):
             ok = ok & (np.abs(z[..., k]) > 1e-12)
         return ok
 
-    def sample(rng, count, n=n):
+    def sample(rng, count, n):
         z = rng.uniform(-1, 1, (count, n)) + 1j * rng.uniform(-1, 1, (count, n))
         z[:, 0] = z[:, 0].real + 1j * rng.uniform(0.4, 2.0, count)
         for k in punctured_axes:
@@ -119,14 +119,13 @@ class ModelManifold:
         if self.n < 2:
             raise ValueError("complex dimension n >= 2 required")
         if self.domain is None:
-            self.domain = _full_domain(self.n)
+            self.domain = _full_domain()
         if self.closed_jet is None and self.metric_expr is None:
             raise ValueError("manifold needs a metric source")
 
     # -- jets ---------------------------------------------------------------
 
-    def jet(self, z: np.ndarray, check_domain: bool = True,
-            check_invariants: bool = False) -> MetricJet:
+    def jet(self, z: np.ndarray, check_domain: bool = True) -> MetricJet:
         """Evaluate the metric 2-jet at chart points z of shape (..., n)."""
         z = np.asarray(z, dtype=complex)
         if z.shape[-1] != self.n:
@@ -140,16 +139,14 @@ class ModelManifold:
             h, dh, ddh = self.closed_jet(z, **self.params)
         else:
             h, dh, ddh = self._eval_expr_jets(z)
-        jet = MetricJet(np.asarray(h, complex), np.asarray(dh, complex),
-                        np.asarray(ddh, complex))
-        if check_invariants:
-            check_jet_invariants(jet)
-        return jet
+        return MetricJet(np.asarray(h, complex), np.asarray(dh, complex),
+                         np.asarray(ddh, complex))
 
     def evaluate_metric_jet(self, p: "ChartPoint | np.ndarray") -> MetricJet:
         """Public pointwise evaluation, with full invariant checking."""
         z = p.array() if isinstance(p, ChartPoint) else np.asarray(p, complex)
-        jet = self.jet(z, check_domain=True, check_invariants=True)
+        jet = self.jet(z)
+        check_jet_invariants(jet)
         jet.ginv  # raises JetError when positivity fails
         return jet
 
@@ -285,7 +282,7 @@ h[2][2] = 4/abs2(z2)
 """
 
 
-def _vaisman_jets(z, m=0.0):
+def _vaisman_jets(z, m):
     # Inoue-surface family: s = Im z2 - m log(Im z1), on Im z1 > 0
     y = z[..., 0].imag
     v = z[..., 1].imag
@@ -392,7 +389,7 @@ _KB_TERMS = [
 ]
 
 
-def _kaehler_bump_jets(z, eps=1e-3):
+def _kaehler_bump_jets(z, eps):
     n = z.shape[-1]
     phi = _TrigSum([(eps * A, a, b, ph) for A, a, b, ph in _KB_TERMS])
     shape = z.shape[:-1]
@@ -418,7 +415,7 @@ _PB_TERMS = [
 ]
 
 
-def _pluriclosed_bump_jets(z, eps=0.03):
+def _pluriclosed_bump_jets(z, eps):
     n = z.shape[-1]
     g = _TrigSum([(eps * A, a, b, ph) for A, a, b, ph in _PB_TERMS])
     shape = z.shape[:-1]
@@ -506,7 +503,7 @@ def builtin(name: str, n: int | None = None, **params) -> ModelManifold:
         return ModelManifold(
             name="hopf", n=n, source="builtin-closed-form",
             closed_jet=_hopf_jets, metric_expr=parse_metric(_hopf_source(n), n),
-            domain=_punctured_domain(n),
+            domain=_punctured_domain(),
             declared_gauduchon=True, declared_balanced=False)
     if name == "elliptic":
         _require_n(name, n, 2)
@@ -514,14 +511,14 @@ def builtin(name: str, n: int | None = None, **params) -> ModelManifold:
             name="elliptic", n=2, source="builtin-closed-form",
             closed_jet=_elliptic_jets,
             metric_expr=parse_metric(_ELLIPTIC_SRC, 2),
-            domain=_halfplane_domain(2, punctured_axes=(1,)),
+            domain=_halfplane_domain(punctured_axes=(1,)),
             declared_gauduchon=True, declared_balanced=False)
     if name == "tricerri":
         _require_n(name, n, 2)
         return ModelManifold(
             name="tricerri", n=2, source="builtin-closed-form",
             closed_jet=_tricerri_jets, metric_expr=parse_metric(_TRICERRI_SRC, 2),
-            domain=_halfplane_domain(2),
+            domain=_halfplane_domain(),
             declared_gauduchon=True, declared_balanced=False)
     if name == "vaisman":
         _require_n(name, n, 2)
@@ -530,7 +527,7 @@ def builtin(name: str, n: int | None = None, **params) -> ModelManifold:
         return ModelManifold(
             name="vaisman", n=2, params={"m": m}, source="builtin-closed-form",
             closed_jet=_vaisman_jets, metric_expr=parse_metric(_VAISMAN_SRC, 2),
-            domain=_halfplane_domain(2),
+            domain=_halfplane_domain(),
             declared_gauduchon=True, declared_balanced=False)
     if name == "kaehler-bump":
         _require_n(name, n, 2)
@@ -581,11 +578,11 @@ def manifold_from_manifest(doc: dict) -> ModelManifold:
     dom = doc.get("domain", {}) or {}
     kind = dom.get("kind", "full")
     if kind == "full":
-        domain = _full_domain(n)
+        domain = _full_domain()
     elif kind == "punctured":
-        domain = _punctured_domain(n)
+        domain = _punctured_domain()
     elif kind == "halfplane":
-        domain = _halfplane_domain(n, tuple(dom.get("punctured_axes", ())))
+        domain = _halfplane_domain(tuple(dom.get("punctured_axes", ())))
     else:
         raise ParseError(f"unknown domain kind {kind!r}")
     periods = dom.get("periods")

@@ -38,7 +38,7 @@ def _flatten_matrix(prefix: str, m: np.ndarray, out: dict):
 
 
 def curvature_records(man: ModelManifold, points: np.ndarray,
-                      ts=(0.0,)) -> list[dict]:
+                      ts) -> list[dict]:
     """One record per (point, t): scalars, Ricci matrices, torsion data.
 
     Ricci coefficient matrices are reported in the golden-table convention
@@ -107,7 +107,6 @@ def solver_record(report, digest: dict) -> dict:
     rec["lambda"] = float(report.lam)
     rec["residual_linf"] = float(report.residual_linf)
     rec["residual_l2"] = float(report.residual_l2)
-    rec["wall_time_s"] = float(report.wall_time)
     rec["path_steps"] = len(report.path_trace)
     if report.path_trace:
         rec["path_a_final"] = float(report.path_trace[-1][0])

@@ -18,12 +18,12 @@ in N on these desk-scale problems.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conformal import bismut_s2_transform, torsion_pairing
+from .curvature import einstein_residual
 from .grid import (GridMetric, TorusField, complex_laplacian, dz,
                    factor_jet_from_field, gauduchon_degrees, integrate)
 
@@ -31,6 +31,21 @@ __all__ = ["SolverReport", "YamabeConstants", "PreconditionError",
            "ConvergenceError", "solve_chern_zero", "normalize_to_negative",
            "solve_chern_negative", "continuity_solve",
            "bismut_yamabe_minimize", "lozenge_constancy_check"]
+
+# Solver settings.  Every problem runs with these values from every caller.
+ZERO_DEGREE_TOL = 1e-5      # |Gamma^2| accepted as the zero-degree case
+NORMALIZE_TOL = 1e-10       # least-squares tolerance of the normalization stage
+NEWTON_TOL = 1e-10          # sup residual ending each continuity Newton solve
+NEWTON_MAX = 50
+NEWTON_KRYLOV_TOL = 1e-13   # BiCGStab tolerance of a continuity Newton step
+EL_KRYLOV_TOL = 1e-12       # BiCGStab tolerance of an Euler-Lagrange step
+LSTSQ_MAXIT = 400
+BICGSTAB_MAXIT = 500
+PGD_MAX = 300
+BALANCED_TOL = 1e-7         # torsion-trace sup accepted as balanced
+LOZENGE_PRECOND_TOL = 1e-6  # Gauduchon and pluriclosed residuals
+EINSTEIN_TOL = 1e-8
+CONSTANCY_TOL = 1e-8        # S_C2 variance asserted when Einstein holds
 
 
 class PreconditionError(ValueError):
@@ -49,7 +64,6 @@ class SolverReport:
     residual_l2: float
     path_trace: list = field(default_factory=list)
     energy_trace: list = field(default_factory=list)
-    wall_time: float = 0.0
     extras: dict = field(default_factory=dict)
 
 
@@ -80,7 +94,7 @@ class _LaplacianOp:
     def __init__(self, gm: GridMetric):
         self.gm = gm
         self.grid = gm.grid
-        self.terms = gm.laplacian_terms()
+        self.terms = gm.laplacian_terms
         self.symbol = self._flat_symbol()
 
     def _flat_symbol(self) -> np.ndarray:
@@ -120,8 +134,7 @@ def _mean_zero(u: np.ndarray) -> np.ndarray:
     return u - np.mean(u)
 
 
-def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12,
-                    maxit: int = 400):
+def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12):
     """CG on the normal equations for min ||lap f - rhs||, f mean-zero.
 
     Preconditioned with the squared flat symbol; returns (f, linf_residual).
@@ -135,7 +148,7 @@ def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12,
     p = z.copy()
     rz = float(np.sum(r * z))
     scale = max(float(np.max(np.abs(b))), 1e-30)
-    for it in range(maxit):
+    for it in range(LSTSQ_MAXIT):
         ap = _mean_zero(op.apply_transpose(op.apply(p)))
         alpha = rz / float(np.sum(p * ap))
         f += alpha * p
@@ -154,8 +167,7 @@ def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12,
     return f, float(np.max(np.abs(resid)))
 
 
-def bicgstab(apply_op, b: np.ndarray, precond, tol: float = 1e-12,
-             maxit: int = 500):
+def bicgstab(apply_op, b: np.ndarray, precond, tol: float):
     """Textbook preconditioned BiCGStab on real grid fields."""
     x = np.zeros_like(b)
     r = b.copy()
@@ -164,7 +176,7 @@ def bicgstab(apply_op, b: np.ndarray, precond, tol: float = 1e-12,
     v = np.zeros_like(b)
     p = np.zeros_like(b)
     bnorm = max(float(np.max(np.abs(b))), 1e-300)
-    for it in range(maxit):
+    for it in range(BICGSTAB_MAXIT):
         rho_new = float(np.sum(rhat * r))
         if abs(rho_new) < 1e-300:
             break
@@ -191,55 +203,55 @@ def bicgstab(apply_op, b: np.ndarray, precond, tol: float = 1e-12,
 
 # -- zero-degree case ---------------------------------------------------------
 
-def solve_chern_zero(gm: GridMetric, tol: float = 1e-12,
-                     compat_tol: float = 1e-5,
+def _second_degree(gm: GridMetric) -> float:
+    """Gamma^2 of a metric that passes the Gauduchon residual test."""
+    _, g2, warn = gauduchon_degrees(gm)
+    if warn:
+        raise PreconditionError("input metric fails the Gauduchon residual test")
+    return g2
+
+
+def solve_chern_zero(gm: GridMetric,
                      resid_tol: float | None = None) -> SolverReport:
     """Mean-zero least-squares solution of lap_C f = S_C2(omega).
 
-    Requires |Gamma^2| below `compat_tol` (the zero-degree case); reports
+    Requires |Gamma^2| below ZERO_DEGREE_TOL (the zero-degree case); reports
     the conformally transformed curvature field e^{-f}(S - lap f) and its
     sup-deviation from zero.  The reported residual is the achieved
     least-squares residual, which is discretization-limited; pass
     `resid_tol` to make an excess a hard failure.
     """
-    t0 = time.perf_counter()
-    g1, g2, warn = gauduchon_degrees(gm)
-    if warn:
-        raise PreconditionError("input metric fails the Gauduchon residual test")
-    if abs(g2) > compat_tol:
+    g2 = _second_degree(gm)
+    if abs(g2) > ZERO_DEGREE_TOL:
         raise PreconditionError(
             f"second Gauduchon degree {g2:.3e} is not compatible with the "
             "zero-degree problem")
     s_field = gm.scalar_fields()["s_c2"]
     op = _LaplacianOp(gm)
-    f, linf = lstsq_mean_zero(op, s_field, tol=tol)
-    resid = op.apply(f) - s_field
+    f, linf = lstsq_mean_zero(op, s_field)
+    lap_f = op.apply(f)
+    resid = lap_f - s_field
     l2 = float(np.sqrt(integrate(gm, resid ** 2)))
     if resid_tol is not None and l2 > resid_tol:
         raise ConvergenceError(f"zero-degree residual l2 = {l2:.3e} > {resid_tol}")
-    achieved = np.exp(-f) * (s_field - op.apply(f))
-    rep = SolverReport(
+    achieved = np.exp(-f) * (s_field - lap_f)
+    return SolverReport(
         solution=TorusField(gm.grid, f), lam=0.0,
         residual_linf=linf, residual_l2=l2,
-        wall_time=time.perf_counter() - t0,
         extras={"sup_dev_from_zero": float(np.max(np.abs(achieved))),
                 "gamma2": g2})
-    return rep
 
 
 # -- negative-degree case -----------------------------------------------------
 
-def normalize_to_negative(gm: GridMetric, tol: float = 1e-10):
+def normalize_to_negative(gm: GridMetric):
     """First stage of the negative case: e^u omega with pointwise-negative S_C2.
 
     u solves lap_C u = S_C2 - Gamma^2/Vol (mean zero); the output metric's
     curvature field is checked for strict negativity on every node.
     """
-    g1, g2, warn = gauduchon_degrees(gm)
-    if warn:
-        raise PreconditionError("input metric fails the Gauduchon residual test")
-    vol = gm.volume()
-    lam = g2 / vol
+    g2 = _second_degree(gm)
+    lam = g2 / gm.volume()
     # quadrature noise makes an exact >= 0 test meaningless; require the
     # degree to be negative beyond noise level
     if g2 >= -1e-8:
@@ -247,7 +259,7 @@ def normalize_to_negative(gm: GridMetric, tol: float = 1e-10):
             f"second Gauduchon degree {g2:.3e} is not negative")
     s_field = gm.scalar_fields()["s_c2"]
     op = _LaplacianOp(gm)
-    u, _ = lstsq_mean_zero(op, s_field - lam, tol=tol)
+    u, _ = lstsq_mean_zero(op, s_field - lam, tol=NORMALIZE_TOL)
     gm_neg = gm.conformal(u)
     s_neg = gm_neg.scalar_fields()["s_c2"]
     if np.max(s_neg) >= 0:
@@ -272,8 +284,7 @@ def _check_apriori_bound(f: np.ndarray, s_field: np.ndarray, lam: float):
 
 
 def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
-                     f0: np.ndarray | None = None, newton_tol: float = 1e-10,
-                     newton_max: int = 50, check_bound: bool = True):
+                     f0: np.ndarray | None = None, check_bound: bool = True):
     """Continuity method for lap_C f = -lam e^f + S along a: 0 -> 1.
 
     F(a, f) = lap_C f - a S + lam e^f - lam (1 - a); the a = 0 problem has
@@ -290,21 +301,21 @@ def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
         return op.apply(f) - a * s_field + lam * np.exp(f) - lam * (1 - a)
 
     def newton(a, f):
-        for it in range(newton_max):
+        for it in range(NEWTON_MAX):
             r = F(a, f)
             rn = float(np.max(np.abs(r)))
-            if rn < newton_tol:
+            if rn < NEWTON_TOL:
                 return f, rn, it
             ef = lam * np.exp(f)
             shift = float(np.mean(ef))
 
-            def apply_d(w, ef=ef):
+            def apply_d(w):
                 return op.apply(w) + ef * w
 
-            def prec(v, shift=shift):
+            def prec(v):
                 return op.precondition(v, shift=shift)
 
-            w, _ = bicgstab(apply_d, -r, prec, tol=1e-13)
+            w, _ = bicgstab(apply_d, -r, prec, tol=NEWTON_KRYLOV_TOL)
             f = f + w
         raise ConvergenceError(f"Newton stalled at a={a} (residual {rn:.3e})")
 
@@ -336,33 +347,28 @@ def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
     return f, trace
 
 
-def solve_chern_negative(gm: GridMetric, newton_tol: float = 1e-10,
-                         f0: np.ndarray | None = None) -> SolverReport:
+def solve_chern_negative(gm: GridMetric) -> SolverReport:
     """Negative-degree constant-curvature metric via the continuity method.
 
     Runs the normalization stage, then the continuity path; the achieved
     constant is Gamma^2/Vol and the final metric's curvature field is
     reported along with its sup-deviation from that constant.
     """
-    t0 = time.perf_counter()
     u, gm_neg, lam = normalize_to_negative(gm)
     s_field = gm_neg.scalar_fields()["s_c2"]
-    f, trace = continuity_solve(gm_neg, s_field, lam, f0=f0,
-                                newton_tol=newton_tol)
-    op = _LaplacianOp(gm_neg)
-    resid = op.apply(f) + lam * np.exp(f) - s_field
-    achieved = np.exp(-f) * (s_field - op.apply(f))
-    rep = SolverReport(
+    f, trace = continuity_solve(gm_neg, s_field, lam)
+    lap_f = complex_laplacian(gm_neg, f)
+    resid = lap_f + lam * np.exp(f) - s_field
+    achieved = np.exp(-f) * (s_field - lap_f)
+    return SolverReport(
         solution=TorusField(gm_neg.grid, f), lam=lam,
         residual_linf=float(np.max(np.abs(resid))),
         residual_l2=float(np.sqrt(integrate(gm_neg, resid ** 2))),
         path_trace=trace,
-        wall_time=time.perf_counter() - t0,
         extras={"normalizer": u,
                 "sup_dev_from_lam": float(np.max(np.abs(achieved - lam))),
                 "achieved_mean": float(integrate(gm_neg, achieved)
                                        / gm_neg.volume())})
-    return rep
 
 
 # -- Bismut-Yamabe minimizer ----------------------------------------------------
@@ -393,28 +399,24 @@ def _grad_energy_norm(gm: GridMetric, phi: np.ndarray):
     return energy, grad
 
 
-def bismut_yamabe_minimize(gm: GridMetric, q: float | None = None,
-                           el_tol: float = 1e-8, max_pgd: int = 300,
-                           balanced_tol: float = 1e-7) -> SolverReport:
+def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport:
     """Minimize the constrained quotient for constant second Bismut curvature.
 
     On the constraint set N1 int phi^q = 1, the quotient equals
     U(phi) = ||del phi||^2 + N1 int S_B2 phi^2, which is minimized by
     projected gradient descent with Armijo backtracking (steps that lose
     positivity are rejected and halved), then polished by Newton steps on
-    the Euler-Lagrange system box(phi) = N1 mu phi^{q-1}.  With q = N2 the
+    the Euler-Lagrange system box(phi) = N1 mu phi^{q-1}, with q = N2.  The
     report also carries f = ((2n-1)/(n^2-1)) log phi and the sup-deviation
     of the transformed Bismut curvature from mu.
     """
-    t0 = time.perf_counter()
-    diag_tau = gm.tau()
-    tau_sup = float(np.max(np.abs(diag_tau)))
-    if tau_sup > balanced_tol:
+    tau_sup = float(np.max(np.abs(gm.tau())))
+    if tau_sup > BALANCED_TOL:
         raise PreconditionError(
             f"metric is not balanced at tolerance (torsion trace sup "
-            f"{tau_sup:.3e} > {balanced_tol:.1e})")
+            f"{tau_sup:.3e} > {BALANCED_TOL:.1e})")
     yc = YamabeConstants(gm.n)
-    q = yc.check_exponent(yc.N2 if q is None else q)
+    q = yc.check_exponent(yc.N2)
     N1 = yc.N1
     w = gm.weights()
     s_field = gm.scalar_fields()["s_b2"]
@@ -435,7 +437,7 @@ def bismut_yamabe_minimize(gm: GridMetric, q: float | None = None,
     mu_upper_exact = energy  # = Y_q(1), exact discrete value
     trace = [(0, energy, 0.0)]
     step = 1.0
-    for it in range(1, max_pgd + 1):
+    for it in range(1, PGD_MAX + 1):
         gg = float(np.sum(g * g))
         if gg < 1e-28:
             break
@@ -475,14 +477,14 @@ def bismut_yamabe_minimize(gm: GridMetric, q: float | None = None,
         coef = N1 * s_field - N1 * mu * (q - 1) * phi ** (q - 2)
         shift = -float(np.mean(coef))
 
-        def apply_j(v, coef=coef):
+        def apply_j(v):
             return -complex_laplacian(gm, v) + coef * v
 
-        def prec(v, shift=shift):
+        def prec(v):
             return -op.precondition(v, shift=shift)
 
         try:
-            delta, _ = bicgstab(apply_j, -r, prec, tol=1e-12)
+            delta, _ = bicgstab(apply_j, -r, prec, tol=EL_KRYLOV_TOL)
         except ConvergenceError:
             break
         cand = phi + delta
@@ -514,7 +516,7 @@ def bismut_yamabe_minimize(gm: GridMetric, q: float | None = None,
     rep = SolverReport(
         solution=TorusField(gm.grid, phi), lam=mu,
         residual_linf=float(np.max(np.abs(r))), residual_l2=rnorm,
-        energy_trace=trace, wall_time=time.perf_counter() - t0,
+        energy_trace=trace,
         extras={"mu": mu, "q": q, "N1": N1, "N2": yc.N2,
                 "mu_upper_exact": mu_upper_exact,
                 "mu_upper_unnormalized": mu_upper_raw,
@@ -532,22 +534,20 @@ def bismut_yamabe_minimize(gm: GridMetric, q: float | None = None,
 
 # -- Einstein-type constancy check ----------------------------------------------
 
-def lozenge_constancy_check(gm: GridMetric, precond_tol: float = 1e-6,
-                            einstein_tol: float = 1e-8,
-                            const_tol: float = 1e-8) -> dict:
+def lozenge_constancy_check(gm: GridMetric) -> dict:
     """Evaluate the linear operator n lap_C f + 2 Re<i del f, delbar* omega>
     on f = (2/n) S_C2 and report the Einstein residual and curvature variance.
 
-    When the Einstein residual is below tolerance the check asserts that the
-    second Chern scalar curvature is constant within `const_tol`; otherwise
+    When the Einstein residual is below EINSTEIN_TOL the check asserts that the
+    second Chern scalar curvature is constant within CONSTANCY_TOL; otherwise
     constancy is reported but not asserted.
     """
     res = gm.class_residuals()
-    if res["gauduchon"][1] > precond_tol or res["pluriclosed"][1] > precond_tol:
+    if (res["gauduchon"][1] > LOZENGE_PRECOND_TOL
+            or res["pluriclosed"][1] > LOZENGE_PRECOND_TOL):
         raise PreconditionError(
             f"metric is not pluriclosed+Gauduchon at tolerance "
             f"(residuals {res['gauduchon'][1]:.3e}, {res['pluriclosed'][1]:.3e})")
-    from .curvature import einstein_residual
     n = gm.n
     s2 = gm.scalar_fields()["s_c2"]
     f_hat = 2.0 * s2 / n
@@ -565,11 +565,11 @@ def lozenge_constancy_check(gm: GridMetric, precond_tol: float = 1e-6,
         "einstein_cross_defect_max": float(np.max(ein.cross_defect)),
         "s_c2_mean": float(mean),
         "s_c2_variance": float(variance),
-        "einstein_holds": ein_max < einstein_tol,
+        "einstein_holds": ein_max < EINSTEIN_TOL,
         "constant_asserted": False,
     }
     if out["einstein_holds"]:
-        if variance > const_tol:
+        if variance > CONSTANCY_TOL:
             raise ConvergenceError(
                 f"Einstein residual vanishes but S_C2 variance {variance:.3e} "
                 "exceeds tolerance; discretization inconsistency")

@@ -113,7 +113,7 @@ def _synthetic_n3_metric(hermitian=True):
         # Cholesky reads the lower triangle only, so this passes the
         # positivity check and leaves the inverse non-Hermitian
         h[..., 0, 1] += 0.1
-    return GridMetric(grid, None, MetricJet(h, None, None))
+    return GridMetric(grid, MetricJet(h, None, None))
 
 
 @pytest.mark.parametrize("case", ["pluriclosed-bump/fd2", "pluriclosed-bump/spectral",
@@ -328,4 +328,18 @@ def test_grid_metric_runs_the_fused_pass_once(monkeypatch):
     gm.lee_real()
     gauduchon_degrees(gm)
     gm.scalar_fields()
+    assert len(calls) == 1
+
+
+def test_grid_metric_builds_the_nodes_once(monkeypatch):
+    # the periodicity check samples the nodes the jet was evaluated on
+    calls = []
+    real = TorusGrid.points
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(TorusGrid, "points", counted)
+    GridMetric.from_manifold(builtin("pluriclosed-bump"), TorusGrid(n=2, N=8))
     assert len(calls) == 1

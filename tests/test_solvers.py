@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,18 @@ def test_normalize_rejects_zero_degree():
         normalize_to_negative(gm)
 
 
+def test_chern_solvers_reject_non_gauduchon_input():
+    # a conformal change of a Gauduchon metric is not Gauduchon
+    base = builtin("pluriclosed-bump")
+    bent = conformal_manifold(base, "re(exp(i*(6.283185307179586*re(z1))))/3")
+    bent.periods = base.periods
+    gm = GridMetric.from_manifold(bent, TorusGrid(n=2, N=8))
+    with pytest.raises(PreconditionError, match="Gauduchon residual"):
+        solve_chern_zero(gm)
+    with pytest.raises(PreconditionError, match="Gauduchon residual"):
+        normalize_to_negative(gm)
+
+
 def test_negative_rejects_nonnegative_degree():
     gm = make_gm("kaehler-bump", 8)
     with pytest.raises(PreconditionError):
@@ -156,13 +170,15 @@ def test_apriori_bound_checker():
 def test_negative_end_to_end():
     gm = make_gm("pluriclosed-bump", 16)
     g1, g2, _ = gauduchon_degrees(gm)
+    t0 = time.perf_counter()
     rep = solve_chern_negative(gm)
+    wall = time.perf_counter() - t0
     assert rep.path_trace[-1][0] == 1.0
     assert rep.residual_linf < 1e-8
     lam_indep = g2 / gm.volume()
     assert abs(rep.lam - lam_indep) / abs(lam_indep) < 1e-12
     assert rep.extras["sup_dev_from_lam"] / abs(lam_indep) < 1e-3
-    assert isinstance(rep, SolverReport) and rep.wall_time < 120
+    assert isinstance(rep, SolverReport) and wall < 120
 
 
 # -- Bismut-Yamabe ---------------------------------------------------------------
