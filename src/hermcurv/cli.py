@@ -16,8 +16,7 @@ import numpy as np
 
 from . import __version__
 from .conformal import conformal_oracle_check
-from .curvature import (gauduchon_curvature, ricci_and_scalars,
-                        scalar_comparison_defect)
+from .curvature import ricci_forms, scalar_comparison_defect
 from .dsl import ParseError, load_manifest
 from .goldens import GOLDEN_TOL, golden_scalars
 from .grid import (GridError, GridMetric, TorusGrid, laplacian_duality_defect,
@@ -58,9 +57,10 @@ def _resolve_manifold(spec: str, n, params):
     return builtin(spec, n=n, **params)
 
 
-def _write_out(text: str, path):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+def _write_report(table: dict, args):
+    text = records_to_csv(table) if args.format == "csv" else records_to_text(table)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -96,18 +96,15 @@ def cmd_inspect(args) -> int:
     man = _resolve_manifold(args.manifold, args.n, _parse_params(args.param))
     z = man.sample_points(args.points, seed=args.seed)
     ts = _ts_list(args.t)
-    records = curvature_records(man, z, ts)
-    text = records_to_csv(records) if args.format == "csv" \
-        else records_to_text(records)
-    _write_out(text, args.out)
+    table = curvature_records(man, z, ts)
+    _write_report(table, args)
     if not args.golden:
         return EXIT_OK
     golden = golden_scalars(man.name, man.n, man.params)
     if golden is None:
         print(f"GOLDEN SKIP {man.name}: no stored values")
         return EXIT_OK
-    jet = man.jet(z)
-    ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
+    ric = ricci_forms(man.jet(z), 0.0)
     status = EXIT_OK
     for key, got in (("s1", ric.s1), ("s2", ric.s2)):
         want = golden[key]
@@ -126,18 +123,15 @@ def cmd_check(args) -> int:
     if args.what == "conformal":
         z = man.sample_points(args.points, seed=args.seed)
         factors = args.factor or DEFAULT_FACTORS
-        rows = []
-        worst = 0.0
-        for f in factors:
-            for t in _ts_list(args.t):
-                d = conformal_oracle_check(man, f, t, z)
-                worst = max(worst, d["max"])
-                rows.append({"schema": SCHEMA_VERSION, "manifold": man.name,
-                             "factor": f, "t": t, "defect_s2": d["s2"],
-                             "defect_ric3": d["ric3"], "defect_ric4": d["ric4"]})
-        text = records_to_csv(rows) if args.format == "csv" \
-            else records_to_text(rows)
-        _write_out(text, args.out)
+        cases = [(f, t) for f in factors for t in _ts_list(args.t)]
+        defects = [conformal_oracle_check(man, f, t, z) for f, t in cases]
+        worst = max([0.0] + [d["max"] for d in defects])
+        table = {"schema": [SCHEMA_VERSION] * len(cases),
+                 "manifold": [man.name] * len(cases),
+                 "factor": [f for f, _ in cases], "t": [t for _, t in cases]}
+        for key in ("s2", "ric3", "ric4"):
+            table[f"defect_{key}"] = [d[key] for d in defects]
+        _write_report(table, args)
         print(f"conformal oracle max defect {worst:.3e} (tol {tol:g})")
         return EXIT_OK if worst < tol else EXIT_NO_CONVERGENCE
     if args.what == "comparison":
@@ -185,10 +179,8 @@ def cmd_solve(args) -> int:
     else:
         rep = bismut_yamabe_minimize(gm, el_tol=args.tol)
     wall = time.perf_counter() - t0
-    rec = solver_record(rep, digest)
-    text = records_to_csv([rec]) if args.format == "csv" \
-        else records_to_text([rec])
-    _write_out(text, args.out)
+    table = solver_record(rep, digest)
+    _write_report(table, args)
     if args.dump_solution:
         _dump_field(rep.solution, args.dump_solution)
     g1, g2, _ = gauduchon_degrees(gm)

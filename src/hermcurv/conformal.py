@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .curvature import chern_torsion, gauduchon_curvature, ricci_and_scalars
+from .curvature import ricci_forms
 from .jets import FactorJet, MetricJet, conformal_jet
 from .manifolds import ModelManifold, factor_jet_from_expr
 
@@ -64,7 +64,7 @@ def transformed_s2(jet: MetricJet, fj: FactorJet, t: float, *,
                             + 2 (n+1) t^2 Re<del* w, i dbar f> ).
     """
     if s2_base is None:
-        s2_base = ricci_and_scalars(gauduchon_curvature(jet, t), jet).s2
+        s2_base = ricci_forms(jet, t).s2
     lap, grad2, _, kappa = _factor_terms(jet, fj)
     return _s2_law(jet.n, t, fj, s2_base, lap, grad2, kappa)
 
@@ -91,12 +91,13 @@ def transformed_ric34(jet: MetricJet, fj: FactorJet, t: float) -> TransformedCur
     """
     n = jet.n
     h = jet.h
-    ric = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
+    ric = ricci_forms(jet, t)
     lap, grad2, tau, kappa = _factor_terms(jet, fj)
-    torsion = chern_torsion(jet)
     dfbar = np.conj(fj.df)
     v = np.einsum("...pq,...q->...p", jet.ginv, dfbar)  # (dbar f)^sharp
-    c = np.einsum("...kj,...pik,...p->...ij", h, torsion, v)  # T(V) matrix
+    # T(V) matrix c[i, j] = T_{pi}^k h_{k jbar} V^p, with the lowered torsion
+    low = jet.dh - np.swapaxes(jet.dh, -3, -2)
+    c = np.einsum("...pij,...p->...ij", low, v)
     ch = np.conj(np.swapaxes(c, -1, -2))
     df_outer = np.einsum("...i,...j->...ij", fj.df, dfbar)
     tau_outer = np.einsum("...i,...j->...ij", tau, dfbar)
@@ -120,7 +121,7 @@ def conformal_oracle_check(man: ModelManifold, f: "ex.Expr | str", t: float,
     """Formula path vs direct recomputation at the given points.
 
     Returns max absolute defects for s2, ric3 and ric4.  The direct path
-    builds the jet of e^f h and reruns the full curvature engine on it.
+    builds the jet of e^f h and reruns the Ricci pass on it.
     """
     if isinstance(f, str):
         from .dsl import parse_expr
@@ -131,8 +132,7 @@ def conformal_oracle_check(man: ModelManifold, f: "ex.Expr | str", t: float,
 
     formula = transformed_ric34(jet, fj, t)
 
-    jet_f = conformal_jet(jet, fj)
-    ric_f = ricci_and_scalars(gauduchon_curvature(jet_f, t), jet_f)
+    ric_f = ricci_forms(conformal_jet(jet, fj), t)
 
     d_s2 = float(np.max(np.abs(formula.s2 - ric_f.s2)))
     d_r3 = float(np.max(np.abs(formula.ric3 - ric_f.ric3)))

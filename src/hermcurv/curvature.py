@@ -30,12 +30,13 @@ calibration identities that the test suite enforces exactly: the two-path
 scalar relations at every t, and |del omega|^2 = |delbar* omega|^2 in
 complex dimension two.
 
-Two paths produce the scalars.  `torsion_traces` is the pointwise pipeline:
-one pass over the jet gives tau, del del* omega, the torsion norms and S_C1
-without building any 4-tensor, and the grid metric, `scalar_via_identity`,
-`torsion_diagnostics` and the class residuals all read its bundle.  The
+Two paths produce the curvature traces.  The pointwise pipeline builds no
+4-tensor: `torsion_traces` gives tau, del del* omega, the torsion norms and
+S_C1 in one pass over the jet (the grid metric, `scalar_via_identity`,
+`torsion_diagnostics` and the class residuals read its bundle), and
+`ricci_forms` gives the four Ricci forms and s1/s2 at any t.  The
 full-tensor path (`chern_curvature`, `gauduchon_curvature`,
-`ricci_and_scalars`) builds R_{i jbar k lbar} and is the oracle for it.
+`ricci_and_scalars`) builds R_{i jbar k lbar} and is the oracle for both.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ __all__ = [
     "gauduchon_curvature", "ricci_and_scalars", "torsion_diagnostics",
     "scalar_via_identity", "scalar_comparison_defect", "einstein_residual",
     "classify", "report_matrix", "oneone_norm2", "TorsionTraces",
-    "torsion_traces", "class_residual_fields",
+    "torsion_traces", "ricci_forms", "class_residual_fields",
 ]
 
 IMAG_TOL = 1e-10
@@ -165,11 +166,16 @@ def ricci_and_scalars(curv: CurvatureTensor, jet: MetricJet) -> RicciForms:
     ric4 = np.einsum("...kl,...kjil->...ij", ginv, R)
     s1 = np.einsum("...ij,...ij->...", ginv, ric1)
     s2 = np.einsum("...ij,...ij->...", ginv, ric3)
+    return RicciForms(ric1, ric2, ric3, ric4, *_real_scalars(s1, s2), curv.t)
+
+
+def _real_scalars(s1: np.ndarray, s2: np.ndarray):
+    """Real parts of (s1, s2); ArithmeticError if either is not real."""
     scale = max(1.0, float(np.max(np.abs(s1))), float(np.max(np.abs(s2))))
     worst = max(float(np.max(np.abs(s1.imag))), float(np.max(np.abs(s2.imag))))
     if worst > IMAG_TOL * scale:
         raise ArithmeticError(f"scalar curvature has imaginary part {worst:.3e}")
-    return RicciForms(ric1, ric2, ric3, ric4, s1.real, s2.real, curv.t)
+    return s1.real, s2.real
 
 
 def _batch_last(a: np.ndarray, k: int) -> np.ndarray:
@@ -186,11 +192,17 @@ def _sum(terms):
     return total
 
 
+def _up(x: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """y[.., k, ..] = sum_l g[l, k] x[.., l, ..] over index `axis` of a batch-last x."""
+    xm = np.moveaxis(x, axis, 0)
+    pad = (slice(None),) + (None,) * (x.ndim - g.ndim + 1)
+    y = _sum(g[l][pad] * xm[l][None] for l in range(g.shape[0]))
+    return np.moveaxis(y, 0, axis)
+
+
 def _raise_last2(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """z[i, l, p] = g[k, l] g[p, q] x[i, k, q] on batch-last arrays."""
-    n = g.shape[0]
-    w = _sum(g[None, None, :, q] * x[:, :, None, q] for q in range(n))
-    return _sum(g[None, k, :, None] * w[:, k, None, :] for k in range(n))
+    return _up(_up(x, g.swapaxes(0, 1), 2), g, 1)
 
 
 def _full_norm2(x: np.ndarray, z: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -287,6 +299,65 @@ def torsion_traces(jet: MetricJet) -> TorsionTraces:
                          pairing.real.copy(), del_omega_sq, del_star_sq, s_c1)
 
 
+# Ric_m[i, j] = h^{k lbar} R.transpose(_TRACE_AXES[m - 1])[i, j, k, l]
+_TRACE_AXES = ((0, 1, 2, 3), (2, 3, 0, 1), (0, 3, 2, 1), (2, 1, 0, 3))
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c[i, j] = sum_{k, p} a[i, k, p] conj(b[j, k, p]) on batch-last arrays."""
+    n = a.shape[0]
+    b = np.conj(b)
+    return _sum(a[:, None, k, p] * b[None, :, k, p] for k in range(n) for p in range(n))
+
+
+def ricci_forms(jet: MetricJet, t: float) -> RicciForms:
+    """The four Ricci forms and (s1, s2) of the Gauduchon connection at t.
+
+    One batch-last pass that never forms R.  Theta = -ddh + Q with
+    Q[i,j,k,l] = sum_p E[i,k,p] conj(dh[j,l,p]), E = dh raised in its last
+    index, so each Chern trace C_m is a trace of ddh plus one contraction.
+    The t part of R(t) permutes the C_m; the t^2 part is A - B with
+    A[i,j,k,l] = sum_p T[i,k,p] conj(L[j,l,p]) and B[i,j,k,l] =
+    sum_{p,q} h^{p qbar} L[i,p,l] conj(L[j,q,k]), where L = dh - dh^T is the
+    lowered torsion and T = E - E^T.  The full-tensor path is its oracle.
+    """
+    n = jet.n
+    r = range(n)
+    g = _batch_last(jet.ginv, 2)
+    dh = _batch_last(jet.dh, 3)
+    ddh = _batch_last(jet.ddh, 4)
+    e = _up(dh, g.swapaxes(0, 1), 2)
+    et = e.swapaxes(0, 1)
+    f = _up(dh, g, 1)                  # f[j, k, p] = h^{l kbar} dh[j, l, p]
+    gt = _up(dh, g, 0).swapaxes(0, 1)  # gt[j, k, p] = h^{l kbar} dh[l, j, p]
+    quad = (_pair(e, f), _pair(et, gt), _pair(e, gt), _pair(et, f))
+    rest = tuple(range(4, ddh.ndim))
+    c1, c2, c3, c4 = ric = [
+        q - _sum(g[k, l] * x[:, :, k, l] for k in r for l in r)
+        for q, x in zip(quad, (ddh.transpose(axes + rest) for axes in _TRACE_AXES))]
+    if t != 0:
+        low = dh - dh.swapaxes(0, 1)
+        tor, low_m = e - et, f - gt  # T, and L raised in its middle index
+        a = _pair(tor, low_m)        # Ric1(A) = Ric2(A) = -Ric3(A) = -Ric4(A)
+        b1 = _pair(_up(tor, g, 1), low)
+        b2 = np.conj(_pair(np.moveaxis(low, 2, 0), np.moveaxis(_up(low_m, g, 0), 2, 0)))
+        # -Ric3(B) and -Ric4(B) contract L with the torsion trace tau
+        tau = (low * g).sum(axis=(1, 2))
+        u = _sum(g[:, q] * np.conj(tau[q]) for q in r)
+        v = _sum(g[p] * tau[p] for p in r)
+        b3 = _sum(low[:, p] * u[p] for p in r)
+        b4 = _sum(np.conj(low[:, q]).swapaxes(0, 1) * v[q] for q in r)
+        t2 = t * t
+        ric = [c1 + t * (c3 + c4 - 2 * c1) + t2 * (a - b1),
+               c2 + t * (c3 + c4 - 2 * c2) + t2 * (a - b2),
+               c3 + t * (c1 + c2 - 2 * c3) - t2 * (a - b3),
+               c4 + t * (c1 + c2 - 2 * c4) - t2 * (a - b4)]
+    s1 = _sum(g[i, j] * ric[0][i, j] for i in r for j in r)
+    s2 = _sum(g[i, j] * ric[2][i, j] for i in r for j in r)
+    ric = [np.moveaxis(m, (0, 1), (-2, -1)) for m in ric]
+    return RicciForms(*ric, *_real_scalars(s1, s2), float(t))
+
+
 def torsion_diagnostics(jet: MetricJet) -> TorsionDiagnostics:
     """Torsion traces, adjoint forms, Lee form and the calibrated norms.
 
@@ -333,8 +404,7 @@ def einstein_residual(jet: MetricJet) -> EinsteinReport:
     whose two sides are computed along independent code paths.
     """
     ginv = jet.ginv
-    theta = chern_curvature(jet)
-    ric = ricci_and_scalars(CurvatureTensor(theta, 0.0, "chern"), jet)
+    ric = ricci_forms(jet, 0.0)
     n = jet.n
     f_hat = 2.0 * ric.s2 / n
     sum34 = ric.ric3 + ric.ric4

@@ -95,14 +95,15 @@ class PQForm:
     def norm2(self, ginv: np.ndarray) -> np.ndarray:
         """Pointwise |alpha|^2 with the inverse metric ginv[..., i, j] = h^{i jbar}."""
         keys = list(self.coeffs)
+        # each Gram determinant once per (I, K) pair of index tuples
+        pairs = {(a[s], b[s]) for a in keys for b in keys for s in (0, 1)}
+        gram = {pair: _gram_det(ginv, *pair) for pair in pairs}
         total = 0.0
         for (I1, J1) in keys:
             v1 = self.coeffs[(I1, J1)]
             for (I2, J2) in keys:
                 v2 = self.coeffs[(I2, J2)]
-                gi = _gram_det(ginv, I1, I2)
-                gj = np.conj(_gram_det(ginv, J1, J2))
-                total = total + v1 * np.conj(v2) * gi * gj
+                total = total + v1 * np.conj(v2) * gram[I1, I2] * np.conj(gram[J1, J2])
         return np.real(total)
 
 

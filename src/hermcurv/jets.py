@@ -150,10 +150,16 @@ def conformal_jet(jet: MetricJet, fj: FactorJet) -> MetricJet:
     h2 = ef[..., None, None] * h
     dh2 = ef[..., None, None, None] * (df[..., :, None, None] * h[..., None, :, :] + dh)
     dbarh = np.conj(np.swapaxes(dh, -1, -2))  # dbarh[..., j, k, l] = d h_{k lbar}/dzbar^j
-    term0 = (ddf[..., :, :, None, None]
-             + df[..., :, None, None, None] * np.conj(df)[..., None, :, None, None]) \
+    dfbar = np.conj(df)
+    # the four terms summed left to right in place, through one scratch array
+    ddh2 = (ddf[..., :, :, None, None]
+            + df[..., :, None, None, None] * dfbar[..., None, :, None, None]) \
         * h[..., None, None, :, :]
-    term1 = np.conj(df)[..., None, :, None, None] * dh[..., :, None, :, :]
-    term2 = df[..., :, None, None, None] * dbarh[..., None, :, :, :]
-    ddh2 = ef[..., None, None, None, None] * (term0 + term1 + term2 + ddh)
+    scratch = np.multiply(dfbar[..., None, :, None, None], dh[..., :, None, :, :],
+                          out=np.empty_like(ddh2))
+    ddh2 += scratch
+    ddh2 += np.multiply(df[..., :, None, None, None], dbarh[..., None, :, :, :],
+                        out=scratch)
+    ddh2 += ddh
+    ddh2 *= ef[..., None, None, None, None]
     return MetricJet(h2, dh2, ddh2)

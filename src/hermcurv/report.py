@@ -1,9 +1,11 @@
 """Machine-readable curvature and solver reports (structured text and CSV).
 
-The structured-text format is stable `key: value` lines grouped in records,
-prefixed with a schema-version header; CSV carries one row per record with
-flattened columns.  Outputs are byte-deterministic for a fixed seed and
-configuration.
+A report is one table: a dict from column name to its values, one per row
+(a float array, or a list of str, int or float).  The structured-text format
+is stable `key: value` lines grouped in records, prefixed with a
+schema-version header; CSV carries one row per record.  Both writers format
+a row with one template: `%.17g` for float columns and `str` for the rest.
+Outputs are byte-deterministic for a fixed seed and configuration.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import io
 
 import numpy as np
 
-from .curvature import (class_residual_fields, gauduchon_curvature,
-                        report_matrix, ricci_and_scalars, torsion_traces)
+from .curvature import (class_residual_fields, report_matrix, ricci_forms,
+                        torsion_traces)
 from .manifolds import ModelManifold
 
 SCHEMA_VERSION = "hermcurv-report-1"
@@ -29,79 +31,85 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _flatten_matrix(prefix: str, m: np.ndarray, out: dict):
-    n = m.shape[-1]
-    for i in range(n):
-        for j in range(n):
-            out[f"{prefix}[{i + 1}][{j + 1}].re"] = float(m[i, j].real)
-            out[f"{prefix}[{i + 1}][{j + 1}].im"] = float(m[i, j].imag)
+def curvature_records(man: ModelManifold, points: np.ndarray, ts) -> dict:
+    """One row per (t, point): scalars, Ricci matrices, torsion data.
 
-
-def curvature_records(man: ModelManifold, points: np.ndarray,
-                      ts) -> list[dict]:
-    """One record per (point, t): scalars, Ricci matrices, torsion data.
-
-    Ricci coefficient matrices are reported in the golden-table convention
-    (see curvature.report_matrix).  Class residuals are pointwise values of
-    the same quantities `classify` maximizes over samples.
+    Rows run over the points for each t in turn.  Ricci coefficient matrices
+    are reported in the golden-table convention (see
+    curvature.report_matrix).  Class residuals are pointwise values of the
+    same quantities `classify` maximizes over samples.
     """
     z = np.asarray(points, dtype=complex)
     if z.ndim == 1:
         z = z[None, :]
     jet = man.jet(z)
     traces = torsion_traces(jet)
-    lee = traces.lee
     residuals = class_residual_fields(jet, traces=traces)
-    n = man.n
-    records = []
-    for t in ts:
-        ric = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
-        for p in range(z.shape[0]):
-            rec = {"schema": SCHEMA_VERSION, "manifold": man.name, "t": float(t)}
-            for k in range(n):
-                rec[f"z{k + 1}.re"] = float(z[p, k].real)
-                rec[f"z{k + 1}.im"] = float(z[p, k].imag)
-            rec["s1"] = float(ric.s1[p])
-            rec["s2"] = float(ric.s2[p])
-            for idx, m in ((1, ric.ric1), (2, ric.ric2), (3, ric.ric3),
-                           (4, ric.ric4)):
-                _flatten_matrix(f"ric{idx}", report_matrix(m[p]), rec)
-            rec["norm.del_omega_sq"] = float(traces.del_omega_sq[p])
-            rec["norm.del_star_sq"] = float(traces.del_star_sq[p])
-            rec["norm.pairing"] = float(traces.pairing[p])
-            for a in range(2 * n):
-                rec[f"lee[{a}]"] = float(lee[p, a])
-            for key, field in residuals.items():
-                rec[f"residual.{key}"] = float(field[p])
-            records.append(rec)
-    return records
+    rics = [ricci_forms(jet, t) for t in ts]
+    n, count = man.n, len(ts)
+    rows = count * z.shape[0]
+    table = {"schema": [SCHEMA_VERSION] * rows, "manifold": [man.name] * rows,
+             "t": np.repeat(np.asarray(ts, dtype=float), z.shape[0])}
+    for k in range(n):
+        table[f"z{k + 1}.re"] = np.tile(z[:, k].real, count)
+        table[f"z{k + 1}.im"] = np.tile(z[:, k].imag, count)
+    table["s1"] = np.concatenate([ric.s1 for ric in rics])
+    table["s2"] = np.concatenate([ric.s2 for ric in rics])
+    for idx in range(1, 5):
+        m = np.concatenate([report_matrix(getattr(ric, f"ric{idx}")) for ric in rics])
+        for i in range(n):
+            for j in range(n):
+                table[f"ric{idx}[{i + 1}][{j + 1}].re"] = m[:, i, j].real
+                table[f"ric{idx}[{i + 1}][{j + 1}].im"] = m[:, i, j].imag
+    for key in ("del_omega_sq", "del_star_sq", "pairing"):
+        table[f"norm.{key}"] = np.tile(getattr(traces, key), count)
+    for a, col in enumerate(np.moveaxis(traces.lee, -1, 0)):
+        table[f"lee[{a}]"] = np.tile(col, count)
+    for key, field in residuals.items():
+        table[f"residual.{key}"] = np.tile(field, count)
+    return table
 
 
-def records_to_text(records: list[dict]) -> str:
-    lines = [f"schema: {SCHEMA_VERSION}", f"records: {len(records)}", ""]
-    for i, rec in enumerate(records):
-        lines.append(f"[record {i}]")
-        for key, val in rec.items():
-            if key == "schema":
-                continue
-            lines.append(f"{key}: {_fmt(val)}")
-        lines.append("")
-    return "\n".join(lines)
+def _column(values, cell) -> tuple[str, list]:
+    """Template and row values of one column; `cell` quotes a non-float text."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return "%.17g", values.tolist()
+    values = list(values)
+    if all(isinstance(v, float) for v in values):
+        return "%.17g", values
+    texts = [_fmt(v) for v in values]
+    cells = {s: cell(s) for s in set(texts)}
+    return "%s", [cells[s] for s in texts]
 
 
-def records_to_csv(records: list[dict]) -> str:
-    if not records:
-        return "schema\n"
+def _csv_cell(text: str) -> str:
+    """`text` as one field of a csv.writer row: quoted only where it must be."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()))
-    writer.writeheader()
-    for rec in records:
-        writer.writerow({k: _fmt(v) for k, v in rec.items()})
-    return buf.getvalue()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]  # drop the empty last field and "\r\n"
+
+
+def records_to_text(table: dict) -> str:
+    names = [key for key in table if key != "schema"]
+    cols = [_column(table[key], str) for key in names]
+    template = "\n[record %d]\n" + "".join(
+        f"{key.replace('%', '%%')}: {fmt}\n" for key, (fmt, _) in zip(names, cols))
+    rows = len(next(iter(table.values()), ()))
+    body = [template % row for row in zip(range(rows), *(vals for _, vals in cols))]
+    return f"schema: {SCHEMA_VERSION}\nrecords: {rows}\n" + "".join(body)
+
+
+def records_to_csv(table: dict) -> str:
+    if not len(next(iter(table.values()), ())):
+        return "schema\n"
+    cols = [_column(values, _csv_cell) for values in table.values()]
+    template = ",".join(fmt for fmt, _ in cols) + "\r\n"
+    header = ",".join(map(_csv_cell, table)) + "\r\n"
+    return header + "".join(template % row for row in zip(*(vals for _, vals in cols)))
 
 
 def solver_record(report, digest: dict) -> dict:
-    """Flatten a SolverReport plus the input digest into one record."""
+    """A one-row table of a SolverReport plus the input digest."""
     rec = {"schema": SCHEMA_VERSION}
     rec.update({f"input.{k}": v for k, v in digest.items()})
     rec["lambda"] = float(report.lam)
@@ -118,4 +126,4 @@ def solver_record(report, digest: dict) -> dict:
     rec["solution.min"] = float(np.min(sol))
     rec["solution.max"] = float(np.max(sol))
     rec["solution.mean"] = float(np.mean(sol))
-    return rec
+    return {key: [val] for key, val in rec.items()}

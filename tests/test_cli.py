@@ -53,6 +53,31 @@ def test_inspect_csv_deterministic(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_pointwise_commands_never_build_the_curvature_tensor(capsys, monkeypatch):
+    # inspect and check conformal read the batch-last Ricci pass only
+    import sys
+    import hermcurv.curvature as curvature
+    calls = []
+    for name in ("gauduchon_curvature", "chern_curvature"):
+        real = getattr(curvature, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key.startswith("hermcurv")]:
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    code, out, _ = run(capsys, "inspect", "hopf", "--n", "3", "--t", "0,1",
+                       "--golden", "--format", "csv")
+    assert code == 0 and out.count("GOLDEN PASS") == 2
+    code, out, _ = run(capsys, "check", "conformal", "--manifold", "hopf",
+                       "--n", "3", "--t", "0,1")
+    assert code == 0 and "conformal oracle max defect" in out
+    assert calls == []
+
+
 def test_inspect_rejects_unknown_manifold(capsys):
     code, _, err = run(capsys, "inspect", "moebius")
     assert code == 2

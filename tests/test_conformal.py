@@ -131,6 +131,26 @@ def test_nonconstant_factor_breaks_gauduchon():
     assert flags.gauduchon[1] > 1e-3
 
 
+def test_conformal_jet_matches_the_unfused_expression():
+    # conformal_jet sums its four ddh terms in place, in the order of this sum
+    man = builtin("pluriclosed-bump")
+    z = man.sample_points(16, seed=31)
+    jet = man.jet(z)
+    fj = factor_jet_from_expr(parse_expr("log(1 + abs2(z1)/3) - re(z2)/6", 2), z, 2)
+    ef = np.exp(fj.f)
+    h, dh, ddh, df, ddf = jet.h, jet.dh, jet.ddh, fj.df, fj.ddf
+    dbarh = np.conj(np.swapaxes(dh, -1, -2))
+    term0 = (ddf[..., :, :, None, None]
+             + df[..., :, None, None, None] * np.conj(df)[..., None, :, None, None]) \
+        * h[..., None, None, :, :]
+    term1 = np.conj(df)[..., None, :, None, None] * dh[..., :, None, :, :]
+    term2 = df[..., :, None, None, None] * dbarh[..., None, :, :, :]
+    want = ef[..., None, None, None, None] * (term0 + term1 + term2 + ddh)
+    got = conformal_jet(jet, fj)
+    assert np.array_equal(got.ddh, want)
+    assert np.array_equal(got.h, ef[..., None, None] * h)
+
+
 def test_oracle_via_symbolic_manifold_route():
     # conformal_manifold (symbolic e^f h) agrees with the jet-level transform
     man = builtin("tricerri")

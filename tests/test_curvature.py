@@ -3,7 +3,7 @@ import pytest
 
 from hermcurv.curvature import (chern_curvature, chern_torsion,
                                 classify, einstein_residual, gauduchon_curvature,
-                                report_matrix, ricci_and_scalars,
+                                report_matrix, ricci_and_scalars, ricci_forms,
                                 scalar_comparison_defect, scalar_via_identity,
                                 torsion_diagnostics, torsion_traces)
 from hermcurv.manifolds import builtin
@@ -403,6 +403,21 @@ def test_two_path_scalars(t):
             assert np.max(dev) <= 1e-12, (name, params, t)
 
 
+def test_ricci_forms_match_full_tensor_oracle():
+    # the batch-last Ricci pass never builds R; the full tensor is its oracle
+    for name, params in BUILTINS + [("hopf", {"n": 3})]:
+        _, jet = sample_jet(name, params, count=50, seed=23)
+        for t in (-1.0, 0.0, 0.5, 1.0):
+            want = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
+            got = ricci_forms(jet, t)
+            assert got.t == t
+            for key in ("ric1", "ric2", "ric3", "ric4", "s1", "s2"):
+                a, b = getattr(want, key), getattr(got, key)
+                assert a.shape == b.shape, (name, key)
+                dev = np.abs(a - b) / np.maximum(1.0, np.abs(a))
+                assert np.max(dev) <= 1e-12, (name, params, t, key)
+
+
 @pytest.mark.parametrize("t", [-1.0, 0.0, 0.3, 0.5, 1.0, 2.0])
 def test_comparison_identity_on_gauduchon_builtins(t):
     for name, params in GAUDUCHON_BUILTINS:
@@ -464,6 +479,31 @@ def test_kaehler_einstein_flat_residual_zero():
 
 
 # -- classification --------------------------------------------------------------
+
+def test_pq_norm2_matches_the_uncached_loop():
+    # the Gram determinants are computed once per index pair; the sum is the
+    # same products in the same order as the loop that recomputed them
+    from hermcurv import forms
+
+    def norm2_loop(form, ginv):
+        keys = list(form.coeffs)
+        total = 0.0
+        for (I1, J1) in keys:
+            v1 = form.coeffs[(I1, J1)]
+            for (I2, J2) in keys:
+                v2 = form.coeffs[(I2, J2)]
+                gi = forms._gram_det(ginv, I1, I2)
+                gj = np.conj(forms._gram_det(ginv, J1, J2))
+                total = total + v1 * np.conj(v2) * gi * gj
+        return np.real(total)
+
+    for name, params in (("hopf", {}), ("hopf", {"n": 3}), ("pluriclosed-bump", {})):
+        _, jet = sample_jet(name, params, count=20, seed=29)
+        n = jet.n
+        for form in (forms.del_omega(jet), forms.del_delbar_omega(jet),
+                     forms.del_delbar_omega_power(jet, n - 1)):
+            assert np.array_equal(form.norm2(jet.ginv), norm2_loop(form, jet.ginv))
+
 
 def test_classify_flat_torus_all_hold():
     man = builtin("flat-torus", n=2)
@@ -527,7 +567,7 @@ def test_einstein_trace_identity():
         z = man.sample_points(10, seed=12)
         jet = man.jet(z)
         rep = einstein_residual(jet)
-        ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
+        ric = ricci_forms(jet, 0.0)  # the pass einstein_residual reads
         np.testing.assert_allclose(man.n * rep.f_hat, 2 * ric.s2, rtol=1e-15)
 
 
