@@ -67,7 +67,10 @@ def _write_report(table: dict, args):
 
 
 def _ts_list(arg: str):
-    return [float(x) for x in arg.split(",") if x != ""]
+    ts = [float(x) for x in arg.split(",") if x != ""]
+    if not ts:
+        raise ValueError(f"--t needs at least one value, got {arg!r}")
+    return ts
 
 
 def _periods(args):
@@ -96,7 +99,8 @@ def cmd_inspect(args) -> int:
     man = _resolve_manifold(args.manifold, args.n, _parse_params(args.param))
     z = man.sample_points(args.points, seed=args.seed)
     ts = _ts_list(args.t)
-    table = curvature_records(man, z, ts)
+    jet = man.jet(z)
+    table = curvature_records(man, z, jet, ts)
     _write_report(table, args)
     if not args.golden:
         return EXIT_OK
@@ -104,7 +108,7 @@ def cmd_inspect(args) -> int:
     if golden is None:
         print(f"GOLDEN SKIP {man.name}: no stored values")
         return EXIT_OK
-    ric = ricci_forms(man.jet(z), 0.0)
+    ric, = ricci_forms(jet, [0.0])
     status = EXIT_OK
     for key, got in (("s1", ric.s1), ("s2", ric.s2)):
         want = golden[key]
@@ -122,13 +126,12 @@ def cmd_check(args) -> int:
     tol = args.tol
     if args.what == "conformal":
         z = man.sample_points(args.points, seed=args.seed)
-        factors = args.factor or DEFAULT_FACTORS
-        cases = [(f, t) for f in factors for t in _ts_list(args.t)]
-        defects = [conformal_oracle_check(man, f, t, z) for f, t in cases]
-        worst = max([0.0] + [d["max"] for d in defects])
-        table = {"schema": [SCHEMA_VERSION] * len(cases),
-                 "manifold": [man.name] * len(cases),
-                 "factor": [f for f, _ in cases], "t": [t for _, t in cases]}
+        factors, ts = args.factor or DEFAULT_FACTORS, _ts_list(args.t)
+        defects = conformal_oracle_check(man, factors, ts, z)
+        worst = max(d["max"] for d in defects)
+        rows = len(defects)
+        table = {"schema": [SCHEMA_VERSION] * rows, "manifold": [man.name] * rows,
+                 "factor": [f for f in factors for _ in ts], "t": ts * len(factors)}
         for key in ("s2", "ric3", "ric4"):
             table[f"defect_{key}"] = [d[key] for d in defects]
         _write_report(table, args)
@@ -147,7 +150,6 @@ def cmd_check(args) -> int:
     grid = TorusGrid(n=man.n, N=args.grid, scheme=args.scheme,
                      periods=_periods(args))
     gm = GridMetric.from_manifold(man, grid)
-    rng = np.random.default_rng(args.seed)
     x = grid.points()
     u = np.zeros(grid.shape)
     for k in range(man.n):

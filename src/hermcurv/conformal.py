@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from .curvature import ricci_forms
+from .dsl import parse_expr
 from .jets import FactorJet, MetricJet, conformal_jet
 from .manifolds import ModelManifold, factor_jet_from_expr
 
@@ -64,7 +64,7 @@ def transformed_s2(jet: MetricJet, fj: FactorJet, t: float, *,
                             + 2 (n+1) t^2 Re<del* w, i dbar f> ).
     """
     if s2_base is None:
-        s2_base = ricci_forms(jet, t).s2
+        s2_base = ricci_forms(jet, [t])[0].s2
     lap, grad2, _, kappa = _factor_terms(jet, fj)
     return _s2_law(jet.n, t, fj, s2_base, lap, grad2, kappa)
 
@@ -81,17 +81,18 @@ def bismut_s2_transform(jet: MetricJet, fj: FactorJet, *,
     return transformed_s2(jet, fj, 1.0, s2_base=s2_base)
 
 
-def transformed_ric34(jet: MetricJet, fj: FactorJet, t: float) -> TransformedCurvature:
-    """Third/fourth Ricci forms of e^f omega assembled from base-metric data.
+def transformed_ric34(jet: MetricJet, fj: FactorJet, ts) -> list[TransformedCurvature]:
+    """Third/fourth Ricci forms of e^f omega assembled from base-metric data, per t.
 
     All nine contributions, with the torsion contraction T(V) taken at the
     metric dual V of the (0,1)-form dbar f.  The coefficient asymmetry
     (-n t^2 on T(V), -t^2 on its conjugate) is implemented as displayed and
-    validated against the direct recomputation oracle.
+    validated against the direct recomputation oracle.  The base Ricci pass
+    and the factor terms are computed once for all of ts.
     """
     n = jet.n
     h = jet.h
-    ric = ricci_forms(jet, t)
+    rics = ricci_forms(jet, ts)
     lap, grad2, tau, kappa = _factor_terms(jet, fj)
     dfbar = np.conj(fj.df)
     v = np.einsum("...pq,...q->...p", jet.ginv, dfbar)  # (dbar f)^sharp
@@ -101,41 +102,47 @@ def transformed_ric34(jet: MetricJet, fj: FactorJet, t: float) -> TransformedCur
     ch = np.conj(np.swapaxes(c, -1, -2))
     df_outer = np.einsum("...i,...j->...ij", fj.df, dfbar)
     tau_outer = np.einsum("...i,...j->...ij", tau, dfbar)
-    t2 = t * t
-    ric3 = (ric.ric3
-            - (1 + (n - 2) * t) * fj.ddf
-            - t * lap[..., None, None] * h
-            - n * t2 * grad2[..., None, None] * h
-            + t2 * df_outer
-            - n * t2 * c
-            - t2 * ch
-            + t2 * kappa[..., None, None] * h
-            - t2 * tau_outer)
-    ric4 = np.conj(np.swapaxes(ric3, -1, -2))
-    s2 = _s2_law(n, t, fj, ric.s2, lap, grad2, kappa)
-    return TransformedCurvature(ric3, ric4, s2, float(t))
+    out = []
+    for t, ric in zip(ts, rics):
+        t2 = t * t
+        ric3 = (ric.ric3
+                - (1 + (n - 2) * t) * fj.ddf
+                - t * lap[..., None, None] * h
+                - n * t2 * grad2[..., None, None] * h
+                + t2 * df_outer
+                - n * t2 * c
+                - t2 * ch
+                + t2 * kappa[..., None, None] * h
+                - t2 * tau_outer)
+        ric4 = np.conj(np.swapaxes(ric3, -1, -2))
+        s2 = _s2_law(n, t, fj, ric.s2, lap, grad2, kappa)
+        out.append(TransformedCurvature(ric3, ric4, s2, float(t)))
+    return out
 
 
-def conformal_oracle_check(man: ModelManifold, f: "ex.Expr | str", t: float,
-                           points: np.ndarray) -> dict:
+def _oracle_defects(jet: MetricJet, fj: FactorJet, ts) -> list[dict]:
+    """Max absolute defects of the formula path against the direct path, per t."""
+    direct = ricci_forms(conformal_jet(jet, fj), ts)
+    rows = []
+    for formula, ric_f in zip(transformed_ric34(jet, fj, ts), direct):
+        row = {key: float(np.max(np.abs(getattr(formula, key) - getattr(ric_f, key))))
+               for key in ("s2", "ric3", "ric4")}
+        rows.append(dict(row, max=max(row.values())))
+    return rows
+
+
+def conformal_oracle_check(man: ModelManifold, factors, ts, points) -> list[dict]:
     """Formula path vs direct recomputation at the given points.
 
-    Returns max absolute defects for s2, ric3 and ric4.  The direct path
-    builds the jet of e^f h and reruns the Ricci pass on it.
+    Returns one row of max absolute defects (s2, ric3, ric4 and their max)
+    per (factor, t), the factors outermost.  The base jet is evaluated once;
+    the direct path builds the jet of e^f h for each factor and reruns the
+    Ricci pass on it for every t at once.
     """
-    if isinstance(f, str):
-        from .dsl import parse_expr
-        f = parse_expr(f, man.n)
     z = np.asarray(points, dtype=complex)
     jet = man.jet(z)
-    fj = factor_jet_from_expr(f, z, man.n, man.params)
-
-    formula = transformed_ric34(jet, fj, t)
-
-    ric_f = ricci_forms(conformal_jet(jet, fj), t)
-
-    d_s2 = float(np.max(np.abs(formula.s2 - ric_f.s2)))
-    d_r3 = float(np.max(np.abs(formula.ric3 - ric_f.ric3)))
-    d_r4 = float(np.max(np.abs(formula.ric4 - ric_f.ric4)))
-    return {"s2": d_s2, "ric3": d_r3, "ric4": d_r4,
-            "max": max(d_s2, d_r3, d_r4)}
+    rows = []
+    for f in factors:
+        fj = factor_jet_from_expr(parse_expr(f, man.n), z, man.n, man.params)
+        rows += _oracle_defects(jet, fj, ts)
+    return rows

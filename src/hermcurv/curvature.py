@@ -34,8 +34,8 @@ Two paths produce the curvature traces.  The pointwise pipeline builds no
 4-tensor: `torsion_traces` gives tau, del del* omega, the torsion norms and
 S_C1 in one pass over the jet (the grid metric, `scalar_via_identity`,
 `torsion_diagnostics` and the class residuals read its bundle), and
-`ricci_forms` gives the four Ricci forms and s1/s2 at any t.  The
-full-tensor path (`chern_curvature`, `gauduchon_curvature`,
+`ricci_forms` gives the four Ricci forms and s1/s2 at every t of a list in
+one pass.  The full-tensor path (`chern_curvature`, `gauduchon_curvature`,
 `ricci_and_scalars`) builds R_{i jbar k lbar} and is the oracle for both.
 """
 
@@ -67,10 +67,6 @@ class CurvatureTensor:
     R: np.ndarray
     t: float
     origin: str  # "chern" or "gauduchon(t)"
-
-    @property
-    def n(self) -> int:
-        return self.R.shape[-1]
 
 
 @dataclass
@@ -310,8 +306,8 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _sum(a[:, None, k, p] * b[None, :, k, p] for k in range(n) for p in range(n))
 
 
-def ricci_forms(jet: MetricJet, t: float) -> RicciForms:
-    """The four Ricci forms and (s1, s2) of the Gauduchon connection at t.
+def ricci_forms(jet: MetricJet, ts) -> list[RicciForms]:
+    """The four Ricci forms and (s1, s2) of the Gauduchon connection at each t in ts.
 
     One batch-last pass that never forms R.  Theta = -ddh + Q with
     Q[i,j,k,l] = sum_p E[i,k,p] conj(dh[j,l,p]), E = dh raised in its last
@@ -319,7 +315,8 @@ def ricci_forms(jet: MetricJet, t: float) -> RicciForms:
     The t part of R(t) permutes the C_m; the t^2 part is A - B with
     A[i,j,k,l] = sum_p T[i,k,p] conj(L[j,l,p]) and B[i,j,k,l] =
     sum_{p,q} h^{p qbar} L[i,p,l] conj(L[j,q,k]), where L = dh - dh^T is the
-    lowered torsion and T = E - E^T.  The full-tensor path is its oracle.
+    lowered torsion and T = E - E^T.  The C_m and the traces of A and B are
+    built once and serve every t.  The full-tensor path is its oracle.
     """
     n = jet.n
     r = range(n)
@@ -332,10 +329,11 @@ def ricci_forms(jet: MetricJet, t: float) -> RicciForms:
     gt = _up(dh, g, 0).swapaxes(0, 1)  # gt[j, k, p] = h^{l kbar} dh[l, j, p]
     quad = (_pair(e, f), _pair(et, gt), _pair(e, gt), _pair(et, f))
     rest = tuple(range(4, ddh.ndim))
-    c1, c2, c3, c4 = ric = [
+    c1, c2, c3, c4 = chern = [
         q - _sum(g[k, l] * x[:, :, k, l] for k in r for l in r)
         for q, x in zip(quad, (ddh.transpose(axes + rest) for axes in _TRACE_AXES))]
-    if t != 0:
+    del ddh, quad
+    if any(t != 0 for t in ts):
         low = dh - dh.swapaxes(0, 1)
         tor, low_m = e - et, f - gt  # T, and L raised in its middle index
         a = _pair(tor, low_m)        # Ric1(A) = Ric2(A) = -Ric3(A) = -Ric4(A)
@@ -347,15 +345,20 @@ def ricci_forms(jet: MetricJet, t: float) -> RicciForms:
         v = _sum(g[p] * tau[p] for p in r)
         b3 = _sum(low[:, p] * u[p] for p in r)
         b4 = _sum(np.conj(low[:, q]).swapaxes(0, 1) * v[q] for q in r)
-        t2 = t * t
-        ric = [c1 + t * (c3 + c4 - 2 * c1) + t2 * (a - b1),
-               c2 + t * (c3 + c4 - 2 * c2) + t2 * (a - b2),
-               c3 + t * (c1 + c2 - 2 * c3) - t2 * (a - b3),
-               c4 + t * (c1 + c2 - 2 * c4) - t2 * (a - b4)]
-    s1 = _sum(g[i, j] * ric[0][i, j] for i in r for j in r)
-    s2 = _sum(g[i, j] * ric[2][i, j] for i in r for j in r)
-    ric = [np.moveaxis(m, (0, 1), (-2, -1)) for m in ric]
-    return RicciForms(*ric, *_real_scalars(s1, s2), float(t))
+    out = []
+    for t in ts:
+        ric = chern
+        if t != 0:
+            t2 = t * t
+            ric = [c1 + t * (c3 + c4 - 2 * c1) + t2 * (a - b1),
+                   c2 + t * (c3 + c4 - 2 * c2) + t2 * (a - b2),
+                   c3 + t * (c1 + c2 - 2 * c3) - t2 * (a - b3),
+                   c4 + t * (c1 + c2 - 2 * c4) - t2 * (a - b4)]
+        s1 = _sum(g[i, j] * ric[0][i, j] for i in r for j in r)
+        s2 = _sum(g[i, j] * ric[2][i, j] for i in r for j in r)
+        ric = [np.moveaxis(m, (0, 1), (-2, -1)) for m in ric]
+        out.append(RicciForms(*ric, *_real_scalars(s1, s2), float(t)))
+    return out
 
 
 def torsion_diagnostics(jet: MetricJet) -> TorsionDiagnostics:
@@ -404,7 +407,7 @@ def einstein_residual(jet: MetricJet) -> EinsteinReport:
     whose two sides are computed along independent code paths.
     """
     ginv = jet.ginv
-    ric = ricci_forms(jet, 0.0)
+    ric, = ricci_forms(jet, [0.0])
     n = jet.n
     f_hat = 2.0 * ric.s2 / n
     sum34 = ric.ric3 + ric.ric4

@@ -81,10 +81,6 @@ class FactorJet:
     df: np.ndarray
     ddf: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.df.shape[-1]
-
 
 def check_jet_invariants(jet: MetricJet) -> None:
     """Assert Hermitian symmetry of h and the two conjugation identities."""
@@ -121,7 +117,7 @@ def inverse_and_det(jet: MetricJet):
     if np.any(bad):
         raise JetError("metric is not positive definite: Cholesky pivot below "
                        f"{PD_PIVOT_RTOL} * max diagonal")
-    cond_est = (pivots.max(axis=-1) / pivots.min(axis=-1)) ** 1.0
+    cond_est = pivots.max(axis=-1) / pivots.min(axis=-1)
     if np.any(cond_est > COND_LIMIT):
         raise JetError(f"metric numerically singular: condition estimate "
                        f"{float(np.max(cond_est)):.3e} beyond {COND_LIMIT:.1e}")

@@ -106,7 +106,6 @@ class ModelManifold:
     name: str
     n: int
     params: dict = field(default_factory=dict)
-    source: str = "builtin-closed-form"
     domain: Domain = None
     declared_gauduchon: bool = False
     declared_balanced: bool = False
@@ -492,8 +491,7 @@ def builtin(name: str, n: int | None = None, **params) -> ModelManifold:
     if name == "flat-torus":
         n = n or 2
         return ModelManifold(
-            name="flat-torus", n=n, source="builtin-closed-form",
-            closed_jet=_flat_jets,
+            name="flat-torus", n=n, closed_jet=_flat_jets,
             metric_expr=parse_metric(
                 "\n".join(f"h[{k + 1}][{k + 1}] = 1" for k in range(n)), n),
             declared_gauduchon=True, declared_balanced=True,
@@ -501,22 +499,21 @@ def builtin(name: str, n: int | None = None, **params) -> ModelManifold:
     if name == "hopf":
         n = n or 2
         return ModelManifold(
-            name="hopf", n=n, source="builtin-closed-form",
+            name="hopf", n=n,
             closed_jet=_hopf_jets, metric_expr=parse_metric(_hopf_source(n), n),
             domain=_punctured_domain(),
             declared_gauduchon=True, declared_balanced=False)
     if name == "elliptic":
         _require_n(name, n, 2)
         return ModelManifold(
-            name="elliptic", n=2, source="builtin-closed-form",
-            closed_jet=_elliptic_jets,
+            name="elliptic", n=2, closed_jet=_elliptic_jets,
             metric_expr=parse_metric(_ELLIPTIC_SRC, 2),
             domain=_halfplane_domain(punctured_axes=(1,)),
             declared_gauduchon=True, declared_balanced=False)
     if name == "tricerri":
         _require_n(name, n, 2)
         return ModelManifold(
-            name="tricerri", n=2, source="builtin-closed-form",
+            name="tricerri", n=2,
             closed_jet=_tricerri_jets, metric_expr=parse_metric(_TRICERRI_SRC, 2),
             domain=_halfplane_domain(),
             declared_gauduchon=True, declared_balanced=False)
@@ -525,7 +522,7 @@ def builtin(name: str, n: int | None = None, **params) -> ModelManifold:
         m = float(params.pop("m", 0.0))
         _no_extra(params)
         return ModelManifold(
-            name="vaisman", n=2, params={"m": m}, source="builtin-closed-form",
+            name="vaisman", n=2, params={"m": m},
             closed_jet=_vaisman_jets, metric_expr=parse_metric(_VAISMAN_SRC, 2),
             domain=_halfplane_domain(),
             declared_gauduchon=True, declared_balanced=False)
@@ -534,9 +531,7 @@ def builtin(name: str, n: int | None = None, **params) -> ModelManifold:
         eps = float(params.pop("eps", 1e-3))
         _no_extra(params)
         return ModelManifold(
-            name="kaehler-bump", n=2, params={"eps": eps},
-            source="builtin-closed-form",
-            closed_jet=_kaehler_bump_jets,
+            name="kaehler-bump", n=2, params={"eps": eps}, closed_jet=_kaehler_bump_jets,
             metric_expr=parse_metric(_trig_metric_source("kb", 2, eps), 2),
             declared_gauduchon=True, declared_balanced=True,
             periods=(1.0,) * 4)
@@ -546,7 +541,6 @@ def builtin(name: str, n: int | None = None, **params) -> ModelManifold:
         _no_extra(params)
         return ModelManifold(
             name="pluriclosed-bump", n=2, params={"eps": eps},
-            source="builtin-closed-form",
             closed_jet=_pluriclosed_bump_jets,
             metric_expr=parse_metric(_trig_metric_source("pb", 2, eps), 2),
             declared_gauduchon=True, declared_balanced=False,
@@ -587,8 +581,7 @@ def manifold_from_manifest(doc: dict) -> ModelManifold:
         raise ParseError(f"unknown domain kind {kind!r}")
     periods = dom.get("periods")
     return ModelManifold(
-        name=str(doc["name"]), n=n, params=params, source="parsed-expression",
-        metric_expr=mx, domain=domain,
+        name=str(doc["name"]), n=n, params=params, metric_expr=mx, domain=domain,
         declared_gauduchon=bool(doc.get("declared_gauduchon", False)),
         declared_balanced=bool(doc.get("declared_balanced", False)),
         periods=tuple(periods) if periods else None)
@@ -642,6 +635,6 @@ def conformal_manifold(man: ModelManifold, f: "ex.Expr | str") -> ModelManifold:
     mx = MetricExpr(n=n, entries=entries, params=man.metric_expr.params)
     return ModelManifold(
         name=f"{man.name}*e^f", n=n, params=dict(man.params),
-        source="parsed-expression", metric_expr=mx, domain=man.domain,
+        metric_expr=mx, domain=man.domain,
         declared_gauduchon=False, declared_balanced=False,
         periods=man.periods)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .curvature import (class_residual_fields, report_matrix, ricci_forms,
                         torsion_traces)
+from .jets import MetricJet
 from .manifolds import ModelManifold
 
 SCHEMA_VERSION = "hermcurv-report-1"
@@ -31,21 +32,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def curvature_records(man: ModelManifold, points: np.ndarray, ts) -> dict:
+def curvature_records(man: ModelManifold, z: np.ndarray, jet: MetricJet, ts) -> dict:
     """One row per (t, point): scalars, Ricci matrices, torsion data.
 
-    Rows run over the points for each t in turn.  Ricci coefficient matrices
-    are reported in the golden-table convention (see
-    curvature.report_matrix).  Class residuals are pointwise values of the
-    same quantities `classify` maximizes over samples.
+    `z` holds the points as rows (as `sample_points` returns them) and `jet`
+    is `man`'s jet there.  Rows run over the points for each t in turn.
+    Ricci coefficient matrices are reported in the golden-table convention
+    (see curvature.report_matrix).  Class residuals are pointwise values of
+    the same quantities `classify` maximizes over samples.
     """
-    z = np.asarray(points, dtype=complex)
-    if z.ndim == 1:
-        z = z[None, :]
-    jet = man.jet(z)
     traces = torsion_traces(jet)
     residuals = class_residual_fields(jet, traces=traces)
-    rics = [ricci_forms(jet, t) for t in ts]
+    rics = ricci_forms(jet, ts)
     n, count = man.n, len(ts)
     rows = count * z.shape[0]
     table = {"schema": [SCHEMA_VERSION] * rows, "manifold": [man.name] * rows,

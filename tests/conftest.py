@@ -1,8 +1,12 @@
-"""Shared fixtures: one session-wide cache of grid metrics.
+"""Shared fixtures: one session-wide cache of grid metrics, and call counters.
 
 Grid metrics returned by `make_gm` are shared by every test that asks for the
 same key, so a test that mutates one must build a private `GridMetric`.
 """
+
+import sys
+
+import pytest
 
 from hermcurv.grid import GridMetric, TorusGrid
 from hermcurv.manifolds import builtin
@@ -17,3 +21,33 @@ def make_gm(name="flat-torus", N=8, scheme="fd2", **params):
         _GM_CACHE[key] = GridMetric.from_manifold(
             man, TorusGrid(n=man.n, N=N, scheme=scheme))
     return _GM_CACHE[key]
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """`count_calls(owner, *names)` counts the calls of `owner.<name>` for each name.
+
+    A method is wrapped in its class.  A module function is wrapped in every
+    hermcurv module that bound it by name, so a call is counted whichever
+    module makes it.  Returns one list that gets the name of each call.
+    """
+    def install(owner, *names):
+        calls = []
+        for name in names:
+            real = vars(owner)[name]
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            if isinstance(owner, type):
+                monkeypatch.setattr(owner, name, counted)
+                continue
+            for key, mod in list(sys.modules.items()):
+                if key == "hermcurv" or key.startswith("hermcurv."):
+                    for attr, val in list(vars(mod).items()):
+                        if val is real:
+                            monkeypatch.setattr(mod, attr, counted)
+        return calls
+
+    return install

@@ -53,22 +53,10 @@ def test_inspect_csv_deterministic(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_pointwise_commands_never_build_the_curvature_tensor(capsys, monkeypatch):
+def test_pointwise_commands_never_build_the_curvature_tensor(capsys, count_calls):
     # inspect and check conformal read the batch-last Ricci pass only
-    import sys
     import hermcurv.curvature as curvature
-    calls = []
-    for name in ("gauduchon_curvature", "chern_curvature"):
-        real = getattr(curvature, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        for mod in [m for key, m in sys.modules.items() if key.startswith("hermcurv")]:
-            for attr, val in list(vars(mod).items()):
-                if val is real:
-                    monkeypatch.setattr(mod, attr, counted)
+    calls = count_calls(curvature, "gauduchon_curvature", "chern_curvature")
     code, out, _ = run(capsys, "inspect", "hopf", "--n", "3", "--t", "0,1",
                        "--golden", "--format", "csv")
     assert code == 0 and out.count("GOLDEN PASS") == 2
@@ -76,6 +64,41 @@ def test_pointwise_commands_never_build_the_curvature_tensor(capsys, monkeypatch
                        "--n", "3", "--t", "0,1")
     assert code == 0 and "conformal oracle max defect" in out
     assert calls == []
+
+
+def _count_pipeline(count_calls):
+    import hermcurv.jets as jets
+    import hermcurv.manifolds as manifolds
+    return (count_calls(manifolds.ModelManifold, "jet"),
+            count_calls(manifolds, "factor_jet_from_expr"),
+            count_calls(jets, "conformal_jet"), count_calls(jets, "inverse_and_det"))
+
+
+def test_check_conformal_builds_each_jet_once(capsys, count_calls):
+    # one base jet and one inversion per command; one factor jet, one
+    # conformal jet and one inversion of it per factor, whatever the t list
+    calls = _count_pipeline(count_calls)
+    code, out, _ = run(capsys, "check", "conformal", "--manifold", "hopf",
+                       "--n", "3", "--t", "0,1")
+    assert code == 0 and "conformal oracle max defect" in out
+    assert [len(c) for c in calls] == [1, 3, 3, 4]
+
+
+def test_inspect_golden_reuses_the_jet(capsys, count_calls):
+    jet_calls, _, _, inversions = _count_pipeline(count_calls)
+    code, out, _ = run(capsys, "inspect", "hopf", "--n", "3", "--t", "0,1",
+                       "--golden")
+    assert code == 0 and out.count("GOLDEN PASS") == 2
+    assert (len(jet_calls), len(inversions)) == (1, 1)
+
+
+def test_checks_reject_an_empty_t_list(capsys):
+    for what in ("conformal", "comparison"):
+        for ts in ("", ","):
+            code, out, err = run(capsys, "check", what, "--manifold", "hopf",
+                                 "--t", ts)
+            assert code == 2, (what, ts)
+            assert "--t" in err and "max defect" not in out
 
 
 def test_inspect_rejects_unknown_manifold(capsys):

@@ -33,17 +33,15 @@ def test_oracle_full_sweep():
     for name, params in METRICS:
         man = builtin(name, **params)
         z = man.sample_points(20, seed=101)
-        for f in FACTORS:
-            for t in TS:
-                d = conformal_oracle_check(man, f, t, z)
-                worst = max(worst, d["max"])
+        for d in conformal_oracle_check(man, FACTORS, TS, z):
+            worst = max(worst, d["max"])
     assert worst < 1e-7, worst
 
 
 def test_oracle_zero_factor_is_exact():
     man = builtin("hopf", n=2)
     z = man.sample_points(10, seed=7)
-    d = conformal_oracle_check(man, "0", 1.0, z)
+    d, = conformal_oracle_check(man, ["0"], [1.0], z)
     assert d["max"] < 1e-12
 
 
@@ -53,9 +51,8 @@ def test_constant_factor_scales_s2_and_fixes_ric3():
     jet = man.jet(z)
     c = 0.8
     fj = factor_jet_from_expr(parse_expr(f"{c}", 2), z, 2)
-    for t in TS:
+    for t, out in zip(TS, transformed_ric34(jet, fj, TS)):
         base = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
-        out = transformed_ric34(jet, fj, t)
         np.testing.assert_allclose(out.s2, np.exp(-c) * base.s2, rtol=1e-12)
         np.testing.assert_allclose(out.ric3, base.ric3, rtol=1e-12, atol=1e-14)
 
@@ -78,7 +75,7 @@ def test_chern_specialization_ric3_is_ric3_minus_hessian():
     jet = man.jet(z)
     fj = factor_jet_from_expr(parse_expr("re(z1)/3", 2), z, 2)
     base = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
-    out = transformed_ric34(jet, fj, 0.0)
+    out, = transformed_ric34(jet, fj, [0.0])
     np.testing.assert_allclose(out.ric3, base.ric3 - fj.ddf, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(out.ric4, base.ric4 - fj.ddf, rtol=1e-12, atol=1e-14)
 
@@ -90,7 +87,7 @@ def test_pairing_term_vanishes_on_balanced_base():
     z = man.sample_points(10, seed=4)
     jet = man.jet(z)
     fj = factor_jet_from_expr(parse_expr("re(z2)/4", 2), z, 2)
-    d = conformal_oracle_check(man, "re(z2)/4", 1.0, z)
+    d, = conformal_oracle_check(man, ["re(z2)/4"], [1.0], z)
     assert d["max"] < 1e-9
     from hermcurv.conformal import _factor_terms
     _, _, _, kappa = _factor_terms(jet, fj)
@@ -102,7 +99,7 @@ def test_ric3_ric4_conjugate_transpose_relation():
     z = man.sample_points(12, seed=9)
     jet = man.jet(z)
     fj = factor_jet_from_expr(parse_expr(FACTORS[3], 2), z, 2)
-    out = transformed_ric34(jet, fj, 0.7)
+    out, = transformed_ric34(jet, fj, [0.7])
     np.testing.assert_allclose(out.ric4,
                                np.conj(np.swapaxes(out.ric3, -1, -2)),
                                rtol=0, atol=0)

@@ -27,16 +27,9 @@ def sample_jet(name, params, count=50, seed=2):
     return man, man.jet(z)
 
 
-def test_jet_inverts_once(monkeypatch):
+def test_jet_inverts_once(count_calls):
     import hermcurv.jets as jets_mod
-    calls = []
-    real = jets_mod.inverse_and_det
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(jets_mod, "inverse_and_det", counted)
+    calls = count_calls(jets_mod, "inverse_and_det")
     _, jet = sample_jet("pluriclosed-bump", {}, count=10)
     ginv, det = jet.ginv, jet.det
     torsion_traces(jet)
@@ -404,18 +397,21 @@ def test_two_path_scalars(t):
 
 
 def test_ricci_forms_match_full_tensor_oracle():
-    # the batch-last Ricci pass never builds R; the full tensor is its oracle
+    # the batch-last Ricci pass never builds R; the full tensor is its oracle.
+    # One pass over several t gives, bit for bit, the pass at each t alone.
+    ts = (-1.0, 0.0, 0.5, 1.0)
     for name, params in BUILTINS + [("hopf", {"n": 3})]:
         _, jet = sample_jet(name, params, count=50, seed=23)
-        for t in (-1.0, 0.0, 0.5, 1.0):
+        for t, got in zip(ts, ricci_forms(jet, ts), strict=True):
             want = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
-            got = ricci_forms(jet, t)
-            assert got.t == t
+            alone, = ricci_forms(jet, [t])
+            assert got.t == t and alone.t == t
             for key in ("ric1", "ric2", "ric3", "ric4", "s1", "s2"):
                 a, b = getattr(want, key), getattr(got, key)
                 assert a.shape == b.shape, (name, key)
                 dev = np.abs(a - b) / np.maximum(1.0, np.abs(a))
                 assert np.max(dev) <= 1e-12, (name, params, t, key)
+                assert np.array_equal(b, getattr(alone, key)), (name, params, t, key)
 
 
 @pytest.mark.parametrize("t", [-1.0, 0.0, 0.3, 0.5, 1.0, 2.0])
@@ -567,7 +563,7 @@ def test_einstein_trace_identity():
         z = man.sample_points(10, seed=12)
         jet = man.jet(z)
         rep = einstein_residual(jet)
-        ric = ricci_forms(jet, 0.0)  # the pass einstein_residual reads
+        ric, = ricci_forms(jet, [0.0])  # the pass einstein_residual reads
         np.testing.assert_allclose(man.n * rep.f_hat, 2 * ric.s2, rtol=1e-15)
 
 
@@ -581,8 +577,7 @@ h[1][1] = 1/(1 + abs2(z1) + abs2(z2)) - zb1*z1/pow(1 + abs2(z1) + abs2(z2), 2)
 h[1][2] = -zb1*z2/pow(1 + abs2(z1) + abs2(z2), 2)
 h[2][2] = 1/(1 + abs2(z1) + abs2(z2)) - zb2*z2/pow(1 + abs2(z1) + abs2(z2), 2)
 """
-    man = ModelManifold(name="fubini-study", n=2, source="parsed-expression",
-                        metric_expr=parse_metric(src, 2))
+    man = ModelManifold(name="fubini-study", n=2, metric_expr=parse_metric(src, 2))
     z = man.sample_points(15, seed=2)
     jet = man.jet(z)
     rep = einstein_residual(jet)

@@ -311,16 +311,9 @@ def test_scalar_fields_match_full_tensor_oracle(name, scheme):
         assert np.max(dev) <= 1e-12, (name, scheme, key)
 
 
-def test_grid_metric_runs_the_fused_pass_once(monkeypatch):
-    import hermcurv.grid as grid_mod
-    calls = []
-    real = grid_mod.torsion_traces
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(grid_mod, "torsion_traces", counted)
+def test_grid_metric_runs_the_fused_pass_once(count_calls):
+    import hermcurv.curvature as curvature
+    calls = count_calls(curvature, "torsion_traces")
     man = builtin("pluriclosed-bump")
     gm = GridMetric.from_manifold(man, TorusGrid(n=man.n, N=8))
     gm.scalar_fields()
@@ -331,15 +324,8 @@ def test_grid_metric_runs_the_fused_pass_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_grid_metric_builds_the_nodes_once(monkeypatch):
+def test_grid_metric_builds_the_nodes_once(count_calls):
     # the periodicity check samples the nodes the jet was evaluated on
-    calls = []
-    real = TorusGrid.points
-
-    def counted(self):
-        calls.append(1)
-        return real(self)
-
-    monkeypatch.setattr(TorusGrid, "points", counted)
+    calls = count_calls(TorusGrid, "points")
     GridMetric.from_manifold(builtin("pluriclosed-bump"), TorusGrid(n=2, N=8))
     assert len(calls) == 1

@@ -55,7 +55,7 @@ def _assert_writers_agree(table, records):
 def test_inspect_table_writes_like_the_record_writer():
     man = builtin("hopf", n=3)
     z = man.sample_points(200, seed=1)
-    table = curvature_records(man, z, [0.0, 1.0])
+    table = curvature_records(man, z, man.jet(z), [0.0, 1.0])
     assert {len(col) for col in table.values()} == {400}
     records = _as_records(table)
     assert isinstance(records[0]["s1"], np.float64)
@@ -70,8 +70,7 @@ def test_conformal_rows_write_like_the_record_writer(capsys, tmp_path):
     man = builtin("hopf")
     z = man.sample_points(10, seed=0)
     records = []
-    for t in (0.0, 1.0):
-        d = conformal_oracle_check(man, factor, t, z)
+    for t, d in zip((0.0, 1.0), conformal_oracle_check(man, [factor], [0.0, 1.0], z)):
         records.append({"schema": SCHEMA_VERSION, "manifold": "hopf",
                         "factor": factor, "t": t, "defect_s2": d["s2"],
                         "defect_ric3": d["ric3"], "defect_ric4": d["ric4"]})

@@ -193,18 +193,11 @@ def test_bismut_flat_torus():
     assert rep.extras["constraint_defect"] < 1e-10
 
 
-def test_bismut_flat_torus_evaluates_the_objective_once(monkeypatch):
+def test_bismut_flat_torus_evaluates_the_objective_once(count_calls):
     # a constant phi is already the minimizer: one energy evaluation serves
     # the start, mu, its upper bound and the polish
     import hermcurv.solvers as solvers_mod
-    calls = []
-    real = solvers_mod._grad_energy_norm
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(solvers_mod, "_grad_energy_norm", counted)
+    calls = count_calls(solvers_mod, "_grad_energy_norm")
     bismut_yamabe_minimize(make_gm("flat-torus", 12))
     assert len(calls) == 1
 
