@@ -18,7 +18,6 @@ from . import __version__
 from .conformal import conformal_oracle_check
 from .curvature import ricci_forms, scalar_comparison_defect
 from .dsl import ParseError, load_manifest
-from .goldens import GOLDEN_TOL, golden_scalars
 from .grid import (GridError, GridMetric, TorusGrid, laplacian_duality_defect,
                    gauduchon_degrees)
 from .jets import JetError
@@ -33,6 +32,8 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_GOLDEN_MISMATCH = 4
+
+GOLDEN_TOL = 1e-8  # max deviation from a builtin's stored (s1, s2)
 
 DEFAULT_FACTORS = [
     "re(z1)/4",
@@ -70,14 +71,9 @@ def _ts_list(arg: str):
     ts = [float(x) for x in arg.split(",") if x != ""]
     if not ts:
         raise ValueError(f"--t needs at least one value, got {arg!r}")
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"--t values must be finite, got {arg!r}")
     return ts
-
-
-def _periods(args):
-    if not getattr(args, "periods", None):
-        return None
-    vals = [float(x) for x in args.periods.split(",") if x != ""]
-    return tuple(vals)
 
 
 def cmd_catalog(args) -> int:
@@ -104,7 +100,7 @@ def cmd_inspect(args) -> int:
     _write_report(table, args)
     if not args.golden:
         return EXIT_OK
-    golden = golden_scalars(man.name, man.n, man.params)
+    golden = man.golden
     if golden is None:
         print(f"GOLDEN SKIP {man.name}: no stored values")
         return EXIT_OK
@@ -128,7 +124,7 @@ def cmd_check(args) -> int:
         z = man.sample_points(args.points, seed=args.seed)
         factors, ts = args.factor or DEFAULT_FACTORS, _ts_list(args.t)
         defects = conformal_oracle_check(man, factors, ts, z)
-        worst = max(d["max"] for d in defects)
+        worst = float(np.max([d["max"] for d in defects]))  # NaN propagates
         rows = len(defects)
         table = {"schema": [SCHEMA_VERSION] * rows, "manifold": [man.name] * rows,
                  "factor": [f for f in factors for _ in ts], "t": ts * len(factors)}
@@ -140,15 +136,12 @@ def cmd_check(args) -> int:
     if args.what == "comparison":
         z = man.sample_points(args.points, seed=args.seed)
         jet = man.jet(z)
-        worst = 0.0
-        for t in _ts_list(args.t):
-            defect = scalar_comparison_defect(jet, t)
-            worst = max(worst, float(np.max(np.abs(defect))))
+        worst = float(np.max([np.max(np.abs(scalar_comparison_defect(jet, t)))
+                              for t in _ts_list(args.t)]))  # NaN propagates
         print(f"comparison identity max defect {worst:.3e} (tol {tol:g})")
         return EXIT_OK if worst < tol else EXIT_NO_CONVERGENCE
     # duality
-    grid = TorusGrid(n=man.n, N=args.grid, scheme=args.scheme,
-                     periods=_periods(args))
+    grid = TorusGrid(n=man.n, N=args.grid, scheme=args.scheme, periods=man.periods)
     gm = GridMetric.from_manifold(man, grid)
     x = grid.points()
     u = np.zeros(grid.shape)
@@ -163,8 +156,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     man = _resolve_manifold(args.manifold, args.n, _parse_params(args.param))
-    grid = TorusGrid(n=man.n, N=args.grid, scheme=args.scheme,
-                     periods=_periods(args))
+    grid = TorusGrid(n=man.n, N=args.grid, scheme=args.scheme, periods=man.periods)
     gm = GridMetric.from_manifold(man, grid)
     digest = {"manifold": man.name, "n": man.n,
               "params": ";".join(f"{k}={v:g}" for k, v in sorted(man.params.items())),
@@ -226,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def grid_options(p):
         p.add_argument("--grid", type=int, default=16)
-        p.add_argument("--periods", default=None,
-                       help="comma-separated real periods (default all 1)")
         p.add_argument("--scheme", choices=("fd2", "spectral"), default="fd2")
 
     p_ins = sub.add_parser("inspect", help="pointwise curvature report")

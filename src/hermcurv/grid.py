@@ -30,7 +30,7 @@ from .jets import FactorJet, MetricJet, conformal_jet
 from .manifolds import ModelManifold
 
 __all__ = ["TorusGrid", "TorusField", "GridMetric", "GridError",
-           "dz", "dzbar", "complex_laplacian", "laplacian_duality_defect",
+           "dz", "complex_laplacian", "laplacian_duality_defect",
            "integrate", "gauduchon_degrees", "balanced_representative"]
 
 MEMORY_BUDGET_BYTES = 2 << 30
@@ -92,21 +92,16 @@ class TorusGrid:
     # -- single-axis derivatives --------------------------------------------
 
     def d_axis(self, u: np.ndarray, a: int) -> np.ndarray:
-        h = self.spacing[a]
         if self.scheme == "fd2":
+            h = self.spacing[a]
             return (np.roll(u, -1, axis=a) - np.roll(u, 1, axis=a)) / (2 * h)
-        k = np.fft.fftfreq(self.N, d=h)
-        k[self.N // 2] = 0.0  # odd-derivative Nyquist convention
-        mult = 2j * np.pi * k
-        return _apply_symbol(u, mult, a)
+        return _apply_symbol(u, self.d_symbol(a), a)
 
     def d2_axis(self, u: np.ndarray, a: int) -> np.ndarray:
-        h = self.spacing[a]
         if self.scheme == "fd2":
+            h = self.spacing[a]
             return (np.roll(u, -1, axis=a) - 2 * u + np.roll(u, 1, axis=a)) / h ** 2
-        k = np.fft.fftfreq(self.N, d=h)
-        mult = -(2 * np.pi * k) ** 2
-        return _apply_symbol(u, mult, a)
+        return _apply_symbol(u, self.d2_symbol(a), a)
 
     def d_symbol(self, a: int) -> np.ndarray:
         """Fourier symbol of d_axis (used by solver preconditioners)."""
@@ -114,8 +109,7 @@ class TorusGrid:
         k = np.fft.fftfreq(self.N, d=h)
         if self.scheme == "fd2":
             return 1j * np.sin(2 * np.pi * k * h) / h
-        k = k.copy()
-        k[self.N // 2] = 0.0
+        k[self.N // 2] = 0.0  # odd-derivative Nyquist convention
         return 2j * np.pi * k
 
     def d2_symbol(self, a: int) -> np.ndarray:
@@ -158,12 +152,8 @@ def dz(v: np.ndarray, k: int, grid: TorusGrid) -> np.ndarray:
     return 0.5 * (grid.d_axis(v, 2 * k) - 1j * grid.d_axis(v, 2 * k + 1))
 
 
-def dzbar(v: np.ndarray, k: int, grid: TorusGrid) -> np.ndarray:
-    return 0.5 * (grid.d_axis(v, 2 * k) + 1j * grid.d_axis(v, 2 * k + 1))
-
-
 def dz_dzbar(v: np.ndarray, i: int, j: int, grid: TorusGrid) -> np.ndarray:
-    """Discrete d^2/dz^i dzbar^j sharing stencils with dz/dzbar.
+    """Discrete d^2/dz^i dzbar^j sharing stencils with dz.
 
     For i = j the pure second-difference stencil is used on each real axis,
     which is what makes the flat-metric duality identity exact.

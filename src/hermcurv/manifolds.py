@@ -13,7 +13,8 @@ expression evaluated on the covering chart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -112,6 +113,7 @@ class ModelManifold:
     periods: tuple | None = None  # (2n real periods) when chart-periodic
     metric_expr: MetricExpr | None = None
     closed_jet: Callable | None = None  # z(..., n) -> (h, dh, ddh)
+    golden: dict | None = None  # stored Chern {"s1", "s2"} of a builtin, at t = 0
     _expr_jets: tuple | None = None
 
     def __post_init__(self):
@@ -388,9 +390,13 @@ _KB_TERMS = [
 ]
 
 
+def _bump(terms, eps):
+    return _TrigSum([(eps * A, a, b, ph) for A, a, b, ph in terms])
+
+
 def _kaehler_bump_jets(z, eps):
     n = z.shape[-1]
-    phi = _TrigSum([(eps * A, a, b, ph) for A, a, b, ph in _KB_TERMS])
+    phi = _bump(_KB_TERMS, eps)
     shape = z.shape[:-1]
     h = np.zeros(shape + (n, n), complex)
     dh = np.zeros(shape + (n, n, n), complex)
@@ -416,7 +422,7 @@ _PB_TERMS = [
 
 def _pluriclosed_bump_jets(z, eps):
     n = z.shape[-1]
-    g = _TrigSum([(eps * A, a, b, ph) for A, a, b, ph in _PB_TERMS])
+    g = _bump(_PB_TERMS, eps)
     shape = z.shape[:-1]
     h = np.zeros(shape + (n, n), complex)
     dh = np.zeros(shape + (n, n, n), complex)
@@ -441,23 +447,22 @@ def _pluriclosed_bump_jets(z, eps):
     return h, dh, ddh
 
 
-def _trig_metric_source(kind, n, eps):
-    if kind == "kb":
-        phi = _TrigSum([(eps * A, a, b, ph) for A, a, b, ph in _KB_TERMS])
-        # h entries are second derivatives of the potential; the DSL carries
-        # the potential composed with re/im/exp, differentiated symbolically.
-        lines = []
-        src = phi.source(n)
-        tree = parse_expr(src, n)
-        for k in range(n):
-            dk = ex.wirtinger_derivative(tree, k, bar=False)
-            for l in range(k, n):
-                dd = ex.wirtinger_derivative(dk, l, bar=True)
-                entry = ex.simplify(ex.Add(ex.Num(1.0 if k == l else 0.0), dd))
-                lines.append(f"h[{k + 1}][{l + 1}] = {ex.to_source(entry)}")
-        return "\n".join(lines)
-    g = _TrigSum([(eps * A, a, b, ph) for A, a, b, ph in _PB_TERMS])
-    tree = parse_expr(g.source(n), n)
+def _kaehler_bump_source(n, eps):
+    # h entries are second derivatives of the potential; the DSL carries the
+    # potential composed with re/im/exp, differentiated symbolically.
+    tree = parse_expr(_bump(_KB_TERMS, eps).source(n), n)
+    lines = []
+    for k in range(n):
+        dk = ex.wirtinger_derivative(tree, k, bar=False)
+        for l in range(k, n):
+            dd = ex.wirtinger_derivative(dk, l, bar=True)
+            entry = ex.simplify(ex.Add(ex.Num(1.0 if k == l else 0.0), dd))
+            lines.append(f"h[{k + 1}][{l + 1}] = {ex.to_source(entry)}")
+    return "\n".join(lines)
+
+
+def _pluriclosed_bump_source(n, eps):
+    tree = parse_expr(_bump(_PB_TERMS, eps).source(n), n)
     lines = []
     for i in range(n):
         for j in range(i, n):
@@ -473,6 +478,48 @@ def _trig_metric_source(kind, n, eps):
     return "\n".join(lines)
 
 
+class _Builtin(NamedTuple):
+    """One catalog entry; `builtin` is its only reader."""
+
+    jets: Callable                   # closed form: (z, **params) -> (h, dh, ddh)
+    source: Callable                 # DSL metric source: (n, **params) -> str
+    defaults: dict = {}              # the only parameters accepted
+    any_n: bool = False              # otherwise the chart has n = 2
+    domain: Callable = _full_domain
+    balanced: bool = False
+    periodic: bool = False
+    golden: Callable | None = None   # stored Chern (s1, s2): (n, **params) -> dict
+
+
+# Every builtin is Gauduchon.  The golden (s1, s2) at t = 0 are asserted by
+# `inspect --golden`; each agrees with the exact sympy oracle in the test
+# suite, and DECISIONS.md (D1) records the corrected surface constants.
+_CATALOG = {
+    "flat-torus": _Builtin(
+        _flat_jets, lambda n: "\n".join(f"h[{k + 1}][{k + 1}] = 1" for k in range(n)),
+        any_n=True, balanced=True, periodic=True,
+        golden=lambda n: {"s1": 0.0, "s2": 0.0}),
+    "hopf": _Builtin(
+        _hopf_jets, _hopf_source, any_n=True, domain=_punctured_domain,
+        golden=lambda n: {"s1": n * (n - 1) / 4.0, "s2": (n - 1) / 4.0}),
+    "elliptic": _Builtin(
+        _elliptic_jets, lambda n: _ELLIPTIC_SRC,
+        domain=partial(_halfplane_domain, punctured_axes=(1,)),
+        golden=lambda n: {"s1": -0.5, "s2": -0.75}),
+    "tricerri": _Builtin(
+        _tricerri_jets, lambda n: _TRICERRI_SRC, domain=_halfplane_domain,
+        golden=lambda n: {"s1": -0.25, "s2": -0.5}),
+    "vaisman": _Builtin(
+        _vaisman_jets, lambda n, m: _VAISMAN_SRC, {"m": 0.0}, domain=_halfplane_domain,
+        golden=lambda n, m: {"s1": -0.5, "s2": -(3.0 + m * m) / 4.0}),
+    "kaehler-bump": _Builtin(
+        _kaehler_bump_jets, _kaehler_bump_source, {"eps": 1e-3},
+        balanced=True, periodic=True),
+    "pluriclosed-bump": _Builtin(
+        _pluriclosed_bump_jets, _pluriclosed_bump_source, {"eps": 0.03},
+        periodic=True),
+}
+
 _BUILTIN_ALIASES = {
     "inoue1": "tricerri",
     "inoue2": "vaisman",
@@ -481,82 +528,35 @@ _BUILTIN_ALIASES = {
 
 
 def builtin_names():
-    return ["flat-torus", "hopf", "elliptic", "tricerri", "vaisman",
-            "kaehler-bump", "pluriclosed-bump"]
+    return list(_CATALOG)
 
 
 def builtin(name: str, n: int | None = None, **params) -> ModelManifold:
-    """Construct a catalog manifold; unknown names raise KeyError."""
+    """Construct a catalog manifold; unknown names raise KeyError.
+
+    A dimension the entry does not allow, or a parameter it does not
+    declare, raises ValueError; declared parameters not given take their
+    defaults.
+    """
     name = _BUILTIN_ALIASES.get(name, name)
-    if name == "flat-torus":
-        n = n or 2
-        return ModelManifold(
-            name="flat-torus", n=n, closed_jet=_flat_jets,
-            metric_expr=parse_metric(
-                "\n".join(f"h[{k + 1}][{k + 1}] = 1" for k in range(n)), n),
-            declared_gauduchon=True, declared_balanced=True,
-            periods=(1.0,) * (2 * n))
-    if name == "hopf":
-        n = n or 2
-        return ModelManifold(
-            name="hopf", n=n,
-            closed_jet=_hopf_jets, metric_expr=parse_metric(_hopf_source(n), n),
-            domain=_punctured_domain(),
-            declared_gauduchon=True, declared_balanced=False)
-    if name == "elliptic":
-        _require_n(name, n, 2)
-        return ModelManifold(
-            name="elliptic", n=2, closed_jet=_elliptic_jets,
-            metric_expr=parse_metric(_ELLIPTIC_SRC, 2),
-            domain=_halfplane_domain(punctured_axes=(1,)),
-            declared_gauduchon=True, declared_balanced=False)
-    if name == "tricerri":
-        _require_n(name, n, 2)
-        return ModelManifold(
-            name="tricerri", n=2,
-            closed_jet=_tricerri_jets, metric_expr=parse_metric(_TRICERRI_SRC, 2),
-            domain=_halfplane_domain(),
-            declared_gauduchon=True, declared_balanced=False)
-    if name == "vaisman":
-        _require_n(name, n, 2)
-        m = float(params.pop("m", 0.0))
-        _no_extra(params)
-        return ModelManifold(
-            name="vaisman", n=2, params={"m": m},
-            closed_jet=_vaisman_jets, metric_expr=parse_metric(_VAISMAN_SRC, 2),
-            domain=_halfplane_domain(),
-            declared_gauduchon=True, declared_balanced=False)
-    if name == "kaehler-bump":
-        _require_n(name, n, 2)
-        eps = float(params.pop("eps", 1e-3))
-        _no_extra(params)
-        return ModelManifold(
-            name="kaehler-bump", n=2, params={"eps": eps}, closed_jet=_kaehler_bump_jets,
-            metric_expr=parse_metric(_trig_metric_source("kb", 2, eps), 2),
-            declared_gauduchon=True, declared_balanced=True,
-            periods=(1.0,) * 4)
-    if name == "pluriclosed-bump":
-        _require_n(name, n, 2)
-        eps = float(params.pop("eps", 0.03))
-        _no_extra(params)
-        return ModelManifold(
-            name="pluriclosed-bump", n=2, params={"eps": eps},
-            closed_jet=_pluriclosed_bump_jets,
-            metric_expr=parse_metric(_trig_metric_source("pb", 2, eps), 2),
-            declared_gauduchon=True, declared_balanced=False,
-            periods=(1.0,) * 4)
-    raise KeyError(f"unknown builtin manifold {name!r}; "
-                   f"known: {', '.join(builtin_names())}")
-
-
-def _require_n(name, n, want):
-    if n is not None and n != want:
-        raise ValueError(f"{name} is only defined for n={want}")
-
-
-def _no_extra(params):
-    if params:
-        raise ValueError(f"unknown parameters: {sorted(params)}")
+    if name not in _CATALOG:
+        raise KeyError(f"unknown builtin manifold {name!r}; "
+                       f"known: {', '.join(builtin_names())}")
+    entry = _CATALOG[name]
+    if not entry.any_n and n is not None and n != 2:
+        raise ValueError(f"{name} is only defined for n=2")
+    n = n or 2
+    extra = set(params) - set(entry.defaults)
+    if extra:
+        raise ValueError(f"unknown parameters: {sorted(extra)}")
+    params = {k: float(params.get(k, v)) for k, v in entry.defaults.items()}
+    return ModelManifold(
+        name=name, n=n, params=params, domain=entry.domain(),
+        declared_gauduchon=True, declared_balanced=entry.balanced,
+        periods=(1.0,) * (2 * n) if entry.periodic else None,
+        metric_expr=parse_metric(entry.source(n, **params), n),
+        closed_jet=entry.jets,
+        golden=entry.golden(n, **params) if entry.golden else None)
 
 
 def manifold_from_manifest(doc: dict) -> ModelManifold:

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from hermcurv import cli
 from hermcurv.cli import main
+from hermcurv.manifolds import builtin_names
 
 
 def run(capsys, *argv):
@@ -34,8 +37,14 @@ def test_inspect_golden_hopf(capsys):
 def test_inspect_golden_tricerri_flags_stored_conflict(capsys, monkeypatch):
     # a stored s2 that conflicts with the engine (the refuted tricerri
     # constant -5/4) is reported by the golden gate via exit code 4
-    monkeypatch.setattr(cli, "golden_scalars",
-                        lambda name, n, params: {"s1": -0.25, "s2": -1.25})
+    real_builtin = cli.builtin
+
+    def conflicting(name, **kwargs):
+        man = real_builtin(name, **kwargs)
+        man.golden = {"s1": -0.25, "s2": -1.25}
+        return man
+
+    monkeypatch.setattr(cli, "builtin", conflicting)
     code, out, _ = run(capsys, "inspect", "tricerri", "--golden")
     assert "GOLDEN PASS tricerri s1" in out
     assert "GOLDEN FAIL tricerri s2" in out
@@ -99,6 +108,42 @@ def test_checks_reject_an_empty_t_list(capsys):
                                  "--t", ts)
             assert code == 2, (what, ts)
             assert "--t" in err and "max defect" not in out
+
+
+def test_checks_reject_a_non_finite_t(capsys):
+    for argv in (["inspect", "hopf", "--t", "0,nan"],
+                 ["check", "comparison", "--manifold", "hopf", "--t", "inf"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "--t" in err and "max defect" not in out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+def test_checks_fail_on_a_nan_defect(capsys):
+    # t = 1e200 is finite, but overflows the curvature to NaN: the verdict
+    # must see the NaN rather than drop it
+    for what, ts in (("comparison", "1e200"), ("conformal", "0,1e200")):
+        code, out, _ = run(capsys, "check", what, "--manifold", "hopf", "--t", ts)
+        assert code == 3, what
+        assert "max defect nan" in out
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_every_builtin_rejects_an_unknown_param(capsys, name):
+    code, out, err = run(capsys, "inspect", name, "--param", "zz=2", "--points", "2")
+    assert code == 2
+    assert "zz" in err and out == ""
+
+
+def test_golden_gate_skips_a_manifest_named_like_a_builtin(capsys, tmp_path):
+    # a flat manifest called "hopf" has no stored constants of its own
+    doc = {"name": "hopf", "n": 2, "metric": "h[1][1] = 1\nh[2][2] = 1"}
+    path = tmp_path / "hopf.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "inspect", str(path), "--points", "3", "--golden")
+    assert code == 0
+    assert "GOLDEN SKIP hopf" in out and "GOLDEN FAIL" not in out
 
 
 def test_inspect_rejects_unknown_manifold(capsys):
@@ -187,3 +232,15 @@ def test_solve_on_manifest(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "solve", "chern-zero", "--manifold", str(path), "--grid", "8")
     assert code == 0
+
+
+def test_solve_uses_the_manifest_periods(capsys, tmp_path):
+    doc = {"name": "wide-flat", "n": 2, "metric": "h[1][1] = 1\nh[2][2] = 1",
+           "domain": {"kind": "full", "periods": [2, 2, 2, 2]},
+           "declared_gauduchon": True, "declared_balanced": True}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "bismut", "--manifold", str(path),
+                         "--grid", "8")
+    assert code == 0, err
+    assert "bismut: lambda=" in out

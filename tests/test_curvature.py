@@ -245,14 +245,13 @@ def _oracle_curvature(sp, name):
                          ids=[name for name, _ in ORACLE_SURFACES])
 def test_symbolic_oracle_matches_golden_table(name, param_sets):
     sp = pytest.importorskip("sympy")
-    from hermcurv.goldens import golden_scalars
     exact, (y, m) = _oracle_curvature(sp, name)
     # the scalars are constants; m stays symbolic for vaisman
     assert exact["s1"].free_symbols <= {m} and exact["s2"].free_symbols <= {m}
     assert sp.simplify(exact["pairing"] - (exact["s1"] - exact["s2"])) == 0
     for params in param_sets:
         at = {m: sp.Rational(params.get("m", 0.0))}
-        golden = golden_scalars(name, 2, params)
+        golden = builtin(name, **params).golden
         for key in ("s1", "s2"):
             assert float(exact[key].subs(at)) == pytest.approx(golden[key],
                                                                abs=1e-15), key
