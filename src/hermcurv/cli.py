@@ -54,6 +54,9 @@ def _parse_params(items):
 
 def _resolve_manifold(spec: str, n, params):
     if os.path.isfile(spec):
+        if n is not None or params:
+            raise ValueError(f"--n and --param apply to builtin manifolds only; "
+                             f"{spec} is a manifest")
         return manifold_from_manifest(load_manifest(spec))
     return builtin(spec, n=n, **params)
 
@@ -97,6 +100,11 @@ def cmd_inspect(args) -> int:
     ts = _ts_list(args.t)
     jet = man.jet(z)
     table = curvature_records(man, z, jet, ts)
+    for key in (k for k in table if k in ("s1", "s2") or k.startswith("ric")):
+        finite = np.isfinite(table[key]).reshape(len(ts), -1).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"curvature column {key} is not finite at "
+                             f"t={ts[int(np.argmin(finite))]:g}")
     _write_report(table, args)
     if not args.golden:
         return EXIT_OK
@@ -136,8 +144,8 @@ def cmd_check(args) -> int:
     if args.what == "comparison":
         z = man.sample_points(args.points, seed=args.seed)
         jet = man.jet(z)
-        worst = float(np.max([np.max(np.abs(scalar_comparison_defect(jet, t)))
-                              for t in _ts_list(args.t)]))  # NaN propagates
+        worst = float(np.max([np.max(np.abs(d)) for d in
+                              scalar_comparison_defect(jet, _ts_list(args.t))]))
         print(f"comparison identity max defect {worst:.3e} (tol {tol:g})")
         return EXIT_OK if worst < tol else EXIT_NO_CONVERGENCE
     # duality

@@ -139,19 +139,31 @@ def gauduchon_curvature(jet: MetricJet, t: float) -> CurvatureTensor:
 
     At t = 0 this returns the Chern tensor bit-identically.
     """
+    return _gauduchon_family(jet, [t])[0]
+
+
+def _gauduchon_family(jet: MetricJet, ts) -> list[CurvatureTensor]:
+    """`gauduchon_curvature` at each t in ts, with Theta and the torsion terms
+    built once for the list."""
     theta = chern_curvature(jet)
-    if t == 0:
-        return CurvatureTensor(theta, 0.0, "chern")
-    torsion = chern_torsion(jet)
-    sw1 = np.einsum("...ilkj->...ijkl", theta)
-    sw2 = np.einsum("...kjil->...ijkl", theta)
-    a_term = np.einsum("...ikp,...jlq,...pq->...ijkl",
-                       torsion, np.conj(torsion), jet.h)
-    lowered = np.einsum("...ipm,...ml->...ipl", torsion, jet.h)
-    b_term = np.einsum("...pq,...ipl,...jqk->...ijkl",
-                       jet.ginv, lowered, np.conj(lowered))
-    R = theta + t * (sw1 + sw2 - 2 * theta) + t * t * (a_term - b_term)
-    return CurvatureTensor(R, float(t), f"gauduchon({t})")
+    if any(t != 0 for t in ts):
+        torsion = chern_torsion(jet)
+        sw1 = np.einsum("...ilkj->...ijkl", theta)
+        sw2 = np.einsum("...kjil->...ijkl", theta)
+        a_term = np.einsum("...ikp,...jlq,...pq->...ijkl",
+                           torsion, np.conj(torsion), jet.h)
+        lowered = np.einsum("...ipm,...ml->...ipl", torsion, jet.h)
+        b_term = np.einsum("...pq,...ipl,...jqk->...ijkl",
+                           jet.ginv, lowered, np.conj(lowered))
+        linear, quadratic = sw1 + sw2 - 2 * theta, a_term - b_term
+    out = []
+    for t in ts:
+        if t == 0:
+            out.append(CurvatureTensor(theta, 0.0, "chern"))
+        else:
+            R = theta + t * linear + t * t * quadratic
+            out.append(CurvatureTensor(R, float(t), f"gauduchon({t})"))
+    return out
 
 
 def ricci_and_scalars(curv: CurvatureTensor, jet: MetricJet) -> RicciForms:
@@ -385,13 +397,20 @@ def scalar_via_identity(jet: MetricJet, t: float):
     return torsion_traces(jet).scalars(t)
 
 
-def scalar_comparison_defect(jet: MetricJet, t: float) -> np.ndarray:
-    """s2 - s1 + (t^2 - 4t + 1)|delbar* w|^2 + 2 t^2 |dw|^2; ~0 for Gauduchon."""
-    ric = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
+def scalar_comparison_defect(jet: MetricJet, ts) -> list[np.ndarray]:
+    """s2 - s1 + (t^2 - 4t + 1)|delbar* w|^2 + 2 t^2 |dw|^2 at each t in ts.
+
+    ~0 for Gauduchon metrics.  s1 and s2 come from the full-tensor path and
+    the norms from the torsion-trace pass, each built once for the list.
+    """
     tr = torsion_traces(jet)
-    return (ric.s2 - ric.s1
-            + (t * t - 4 * t + 1) * tr.del_star_sq
-            + 2 * t * t * tr.del_omega_sq)
+    out = []
+    for curv in _gauduchon_family(jet, ts):
+        ric, t = ricci_and_scalars(curv, jet), curv.t
+        out.append(ric.s2 - ric.s1
+                   + (t * t - 4 * t + 1) * tr.del_star_sq
+                   + 2 * t * t * tr.del_omega_sq)
+    return out
 
 
 def oneone_norm2(m: np.ndarray, ginv: np.ndarray) -> np.ndarray:

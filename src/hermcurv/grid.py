@@ -4,13 +4,18 @@ Real coordinates are ordered (x1, y1, x2, y2, ...): grid axis 2k samples
 x_k = Re z^k and axis 2k+1 samples y_k = Im z^k, each with N nodes over its
 period.  Two derivative schemes are supported: second-order centered
 differences ("fd2", the default) and Fourier-spectral ("spectral").  The
-mixed Wirtinger second derivatives share one stencil builder so that exact
-cancellations (flat-metric Laplacian duality, linearity) hold to roundoff.
+fd2 differences are written with slices into one output array, the
+wrap-around slabs last.  The mixed Wirtinger second derivatives share one
+stencil builder so that exact cancellations (flat-metric Laplacian duality,
+linearity) hold to roundoff.
 
 The Chern Laplacian lap_C u = h^{i jbar} d^2 u / dz^i dzbar^j is one table of
 terms sum_k c_k S_k per grid metric: real coefficient fields c_k times
 symmetric real stencils S_k from the same builder.  `complex_laplacian`
-applies it as sum_k c_k S_k(u), and its transpose is sum_k S_k(c_k v).
+applies it as sum_k c_k S_k(u), taking the inner first differences of the
+i != j stencils once per apply, and its transpose is sum_k S_k(c_k v).  The
+solvers' flat preconditioner inverts the Fourier symbol of the diagonal
+terms with mean coefficients (`d2_symbol`).
 
 Quadrature: the volume form is det(h) * 2^n dx1 dy1 ... , so periodic
 trapezoid integration is the plain node mean times det(h) 2^n and the cell
@@ -93,14 +98,25 @@ class TorusGrid:
 
     def d_axis(self, u: np.ndarray, a: int) -> np.ndarray:
         if self.scheme == "fd2":
-            h = self.spacing[a]
-            return (np.roll(u, -1, axis=a) - np.roll(u, 1, axis=a)) / (2 * h)
+            # (u[i+1] - u[i-1]) / 2h: the bulk, then the two wrap-around slabs
+            out = np.empty(u.shape, np.result_type(u, 1.0))
+            np.subtract(u[_at(a, 2, None)], u[_at(a, None, -2)], out=out[_at(a, 1, -1)])
+            np.subtract(u[_at(a, 1, 2)], u[_at(a, -1, None)], out=out[_at(a, 0, 1)])
+            np.subtract(u[_at(a, 0, 1)], u[_at(a, -2, -1)], out=out[_at(a, -1, None)])
+            out /= 2 * self.spacing[a]
+            return out
         return _apply_symbol(u, self.d_symbol(a), a)
 
     def d2_axis(self, u: np.ndarray, a: int) -> np.ndarray:
         if self.scheme == "fd2":
-            h = self.spacing[a]
-            return (np.roll(u, -1, axis=a) - 2 * u + np.roll(u, 1, axis=a)) / h ** 2
+            # ((-2 u[i] + u[i+1]) + u[i-1]) / h^2, each neighbour added in place
+            out = np.multiply(u, -2.0)
+            out[_at(a, None, -1)] += u[_at(a, 1, None)]
+            out[_at(a, -1, None)] += u[_at(a, 0, 1)]
+            out[_at(a, 1, None)] += u[_at(a, None, -1)]
+            out[_at(a, 0, 1)] += u[_at(a, -1, None)]
+            out /= self.spacing[a] ** 2
+            return out
         return _apply_symbol(u, self.d2_symbol(a), a)
 
     def d_symbol(self, a: int) -> np.ndarray:
@@ -118,6 +134,11 @@ class TorusGrid:
         if self.scheme == "fd2":
             return (2 * np.cos(2 * np.pi * k * h) - 2) / h ** 2
         return -(2 * np.pi * k) ** 2
+
+
+def _at(a: int, start, stop) -> tuple:
+    """Index of the slice start:stop along axis a."""
+    return (slice(None),) * a + (slice(start, stop),)
 
 
 def _apply_symbol(u: np.ndarray, mult: np.ndarray, a: int) -> np.ndarray:
@@ -169,13 +190,28 @@ def _stencil(grid: TorusGrid, v: np.ndarray, i: int, j: int,
 
     Both are symmetric real stencils; for i = j the imaginary part is zero.
     """
-    xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
     if i == j:
-        return grid.d2_axis(v, xi) + grid.d2_axis(v, yi)
-    d = grid.d_axis
+        out = grid.d2_axis(v, 2 * i)
+        out += grid.d2_axis(v, 2 * i + 1)
+        return out
+    return _outer(grid, _inner(grid, v, j), i, imag)
+
+
+def _inner(grid: TorusGrid, v: np.ndarray, j: int) -> tuple:
+    """(d v/dx_j, d v/dy_j): the inner differences of the i != j stencils."""
+    return grid.d_axis(v, 2 * j), grid.d_axis(v, 2 * j + 1)
+
+
+def _outer(grid: TorusGrid, inner: tuple, i: int, imag: bool) -> np.ndarray:
+    """The i != j `_stencil` from the inner differences `_inner(grid, v, j)`."""
+    dxj, dyj = inner
     if imag:
-        return d(d(v, yj), xi) - d(d(v, xj), yi)
-    return d(d(v, xj), xi) + d(d(v, yj), yi)
+        out = grid.d_axis(dyj, 2 * i)
+        out -= grid.d_axis(dxj, 2 * i + 1)
+    else:
+        out = grid.d_axis(dxj, 2 * i)
+        out += grid.d_axis(dyj, 2 * i + 1)
+    return out
 
 
 class StencilTerm(NamedTuple):
@@ -329,10 +365,23 @@ def _check_periodicity(man: ModelManifold, grid: TorusGrid, z: np.ndarray):
 
 def complex_laplacian(gm: GridMetric, v: np.ndarray) -> np.ndarray:
     """h^{i jbar} d^2 v / dz^i dzbar^j as sum_k c_k S_k(v) over the metric's
-    stencil table (`GridMetric.laplacian_terms`)."""
-    out = np.zeros(gm.grid.shape)
+    stencil table (`GridMetric.laplacian_terms`).
+
+    The i != j terms share their inner first differences d v/dx_j and
+    d v/dy_j, so each is taken once per apply.
+    """
+    grid = gm.grid
+    out = np.zeros(grid.shape)
+    inner = {}
     for t in gm.laplacian_terms:
-        out += t.coef * t.stencil(gm.grid, v)
+        if t.i == t.j:
+            s = t.stencil(grid, v)
+        else:
+            if t.j not in inner:
+                inner[t.j] = _inner(grid, v, t.j)
+            s = _outer(grid, inner[t.j], t.i, t.imag)
+        s *= t.coef
+        out += s
     return out
 
 

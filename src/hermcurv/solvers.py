@@ -13,7 +13,9 @@ The discrete complex Laplacian is not symmetric, so the zero-degree case is
 solved as normal-equations least squares with a mean-zero constraint and
 the Newton systems by BiCGStab; both are preconditioned with the Fourier
 symbol of the flat-coefficient operator, which keeps iteration counts flat
-in N on these desk-scale problems.
+in N on these desk-scale problems.  That symbol is real and even, so the
+preconditioner is a real FFT (`rfftn`/`irfftn`) times the half-spectrum of
+its masked inverse power, cached for the last (shift, power).
 """
 
 from __future__ import annotations
@@ -89,25 +91,33 @@ class YamabeConstants:
 # -- discrete operator kit ----------------------------------------------------
 
 class _LaplacianOp:
-    """lap_C as a real linear operator with transpose and flat preconditioner."""
+    """lap_C as a real linear operator with transpose and flat preconditioner.
+
+    `symbol` is the flat symbol's `rfftn` half-spectrum (last axis N//2 + 1).
+    """
 
     def __init__(self, gm: GridMetric):
         self.gm = gm
         self.grid = gm.grid
         self.terms = gm.laplacian_terms
         self.symbol = self._flat_symbol()
+        self._axes = tuple(range(self.symbol.ndim))
+        self._inverse_key = None
+        self._inverse = None
 
     def _flat_symbol(self) -> np.ndarray:
-        # Fourier symbol of the diagonal terms with mean coefficients
+        # half-spectrum symbol of the diagonal terms with mean coefficients
         grid = self.grid
-        sym = np.zeros(grid.shape)
+        last = 2 * self.gm.n - 1
+        half = grid.N // 2 + 1
+        sym = np.zeros(grid.shape[:-1] + (half,))
         for t in (t for t in self.terms if t.i == t.j):
             c = float(np.mean(t.coef))
             for a in (2 * t.i, 2 * t.i + 1):
-                s = grid.d2_symbol(a)
-                shape = [1] * (2 * self.gm.n)
-                shape[a] = grid.N
-                sym = sym + c * s.reshape(shape)
+                s = grid.d2_symbol(a)[:half] if a == last else grid.d2_symbol(a)
+                shape = [1] * (last + 1)
+                shape[a] = len(s)
+                sym += c * s.reshape(shape)
         return sym
 
     def apply(self, f: np.ndarray) -> np.ndarray:
@@ -120,14 +130,22 @@ class _LaplacianOp:
             out += t.stencil(self.grid, t.coef * v)
         return out
 
+    def _inverse_symbol(self, shift: float, power: int) -> np.ndarray:
+        """1 / (symbol + shift)**power, and 0 where |symbol + shift| < 1e-14."""
+        if self._inverse_key != (shift, power):
+            sym = self.symbol + shift
+            bad = np.abs(sym) < 1e-14
+            sym[bad] = 1.0
+            inv = 1.0 / sym ** power
+            inv[bad] = 0.0
+            self._inverse_key, self._inverse = (shift, power), inv
+        return self._inverse
+
     def precondition(self, r: np.ndarray, shift: float = 0.0,
                      power: int = 1) -> np.ndarray:
-        sym = self.symbol + shift
-        bad = np.abs(sym) < 1e-14
-        sym = np.where(bad, 1.0, sym) ** power
-        rh = np.fft.fftn(r) / sym
-        rh[np.unravel_index(np.flatnonzero(bad.ravel()), r.shape)] = 0.0
-        return np.fft.ifftn(rh).real
+        rh = np.fft.rfftn(r, axes=self._axes)
+        rh *= self._inverse_symbol(shift, power)
+        return np.fft.irfftn(rh, s=r.shape, axes=self._axes)
 
 
 def _mean_zero(u: np.ndarray) -> np.ndarray:

@@ -101,6 +101,15 @@ def test_inspect_golden_reuses_the_jet(capsys, count_calls):
     assert (len(jet_calls), len(inversions)) == (1, 1)
 
 
+def test_check_comparison_builds_the_t_independent_work_once(capsys, count_calls):
+    import hermcurv.curvature as curvature
+    calls = count_calls(curvature, "chern_curvature", "torsion_traces")
+    code, out, _ = run(capsys, "check", "comparison", "--manifold", "hopf",
+                       "--n", "3", "--t", "0,0.5,1")
+    assert code == 0 and "comparison identity max defect" in out
+    assert sorted(calls) == ["chern_curvature", "torsion_traces"]
+
+
 def test_checks_reject_an_empty_t_list(capsys):
     for what in ("conformal", "comparison"):
         for ts in ("", ","):
@@ -129,6 +138,14 @@ def test_checks_fail_on_a_nan_defect(capsys):
         assert "max defect nan" in out
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+def test_inspect_refuses_a_non_finite_curvature(capsys):
+    code, out, err = run(capsys, "inspect", "hopf", "--t", "0,1e200", "--points", "1")
+    assert code == 2 and out == ""
+    assert "not finite" in err and "t=1e+200" in err
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_every_builtin_rejects_an_unknown_param(capsys, name):
     code, out, err = run(capsys, "inspect", name, "--param", "zz=2", "--points", "2")
@@ -144,6 +161,18 @@ def test_golden_gate_skips_a_manifest_named_like_a_builtin(capsys, tmp_path):
     code, out, _ = run(capsys, "inspect", str(path), "--points", "3", "--golden")
     assert code == 0
     assert "GOLDEN SKIP hopf" in out and "GOLDEN FAIL" not in out
+
+
+def test_manifest_paths_reject_n_and_param(capsys, tmp_path):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"name": "flat", "n": 2,
+                                "metric": "h[1][1] = 1\nh[2][2] = 1"}))
+    for extra in (["--param", "zz=2"], ["--n", "3"], ["--n", "2"]):
+        code, out, err = run(capsys, "inspect", str(path), *extra)
+        assert code == 2, extra
+        assert "manifest" in err and out == ""
+    code, _, _ = run(capsys, "inspect", str(path), "--points", "2")
+    assert code == 0
 
 
 def test_inspect_rejects_unknown_manifold(capsys):

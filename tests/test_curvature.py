@@ -417,7 +417,7 @@ def test_ricci_forms_match_full_tensor_oracle():
 def test_comparison_identity_on_gauduchon_builtins(t):
     for name, params in GAUDUCHON_BUILTINS:
         _, jet = sample_jet(name, params, count=40, seed=19)
-        defect = scalar_comparison_defect(jet, t)
+        defect, = scalar_comparison_defect(jet, [t])
         assert np.max(np.abs(defect)) < 1e-8, (name, t)
 
 

@@ -87,6 +87,21 @@ def test_fd2_derivative_second_order():
     assert min(orders) > 1.9
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_fd2_stencils_match_a_roll_reference(n):
+    # centred periodic differences written with np.roll, on every axis
+    grid = TorusGrid(n=n, N=6, periods=[0.5 + 0.25 * a for a in range(2 * n)])
+    rng = np.random.default_rng(4)
+    for u in (rng.normal(size=grid.shape),
+              rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)):
+        for a in range(2 * n):
+            h = grid.spacing[a]
+            up, down = np.roll(u, -1, axis=a), np.roll(u, 1, axis=a)
+            np.testing.assert_array_equal(grid.d_axis(u, a), (up - down) / (2 * h))
+            np.testing.assert_array_equal(grid.d2_axis(u, a),
+                                          (up - 2 * u + down) / h ** 2)
+
+
 def test_conjugation_identity():
     grid = TorusGrid(n=2, N=8)
     rng = np.random.default_rng(0)
