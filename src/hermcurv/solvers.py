@@ -6,8 +6,10 @@ Three problems, each returning a SolverReport with residual certificates:
 * negative degree: continuity method in a for
                    F(a, f) = lap_C f - a S + lam e^f - lam (1 - a) = 0,
                    with Newton corrections D w = lap_C w + lam e^f w
-* Bismut-Yamabe:   projected gradient descent on the Rayleigh-type quotient
-                   Y_q over positive fields with sum(phi^q) constrained
+* Bismut-Yamabe:   projected Sobolev (H1) gradient descent on the
+                   Rayleigh-type quotient Y_q over positive fields with
+                   sum(phi^q) constrained, then Newton polish of the
+                   Euler-Lagrange system
 
 The discrete complex Laplacian is not symmetric, so the zero-degree case is
 solved as normal-equations least squares with a mean-zero constraint and
@@ -15,7 +17,11 @@ the Newton systems by BiCGStab; both are preconditioned with the Fourier
 symbol of the flat-coefficient operator, which keeps iteration counts flat
 in N on these desk-scale problems.  That symbol is real and even, so the
 preconditioner is a real FFT (`rfftn`/`irfftn`) times the half-spectrum of
-its masked inverse power, cached for the last (shift, power).
+its masked inverse power, cached for the last (shift, power).  The same
+symbol is the Bismut-Yamabe descent's metric: the nodal gradient is smoothed
+by (1 - flat lap)^{-1}, which damps each Fourier mode by its own stiffness,
+so the stiffest grid mode no longer sets the step and the descent's
+iteration count stays flat in N.
 """
 
 from __future__ import annotations
@@ -186,18 +192,25 @@ def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12):
 
 
 def bicgstab(apply_op, b: np.ndarray, precond, tol: float):
-    """Textbook preconditioned BiCGStab on real grid fields."""
+    """Textbook preconditioned BiCGStab on real grid fields.
+
+    A zero right-hand side has the exact solution 0; rho = 0 with a nonzero
+    residual is a breakdown and raises ConvergenceError.
+    """
     x = np.zeros_like(b)
+    bnorm = float(np.max(np.abs(b)))
+    if bnorm == 0.0:
+        return x, 0.0
     r = b.copy()
     rhat = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
-    bnorm = max(float(np.max(np.abs(b))), 1e-300)
     for it in range(BICGSTAB_MAXIT):
         rho_new = float(np.sum(rhat * r))
         if abs(rho_new) < 1e-300:
-            break
+            raise ConvergenceError(
+                f"BiCGStab breakdown (rho = 0, residual {np.max(np.abs(r)):.3e})")
         beta = (rho_new / rho) * (alpha / omega) if it else 0.0
         p = r + beta * (p - omega * v) if it else r.copy()
         phat = precond(p)
@@ -422,11 +435,16 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
 
     On the constraint set N1 int phi^q = 1, the quotient equals
     U(phi) = ||del phi||^2 + N1 int S_B2 phi^2, which is minimized by
-    projected gradient descent with Armijo backtracking (steps that lose
-    positivity are rejected and halved), then polished by Newton steps on
-    the Euler-Lagrange system box(phi) = N1 mu phi^{q-1}, with q = N2.  The
-    report also carries f = ((2n-1)/(n^2-1)) log phi and the sup-deviation
-    of the transformed Bismut curvature from mu.
+    projected Sobolev (H1) gradient descent with Armijo backtracking (steps
+    that lose positivity are rejected and halved).  The descent steps along
+    (1 - lap)^{-1} grad U / 2w with the flat Laplacian symbol as lap: in that
+    metric every Fourier mode moves at its own rate, so the step does not
+    shrink with the stiffest grid mode and the iteration count does not grow
+    with N.  Newton steps on the Euler-Lagrange system
+    box(phi) = N1 mu phi^{q-1}, with q = N2, then polish phi for as long as
+    they contract its residual, and el_tol gates the result.  The report
+    also carries f = ((2n-1)/(n^2-1)) log phi and the sup-deviation of the
+    transformed Bismut curvature from mu.
     """
     tau_sup = float(np.max(np.abs(gm.tau())))
     if tau_sup > BALANCED_TOL:
@@ -449,6 +467,11 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
         return (e + N1 * float(np.sum(w * s_field * phi ** 2)),
                 g + 2 * N1 * w * s_field * phi)
 
+    # Sobolev (H1) gradient sg = (1 - lap)^{-1} g / (2 mean(w)), with the flat
+    # symbol (<= 0) as lap, so the stiffest grid mode no longer sets the step
+    op = _LaplacianOp(gm)
+    w_mean = float(np.mean(w))
+
     # energy is U(phi) throughout, and g is grad U(phi) during the descent
     phi = project(np.ones(gm.grid.shape))
     energy, g = objective(phi)
@@ -456,18 +479,19 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
     trace = [(0, energy, 0.0)]
     step = 1.0
     for it in range(1, PGD_MAX + 1):
-        gg = float(np.sum(g * g))
-        if gg < 1e-28:
+        sg = -op.precondition(g / (2 * w_mean), shift=-1.0)
+        gsg = float(np.sum(g * sg))
+        if gsg < 1e-28:
             break
         accepted = False
         while step > 1e-12:
-            cand = phi - step * g
+            cand = phi - step * sg
             if np.min(cand) <= 0:
                 step *= 0.5
                 continue
             cand = project(cand)
             e_new, g_new = objective(cand)
-            if e_new <= energy - 1e-6 * step * gg:
+            if e_new <= energy - 1e-6 * step * gsg:
                 phi, energy, g = cand, e_new, g_new
                 accepted = True
                 step *= 1.6
@@ -480,19 +504,19 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
         if len(trace) > 6 and trace[-6][1] - energy < 1e-14 * max(1.0, abs(energy)):
             break  # stalled; the Euler-Lagrange polish finishes the job
 
-    # Euler-Lagrange polish: box(phi) - N1 mu phi^{q-1} = 0 at fixed constraint
+    # Euler-Lagrange polish: box(phi) - N1 mu phi^{q-1} = 0 at fixed constraint.
+    # Newton steps continue while they contract the residual, el_tol gates
+    # the result.
     def el_residual(phi, mu):
         box = -complex_laplacian(gm, phi) + N1 * s_field * phi
-        return box - N1 * mu * phi ** (q - 1)
+        r = box - N1 * mu * phi ** (q - 1)
+        return r, float(np.sqrt(integrate(gm, r ** 2)))
 
-    op = _LaplacianOp(gm)
+    r, rnorm = el_residual(phi, energy)
     for _ in range(40):
-        mu = energy
-        r = el_residual(phi, mu)
-        rnorm = float(np.sqrt(integrate(gm, r ** 2)))
-        if rnorm < el_tol:
-            break
-        coef = N1 * s_field - N1 * mu * (q - 1) * phi ** (q - 2)
+        if rnorm == 0.0:
+            break  # an exact solution leaves nothing to polish
+        coef = N1 * s_field - N1 * energy * (q - 1) * phi ** (q - 2)
         shift = -float(np.mean(coef))
 
         def apply_j(v):
@@ -512,10 +536,11 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
         e_new, _ = objective(cand)
         if e_new > energy + 1e-12 * max(1.0, abs(energy)):
             break
-        phi, energy = cand, e_new
+        r_new, rn_new = el_residual(cand, e_new)
+        if not rn_new < rnorm:
+            break
+        phi, energy, r, rnorm = cand, e_new, r_new, rn_new
     mu = energy
-    r = el_residual(phi, mu)
-    rnorm = float(np.sqrt(integrate(gm, r ** 2)))
     if rnorm > el_tol:
         raise ConvergenceError(f"Euler-Lagrange residual {rnorm:.3e} > {el_tol}")
     if np.min(phi) <= 0:

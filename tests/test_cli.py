@@ -243,6 +243,20 @@ def test_solve_negative_deterministic(capsys, tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_solve_bismut_deterministic(capsys, tmp_path):
+    # two identical solves write byte-identical reports and solutions
+    reports = []
+    for k in range(2):
+        out_path = tmp_path / f"report{k}.txt"
+        dump = tmp_path / f"field{k}.csv"
+        code, _, _ = run(capsys, "solve", "bismut", "--manifold", "kaehler-bump",
+                         "--param", "eps=3e-5", "--grid", "8", "--scheme", "spectral",
+                         "--out", str(out_path), "--dump-solution", str(dump))
+        assert code == 0
+        reports.append((out_path.read_bytes(), dump.read_bytes()))
+    assert reports[0] == reports[1]
+
+
 def test_solve_bismut_flat(capsys):
     code, out, _ = run(capsys, "solve", "bismut", "--manifold", "flat-torus", "--n", "2",
                        "--grid", "8", "--tol", "1e-8")

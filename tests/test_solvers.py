@@ -5,9 +5,9 @@ import pytest
 
 from hermcurv.grid import GridMetric, TorusGrid, gauduchon_degrees
 from hermcurv.manifolds import builtin, conformal_manifold, _TrigSum
-from hermcurv.solvers import (ConvergenceError, PreconditionError, SolverReport,
-                              YamabeConstants, _check_apriori_bound,
-                              bismut_yamabe_minimize, continuity_solve,
+from hermcurv.solvers import (PGD_MAX, ConvergenceError, PreconditionError,
+                              SolverReport, YamabeConstants, _check_apriori_bound,
+                              bicgstab, bismut_yamabe_minimize, continuity_solve,
                               lozenge_constancy_check, normalize_to_negative,
                               solve_chern_negative, solve_chern_zero)
 
@@ -55,6 +55,19 @@ def test_flat_preconditioner_inverts_the_flat_operator(n, N, scheme):
                                    f, atol=1e-12)
         np.testing.assert_allclose(op.precondition(normal_f, power=2),
                                    f - np.mean(f), atol=1e-12)
+
+
+def test_bicgstab_returns_zero_for_a_zero_right_hand_side():
+    x, res = bicgstab(lambda v: 2.0 * v, np.zeros((4, 4)), lambda v: v, tol=1e-12)
+    assert res == 0.0
+    assert x.shape == (4, 4) and not np.any(x)
+
+
+def test_bicgstab_reports_a_breakdown():
+    # one step leaves r = e2 with omega = 0, so rho = <e1, r> vanishes with r != 0
+    a = np.array([[1.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(ConvergenceError, match="breakdown"):
+        bicgstab(lambda v: a @ v, np.array([1.0, 0.0]), lambda v: v, tol=1e-12)
 
 
 def test_preconditioner_matches_a_full_spectrum_reference():
@@ -269,6 +282,24 @@ def test_bismut_kaehler_bump():
     diff = np.max(np.abs((fb - fb.mean()) - (fc - fc.mean())))
     assert diff < 1e-3
     assert rep.extras["sup_dev_from_mu"] < 1e-8
+
+
+@pytest.mark.parametrize("N", [12, 16])
+def test_bismut_descent_iterations_do_not_grow_with_N(N):
+    # the Sobolev gradient takes 14 iterations at both sizes (raw nodal
+    # gradient: 133 at N=12, the PGD_MAX cap at N=16)
+    gm = make_gm("kaehler-bump", N, scheme="spectral", eps=3e-5)
+    rep = bismut_yamabe_minimize(gm)
+    assert len(rep.energy_trace) - 1 <= 20
+
+
+def test_bismut_larger_amplitude_descent_ends_before_the_cap():
+    gm = make_gm("kaehler-bump", 16, scheme="spectral", eps=2e-3)
+    rep = bismut_yamabe_minimize(gm)
+    assert len(rep.energy_trace) - 1 < PGD_MAX
+    energies = [e for _, e, _ in rep.energy_trace]
+    assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
+    assert max(d for _, _, d in rep.energy_trace[1:]) < 1e-10
 
 
 def test_bismut_larger_amplitude_still_converges():
