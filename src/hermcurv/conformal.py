@@ -18,8 +18,7 @@ from .jets import FactorJet, MetricJet, conformal_jet
 from .manifolds import ModelManifold, factor_jet_from_expr
 
 __all__ = ["TransformedCurvature", "transformed_s2", "transformed_ric34",
-           "chern_s2_transform", "bismut_s2_transform", "conformal_oracle_check",
-           "torsion_pairing"]
+           "conformal_oracle_check", "torsion_pairing"]
 
 
 @dataclass
@@ -67,18 +66,6 @@ def transformed_s2(jet: MetricJet, fj: FactorJet, t: float, *,
         s2_base = ricci_forms(jet, [t])[0].s2
     lap, grad2, _, kappa = _factor_terms(jet, fj)
     return _s2_law(jet.n, t, fj, s2_base, lap, grad2, kappa)
-
-
-def chern_s2_transform(jet: MetricJet, fj: FactorJet, *,
-                       s2_base: np.ndarray | None = None) -> np.ndarray:
-    """t = 0 specialization: s2(e^f w) = e^{-f} (s2(w) - lap f)."""
-    return transformed_s2(jet, fj, 0.0, s2_base=s2_base)
-
-
-def bismut_s2_transform(jet: MetricJet, fj: FactorJet, *,
-                        s2_base: np.ndarray | None = None) -> np.ndarray:
-    """t = 1 specialization (the Bismut connection)."""
-    return transformed_s2(jet, fj, 1.0, s2_base=s2_base)
 
 
 def transformed_ric34(jet: MetricJet, fj: FactorJet, ts) -> list[TransformedCurvature]:

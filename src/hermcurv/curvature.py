@@ -31,26 +31,29 @@ scalar relations at every t, and |del omega|^2 = |delbar* omega|^2 in
 complex dimension two.
 
 Two paths produce the curvature traces.  The pointwise pipeline builds no
-4-tensor: `torsion_traces` gives tau, del del* omega, the torsion norms and
-S_C1 in one pass over the jet (the grid metric, `scalar_via_identity`,
-`torsion_diagnostics` and the class residuals read its bundle), and
+4-tensor: `torsion_traces` gives tau, del del* omega, the torsion norms, S_C1
+and the Gauduchon and pluriclosed residuals in one pass over the jet (the
+grid metric, the class residuals and the report read its bundle), and
 `ricci_forms` gives the four Ricci forms and s1/s2 at every t of a list in
 one pass.  The full-tensor path (`chern_curvature`, `gauduchon_curvature`,
-`ricci_and_scalars`) builds R_{i jbar k lbar} and is the oracle for both.
+`ricci_and_scalars`) builds R_{i jbar k lbar} and is the oracle for both;
+`forms` is the exterior-algebra oracle of the class residuals and the Lee
+form, and no module here imports it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from . import forms
 from .jets import MetricJet
 from .manifolds import ModelManifold
 
 __all__ = [
-    "CurvatureTensor", "RicciForms", "TorsionDiagnostics", "ClassFlags",
+    "CurvatureTensor", "RicciForms", "ClassFlags",
     "EinsteinReport", "chern_torsion", "chern_curvature",
     "gauduchon_curvature", "ricci_and_scalars", "torsion_diagnostics",
     "scalar_via_identity", "scalar_comparison_defect", "einstein_residual",
@@ -78,18 +81,6 @@ class RicciForms:
     s1: np.ndarray
     s2: np.ndarray
     t: float = 0.0
-
-
-@dataclass
-class TorsionDiagnostics:
-    tau: np.ndarray            # tau_i = sum_p T_{ip}^p
-    del_star_omega: np.ndarray     # components of del* omega on dzbar^j
-    delbar_star_omega: np.ndarray  # components of delbar* omega on dz^i
-    lee: np.ndarray            # real components, ordered (x1, y1, x2, y2, ...)
-    lee_holo: np.ndarray       # eta^{1,0}_i
-    ddstar: np.ndarray         # (1,1)-matrix of del del* omega
-    dbardbstar: np.ndarray     # (1,1)-matrix of delbar delbar* omega
-    norms: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -134,6 +125,7 @@ def chern_curvature(jet: MetricJet) -> np.ndarray:
     return -jet.ddh + quad
 
 
+# The benchmark's span table (bench/spans.py) times this name.
 def gauduchon_curvature(jet: MetricJet, t: float) -> CurvatureTensor:
     """Curvature of the Gauduchon connection (1-t) Chern + t Bismut.
 
@@ -237,9 +229,8 @@ class TorsionTraces:
     del_omega_sq: np.ndarray  # |del omega|^2
     del_star_sq: np.ndarray   # |del* omega|^2 = |delbar* omega|^2
     s_c1: np.ndarray          # first Chern scalar curvature
-
-    def __getitem__(self, idx) -> "TorsionTraces":
-        return TorsionTraces(*(getattr(self, f.name)[idx] for f in fields(self)))
+    gauduchon: np.ndarray     # |del delbar omega^{n-1}|
+    pluriclosed: np.ndarray   # |del delbar omega|
 
     @property
     def lee(self) -> np.ndarray:
@@ -262,13 +253,18 @@ class TorsionTraces:
 
 
 def torsion_traces(jet: MetricJet) -> TorsionTraces:
-    """One pass over the jet for tau, del del* omega, the torsion norms and S_C1.
+    """One pass over the jet for tau, del del* omega, the torsion norms, S_C1
+    and the Gauduchon and pluriclosed residuals.
 
     Works on batch-last component arrays and never forms the Chern 4-tensor:
     S_C1 = h^{i jbar} h^{k lbar} (-ddh[i,j,k,l]
                                   + h^{p qbar} conj(dh[j,l,p]) dh[i,k,q]).
     The lowered torsion T_{ik}^p h_{p qbar} is dh[i,k,q] - dh[k,i,q], and
-    d tau_j / dzbar^i follows from the jet's mixed second derivatives.
+    d tau_j / dzbar^i follows from the jet's mixed second derivatives.  With
+    Lambda^2 = h^{i jbar} h^{k lbar} (ddh[i,j,k,l] - ddh[k,j,i,l]),
+    |del delbar omega^{n-1}| = (n-1)! |Lambda^2 - |del omega|^2 + |del* omega|^2|;
+    at n = 2 this is |del delbar omega| too, and `_pluriclosed_norm` gives
+    that for n >= 3.
     """
     n = jet.n
     r = range(n)
@@ -280,8 +276,10 @@ def torsion_traces(jet: MetricJet) -> TorsionTraces:
               for b in r] for a in r]
     outer = [[_sum(g[p, l] * ddh[..., p, i, j, l] for p in r for l in r)
               for j in r] for i in r]
-    trace_ddh = _sum(g[a, b] * inner[a][b] for a in r for b in r).real
-    s_c1 = _full_norm2(dh, _raise_last2(dh, g), g) - trace_ddh
+    trace_inner = _sum(g[a, b] * inner[a][b] for a in r for b in r)
+    lam2 = trace_inner - _sum(g[i, j] * outer[j][i] for i in r for j in r)
+    s_c1 = _full_norm2(dh, _raise_last2(dh, g), g) - trace_inner.real
+    del trace_inner
 
     low = dh - dh.swapaxes(0, 1)   # lowered torsion
     tau = (low * g).sum(axis=(1, 2))
@@ -290,6 +288,11 @@ def torsion_traces(jet: MetricJet) -> TorsionTraces:
     del low
     # real copies, so that no complex array stays alive behind the bundle
     del_star_sq = _sum(g[i, j] * tau[i] * np.conj(tau[j]) for i in r for j in r).real.copy()
+    lam2 -= del_omega_sq
+    lam2 += del_star_sq
+    gauduchon = math.factorial(n - 1) * np.abs(lam2)
+    del lam2
+    pluriclosed = gauduchon if n == 2 else _pluriclosed_norm(ddh, g)
 
     # ddstar[i, j] = -conj(d tau_j / dzbar^i): the derivative of the inverse
     # metric in tau, then the mixed second derivatives of h
@@ -304,7 +307,31 @@ def torsion_traces(jet: MetricJet) -> TorsionTraces:
     if float(np.max(np.abs(pairing.imag))) > IMAG_TOL * scale:
         raise ArithmeticError("pairing <del del* omega, omega> is not real")
     return TorsionTraces(np.moveaxis(tau, 0, -1), np.moveaxis(ddstar, (0, 1), (-2, -1)),
-                         pairing.real.copy(), del_omega_sq, del_star_sq, s_c1)
+                         pairing.real.copy(), del_omega_sq, del_star_sq, s_c1,
+                         gauduchon, pluriclosed)
+
+
+def _pluriclosed_norm(ddh: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """|del delbar omega| from the jet's ddh and the batch-last inverse metric g.
+
+    On dz^i ^ dz^k ^ dzbar^j ^ dzbar^l (i < k, j < l) the form has the
+    coefficient -i a[(i,k), (j,l)], a[(i,k), (j,l)] = ddh[i,j,k,l] -
+    ddh[k,j,i,l] - ddh[i,l,k,j] + ddh[k,l,i,j], and its norm squared is
+    sum a[I,J] conj(a[K,L]) m[I,K] conj(m[J,L]) over the 2x2 minors m of g.
+    With conj(m[J,L]) = m[L,J] the sum runs as two contractions over pairs.
+    """
+    pairs = list(combinations(range(g.shape[0]), 2))
+    a = [[ddh[..., i, j, k, l] - ddh[..., k, j, i, l] - ddh[..., i, l, k, j]
+          + ddh[..., k, l, i, j] for j, l in pairs] for i, k in pairs]
+    m = [[g[i, j] * g[k, l] - g[i, l] * g[k, j] for j, l in pairs] for i, k in pairs]
+    conj_a = [[np.conj(x) for x in row] for row in a]
+    r = range(len(pairs))
+    total = 0.0
+    for I in r:
+        row = [_sum(a[I][J] * m[L][J] for J in r) for L in r]  # (a conj(m))[I, L]
+        total = total + _sum(m[I][K] * _sum(row[L] * conj_a[K][L] for L in r)
+                             for K in r).real
+    return np.sqrt(np.maximum(total, 0.0))
 
 
 # Ric_m[i, j] = h^{k lbar} R.transpose(_TRACE_AXES[m - 1])[i, j, k, l]
@@ -373,25 +400,13 @@ def ricci_forms(jet: MetricJet, ts) -> list[RicciForms]:
     return out
 
 
-def torsion_diagnostics(jet: MetricJet) -> TorsionDiagnostics:
-    """Torsion traces, adjoint forms, Lee form and the calibrated norms.
-
-    The Lee form is eta^{1,0} = tau in closed form; `forms.lee_form` solves
-    its defining equation independently and is the test oracle for it.
-    """
-    tr = torsion_traces(jet)
-    norms = {
-        "del_star_sq": tr.del_star_sq,
-        "delbar_star_sq": tr.del_star_sq,
-        "del_omega_sq": tr.del_omega_sq,
-        "pairing": tr.pairing,
-        "lee_sq": 2 * tr.del_star_sq,
-    }
-    return TorsionDiagnostics(tr.tau, -1j * np.conj(tr.tau), 1j * tr.tau, tr.lee,
-                              tr.tau, tr.ddstar,
-                              np.conj(np.swapaxes(tr.ddstar, -1, -2)), norms)
+# The benchmark's span table (bench/spans.py) times this name.
+def torsion_diagnostics(jet: MetricJet) -> TorsionTraces:
+    """The torsion-trace bundle of `jet`, as `torsion_traces` returns it."""
+    return torsion_traces(jet)
 
 
+# The benchmark's span table (bench/spans.py) times this name.
 def scalar_via_identity(jet: MetricJet, t: float):
     """(s1, s2) of the Gauduchon connection via the torsion-trace identities."""
     return torsion_traces(jet).scalars(t)
@@ -438,23 +453,15 @@ def einstein_residual(jet: MetricJet) -> EinsteinReport:
     return EinsteinReport(f_hat, resid, cross, ric.ric3, ric.ric4)
 
 
-def class_residual_fields(jet: MetricJet, *,
-                          traces: TorsionTraces | None = None) -> dict:
+def class_residual_fields(traces: TorsionTraces) -> dict:
     """Pointwise metric-norm residuals of the four metric classes.
 
     kahler: |d omega|, balanced: |eta|, gauduchon: |del delbar omega^{n-1}|,
     pluriclosed: |del delbar omega|; each an array over the jet's batch axes.
     """
-    if traces is None:
-        traces = torsion_traces(jet)
-    n = jet.n
-    pluri = forms.del_delbar_omega(jet).norm2(jet.ginv)
-    gaud = pluri if n == 2 else forms.del_delbar_omega_power(jet, n - 1).norm2(jet.ginv)
-    batch = jet.h.shape[:-2]
-    squares = {"kahler": 2 * traces.del_omega_sq, "balanced": 2 * traces.del_star_sq,
-               "gauduchon": gaud, "pluriclosed": pluri}
-    return {k: np.sqrt(np.maximum(np.broadcast_to(v, batch), 0.0))
-            for k, v in squares.items()}
+    return {"kahler": np.sqrt(np.maximum(2 * traces.del_omega_sq, 0.0)),
+            "balanced": np.sqrt(np.maximum(2 * traces.del_star_sq, 0.0)),
+            "gauduchon": traces.gauduchon, "pluriclosed": traces.pluriclosed}
 
 
 def classify(man: ModelManifold, points: np.ndarray) -> ClassFlags:
@@ -464,4 +471,4 @@ def classify(man: ModelManifold, points: np.ndarray) -> ClassFlags:
         z = z[None, :]
     if z.shape[0] < 1:
         raise ValueError("classification needs at least one sample point")
-    return ClassFlags.from_residuals(class_residual_fields(man.jet(z)))
+    return ClassFlags.from_residuals(class_residual_fields(torsion_traces(man.jet(z))))

@@ -8,9 +8,11 @@ representation the inner product is the plain Gram determinant pairing
 is exactly the 1/(p! q!) full-contraction convention the scalar-curvature
 identities require.
 
-Only what the curvature diagnostics need is implemented: wedge products,
+Only what the test oracles need is implemented: wedge products,
 conjugation, metric norms, and constructors for omega and its derivatives
-straight from a metric 2-jet.
+straight from a metric 2-jet.  The tests check `curvature`'s closed-form
+class residuals and Lee form against this engine; no other module imports
+it.
 """
 
 from __future__ import annotations

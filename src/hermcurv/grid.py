@@ -17,6 +17,10 @@ i != j stencils once per apply, and its transpose is sum_k S_k(c_k v).  The
 solvers' flat preconditioner inverts the Fourier symbol of the diagonal
 terms with mean coefficients (`d2_symbol`).
 
+Class residuals (`GridMetric.class_residuals`) are the maxima over every node
+of the closed-form residual fields in the grid metric's torsion-trace bundle,
+the same pass that gives its scalar fields and Lee form.
+
 Quadrature: the volume form is det(h) * 2^n dx1 dy1 ... , so periodic
 trapezoid integration is the plain node mean times det(h) 2^n and the cell
 volume.
@@ -153,7 +157,6 @@ def _apply_symbol(u: np.ndarray, mult: np.ndarray, a: int) -> np.ndarray:
 class TorusField:
     grid: TorusGrid
     values: np.ndarray
-    real: bool = True
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -162,9 +165,9 @@ class TorusField:
                             f"grid shape {self.grid.shape}")
         if not np.all(np.isfinite(self.values)):
             raise GridError("field contains non-finite entries")
-        if self.real and np.iscomplexobj(self.values):
+        if np.iscomplexobj(self.values):
             if np.max(np.abs(self.values.imag)) > IMAG_TOL:
-                raise GridError("real-tagged field has imaginary content")
+                raise GridError("field has imaginary content")
             self.values = self.values.real
 
 
@@ -314,18 +317,14 @@ class GridMetric:
         return {"s_c1": s_c1, "s_c2": s_c2, "s_b2": s_b2}
 
     def class_residuals(self) -> dict:
-        """Metric-norm class residuals on a seeded subsample of 200 nodes.
+        """Metric-norm class residuals, maxed over every node of the cached
+        torsion-trace bundle.
 
         Works from this metric's own jet data, so it stays correct for
         conformally transformed grid metrics whose coefficients no longer
         match the base manifold.
         """
-        rng = np.random.default_rng(0)
-        count = min(200, self.grid.node_count)
-        idx = np.unravel_index(rng.integers(0, self.grid.node_count, size=count),
-                               self.grid.shape)
-        fields = class_residual_fields(self.jet[idx], traces=self._traces[idx])
-        return ClassFlags.from_residuals(fields).as_dict()
+        return ClassFlags.from_residuals(class_residual_fields(self._traces)).as_dict()
 
     def conformal(self, f: np.ndarray) -> "GridMetric":
         """Grid metric of e^f h, with f differentiated by the grid scheme."""

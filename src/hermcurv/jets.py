@@ -64,13 +64,6 @@ class MetricJet:
         """det h, from the same factorization as `ginv`."""
         return self._inverse[1]
 
-    def __getitem__(self, idx) -> "MetricJet":
-        sub = MetricJet(self.h[idx], self.dh[idx], self.ddh[idx])
-        if "_inverse" in self.__dict__:  # a computed inverse is sliced, not redone
-            ginv, det = self._inverse
-            sub._inverse = (ginv[idx], det[idx])
-        return sub
-
 
 @dataclass
 class FactorJet:

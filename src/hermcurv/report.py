@@ -42,7 +42,7 @@ def curvature_records(man: ModelManifold, z: np.ndarray, jet: MetricJet, ts) -> 
     the same quantities `classify` maximizes over samples.
     """
     traces = torsion_traces(jet)
-    residuals = class_residual_fields(jet, traces=traces)
+    residuals = class_residual_fields(traces)
     rics = ricci_forms(jet, ts)
     n, count = man.n, len(ts)
     rows = count * z.shape[0]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import bismut_s2_transform, torsion_pairing
+from .conformal import torsion_pairing, transformed_s2
 from .curvature import einstein_residual
 from .grid import (GridMetric, TorusField, complex_laplacian, dz,
                    factor_jet_from_field, gauduchon_degrees, integrate)
@@ -553,8 +553,8 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
                 if smin < 0 else 0.0)
     n = gm.n
     f = (2 * n - 1) / (n * n - 1) * np.log(phi)
-    s_new = bismut_s2_transform(gm.jet, factor_jet_from_field(gm.grid, f),
-                                s2_base=s_field)
+    s_new = transformed_s2(gm.jet, factor_jet_from_field(gm.grid, f), 1.0,
+                           s2_base=s_field)
     sup_dev = float(np.max(np.abs(s_new - mu)))
     rep = SolverReport(
         solution=TorusField(gm.grid, phi), lam=mu,

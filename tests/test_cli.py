@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hermcurv
 from hermcurv import cli
 from hermcurv.cli import main
 from hermcurv.manifolds import builtin_names
@@ -73,6 +78,16 @@ def test_pointwise_commands_never_build_the_curvature_tensor(capsys, count_calls
                        "--n", "3", "--t", "0,1")
     assert code == 0 and "conformal oracle max defect" in out
     assert calls == []
+
+
+def test_cli_import_leaves_the_forms_oracle_out():
+    # forms is the exterior-algebra oracle of the tests; no module the CLI
+    # loads imports it
+    src = str(Path(hermcurv.__file__).resolve().parents[1])
+    code = "import sys, hermcurv.cli; print('hermcurv.forms' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _count_pipeline(count_calls):

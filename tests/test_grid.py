@@ -265,8 +265,25 @@ def test_degrees_pluriclosed_bump_negative():
     # Gamma^2 = -||delbar* omega||^2 for Gauduchon torus metrics
     from hermcurv.curvature import torsion_diagnostics
     diag = torsion_diagnostics(gm.jet)
-    cross = -integrate(gm, diag.norms["delbar_star_sq"])
+    cross = -integrate(gm, diag.del_star_sq)
     np.testing.assert_allclose(g2, cross, rtol=1e-8)
+
+
+def test_class_residuals_take_every_node():
+    # a conformal change of a Gauduchon metric is not Gauduchon; the grid's
+    # residual is the maximum of the forms oracle over every node
+    from hermcurv import forms
+    base = builtin("pluriclosed-bump")
+    bent = conformal_manifold(base, "re(exp(i*(6.283185307179586*re(z1))))/3")
+    bent.periods = base.periods
+    gm = GridMetric.from_manifold(bent, TorusGrid(n=2, N=8))
+    want = float(np.sqrt(np.max(forms.del_delbar_omega(gm.jet).norm2(gm.ginv))))
+    res = gm.class_residuals()
+    for key in ("gauduchon", "pluriclosed"):
+        holds, worst = res[key]
+        assert not holds
+        assert abs(worst - want) <= 1e-12 * max(1.0, want), key
+    assert gauduchon_degrees(gm)[2]
 
 
 def test_degree_conformal_scaling():
