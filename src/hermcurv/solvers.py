@@ -3,9 +3,9 @@
 Three problems, each returning a SolverReport with residual certificates:
 
 * zero degree:     lap_C f = S_C2(omega),  f mean-zero least squares
-* negative degree: continuity method in a for
-                   F(a, f) = lap_C f - a S + lam e^f - lam (1 - a) = 0,
-                   with Newton corrections D w = lap_C w + lam e^f w
+* negative degree: Newton at a = 1, the continuity path in a as fallback,
+                   F(a, f) = lap_C f - a S + lam e^f - lam (1 - a) = 0, with
+                   inexact (Eisenstat-Walker) corrections D w = lap_C w + lam e^f w
 * Bismut-Yamabe:   projected Sobolev (H1) gradient descent on the
                    Rayleigh-type quotient Y_q over positive fields with
                    sum(phi^q) constrained, then Newton polish of the
@@ -45,7 +45,6 @@ ZERO_DEGREE_TOL = 1e-5      # |Gamma^2| accepted as the zero-degree case
 NORMALIZE_TOL = 1e-10       # least-squares tolerance of the normalization stage
 NEWTON_TOL = 1e-10          # sup residual ending each continuity Newton solve
 NEWTON_MAX = 50
-NEWTON_KRYLOV_TOL = 1e-13   # BiCGStab tolerance of a continuity Newton step
 EL_KRYLOV_TOL = 1e-12       # BiCGStab tolerance of an Euler-Lagrange step
 LSTSQ_MAXIT = 400
 BICGSTAB_MAXIT = 500
@@ -191,11 +190,18 @@ def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12):
     return f, float(np.max(np.abs(resid)))
 
 
+def _denominator(name: str, value: float) -> float:
+    """A BiCGStab denominator; zero or non-finite is a breakdown."""
+    if not 1e-300 <= abs(value) < np.inf:
+        raise ConvergenceError(f"BiCGStab breakdown ({name} = {value:.3e})")
+    return value
+
+
 def bicgstab(apply_op, b: np.ndarray, precond, tol: float):
     """Textbook preconditioned BiCGStab on real grid fields.
 
-    A zero right-hand side has the exact solution 0; rho = 0 with a nonzero
-    residual is a breakdown and raises ConvergenceError.
+    A zero right-hand side has the exact solution 0; a zero or non-finite
+    denominator (rho, rhat.v, omega) is a breakdown and raises ConvergenceError.
     """
     x = np.zeros_like(b)
     bnorm = float(np.max(np.abs(b)))
@@ -207,15 +213,12 @@ def bicgstab(apply_op, b: np.ndarray, precond, tol: float):
     v = np.zeros_like(b)
     p = np.zeros_like(b)
     for it in range(BICGSTAB_MAXIT):
-        rho_new = float(np.sum(rhat * r))
-        if abs(rho_new) < 1e-300:
-            raise ConvergenceError(
-                f"BiCGStab breakdown (rho = 0, residual {np.max(np.abs(r)):.3e})")
+        rho_new = _denominator("rho", float(np.sum(rhat * r)))
         beta = (rho_new / rho) * (alpha / omega) if it else 0.0
         p = r + beta * (p - omega * v) if it else r.copy()
         phat = precond(p)
         v = apply_op(phat)
-        alpha = rho_new / float(np.sum(rhat * v))
+        alpha = rho_new / _denominator("rhat.v", float(np.sum(rhat * v)))
         s = r - alpha * v
         x = x + alpha * phat
         if np.max(np.abs(s)) < tol * bnorm:
@@ -223,7 +226,7 @@ def bicgstab(apply_op, b: np.ndarray, precond, tol: float):
         shat = precond(s)
         t = apply_op(shat)
         tt = float(np.sum(t * t))
-        omega = float(np.sum(t * s)) / tt if tt > 0 else 0.0
+        omega = _denominator("omega", float(np.sum(t * s)) / tt if tt > 0 else 0.0)
         x = x + omega * shat
         r = s - omega * t
         if np.max(np.abs(r)) < tol * bnorm:
@@ -306,8 +309,7 @@ LEMMA_BOUND_SLACK = (1e-2, 1e-6)  # relative to ||f||_inf, absolute
 def _check_apriori_bound(f: np.ndarray, s_field: np.ndarray, lam: float):
     slack = LEMMA_BOUND_SLACK[0] * float(np.max(np.abs(f))) + LEMMA_BOUND_SLACK[1]
     upper = np.log(1.0 + float(np.min(s_field)) / lam)
-    lo = float(np.min(f))
-    hi = float(np.max(f))
+    lo, hi = float(np.min(f)), float(np.max(f))
     if lo < -slack or hi > upper + slack:
         raise ConvergenceError(
             f"a-priori bound violated beyond slack: f in [{lo:.3e}, {hi:.3e}], "
@@ -319,8 +321,10 @@ def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
     """Continuity method for lap_C f = -lam e^f + S along a: 0 -> 1.
 
     F(a, f) = lap_C f - a S + lam e^f - lam (1 - a); the a = 0 problem has
-    the exact solution f = 0.  Step control: start 0.1, halve on Newton
-    failure, double after two consecutive successes, floor 1e-4.
+    the exact solution f = 0.  Step control: try a = 1 first, halve when a
+    Newton solve fails (residual non-finite or growing), double up to 1 after
+    two consecutive successes, floor 1e-4.  Returns f and the path, one
+    (a, newton_iters, residual) entry per accepted a.
     """
     if lam >= 0:
         raise PreconditionError("continuity method requires lam < 0")
@@ -332,27 +336,27 @@ def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
         return op.apply(f) - a * s_field + lam * np.exp(f) - lam * (1 - a)
 
     def newton(a, f):
+        rn_old = np.inf
         for it in range(NEWTON_MAX):
             r = F(a, f)
             rn = float(np.max(np.abs(r)))
+            if not (np.isfinite(rn) and rn <= rn_old):
+                raise ConvergenceError(
+                    f"Newton residual {rn:.3e} at a={a} after {rn_old:.3e}")
             if rn < NEWTON_TOL:
                 return f, rn, it
+            # Eisenstat-Walker forcing, no tighter than the final gate needs
+            eta = 0.1 if it == 0 else max(
+                1e-13, min(0.1, 0.9 * (rn / rn_old) ** 2), 0.5 * NEWTON_TOL / rn)
             ef = lam * np.exp(f)
             shift = float(np.mean(ef))
-
-            def apply_d(w):
-                return op.apply(w) + ef * w
-
-            def prec(v):
-                return op.precondition(v, shift=shift)
-
-            w, _ = bicgstab(apply_d, -r, prec, tol=NEWTON_KRYLOV_TOL)
+            w, _ = bicgstab(lambda v: op.apply(v) + ef * v, -r,
+                            lambda v: op.precondition(v, shift=shift), tol=eta)
             f = f + w
+            rn_old = rn
         raise ConvergenceError(f"Newton stalled at a={a} (residual {rn:.3e})")
 
-    a = 0.0
-    da = 0.1
-    streak = 0
+    a, da, streak = 0.0, 1.0, 0
     f, rn, _ = newton(0.0, f)
     trace.append((0.0, 0, rn))
     while a < 1.0 - 1e-14:
@@ -373,7 +377,7 @@ def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
         trace.append((a, iters, rn))
         streak += 1
         if streak >= 2:
-            da = min(2 * da, 0.5)
+            da = min(2 * da, 1.0)
             streak = 0
     return f, trace
 
@@ -519,14 +523,10 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
         coef = N1 * s_field - N1 * energy * (q - 1) * phi ** (q - 2)
         shift = -float(np.mean(coef))
 
-        def apply_j(v):
-            return -complex_laplacian(gm, v) + coef * v
-
-        def prec(v):
-            return -op.precondition(v, shift=shift)
-
         try:
-            delta, _ = bicgstab(apply_j, -r, prec, tol=EL_KRYLOV_TOL)
+            delta, _ = bicgstab(lambda v: -complex_laplacian(gm, v) + coef * v, -r,
+                                lambda v: -op.precondition(v, shift=shift),
+                                tol=EL_KRYLOV_TOL)
         except ConvergenceError:
             break
         cand = phi + delta

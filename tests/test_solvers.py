@@ -64,9 +64,22 @@ def test_bicgstab_returns_zero_for_a_zero_right_hand_side():
 
 
 def test_bicgstab_reports_a_breakdown():
-    # one step leaves r = e2 with omega = 0, so rho = <e1, r> vanishes with r != 0
+    # one step leaves s = e2 with <t, s> = 0, so omega = 0 with r != 0
     a = np.array([[1.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ConvergenceError, match="breakdown"):
+        bicgstab(lambda v: a @ v, np.array([1.0, 0.0]), lambda v: v, tol=1e-12)
+
+
+def test_bicgstab_breakdown_on_a_zero_rhat_v():
+    # the zero operator makes v = 0, so alpha = rho / <rhat, v> has no value
+    with pytest.raises(ConvergenceError, match=r"breakdown \(rhat\.v = 0"):
+        bicgstab(lambda v: np.zeros_like(v), np.ones((4, 4)), lambda v: v, tol=1e-10)
+
+
+def test_bicgstab_breakdown_on_a_zero_omega():
+    # the operator kills s = -e2 after one step, so t = 0 and omega = 0
+    a = np.array([[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ConvergenceError, match=r"breakdown \(omega = 0"):
         bicgstab(lambda v: a @ v, np.array([1.0, 0.0]), lambda v: v, tol=1e-12)
 
 
@@ -203,6 +216,42 @@ def test_continuity_uniqueness_two_inits():
                              f0=0.01 * rng.normal(size=gm.grid.shape),
                              check_bound=False)
     assert np.max(np.abs(f1 - f2)) < 1e-6
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_continuity_takes_the_full_step(N):
+    gm = make_gm("kaehler-bump", N)
+    _, rhs = manufactured_negative(gm)
+    _, trace = continuity_solve(gm, rhs, LAM_NEG)
+    assert [step[0] for step in trace] == [0.0, 1.0]
+    assert trace[0][1] == 0 and trace[1][1] <= 4
+
+
+def test_negative_solve_takes_the_full_step():
+    rep = solve_chern_negative(make_gm("pluriclosed-bump", 8))
+    assert [step[0] for step in rep.path_trace] == [0.0, 1.0]
+    assert rep.path_trace[0][1] == 0 and rep.path_trace[1][1] <= 4
+    assert f"lambda={rep.lam:.10g}" == "lambda=-0.09058016343"  # as the CLI prints it
+
+
+def test_continuity_falls_back_to_the_path():
+    # MMS_NEG amplitudes x30: Newton at a = 1 from f = 0 is rejected, the path
+    # takes a smaller step first and still reaches a = 1
+    big = _TrigSum([(0.6, (1, 0), (0, 0), 0.0), (0.3, (0, 0), (1, 1), 0.7)])
+    gm = make_gm("kaehler-bump", 16)
+    z = gm.grid.points()
+    fstar = big.deriv(z, (), ()).real
+    fstar += 0.01 - fstar.min()
+    rhs = analytic_laplacian(gm, big) + LAM_NEG * np.exp(fstar)
+    f, trace = continuity_solve(gm, rhs, LAM_NEG, check_bound=True)
+    assert trace[1][0] < 1.0 and trace[-1][0] == 1.0
+    assert trace[-1][2] < 1e-8
+    # the discretization error that the path-only solve reaches
+    assert abs(np.max(np.abs(f - fstar)) - 1.083930639448534e-2) < 1e-8
+    f2, _ = continuity_solve(gm, rhs, LAM_NEG,
+                             f0=0.01 * np.random.default_rng(0).normal(size=gm.grid.shape),
+                             check_bound=False)
+    assert np.max(np.abs(f - f2)) < 1e-6
 
 
 def test_continuity_requires_negative_lam():
