@@ -384,31 +384,31 @@ def complex_laplacian(gm: GridMetric, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def real_metric(gm: GridMetric):
-    """Underlying Riemannian metric g and its inverse, as 2n x 2n blocks."""
+def real_inverse_metric(gm: GridMetric) -> np.ndarray:
+    """Inverse of the underlying Riemannian metric g, as 2n x 2n blocks.
+
+    g realifies 2h (an entry x + iy becomes the block [[x, y], [-y, x]]), and
+    realification is multiplicative, so g^{-1} realifies (2h)^{-1} = h^{-1}/2.
+    """
     n = gm.n
-    h = gm.jet.h
-    g = np.zeros(gm.grid.shape + (2 * n, 2 * n))
-    re = h.real
-    im = h.imag
-    for a in range(n):
-        for b in range(n):
-            g[..., 2 * a, 2 * b] = 2 * re[..., a, b]
-            g[..., 2 * a + 1, 2 * b + 1] = 2 * re[..., a, b]
-            g[..., 2 * a, 2 * b + 1] = 2 * im[..., a, b]
-            g[..., 2 * a + 1, 2 * b] = -2 * im[..., a, b]
-    ginv = np.linalg.inv(g)
-    return g, ginv
+    hinv = 0.5 * np.swapaxes(gm.ginv, -1, -2)
+    ginv_r = np.empty(gm.grid.shape + (2 * n, 2 * n))
+    ginv_r[..., 0::2, 0::2] = hinv.real
+    ginv_r[..., 1::2, 1::2] = hinv.real
+    ginv_r[..., 0::2, 1::2] = hinv.imag
+    ginv_r[..., 1::2, 0::2] = -hinv.imag
+    return ginv_r
 
 
-def laplace_de_rham(gm: GridMetric, v: np.ndarray) -> np.ndarray:
+def laplace_de_rham(gm: GridMetric, v: np.ndarray,
+                    ginv_r: np.ndarray) -> np.ndarray:
     """Laplace-de Rham operator on functions (positive convention).
 
     Delta_d v = -(g^{ab} d_a d_b v + J^{-1} d_a(J g^{ab}) d_b v), with the
-    same-axis second derivatives taken by the d2 stencil used everywhere.
+    same-axis second derivatives taken by the d2 stencil used everywhere;
+    ginv_r is `real_inverse_metric(gm)`.
     """
     grid = gm.grid
-    _, ginv_r = real_metric(gm)
     jac = gm.det * (2 ** gm.n)  # sqrt(det g)
     nn = 2 * gm.n
     first = np.zeros(grid.shape)
@@ -429,9 +429,9 @@ def laplace_de_rham(gm: GridMetric, v: np.ndarray) -> np.ndarray:
     return -(first + second)
 
 
-def metric_pairing_du_eta(gm: GridMetric, v: np.ndarray) -> np.ndarray:
-    """<dv, eta(omega)> with the real metric, stencil-consistent."""
-    _, ginv_r = real_metric(gm)
+def metric_pairing_du_eta(gm: GridMetric, v: np.ndarray,
+                          ginv_r: np.ndarray) -> np.ndarray:
+    """<dv, eta(omega)> with the real inverse metric ginv_r, stencil-consistent."""
     eta = gm.lee_real()
     nn = 2 * gm.n
     out = np.zeros(gm.grid.shape)
@@ -445,7 +445,8 @@ def metric_pairing_du_eta(gm: GridMetric, v: np.ndarray) -> np.ndarray:
 def laplacian_duality_defect(gm: GridMetric, u: np.ndarray) -> float:
     """Grid max of | -2 lap_C u - Delta_d u - <du, eta> |."""
     lhs = -2 * complex_laplacian(gm, u)
-    rhs = laplace_de_rham(gm, u) + metric_pairing_du_eta(gm, u)
+    ginv_r = real_inverse_metric(gm)
+    rhs = laplace_de_rham(gm, u, ginv_r) + metric_pairing_du_eta(gm, u, ginv_r)
     return float(np.max(np.abs(lhs - rhs)))
 
 

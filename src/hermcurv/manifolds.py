@@ -326,9 +326,10 @@ class _TrigSum:
     """Sum of A * cos(2 pi (a.x + b.y) + phase) terms with exact Wirtinger jets.
 
     Wirtinger derivatives of the linear phase u = a.x + b.y are constants:
-    du/dz_k = a_k/2 - i b_k/2, du/dzbar_k = conj of that.  Any mixed
-    derivative of a term is (2 pi)^order * cos^(order-shifted) * product of
-    those constants, which keeps the builtin grid metrics exactly periodic.
+    du/dz_k = c_k = a_k/2 - i b_k/2, du/dzbar_k = conj(c_k).  So a term's
+    derivative of order k = p + q is A (2 pi)^k times the k-th derivative of
+    cos at the phase times c^(x p) (x) conj(c)^(x q), which keeps the builtin
+    grid metrics exactly periodic.
     """
 
     def __init__(self, terms):
@@ -336,30 +337,27 @@ class _TrigSum:
         self.terms = [(float(A), np.asarray(a, float), np.asarray(b, float),
                        float(ph)) for A, a, b, ph in terms]
 
-    def _u(self, z, a, b):
-        return np.tensordot(z.real, a, axes=(-1, -1)) + np.tensordot(z.imag, b,
-                                                                     axes=(-1, -1))
+    def derivs(self, z, orders):
+        """{(p, q): d^{p+q} phi / dz^p dzbar^q} for each (p, q) in orders.
 
-    @staticmethod
-    def _dz(a, b):
-        return 0.5 * a - 0.5j * b
-
-    def deriv(self, z, holo, anti):
-        """d^{|holo|+|anti|} phi / prod dz_{holo} prod dzbar_{anti}."""
-        out = 0.0
-        order = len(holo) + len(anti)
+        Each tensor has shape z.shape[:-1] + (n,) * (p + q), holomorphic axes
+        first; each term's phase, cos and sin are evaluated once.
+        """
+        n = z.shape[-1]
+        out = {pq: np.zeros(z.shape[:-1] + (n,) * sum(pq), complex) for pq in orders}
         for A, a, b, ph in self.terms:
-            arg = 2 * np.pi * self._u(z, a, b) + ph
-            # successive derivatives of cos: cos, -sin, -cos, sin
-            trig = (np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t), np.sin)
-            val = trig[order % 4](arg) * (2 * np.pi) ** order
-            c = self._dz(a, b)
-            fac = 1.0 + 0j
-            for k in holo:
-                fac = fac * c[k]
-            for k in anti:
-                fac = fac * np.conj(c[k])
-            out = out + A * val * fac
+            arg = 2 * np.pi * (np.tensordot(z.real, a, axes=(-1, -1))
+                               + np.tensordot(z.imag, b, axes=(-1, -1))) + ph
+            cos, sin = np.cos(arg), np.sin(arg)
+            trig = (cos, -sin, -cos, sin)  # successive derivatives of cos
+            c = 0.5 * a - 0.5j * b
+            for (p, q), acc in out.items():
+                k = p + q
+                fac = np.array(1.0 + 0j)
+                for v in (c,) * p + (np.conj(c),) * q:
+                    fac = np.multiply.outer(fac, v)
+                amp = A * (trig[k % 4] * (2 * np.pi) ** k)
+                acc += amp[(...,) + (None,) * k] * fac
         return out
 
     def source(self, n):
@@ -395,20 +393,9 @@ def _bump(terms, eps):
 
 
 def _kaehler_bump_jets(z, eps):
-    n = z.shape[-1]
-    phi = _bump(_KB_TERMS, eps)
-    shape = z.shape[:-1]
-    h = np.zeros(shape + (n, n), complex)
-    dh = np.zeros(shape + (n, n, n), complex)
-    ddh = np.zeros(shape + (n, n, n, n), complex)
-    for k in range(n):
-        for l in range(n):
-            h[..., k, l] = (1.0 if k == l else 0.0) + phi.deriv(z, (k,), (l,))
-            for i in range(n):
-                dh[..., i, k, l] = phi.deriv(z, (i, k), (l,))
-                for j in range(n):
-                    ddh[..., i, j, k, l] = phi.deriv(z, (i, k), (j, l))
-    return h, dh, ddh
+    d = _bump(_KB_TERMS, eps).derivs(z, [(1, 1), (2, 1), (2, 2)])
+    h = np.eye(z.shape[-1]) + d[1, 1]
+    return h, d[2, 1], d[2, 2].swapaxes(-3, -2)
 
 
 # Pluriclosed bump: h = I + i(g_jbar delta_{i1} - g_i delta_{j1}) from the
@@ -421,30 +408,21 @@ _PB_TERMS = [
 
 
 def _pluriclosed_bump_jets(z, eps):
+    # P_{kl} = i (g_lbar [k=0] - g_k [l=0]); h = I + P, dh = d_i P, ddh = d_i dbar_j P
     n = z.shape[-1]
-    g = _bump(_PB_TERMS, eps)
+    d = _bump(_PB_TERMS, eps).derivs(z, [(0, 1), (1, 0), (1, 1), (2, 0), (1, 2),
+                                         (2, 1)])
     shape = z.shape[:-1]
-    h = np.zeros(shape + (n, n), complex)
+    p = np.zeros(shape + (n, n), complex)
     dh = np.zeros(shape + (n, n, n), complex)
     ddh = np.zeros(shape + (n, n, n, n), complex)
-
-    def P(holo, anti, i, j):
-        # derivative (holo; anti) of P_{ij} = i (g_{jbar} [i=0] - g_i [j=0])
-        out = 0.0
-        if i == 0:
-            out = out + 1j * g.deriv(z, holo, anti + (j,))
-        if j == 0:
-            out = out - 1j * g.deriv(z, holo + (i,), anti)
-        return out
-
-    for k in range(n):
-        for l in range(n):
-            h[..., k, l] = (1.0 if k == l else 0.0) + P((), (), k, l)
-            for i in range(n):
-                dh[..., i, k, l] = P((i,), (), k, l)
-                for j in range(n):
-                    ddh[..., i, j, k, l] = P((i,), (j,), k, l)
-    return h, dh, ddh
+    p[..., 0, :] += 1j * d[0, 1]
+    p[..., :, 0] -= 1j * d[1, 0]
+    dh[..., :, 0, :] += 1j * d[1, 1]
+    dh[..., :, :, 0] -= 1j * d[2, 0]
+    ddh[..., :, :, 0, :] += 1j * d[1, 2]
+    ddh[..., :, :, :, 0] -= 1j * d[2, 1].swapaxes(-2, -1)
+    return np.eye(n) + p, dh, ddh
 
 
 def _kaehler_bump_source(n, eps):

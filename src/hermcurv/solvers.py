@@ -35,7 +35,7 @@ from .curvature import einstein_residual
 from .grid import (GridMetric, TorusField, complex_laplacian, dz,
                    factor_jet_from_field, gauduchon_degrees, integrate)
 
-__all__ = ["SolverReport", "YamabeConstants", "PreconditionError",
+__all__ = ["SolverReport", "PreconditionError",
            "ConvergenceError", "solve_chern_zero", "normalize_to_negative",
            "solve_chern_negative", "continuity_solve",
            "bismut_yamabe_minimize", "lozenge_constancy_check"]
@@ -74,25 +74,6 @@ class SolverReport:
     extras: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class YamabeConstants:
-    n: int
-
-    @property
-    def N1(self) -> float:
-        return (self.n ** 2 - 1) / (2 * self.n - 1) ** 2
-
-    @property
-    def N2(self) -> float:
-        return 2 + (2 * self.n - 1) / (self.n ** 2 - 1)
-
-    def check_exponent(self, q: float) -> float:
-        hi = 2 * self.n / (self.n - 1)
-        if not 2 < q < hi:
-            raise PreconditionError(f"exponent q={q} outside (2, {hi})")
-        return float(q)
-
-
 # -- discrete operator kit ----------------------------------------------------
 
 class _LaplacianOp:
@@ -124,9 +105,6 @@ class _LaplacianOp:
                 shape[a] = len(s)
                 sym += c * s.reshape(shape)
         return sym
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return complex_laplacian(self.gm, f)
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         # lap = sum c_k S_k with symmetric stencils S_k, so lap^T = sum S_k c_k
@@ -172,7 +150,7 @@ def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12):
     rz = float(np.sum(r * z))
     scale = max(float(np.max(np.abs(b))), 1e-30)
     for it in range(LSTSQ_MAXIT):
-        ap = _mean_zero(op.apply_transpose(op.apply(p)))
+        ap = _mean_zero(op.apply_transpose(complex_laplacian(op.gm, p)))
         alpha = rz / float(np.sum(p * ap))
         f += alpha * p
         r -= alpha * ap
@@ -186,7 +164,7 @@ def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12):
         raise ConvergenceError("least-squares CG stagnated on the zero-degree "
                                f"problem (residual {np.max(np.abs(r)):.3e})")
     f = _mean_zero(f)
-    resid = op.apply(f) - rhs
+    resid = complex_laplacian(op.gm, f) - rhs
     return f, float(np.max(np.abs(resid)))
 
 
@@ -263,7 +241,7 @@ def solve_chern_zero(gm: GridMetric,
     s_field = gm.scalar_fields()["s_c2"]
     op = _LaplacianOp(gm)
     f, linf = lstsq_mean_zero(op, s_field)
-    lap_f = op.apply(f)
+    lap_f = complex_laplacian(gm, f)
     resid = lap_f - s_field
     l2 = float(np.sqrt(integrate(gm, resid ** 2)))
     if resid_tol is not None and l2 > resid_tol:
@@ -333,7 +311,7 @@ def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
     trace = []
 
     def F(a, f):
-        return op.apply(f) - a * s_field + lam * np.exp(f) - lam * (1 - a)
+        return complex_laplacian(gm, f) - a * s_field + lam * np.exp(f) - lam * (1 - a)
 
     def newton(a, f):
         rn_old = np.inf
@@ -350,7 +328,7 @@ def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
                 1e-13, min(0.1, 0.9 * (rn / rn_old) ** 2), 0.5 * NEWTON_TOL / rn)
             ef = lam * np.exp(f)
             shift = float(np.mean(ef))
-            w, _ = bicgstab(lambda v: op.apply(v) + ef * v, -r,
+            w, _ = bicgstab(lambda v: complex_laplacian(gm, v) + ef * v, -r,
                             lambda v: op.precondition(v, shift=shift), tol=eta)
             f = f + w
             rn_old = rn
@@ -455,9 +433,9 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
         raise PreconditionError(
             f"metric is not balanced at tolerance (torsion trace sup "
             f"{tau_sup:.3e} > {BALANCED_TOL:.1e})")
-    yc = YamabeConstants(gm.n)
-    q = yc.check_exponent(yc.N2)
-    N1 = yc.N1
+    n = gm.n
+    N1 = (n ** 2 - 1) / (2 * n - 1) ** 2
+    q = 2 + (2 * n - 1) / (n ** 2 - 1)  # N2, inside (2, 2n/(n-1)) for every n
     w = gm.weights()
     s_field = gm.scalar_fields()["s_b2"]
 
@@ -551,7 +529,6 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
     smin = float(np.min(s_field))
     mu_lower = (N1 ** (1 - 2 / q) * smin * vol ** (1 - 2 / q)
                 if smin < 0 else 0.0)
-    n = gm.n
     f = (2 * n - 1) / (n * n - 1) * np.log(phi)
     s_new = transformed_s2(gm.jet, factor_jet_from_field(gm.grid, f), 1.0,
                            s2_base=s_field)
@@ -560,7 +537,7 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
         solution=TorusField(gm.grid, phi), lam=mu,
         residual_linf=float(np.max(np.abs(r))), residual_l2=rnorm,
         energy_trace=trace,
-        extras={"mu": mu, "q": q, "N1": N1, "N2": yc.N2,
+        extras={"mu": mu, "q": q, "N1": N1, "N2": q,
                 "mu_upper_exact": mu_upper_exact,
                 "mu_upper_unnormalized": mu_upper_raw,
                 "mu_lower": mu_lower,

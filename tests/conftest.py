@@ -1,4 +1,5 @@
-"""Shared fixtures: one session-wide cache of grid metrics, and call counters.
+"""Shared fixtures: one session-wide cache of grid metrics, the exact complex
+Laplacian of a manufactured trig field, and call counters.
 
 Grid metrics returned by `make_gm` are shared by every test that asks for the
 same key, so a test that mutates one must build a private `GridMetric`.
@@ -6,6 +7,7 @@ same key, so a test that mutates one must build a private `GridMetric`.
 
 import sys
 
+import numpy as np
 import pytest
 
 from hermcurv.grid import GridMetric, TorusGrid
@@ -21,6 +23,17 @@ def make_gm(name="flat-torus", N=8, scheme="fd2", **params):
         _GM_CACHE[key] = GridMetric.from_manifold(
             man, TorusGrid(n=man.n, N=N, scheme=scheme))
     return _GM_CACHE[key]
+
+
+def trig_values(gm, trig):
+    """A `_TrigSum`'s values at the grid nodes."""
+    return trig.derivs(gm.grid.points(), [(0, 0)])[0, 0].real
+
+
+def analytic_laplacian(gm, trig):
+    """h^{i jbar} d_i dbar_j of a `_TrigSum` at the grid nodes, from its exact jet."""
+    d11 = trig.derivs(gm.grid.points(), [(1, 1)])[1, 1]
+    return np.sum(gm.ginv * d11, axis=(-2, -1)).real
 
 
 @pytest.fixture

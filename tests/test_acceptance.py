@@ -23,7 +23,7 @@ from hermcurv.manifolds import builtin, factor_jet_from_expr, _TrigSum
 from hermcurv.solvers import (bismut_yamabe_minimize, continuity_solve,
                               solve_chern_zero)
 
-from conftest import make_gm
+from conftest import analytic_laplacian, make_gm, trig_values
 
 GOLDEN_TOL = 1e-8
 
@@ -186,15 +186,6 @@ def test_duality_order():
 
 # -- criterion 3: solver criteria (n=2 torus, N=16, < 120 s each) ----------------
 
-def _analytic_lap(gm, trig):
-    z = gm.grid.points()
-    out = np.zeros(gm.grid.shape, complex)
-    for i in range(gm.n):
-        for j in range(gm.n):
-            out += gm.ginv[..., i, j] * trig.deriv(z, (i,), (j,))
-    return out.real
-
-
 def test_solver_manufactured_zero_order():
     t0 = time.perf_counter()
     trig = _TrigSum([(0.1, (1, 0), (0, 0), 0.0), (0.07, (0, 1), (1, 0), 0.4)])
@@ -202,9 +193,8 @@ def test_solver_manufactured_zero_order():
     from hermcurv.solvers import _LaplacianOp, lstsq_mean_zero
     for N in (8, 16, 32):
         gm = make_gm("kaehler-bump", N)
-        z = gm.grid.points()
-        fstar = trig.deriv(z, (), ()).real
-        f, _ = lstsq_mean_zero(_LaplacianOp(gm), _analytic_lap(gm, trig))
+        fstar = trig_values(gm, trig)
+        f, _ = lstsq_mean_zero(_LaplacianOp(gm), analytic_laplacian(gm, trig))
         errs.append(np.max(np.abs((f - f.mean()) - (fstar - fstar.mean()))))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     dt = time.perf_counter() - t0
@@ -218,9 +208,8 @@ def test_solver_manufactured_negative():
     lam = -2.0
     trig = _TrigSum([(0.02, (1, 0), (0, 0), 0.0), (0.01, (0, 0), (1, 1), 0.7)])
     gm = make_gm("kaehler-bump", 16)
-    z = gm.grid.points()
-    fstar = trig.deriv(z, (), ()).real + 0.045
-    rhs = _analytic_lap(gm, trig) + lam * np.exp(fstar)
+    fstar = trig_values(gm, trig) + 0.045
+    rhs = analytic_laplacian(gm, trig) + lam * np.exp(fstar)
     f1, trace = continuity_solve(gm, rhs, lam)  # a-priori bound checked inside
     rng = np.random.default_rng(5)
     f2, _ = continuity_solve(gm, rhs, lam,

@@ -149,7 +149,7 @@ def test_laplacian_transpose_is_adjoint(case):
     u = rng.normal(size=gm.grid.shape)
     v = rng.normal(size=gm.grid.shape)
     op = _LaplacianOp(gm)
-    lhs = float(np.sum(op.apply(u) * v))
+    lhs = float(np.sum(complex_laplacian(gm, u) * v))
     rhs = float(np.sum(u * op.apply_transpose(v)))
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs), (case, lhs, rhs)
 

@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from hermcurv import expr as ex
+from hermcurv.dsl import parse_expr
 from hermcurv.jets import MetricJet, JetError, check_jet_invariants, inverse_and_det
-from hermcurv.manifolds import (ChartPoint, DomainError, builtin, builtin_names,
-                                conformal_manifold, manifold_from_manifest)
+from hermcurv.manifolds import (ChartPoint, DomainError, _TrigSum, builtin,
+                                builtin_names, conformal_manifold,
+                                manifold_from_manifest)
 
 ALL_BUILTINS = [
     ("flat-torus", {}),
@@ -66,6 +71,36 @@ def test_closed_form_agrees_with_expression_path(name, params):
     np.testing.assert_allclose(a.h, b.h, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(a.dh, b.dh, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(a.ddh, b.ddh, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_trig_derivs_agree_with_expression_path(n):
+    # every derivative up to order (2, 2) against the symbolic differentiator
+    # applied to the sum's DSL source
+    trig = _TrigSum([(A, a[:n], b[:n], ph) for A, a, b, ph in (
+        (0.7, (1, -2, 1), (0, 1, 2), 0.3),
+        (0.4, (2, 0, -1), (1, 1, 0), 1.1),
+        (0.25, (0, 1, 3), (-1, 2, 1), 2.5))])
+    z = np.random.default_rng(4).uniform(-1, 1, (5, n, 2)) @ np.array([1, 1j])
+    orders = [(p, q) for p in range(3) for q in range(3)]
+    got = trig.derivs(z, orders)
+    trees = {((), ()): parse_expr(trig.source(n), n)}
+
+    def tree(holo, anti):
+        if (holo, anti) not in trees:
+            if anti:
+                base, k, bar = tree(holo, anti[:-1]), anti[-1], True
+            else:
+                base, k, bar = tree(holo[:-1], ()), holo[-1], False
+            trees[holo, anti] = ex.wirtinger_derivative(base, k, bar=bar)
+        return trees[holo, anti]
+
+    for p, q in orders:
+        assert got[p, q].shape == (5,) + (n,) * (p + q)
+        for idx in itertools.product(range(n), repeat=p + q):
+            want = ex.evaluate(tree(idx[:p], idx[p:]), z)
+            dev = np.abs(got[p, q][(...,) + idx] - want)
+            assert np.all(dev <= 1e-12 * np.maximum(1.0, np.abs(want))), (p, q, idx)
 
 
 def test_hopf_value_at_unit_point():

@@ -3,40 +3,30 @@ import time
 import numpy as np
 import pytest
 
-from hermcurv.grid import GridMetric, TorusGrid, gauduchon_degrees
+from hermcurv.grid import GridMetric, TorusGrid, complex_laplacian, gauduchon_degrees
 from hermcurv.manifolds import builtin, conformal_manifold, _TrigSum
 from hermcurv.solvers import (PGD_MAX, ConvergenceError, PreconditionError,
-                              SolverReport, YamabeConstants, _check_apriori_bound,
+                              SolverReport, _check_apriori_bound,
                               bicgstab, bismut_yamabe_minimize, continuity_solve,
                               lozenge_constancy_check, normalize_to_negative,
                               solve_chern_negative, solve_chern_zero)
 
-from conftest import make_gm
-
-
-def analytic_laplacian(gm, trig):
-    z = gm.grid.points()
-    out = np.zeros(gm.grid.shape, complex)
-    for i in range(gm.n):
-        for j in range(gm.n):
-            out += gm.ginv[..., i, j] * trig.deriv(z, (i,), (j,))
-    return out.real
+from conftest import analytic_laplacian, make_gm, trig_values
 
 
 MMS_FIELD = _TrigSum([(0.1, (1, 0), (0, 0), 0.0), (0.07, (0, 1), (1, 0), 0.4)])
 
 
 def test_yamabe_constants():
-    yc = YamabeConstants(2)
-    assert yc.N1 == pytest.approx(1 / 3)
-    assert yc.N2 == pytest.approx(3.0)
-    assert yc.N2 < 2 * 2 / (2 - 1)
-    yc3 = YamabeConstants(3)
-    assert yc3.N2 < 2 * 3 / (3 - 1)
-    with pytest.raises(PreconditionError):
-        yc.check_exponent(2.0)
-    with pytest.raises(PreconditionError):
-        yc.check_exponent(4.0)
+    # the constants the minimizer reports: N1(2) = 1/3, N2(2) = 3, N2(3) = 21/8
+    for n, n1, n2 in ((2, 1 / 3, 3.0), (3, 8 / 25, 21 / 8)):
+        extras = bismut_yamabe_minimize(make_gm("flat-torus", 4, n=n)).extras
+        assert extras["N1"] == pytest.approx(n1)
+        assert extras["N2"] == pytest.approx(n2) and extras["q"] == extras["N2"]
+    # so the exponent q = N2 always lies inside (2, 2n/(n-1))
+    for n in range(2, 13):
+        n2 = 2 + (2 * n - 1) / (n ** 2 - 1)
+        assert 2 < n2 < 2 * n / (n - 1)
 
 
 @pytest.mark.parametrize("n, N, scheme", [(2, 8, "fd2"), (2, 8, "spectral"),
@@ -46,7 +36,7 @@ def test_flat_preconditioner_inverts_the_flat_operator(n, N, scheme):
     from hermcurv.solvers import _LaplacianOp
     op = _LaplacianOp(make_gm("flat-torus", N=N, scheme=scheme, n=n))
     f = np.random.default_rng(6).normal(size=op.grid.shape)
-    lap_f = op.apply(f)
+    lap_f = complex_laplacian(op.gm, f)
     normal_f = op.apply_transpose(lap_f)
     for _ in range(2):  # a second round reads the cached inverse symbols
         np.testing.assert_allclose(op.precondition(lap_f), f - np.mean(f),
@@ -120,8 +110,7 @@ def test_zero_case_manufactured_order():
     for N in (8, 16, 32):
         gm = make_gm("kaehler-bump", N)
         from hermcurv.solvers import _LaplacianOp, lstsq_mean_zero
-        z = gm.grid.points()
-        fstar = MMS_FIELD.deriv(z, (), ()).real
+        fstar = trig_values(gm, MMS_FIELD)
         rhs = analytic_laplacian(gm, MMS_FIELD)
         op = _LaplacianOp(gm)
         f, _ = lstsq_mean_zero(op, rhs)
@@ -187,8 +176,7 @@ LAM_NEG = -2.0
 
 
 def manufactured_negative(gm):
-    z = gm.grid.points()
-    fstar = MMS_NEG.deriv(z, (), ()).real + 0.045
+    fstar = trig_values(gm, MMS_NEG) + 0.045
     assert fstar.min() > 0.01
     rhs = analytic_laplacian(gm, MMS_NEG) + LAM_NEG * np.exp(fstar)
     return fstar, rhs
@@ -239,8 +227,7 @@ def test_continuity_falls_back_to_the_path():
     # takes a smaller step first and still reaches a = 1
     big = _TrigSum([(0.6, (1, 0), (0, 0), 0.0), (0.3, (0, 0), (1, 1), 0.7)])
     gm = make_gm("kaehler-bump", 16)
-    z = gm.grid.points()
-    fstar = big.deriv(z, (), ()).real
+    fstar = trig_values(gm, big)
     fstar += 0.01 - fstar.min()
     rhs = analytic_laplacian(gm, big) + LAM_NEG * np.exp(fstar)
     f, trace = continuity_solve(gm, rhs, LAM_NEG, check_bound=True)
