@@ -31,20 +31,20 @@ class TransformedCurvature:
 
 def torsion_pairing(jet: MetricJet, tau: np.ndarray, df: np.ndarray) -> np.ndarray:
     """kappa = <del* omega, i delbar f> = -h^{k jbar} conj(tau_j) f_k."""
-    return -np.einsum("...kj,...j,...k->...", jet.ginv, np.conj(tau), df)
+    return -np.einsum("kj...,j...,k...->...", jet.ginv, np.conj(tau), df)
 
 
 def _factor_terms(jet: MetricJet, fj: FactorJet):
-    """Shared ingredients: laplacian, gradient norm, torsion trace, pairing."""
+    """Shared ingredients: laplacian, gradient norm, lowered torsion, tau, pairing."""
     ginv = jet.ginv
-    lap = np.einsum("...ij,...ij->...", ginv, fj.ddf)
+    lap = np.einsum("ij...,ij...->...", ginv, fj.ddf)
     if np.max(np.abs(lap.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(lap)))):
         raise ArithmeticError("complex laplacian of a real factor is not real")
-    grad2 = np.einsum("...ij,...i,...j->...", ginv, fj.df, np.conj(fj.df)).real
+    grad2 = np.einsum("ij...,i...,j...->...", ginv, fj.df, np.conj(fj.df)).real
     # tau_i = T_{ip}^p = h^{p lbar} (d h_{p lbar}/dz^i - d h_{i lbar}/dz^p)
-    dh = jet.dh
-    tau = np.einsum("...pl,...ipl->...i", ginv, dh - np.swapaxes(dh, -3, -2))
-    return lap.real, grad2, tau, torsion_pairing(jet, tau, fj.df)
+    low = jet.dh - jet.dh.swapaxes(0, 1)
+    tau = np.einsum("pl...,ipl...->i...", ginv, low)
+    return lap.real, grad2, low, tau, torsion_pairing(jet, tau, fj.df)
 
 
 def _s2_law(n: int, t: float, fj: FactorJet, s2_base, lap, grad2, kappa):
@@ -64,7 +64,7 @@ def transformed_s2(jet: MetricJet, fj: FactorJet, t: float, *,
     """
     if s2_base is None:
         s2_base = ricci_forms(jet, [t])[0].s2
-    lap, grad2, _, kappa = _factor_terms(jet, fj)
+    lap, grad2, _, _, kappa = _factor_terms(jet, fj)
     return _s2_law(jet.n, t, fj, s2_base, lap, grad2, kappa)
 
 
@@ -80,28 +80,27 @@ def transformed_ric34(jet: MetricJet, fj: FactorJet, ts) -> list[TransformedCurv
     n = jet.n
     h = jet.h
     rics = ricci_forms(jet, ts)
-    lap, grad2, tau, kappa = _factor_terms(jet, fj)
+    lap, grad2, low, tau, kappa = _factor_terms(jet, fj)
     dfbar = np.conj(fj.df)
-    v = np.einsum("...pq,...q->...p", jet.ginv, dfbar)  # (dbar f)^sharp
+    v = np.einsum("pq...,q...->p...", jet.ginv, dfbar)  # (dbar f)^sharp
     # T(V) matrix c[i, j] = T_{pi}^k h_{k jbar} V^p, with the lowered torsion
-    low = jet.dh - np.swapaxes(jet.dh, -3, -2)
-    c = np.einsum("...pij,...p->...ij", low, v)
-    ch = np.conj(np.swapaxes(c, -1, -2))
-    df_outer = np.einsum("...i,...j->...ij", fj.df, dfbar)
-    tau_outer = np.einsum("...i,...j->...ij", tau, dfbar)
+    c = np.einsum("pij...,p...->ij...", low, v)
+    ch = np.conj(c.swapaxes(0, 1))
+    df_outer = fj.df[:, None] * dfbar[None]
+    tau_outer = tau[:, None] * dfbar[None]
     out = []
     for t, ric in zip(ts, rics):
         t2 = t * t
         ric3 = (ric.ric3
                 - (1 + (n - 2) * t) * fj.ddf
-                - t * lap[..., None, None] * h
-                - n * t2 * grad2[..., None, None] * h
+                - t * lap * h
+                - n * t2 * grad2 * h
                 + t2 * df_outer
                 - n * t2 * c
                 - t2 * ch
-                + t2 * kappa[..., None, None] * h
+                + t2 * kappa * h
                 - t2 * tau_outer)
-        ric4 = np.conj(np.swapaxes(ric3, -1, -2))
+        ric4 = np.conj(ric3.swapaxes(0, 1))
         s2 = _s2_law(n, t, fj, ric.s2, lap, grad2, kappa)
         out.append(TransformedCurvature(ric3, ric4, s2, float(t)))
     return out

@@ -1,10 +1,11 @@
 """Pointwise curvature engine for the Chern and Gauduchon-family connections.
 
-Index conventions (all arrays broadcast over leading batch axes):
+Index conventions (every array is component-first, like the jet: index
+axes lead and the batch axes trail):
 
-* torsion      T[..., i, j, k]    = T_{ij}^k
+* torsion      T[i, j, k, ...]    = T_{ij}^k
              = h^{k lbar} (d h_{j lbar}/dz^i - d h_{i lbar}/dz^j)
-* curvature    R[..., i, j, k, l] = R_{i jbar k lbar}
+* curvature    R[i, j, k, l, ...] = R_{i jbar k lbar}
 * Chern        Theta_{i jbar k lbar}
              = -d^2 h_{k lbar}/dz^i dzbar^j
                + h^{p qbar} (d h_{p lbar}/dzbar^j)(d h_{k qbar}/dz^i)
@@ -35,8 +36,9 @@ Two paths produce the curvature traces.  The pointwise pipeline builds no
 and the Gauduchon and pluriclosed residuals in one pass over the jet (the
 grid metric, the class residuals and the report read its bundle), and
 `ricci_forms` gives the four Ricci forms and s1/s2 at every t of a list in
-one pass.  The full-tensor path (`chern_curvature`, `gauduchon_curvature`,
-`ricci_and_scalars`) builds R_{i jbar k lbar} and is the oracle for both;
+one pass; both read the jet's components in place.  The full-tensor path
+(`chern_curvature`, `gauduchon_curvature`, `ricci_and_scalars`) builds
+R_{i jbar k lbar} with `einsum` and is the oracle for both;
 `forms` is the exterior-algebra oracle of the class residuals and the Lee
 form, and no module here imports it.
 """
@@ -116,12 +118,12 @@ def report_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def chern_torsion(jet: MetricJet) -> np.ndarray:
-    a = jet.dh - np.swapaxes(jet.dh, -3, -2)  # dh[i,j,l] - dh[j,i,l]
-    return np.einsum("...kl,...ijl->...ijk", jet.ginv, a)
+    a = jet.dh - jet.dh.swapaxes(0, 1)  # dh[i,j,l] - dh[j,i,l]
+    return np.einsum("kl...,ijl...->ijk...", jet.ginv, a)
 
 
 def chern_curvature(jet: MetricJet) -> np.ndarray:
-    quad = np.einsum("...pq,...jlp,...ikq->...ijkl", jet.ginv, np.conj(jet.dh), jet.dh)
+    quad = np.einsum("pq...,jlp...,ikq...->ijkl...", jet.ginv, np.conj(jet.dh), jet.dh)
     return -jet.ddh + quad
 
 
@@ -140,12 +142,12 @@ def _gauduchon_family(jet: MetricJet, ts) -> list[CurvatureTensor]:
     theta = chern_curvature(jet)
     if any(t != 0 for t in ts):
         torsion = chern_torsion(jet)
-        sw1 = np.einsum("...ilkj->...ijkl", theta)
-        sw2 = np.einsum("...kjil->...ijkl", theta)
-        a_term = np.einsum("...ikp,...jlq,...pq->...ijkl",
+        sw1 = np.einsum("ilkj...->ijkl...", theta)
+        sw2 = np.einsum("kjil...->ijkl...", theta)
+        a_term = np.einsum("ikp...,jlq...,pq...->ijkl...",
                            torsion, np.conj(torsion), jet.h)
-        lowered = np.einsum("...ipm,...ml->...ipl", torsion, jet.h)
-        b_term = np.einsum("...pq,...ipl,...jqk->...ijkl",
+        lowered = np.einsum("ipm...,ml...->ipl...", torsion, jet.h)
+        b_term = np.einsum("pq...,ipl...,jqk...->ijkl...",
                            jet.ginv, lowered, np.conj(lowered))
         linear, quadratic = sw1 + sw2 - 2 * theta, a_term - b_term
     out = []
@@ -160,12 +162,12 @@ def _gauduchon_family(jet: MetricJet, ts) -> list[CurvatureTensor]:
 
 def ricci_and_scalars(curv: CurvatureTensor, jet: MetricJet) -> RicciForms:
     ginv, R = jet.ginv, curv.R
-    ric1 = np.einsum("...kl,...ijkl->...ij", ginv, R)
-    ric2 = np.einsum("...kl,...klij->...ij", ginv, R)
-    ric3 = np.einsum("...kl,...ilkj->...ij", ginv, R)
-    ric4 = np.einsum("...kl,...kjil->...ij", ginv, R)
-    s1 = np.einsum("...ij,...ij->...", ginv, ric1)
-    s2 = np.einsum("...ij,...ij->...", ginv, ric3)
+    ric1 = np.einsum("kl...,ijkl...->ij...", ginv, R)
+    ric2 = np.einsum("kl...,klij...->ij...", ginv, R)
+    ric3 = np.einsum("kl...,ilkj...->ij...", ginv, R)
+    ric4 = np.einsum("kl...,kjil...->ij...", ginv, R)
+    s1 = np.einsum("ij...,ij...->...", ginv, ric1)
+    s2 = np.einsum("ij...,ij...->...", ginv, ric3)
     return RicciForms(ric1, ric2, ric3, ric4, *_real_scalars(s1, s2), curv.t)
 
 
@@ -178,11 +180,6 @@ def _real_scalars(s1: np.ndarray, s2: np.ndarray):
     return s1.real, s2.real
 
 
-def _batch_last(a: np.ndarray, k: int) -> np.ndarray:
-    """Contiguous copy of `a` with its trailing k index axes moved first."""
-    return np.ascontiguousarray(np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k))))
-
-
 def _sum(terms):
     """Sum of freshly computed arrays, accumulated in place into the first."""
     terms = iter(terms)
@@ -193,7 +190,7 @@ def _sum(terms):
 
 
 def _up(x: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """y[.., k, ..] = sum_l g[l, k] x[.., l, ..] over index `axis` of a batch-last x."""
+    """y[.., k, ..] = sum_l g[l, k] x[.., l, ..] over index `axis` of x."""
     xm = np.moveaxis(x, axis, 0)
     pad = (slice(None),) + (None,) * (x.ndim - g.ndim + 1)
     y = _sum(g[l][pad] * xm[l][None] for l in range(g.shape[0]))
@@ -201,7 +198,7 @@ def _up(x: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _raise_last2(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """z[i, l, p] = g[k, l] g[p, q] x[i, k, q] on batch-last arrays."""
+    """z[i, l, p] = g[k, l] g[p, q] x[i, k, q]."""
     return _up(_up(x, g.swapaxes(0, 1), 2), g, 1)
 
 
@@ -219,8 +216,8 @@ def _full_norm2(x: np.ndarray, z: np.ndarray, g: np.ndarray) -> np.ndarray:
 class TorsionTraces:
     """Pointwise torsion traces and scalars of one metric jet.
 
-    Every array broadcasts over the jet's batch axes; `tau` and `ddstar`
-    carry their index axes last, like the rest of the engine.
+    Every array carries the jet's batch axes last; `tau`, `ddstar` and
+    `lee` lead with their index axes, like the jet.
     """
 
     tau: np.ndarray           # tau_i = sum_p T_{ip}^p = eta^{1,0}_i
@@ -234,11 +231,9 @@ class TorsionTraces:
 
     @property
     def lee(self) -> np.ndarray:
-        """Real Lee-form components ordered (x1, y1, x2, y2, ...)."""
-        lee = np.empty(self.tau.shape[:-1] + (2 * self.tau.shape[-1],))
-        lee[..., 0::2] = 2 * self.tau.real
-        lee[..., 1::2] = -2 * self.tau.imag
-        return lee
+        """Real Lee-form components lee[a, ...], a ordered (x1, y1, x2, y2, ...)."""
+        lee = np.stack([2 * self.tau.real, -2 * self.tau.imag], axis=1)  # lee[k, (x, y)]
+        return lee.reshape((-1,) + lee.shape[2:])
 
     def scalars(self, t: float):
         """(s1, s2) of the Gauduchon connection at t via the torsion-trace identities.
@@ -256,7 +251,7 @@ def torsion_traces(jet: MetricJet) -> TorsionTraces:
     """One pass over the jet for tau, del del* omega, the torsion norms, S_C1
     and the Gauduchon and pluriclosed residuals.
 
-    Works on batch-last component arrays and never forms the Chern 4-tensor:
+    Reads the jet's components in place and never forms the Chern 4-tensor:
     S_C1 = h^{i jbar} h^{k lbar} (-ddh[i,j,k,l]
                                   + h^{p qbar} conj(dh[j,l,p]) dh[i,k,q]).
     The lowered torsion T_{ik}^p h_{p qbar} is dh[i,k,q] - dh[k,i,q], and
@@ -268,13 +263,11 @@ def torsion_traces(jet: MetricJet) -> TorsionTraces:
     """
     n = jet.n
     r = range(n)
-    g = _batch_last(jet.ginv, 2)   # g[i, j] = h^{i jbar}
-    dh = _batch_last(jet.dh, 3)    # dh[i, j, l] = d h_{j lbar} / dz^i
-    ddh = jet.ddh                  # read component-wise, never copied
+    g, dh, ddh = jet.ginv, jet.dh, jet.ddh
     # trace of ddh over its last index pair, and over its outer pair
-    inner = [[_sum(g[k, l] * ddh[..., a, b, k, l] for k in r for l in r)
+    inner = [[_sum(g[k, l] * ddh[a, b, k, l] for k in r for l in r)
               for b in r] for a in r]
-    outer = [[_sum(g[p, l] * ddh[..., p, i, j, l] for p in r for l in r)
+    outer = [[_sum(g[p, l] * ddh[p, i, j, l] for p in r for l in r)
               for j in r] for i in r]
     trace_inner = _sum(g[a, b] * inner[a][b] for a in r for b in r)
     lam2 = trace_inner - _sum(g[i, j] * outer[j][i] for i in r for j in r)
@@ -306,13 +299,12 @@ def torsion_traces(jet: MetricJet) -> TorsionTraces:
     scale = max(1.0, float(np.max(np.abs(pairing))))
     if float(np.max(np.abs(pairing.imag))) > IMAG_TOL * scale:
         raise ArithmeticError("pairing <del del* omega, omega> is not real")
-    return TorsionTraces(np.moveaxis(tau, 0, -1), np.moveaxis(ddstar, (0, 1), (-2, -1)),
-                         pairing.real.copy(), del_omega_sq, del_star_sq, s_c1,
-                         gauduchon, pluriclosed)
+    return TorsionTraces(tau, ddstar, pairing.real.copy(), del_omega_sq, del_star_sq,
+                         s_c1, gauduchon, pluriclosed)
 
 
 def _pluriclosed_norm(ddh: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """|del delbar omega| from the jet's ddh and the batch-last inverse metric g.
+    """|del delbar omega| from the jet's ddh and inverse metric g.
 
     On dz^i ^ dz^k ^ dzbar^j ^ dzbar^l (i < k, j < l) the form has the
     coefficient -i a[(i,k), (j,l)], a[(i,k), (j,l)] = ddh[i,j,k,l] -
@@ -321,8 +313,8 @@ def _pluriclosed_norm(ddh: np.ndarray, g: np.ndarray) -> np.ndarray:
     With conj(m[J,L]) = m[L,J] the sum runs as two contractions over pairs.
     """
     pairs = list(combinations(range(g.shape[0]), 2))
-    a = [[ddh[..., i, j, k, l] - ddh[..., k, j, i, l] - ddh[..., i, l, k, j]
-          + ddh[..., k, l, i, j] for j, l in pairs] for i, k in pairs]
+    a = [[ddh[i, j, k, l] - ddh[k, j, i, l] - ddh[i, l, k, j] + ddh[k, l, i, j]
+          for j, l in pairs] for i, k in pairs]
     m = [[g[i, j] * g[k, l] - g[i, l] * g[k, j] for j, l in pairs] for i, k in pairs]
     conj_a = [[np.conj(x) for x in row] for row in a]
     r = range(len(pairs))
@@ -339,7 +331,7 @@ _TRACE_AXES = ((0, 1, 2, 3), (2, 3, 0, 1), (0, 3, 2, 1), (2, 1, 0, 3))
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c[i, j] = sum_{k, p} a[i, k, p] conj(b[j, k, p]) on batch-last arrays."""
+    """c[i, j] = sum_{k, p} a[i, k, p] conj(b[j, k, p])."""
     n = a.shape[0]
     b = np.conj(b)
     return _sum(a[:, None, k, p] * b[None, :, k, p] for k in range(n) for p in range(n))
@@ -348,7 +340,7 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def ricci_forms(jet: MetricJet, ts) -> list[RicciForms]:
     """The four Ricci forms and (s1, s2) of the Gauduchon connection at each t in ts.
 
-    One batch-last pass that never forms R.  Theta = -ddh + Q with
+    One pass over the jet's components that never forms R.  Theta = -ddh + Q with
     Q[i,j,k,l] = sum_p E[i,k,p] conj(dh[j,l,p]), E = dh raised in its last
     index, so each Chern trace C_m is a trace of ddh plus one contraction.
     The t part of R(t) permutes the C_m; the t^2 part is A - B with
@@ -357,11 +349,8 @@ def ricci_forms(jet: MetricJet, ts) -> list[RicciForms]:
     lowered torsion and T = E - E^T.  The C_m and the traces of A and B are
     built once and serve every t.  The full-tensor path is its oracle.
     """
-    n = jet.n
-    r = range(n)
-    g = _batch_last(jet.ginv, 2)
-    dh = _batch_last(jet.dh, 3)
-    ddh = _batch_last(jet.ddh, 4)
+    r = range(jet.n)
+    g, dh, ddh = jet.ginv, jet.dh, jet.ddh
     e = _up(dh, g.swapaxes(0, 1), 2)
     et = e.swapaxes(0, 1)
     f = _up(dh, g, 1)                  # f[j, k, p] = h^{l kbar} dh[j, l, p]
@@ -377,7 +366,8 @@ def ricci_forms(jet: MetricJet, ts) -> list[RicciForms]:
         tor, low_m = e - et, f - gt  # T, and L raised in its middle index
         a = _pair(tor, low_m)        # Ric1(A) = Ric2(A) = -Ric3(A) = -Ric4(A)
         b1 = _pair(_up(tor, g, 1), low)
-        b2 = np.conj(_pair(np.moveaxis(low, 2, 0), np.moveaxis(_up(low_m, g, 0), 2, 0)))
+        low_mu = _up(low_m, g, 0)  # b2[i, j] = sum conj(L[k, p, i]) low_mu[k, p, j]
+        b2 = _sum(np.conj(low[k, p, :, None]) * low_mu[k, p, None] for k in r for p in r)
         # -Ric3(B) and -Ric4(B) contract L with the torsion trace tau
         tau = (low * g).sum(axis=(1, 2))
         u = _sum(g[:, q] * np.conj(tau[q]) for q in r)
@@ -395,7 +385,6 @@ def ricci_forms(jet: MetricJet, ts) -> list[RicciForms]:
                    c4 + t * (c1 + c2 - 2 * c4) - t2 * (a - b4)]
         s1 = _sum(g[i, j] * ric[0][i, j] for i in r for j in r)
         s2 = _sum(g[i, j] * ric[2][i, j] for i in r for j in r)
-        ric = [np.moveaxis(m, (0, 1), (-2, -1)) for m in ric]
         out.append(RicciForms(*ric, *_real_scalars(s1, s2), float(t)))
     return out
 
@@ -430,7 +419,7 @@ def scalar_comparison_defect(jet: MetricJet, ts) -> list[np.ndarray]:
 
 def oneone_norm2(m: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Metric norm squared of a (1,1)-form given by its coefficient matrix."""
-    return np.einsum("...ij,...kl,...ik,...lj->...",
+    return np.einsum("ij...,kl...,ik...,lj...->...",
                      m, np.conj(m), ginv, ginv).real
 
 
@@ -446,9 +435,9 @@ def einstein_residual(jet: MetricJet) -> EinsteinReport:
     f_hat = 2.0 * ric.s2 / n
     sum34 = ric.ric3 + ric.ric4
     resid = np.sqrt(np.maximum(oneone_norm2(
-        sum34 - f_hat[..., None, None] * jet.h, ginv), 0.0))
+        sum34 - f_hat * jet.h, ginv), 0.0))
     ddstar = torsion_traces(jet).ddstar
-    other = 2 * ric.ric1 - (ddstar + np.conj(np.swapaxes(ddstar, -1, -2)))
+    other = 2 * ric.ric1 - (ddstar + np.conj(ddstar.swapaxes(0, 1)))
     cross = np.sqrt(np.maximum(oneone_norm2(sum34 - other, ginv), 0.0))
     return EinsteinReport(f_hat, resid, cross, ric.ric3, ric.ric4)
 

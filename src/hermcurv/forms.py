@@ -2,7 +2,7 @@
 
 A form is stored as a dict mapping (I, J) -> coefficient array, where I and
 J are strictly increasing tuples of holomorphic / antiholomorphic indices
-and the coefficient arrays broadcast over leading batch axes.  With this
+and the coefficient arrays are fields over the jet's batch axes.  With this
 representation the inner product is the plain Gram determinant pairing
 <dz^I ^ dzbar^J, dz^K ^ dzbar^L> = det(g[I,K]) * conj(det(g[J,L])), which
 is exactly the 1/(p! q!) full-contraction convention the scalar-curvature
@@ -95,7 +95,7 @@ class PQForm:
         return out
 
     def norm2(self, ginv: np.ndarray) -> np.ndarray:
-        """Pointwise |alpha|^2 with the inverse metric ginv[..., i, j] = h^{i jbar}."""
+        """Pointwise |alpha|^2 with the inverse metric ginv[i, j, ...] = h^{i jbar}."""
         keys = list(self.coeffs)
         # each Gram determinant once per (I, K) pair of index tuples
         pairs = {(a[s], b[s]) for a in keys for b in keys for s in (0, 1)}
@@ -113,8 +113,8 @@ def _gram_det(ginv, I: tuple, K: tuple):
     if len(I) == 0:
         return 1.0 + 0j
     if len(I) == 1:
-        return ginv[..., I[0], K[0]]
-    block = np.stack([np.stack([ginv[..., i, k] for k in K], axis=-1)
+        return ginv[I[0], K[0]]
+    block = np.stack([np.stack([ginv[i, k] for k in K], axis=-1)
                       for i in I], axis=-2)
     return np.linalg.det(block)
 
@@ -126,7 +126,7 @@ def omega_form(jet: MetricJet) -> PQForm:
     out = PQForm(n, 1, 1)
     for i in range(n):
         for j in range(n):
-            out.add_term((i,), (j,), 1j * jet.h[..., i, j])
+            out.add_term((i,), (j,), 1j * jet.h[i, j])
     return out
 
 
@@ -138,7 +138,7 @@ def del_omega(jet: MetricJet) -> PQForm:
         for k in range(i + 1, n):
             for l in range(n):
                 # antisymmetrized coefficient of dz^i ^ dz^k (i < k)
-                val = 1j * (jet.dh[..., i, k, l] - jet.dh[..., k, i, l])
+                val = 1j * (jet.dh[i, k, l] - jet.dh[k, i, l])
                 out.add_term((i, k), (l,), val)
     return out
 
@@ -156,8 +156,8 @@ def del_delbar_omega(jet: MetricJet) -> PQForm:
         for k in range(i + 1, n):
             for j in range(n):
                 for l in range(j + 1, n):
-                    val = -1j * (dd[..., i, j, k, l] - dd[..., k, j, i, l]
-                                 - dd[..., i, l, k, j] + dd[..., k, l, i, j])
+                    val = -1j * (dd[i, j, k, l] - dd[k, j, i, l]
+                                 - dd[i, l, k, j] + dd[k, l, i, j])
                     out.add_term((i, k), (j, l), val)
     return out
 
@@ -196,7 +196,7 @@ def del_delbar_omega_power(jet: MetricJet, k: int) -> PQForm:
 def lee_form(jet: MetricJet) -> np.ndarray:
     """Lee form from d(omega^{n-1}) = eta ^ omega^{n-1}, solved pointwise.
 
-    Returns the holomorphic components eta^{1,0}_i (shape (..., n)); the real
+    Returns the holomorphic components eta^{1,0}_i (shape (n, ...)); the real
     1-form is eta = eta_i dz^i + conj.  The (n, n-1)-type part of the
     defining equation is an n x n linear system in eta^{1,0}, uniquely
     solvable for positive omega.
@@ -207,8 +207,8 @@ def lee_form(jet: MetricJet) -> np.ndarray:
     full = tuple(range(n))
     keys = [(full, tuple(x for x in full if x != l)) for l in range(n)]
     batch = np.broadcast_shapes(*[np.shape(v) for v in lhs.coeffs.values()],
-                                jet.h.shape[:-2])
-    A = np.zeros(batch + (n, n), complex)
+                                jet.h.shape[2:])
+    A = np.zeros(batch + (n, n), complex)  # np.linalg.solve takes batch-first systems
     b = np.zeros(batch + (n,), complex)
     for a_idx, key in enumerate(keys):
         if key in lhs.coeffs:
@@ -218,4 +218,4 @@ def lee_form(jet: MetricJet) -> np.ndarray:
             w = basis.wedge(wn1)
             if key in w.coeffs:
                 A[..., a_idx, i] = w.coeffs[key]
-    return np.linalg.solve(A, b[..., None])[..., 0]
+    return np.moveaxis(np.linalg.solve(A, b[..., None])[..., 0], -1, 0)

@@ -20,6 +20,9 @@ terms with mean coefficients (`d2_symbol`).
 Class residuals (`GridMetric.class_residuals`) are the maxima over every node
 of the closed-form residual fields in the grid metric's torsion-trace bundle,
 the same pass that gives its scalar fields and Lee form.
+Geometry arrays are component-first like the jet's (ginv[i, j] is one field
+of grid.shape, `real_inverse_metric` gives ginv_r[a, b, ...]); only the
+chart points (`TorusGrid.points`) keep their coordinate axis last.
 
 Quadrature: the volume form is det(h) * 2^n dx1 dy1 ... , so periodic
 trapezoid integration is the plain node mean times det(h) 2^n and the cell
@@ -283,20 +286,15 @@ class GridMetric:
           1/2 Re h^{i jbar}  (d_xi d_xj + d_yi d_yj),   i < j,
          -1/2 Im h^{i jbar}  (d_xi d_yj - d_yi d_xj),   i < j.
 
-        Terms whose coefficient field is identically zero are left out.  A
-        non-Hermitian inverse metric raises GridError.
+        Terms whose coefficient field is identically zero are left out.  The
+        jet's inverse is Hermitian by construction (`inverse_and_det`).
         """
         g = self.ginv
-        dev = float(np.max(np.abs(g - np.conj(np.swapaxes(g, -1, -2)))))
-        if dev > IMAG_TOL * max(1.0, float(np.max(np.abs(g)))):
-            raise GridError(f"inverse metric is not Hermitian "
-                            f"(deviation {dev:.3e})")
-        terms = [StencilTerm(0.25 * g[..., i, i].real, i, i)
-                 for i in range(self.n)]
+        terms = [StencilTerm(0.25 * g[i, i].real, i, i) for i in range(self.n)]
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                terms += [StencilTerm(0.5 * g[..., i, j].real, i, j),
-                          StencilTerm(-0.5 * g[..., i, j].imag, i, j, True)]
+                terms += [StencilTerm(0.5 * g[i, j].real, i, j),
+                          StencilTerm(-0.5 * g[i, j].imag, i, j, True)]
         return tuple(t for t in terms if np.any(t.coef))
 
     @cached_property
@@ -336,13 +334,12 @@ class GridMetric:
 def factor_jet_from_field(grid: TorusGrid, f: np.ndarray) -> FactorJet:
     """2-jet of a real field; ddf is Hermitian, so only j >= i is computed."""
     n = grid.n
-    df = np.empty(grid.shape + (n,), complex)
-    ddf = np.empty(grid.shape + (n, n), complex)
+    df = np.stack([dz(f, i, grid) for i in range(n)])
+    ddf = np.empty((n, n) + grid.shape, complex)
     for i in range(n):
-        df[..., i] = dz(f, i, grid)
         for j in range(i, n):
-            ddf[..., i, j] = dz_dzbar(f, i, j, grid)
-            ddf[..., j, i] = np.conj(ddf[..., i, j])
+            ddf[i, j] = dz_dzbar(f, i, j, grid)
+            ddf[j, i] = np.conj(ddf[i, j])
     return FactorJet(np.asarray(f, float), df, ddf)
 
 
@@ -385,18 +382,19 @@ def complex_laplacian(gm: GridMetric, v: np.ndarray) -> np.ndarray:
 
 
 def real_inverse_metric(gm: GridMetric) -> np.ndarray:
-    """Inverse of the underlying Riemannian metric g, as 2n x 2n blocks.
+    """Inverse of the underlying Riemannian metric g, as 2n x 2n blocks
+    ginv_r[a, b, ...] over the grid.
 
     g realifies 2h (an entry x + iy becomes the block [[x, y], [-y, x]]), and
     realification is multiplicative, so g^{-1} realifies (2h)^{-1} = h^{-1}/2.
     """
     n = gm.n
-    hinv = 0.5 * np.swapaxes(gm.ginv, -1, -2)
-    ginv_r = np.empty(gm.grid.shape + (2 * n, 2 * n))
-    ginv_r[..., 0::2, 0::2] = hinv.real
-    ginv_r[..., 1::2, 1::2] = hinv.real
-    ginv_r[..., 0::2, 1::2] = hinv.imag
-    ginv_r[..., 1::2, 0::2] = -hinv.imag
+    hinv = 0.5 * gm.ginv.swapaxes(0, 1)
+    ginv_r = np.empty((2 * n, 2 * n) + gm.grid.shape)
+    ginv_r[0::2, 0::2] = hinv.real
+    ginv_r[1::2, 1::2] = hinv.real
+    ginv_r[0::2, 1::2] = hinv.imag
+    ginv_r[1::2, 0::2] = -hinv.imag
     return ginv_r
 
 
@@ -415,7 +413,7 @@ def laplace_de_rham(gm: GridMetric, v: np.ndarray,
     dv = [grid.d_axis(v, b) for b in range(nn)]
     for a in range(nn):
         for b in range(nn):
-            gg = ginv_r[..., a, b]
+            gg = ginv_r[a, b]
             if a == b:
                 first += gg * grid.d2_axis(v, a)
             else:
@@ -424,7 +422,7 @@ def laplace_de_rham(gm: GridMetric, v: np.ndarray,
     for b in range(nn):
         acc = np.zeros(grid.shape)
         for a in range(nn):
-            acc += grid.d_axis(jac * ginv_r[..., a, b], a)
+            acc += grid.d_axis(jac * ginv_r[a, b], a)
         second += acc / jac * dv[b]
     return -(first + second)
 
@@ -438,7 +436,7 @@ def metric_pairing_du_eta(gm: GridMetric, v: np.ndarray,
     for a in range(nn):
         da = gm.grid.d_axis(v, a)
         for b in range(nn):
-            out += ginv_r[..., a, b] * da * eta[..., b]
+            out += ginv_r[a, b] * da * eta[b]
     return out
 
 
@@ -478,7 +476,7 @@ def balanced_representative(gm: GridMetric):
     eta = gm.lee_real()
     nn = 2 * gm.n
     tol = 1e-8
-    means = [float(np.mean(eta[..., a])) for a in range(nn)]
+    means = [float(np.mean(eta[a])) for a in range(nn)]
     if max(abs(m) for m in means) > tol:
         raise GridError(
             "Lee form is not d-exact: nonzero harmonic part "
@@ -491,7 +489,7 @@ def balanced_representative(gm: GridMetric):
         shape = [1] * nn
         shape[a] = grid.N
         sym = sym.reshape(shape)
-        num = num + np.conj(sym) * np.fft.fftn(eta[..., a])
+        num = num + np.conj(sym) * np.fft.fftn(eta[a])
         den = den + np.abs(sym) ** 2
     den_flat = den.copy()
     den_flat[den == 0] = 1.0
@@ -499,7 +497,7 @@ def balanced_representative(gm: GridMetric):
     u = np.fft.ifftn(uhat).real
     resid = 0.0
     for a in range(nn):
-        resid = max(resid, float(np.max(np.abs(grid.d_axis(u, a) - eta[..., a]))))
+        resid = max(resid, float(np.max(np.abs(grid.d_axis(u, a) - eta[a]))))
     if resid > 10 * tol:
         raise GridError(f"Lee form residual {resid:.3e} after exact-part solve; "
                         "input is not balanced-conformal at grid tolerance")

@@ -2,19 +2,22 @@
 
 A `MetricJet` bundles, at one or many chart points,
 
-* ``h``   -- h_{i jbar}, shape (..., n, n), Hermitian positive definite,
-* ``dh``  -- dh[..., i, j, l] = d h_{j lbar} / d z^i, shape (..., n, n, n),
-* ``ddh`` -- ddh[..., i, j, k, l] = d^2 h_{k lbar} / d z^i d zbar^j,
-             shape (..., n, n, n, n).
+* ``h``   -- h[i, j, ...] = h_{i jbar}, Hermitian positive definite,
+* ``dh``  -- dh[i, j, l, ...] = d h_{j lbar} / d z^i,
+* ``ddh`` -- ddh[i, j, k, l, ...] = d^2 h_{k lbar} / d z^i d zbar^j.
 
-It also owns ``ginv`` (h^{i jbar}) and ``det`` (det h): `inverse_and_det`
-computes both on first use and the jet keeps them, so every contraction
-downstream reads the same inverse and no function takes it as an argument.
+Every geometry array is component-first (index axes lead, batch axes
+trail): each component h[i, j] is one contiguous field over the points.
+
+The jet also owns ``ginv`` (ginv[i, j, ...] = h^{i jbar}) and ``det``
+(det h): `inverse_and_det` computes both on first use and the jet keeps
+them, so every contraction downstream reads the same inverse and no
+function takes it as an argument.
 
 Antiholomorphic first derivatives are never stored: d h_{j lbar}/d zbar^i
 equals conj(dh[i, l, j]).  Every curvature formula downstream consumes
-exactly this data; all functions broadcast over leading batch axes, so a
-single point and a million grid nodes go through the same code path.
+exactly this data; a single point and a million grid nodes go through the
+same code path.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ import numpy as np
 __all__ = ["MetricJet", "FactorJet", "JetError", "inverse_and_det",
            "conformal_jet", "check_jet_invariants"]
 
-# smallest Cholesky pivot must exceed this times the largest diagonal entry
+# smallest LDL^H pivot must exceed this times the largest diagonal entry
 PD_PIVOT_RTOL = 1e-10
-# largest condition number estimated from the Cholesky pivots
+# largest condition number estimated from the LDL^H pivots
 COND_LIMIT = 1e12
 INVERSE_RTOL = 1e-12
 # tolerance of the symmetry identities `check_jet_invariants` asserts
@@ -48,7 +51,7 @@ class MetricJet:
 
     @property
     def n(self) -> int:
-        return self.h.shape[-1]
+        return self.h.shape[0]
 
     @cached_property
     def _inverse(self) -> tuple:
@@ -56,7 +59,7 @@ class MetricJet:
 
     @property
     def ginv(self) -> np.ndarray:
-        """h^{i jbar}, ginv[..., i, j]; computed once, on first use."""
+        """h^{i jbar}, ginv[i, j, ...]; computed once, on first use."""
         return self._inverse[0]
 
     @property
@@ -67,59 +70,80 @@ class MetricJet:
 
 @dataclass
 class FactorJet:
-    """2-jet of a real conformal factor f: value, df[i] = d f/d z^i,
-    ddf[i, j] = d^2 f / d z^i d zbar^j."""
+    """2-jet of a real conformal factor f: value f[...], df[i, ...] = d f/d z^i,
+    ddf[i, j, ...] = d^2 f / d z^i d zbar^j."""
 
     f: np.ndarray
     df: np.ndarray
     ddf: np.ndarray
 
 
+def _hermitian_deviation(h: np.ndarray) -> float:
+    """Largest |h[i, j] - conj(h[j, i])| over every index pair and point."""
+    return float(np.max(np.abs(h - np.conj(h.swapaxes(0, 1)))))
+
+
 def check_jet_invariants(jet: MetricJet) -> None:
     """Assert Hermitian symmetry of h and the two conjugation identities."""
-    h, dh, ddh = jet.h, jet.dh, jet.ddh
-    herm = np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))
+    herm = _hermitian_deviation(jet.h)
     if herm > INVARIANT_ATOL:
         raise JetError(f"h is not Hermitian: max deviation {herm:.3e}")
     # conj(ddh[i,j,k,l]) must equal ddh[j,i,l,k]
-    flip = np.conj(np.transpose(ddh, axes=(*range(ddh.ndim - 4), -3, -4, -1, -2)))
+    ddh = jet.ddh
+    flip = np.conj(ddh.transpose((1, 0, 3, 2) + tuple(range(4, ddh.ndim))))
     dev = np.max(np.abs(ddh - flip))
     if dev > INVARIANT_ATOL * max(1.0, float(np.max(np.abs(ddh)))):
         raise JetError(f"ddh conjugation symmetry broken: max deviation {dev:.3e}")
 
 
 def inverse_and_det(jet: MetricJet):
-    """Inverse metric h^{i jbar} and det h, with positivity diagnostics.
+    """Inverse metric h^{i jbar} and det h from one LDL^H factorization.
 
-    Returns (ginv, det) where ginv[..., i, j] = h^{i jbar}, i.e. the matrix
-    satisfying sum_j h^{i jbar} h_{k jbar} = delta_{ik}; as an array this is
-    the transpose of the plain matrix inverse of h.
-
-    Positivity is checked by Cholesky factorization: the smallest pivot has
-    to exceed PD_PIVOT_RTOL times the largest diagonal entry.  A condition
-    number beyond COND_LIMIT (estimated from the pivots) raises JetError.
+    Returns (ginv, det) with ginv[i, j, ...] = h^{i jbar}, the matrix with
+    sum_j h^{i jbar} h_{k jbar} = delta_{ik} (the transpose of the plain
+    inverse of h).  h = L D L^H is unrolled over the components and reads the
+    lower triangle only, so a non-Hermitian h (beyond INVARIANT_ATOL,
+    relative) is refused first.  det h = prod d_k and h^{-1} = X^H D^{-1} X
+    with X = L^{-1}.  The pivots d_k are the squared Cholesky diagonal: the
+    smallest has to exceed PD_PIVOT_RTOL times the largest diagonal entry,
+    their ratio (the condition estimate) must stay within COND_LIMIT, and
+    the inverse residual within INVERSE_RTOL; JetError otherwise.
     """
-    h = jet.h
-    try:
-        chol = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError as err:
-        raise JetError(f"metric is not positive definite: {err}") from None
-    pivots = np.einsum("...ii->...i", chol).real ** 2
-    hdiag = np.einsum("...ii->...i", h).real
-    bad = pivots.min(axis=-1) <= PD_PIVOT_RTOL * hdiag.max(axis=-1)
-    if np.any(bad):
-        raise JetError("metric is not positive definite: Cholesky pivot below "
+    h, n = jet.h, jet.n
+    r = range(n)
+    herm = _hermitian_deviation(h)
+    if herm > INVARIANT_ATOL * max(1.0, float(np.max(np.abs(h)))):
+        raise JetError(f"h is not Hermitian: max deviation {herm:.3e}")
+    low, pivots = {}, np.empty(h.shape[1:])  # low[i, k] = L[i, k], pivots[k] = d_k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in r:
+            pivots[j] = h[j, j].real - sum(
+                (low[j, k] * np.conj(low[j, k])).real * pivots[k] for k in range(j))
+            for i in range(j + 1, n):
+                low[i, j] = (h[i, j] - sum(low[i, k] * np.conj(low[j, k]) * pivots[k]
+                                           for k in range(j))) / pivots[j]
+    floor = PD_PIVOT_RTOL * np.max(h[r, r].real, axis=0)
+    if np.any(~(pivots.min(axis=0) > floor)):  # a NaN pivot fails too
+        raise JetError("metric is not positive definite: LDL^H pivot below "
                        f"{PD_PIVOT_RTOL} * max diagonal")
-    cond_est = pivots.max(axis=-1) / pivots.min(axis=-1)
+    cond_est = pivots.max(axis=0) / pivots.min(axis=0)
     if np.any(cond_est > COND_LIMIT):
         raise JetError(f"metric numerically singular: condition estimate "
                        f"{float(np.max(cond_est)):.3e} beyond {COND_LIMIT:.1e}")
-    minv = np.linalg.inv(h)
-    ginv = np.swapaxes(minv, -1, -2)
-    det = np.prod(pivots, axis=-1)
-    resid = np.einsum("...ij,...kj->...ik", ginv, h)
-    eye = np.eye(jet.n)
-    dev = np.max(np.abs(resid - eye))
+    x = {(k, k): 1.0 for k in r}  # x = L^{-1} by forward substitution
+    for i in r:
+        for j in range(i):
+            x[i, j] = -sum(low[i, k] * x[k, j] for k in range(j, i))
+    # ginv[i, j] = (h^{-1})[j, i] = sum_{k >= j} conj(x[k, j]) x[k, i] / d_k
+    ginv = np.empty(h.shape, complex)
+    for i in r:
+        for j in range(i, n):
+            ginv[i, j] = sum(np.conj(x[k, j]) * x[k, i] / pivots[k] for k in range(j, n))
+            if i < j:
+                ginv[j, i] = np.conj(ginv[i, j])
+    det = np.prod(pivots, axis=0)
+    dev = max(float(np.max(np.abs(sum(ginv[i, j] * h[k, j] for j in r) - (i == k))))
+              for i in r for k in r)
     if dev > INVERSE_RTOL * max(1.0, float(np.max(np.abs(h)))) * 10:
         raise JetError(f"inverse residual {dev:.3e} too large")
     return ginv, det
@@ -136,19 +160,17 @@ def conformal_jet(jet: MetricJet, fj: FactorJet) -> MetricJet:
     ef = np.exp(fj.f)
     h, dh, ddh = jet.h, jet.dh, jet.ddh
     df, ddf = fj.df, fj.ddf
-    h2 = ef[..., None, None] * h
-    dh2 = ef[..., None, None, None] * (df[..., :, None, None] * h[..., None, :, :] + dh)
-    dbarh = np.conj(np.swapaxes(dh, -1, -2))  # dbarh[..., j, k, l] = d h_{k lbar}/dzbar^j
+    h2 = ef * h
+    dh2 = ef * (df[:, None, None] * h[None] + dh)
+    dbarh = np.conj(dh.swapaxes(1, 2))  # dbarh[j, k, l] = d h_{k lbar}/dzbar^j
     dfbar = np.conj(df)
     # the four terms summed left to right in place, through one scratch array
-    ddh2 = (ddf[..., :, :, None, None]
-            + df[..., :, None, None, None] * dfbar[..., None, :, None, None]) \
-        * h[..., None, None, :, :]
-    scratch = np.multiply(dfbar[..., None, :, None, None], dh[..., :, None, :, :],
+    ddh2 = (ddf[:, :, None, None]
+            + df[:, None, None, None] * dfbar[None, :, None, None]) * h[None, None]
+    scratch = np.multiply(dfbar[None, :, None, None], dh[:, None],
                           out=np.empty_like(ddh2))
     ddh2 += scratch
-    ddh2 += np.multiply(df[..., :, None, None, None], dbarh[..., None, :, :, :],
-                        out=scratch)
+    ddh2 += np.multiply(df[:, None, None, None], dbarh[None], out=scratch)
     ddh2 += ddh
-    ddh2 *= ef[..., None, None, None, None]
+    ddh2 *= ef
     return MetricJet(h2, dh2, ddh2)

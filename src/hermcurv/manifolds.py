@@ -112,7 +112,7 @@ class ModelManifold:
     declared_balanced: bool = False
     periods: tuple | None = None  # (2n real periods) when chart-periodic
     metric_expr: MetricExpr | None = None
-    closed_jet: Callable | None = None  # z(..., n) -> (h, dh, ddh)
+    closed_jet: Callable | None = None  # z(..., n) -> (h[i, j, ...], dh, ddh)
     golden: dict | None = None  # stored Chern {"s1", "s2"} of a builtin, at t = 0
     _expr_jets: tuple | None = None
 
@@ -155,33 +155,27 @@ class ModelManifold:
         """Jet via the symbolic-differentiation path, ignoring closed forms."""
         if self.metric_expr is None:
             raise ValueError(f"{self.name} has no expression-DSL metric")
-        h, dh, ddh = self._eval_expr_jets(np.asarray(z, complex))
-        return MetricJet(h, dh, ddh)
+        return MetricJet(*self._eval_expr_jets(np.asarray(z, complex)))
 
     def _eval_expr_jets(self, z):
         if self._expr_jets is None:
             self._expr_jets = _differentiate_metric(self.metric_expr)
-        h_t, dh_t, ddh_t = self._expr_jets
-        n = self.n
-        shape = z.shape[:-1]
-        h = np.empty(shape + (n, n), complex)
-        dh = np.empty(shape + (n, n, n), complex)
-        ddh = np.empty(shape + (n, n, n, n), complex)
-        for i in range(n):
-            for j in range(n):
-                h[..., i, j] = ex.evaluate(h_t[i][j], z, self.params)
-                for k in range(n):
-                    dh[..., k, i, j] = ex.evaluate(dh_t[k][i][j], z, self.params)
-                    for l in range(n):
-                        ddh[..., k, l, i, j] = ex.evaluate(ddh_t[k][l][i][j], z,
-                                                           self.params)
-        return h, dh, ddh
+        return tuple(_evaluate_tensor(t, z, self.params) for t in self._expr_jets)
 
     # -- sampling -----------------------------------------------------------
 
     def sample_points(self, count: int, seed: int = 0) -> np.ndarray:
+        if count < 1:
+            raise ValueError(f"sample count must be at least 1, got {count}")
         rng = np.random.default_rng(seed)
         return self.domain.sample(rng, count, self.n)
+
+
+def _evaluate_tensor(trees, z: np.ndarray, params: dict) -> np.ndarray:
+    """trees[i][j]... evaluated at z, as the component-first array a[i, j, ...]."""
+    if isinstance(trees, list):
+        return np.stack([_evaluate_tensor(t, z, params) for t in trees])
+    return np.broadcast_to(ex.evaluate(trees, z, params), z.shape[:-1]).astype(complex)
 
 
 def _differentiate_metric(mx: MetricExpr):
@@ -199,19 +193,21 @@ def _differentiate_metric(mx: MetricExpr):
 # builtin catalog
 # ---------------------------------------------------------------------------
 
+def _eye(n: int, shape: tuple) -> np.ndarray:
+    """delta_{ij} as an (n, n) array that broadcasts over batch axes `shape`."""
+    return np.eye(n).reshape((n, n) + (1,) * len(shape))
+
+
 def _hopf_jets(z):
     n = z.shape[-1]
     r = np.sum(z * np.conj(z), axis=-1).real
-    eye = np.eye(n)
-    h = 4 * eye / r[..., None, None]
-    # dh[i,j,l] = -4 delta_{jl} conj(z_i) / r^2
-    zb = np.conj(z)
-    dh = -4 * zb[..., :, None, None] * eye / (r ** 2)[..., None, None, None]
+    zc = np.moveaxis(z, -1, 0)  # zc[i] = z^i
+    zb, eye = np.conj(zc), _eye(n, r.shape)
+    # h = 4 delta / r, dh[i,j,l] = -4 delta_{jl} conj(z_i) / r^2, and
     # ddh[i,j,k,l] = 4 delta_{kl} (-delta_{ij}/r^2 + 2 z_j conj(z_i)/r^3)
-    core = (-eye / (r ** 2)[..., None, None]
-            + 2 * z[..., None, :] * zb[..., :, None] / (r ** 3)[..., None, None])
-    ddh = 4 * core[..., :, :, None, None] * eye
-    return h, dh, ddh
+    core = -eye / r ** 2 + 2 * zc[None, :] * zb[:, None] / r ** 3
+    return (4 * eye / r, -4 * zb[:, None, None] * eye / r ** 2,
+            4 * core[:, :, None, None] * eye)
 
 
 def _hopf_source(n):
@@ -220,26 +216,23 @@ def _hopf_source(n):
 
 
 def _flat_jets(z):
-    n = z.shape[-1]
-    shape = z.shape[:-1]
-    h = np.broadcast_to(np.eye(n), shape + (n, n)).astype(complex).copy()
-    dh = np.zeros(shape + (n, n, n), complex)
-    ddh = np.zeros(shape + (n, n, n, n), complex)
-    return h, dh, ddh
+    n, shape = z.shape[-1], z.shape[:-1]
+    return (np.broadcast_to(_eye(n, shape), (n, n) + shape).astype(complex),
+            np.zeros((n, n, n) + shape, complex), np.zeros((n, n, n, n) + shape, complex))
 
 
 def _tricerri_jets(z):
     # diag(1/y^2, y) with y = Im z1, on Im z1 > 0
     y = z[..., 0].imag
     shape = z.shape[:-1]
-    h = np.zeros(shape + (2, 2), complex)
-    h[..., 0, 0] = 1 / y ** 2
-    h[..., 1, 1] = y
-    dh = np.zeros(shape + (2, 2, 2), complex)
-    dh[..., 0, 0, 0] = 1j / y ** 3
-    dh[..., 0, 1, 1] = -0.5j
-    ddh = np.zeros(shape + (2, 2, 2, 2), complex)
-    ddh[..., 0, 0, 0, 0] = 1.5 / y ** 4
+    h = np.zeros((2, 2) + shape, complex)
+    h[0, 0] = 1 / y ** 2
+    h[1, 1] = y
+    dh = np.zeros((2, 2, 2) + shape, complex)
+    dh[0, 0, 0] = 1j / y ** 3
+    dh[0, 1, 1] = -0.5j
+    ddh = np.zeros((2, 2, 2, 2) + shape, complex)
+    ddh[0, 0, 0, 0] = 1.5 / y ** 4
     return h, dh, ddh
 
 
@@ -255,24 +248,24 @@ def _elliptic_jets(z):
     w = z[..., 1]
     wb = np.conj(w)
     shape = z.shape[:-1]
-    h = np.zeros(shape + (2, 2), complex)
-    h[..., 0, 0] = 2 / y ** 2
-    h[..., 0, 1] = -2j / (y * wb)
-    h[..., 1, 0] = 2j / (y * w)
-    h[..., 1, 1] = 4 / (w * wb)
-    dh = np.zeros(shape + (2, 2, 2), complex)
-    dh[..., 0, 0, 0] = 2j / y ** 3
-    dh[..., 0, 0, 1] = 1 / (wb * y ** 2)
-    dh[..., 0, 1, 0] = -1 / (w * y ** 2)
-    dh[..., 1, 1, 0] = -2j / (y * w ** 2)
-    dh[..., 1, 1, 1] = -4 / (w ** 2 * wb)
-    ddh = np.zeros(shape + (2, 2, 2, 2), complex)
-    ddh[..., 0, 0, 0, 0] = 3 / y ** 4
-    ddh[..., 0, 0, 0, 1] = -1j / (y ** 3 * wb)
-    ddh[..., 0, 0, 1, 0] = 1j / (y ** 3 * w)
-    ddh[..., 0, 1, 0, 1] = -1 / (y ** 2 * wb ** 2)
-    ddh[..., 1, 0, 1, 0] = -1 / (y ** 2 * w ** 2)
-    ddh[..., 1, 1, 1, 1] = 4 / (w ** 2 * wb ** 2)
+    h = np.zeros((2, 2) + shape, complex)
+    h[0, 0] = 2 / y ** 2
+    h[0, 1] = -2j / (y * wb)
+    h[1, 0] = 2j / (y * w)
+    h[1, 1] = 4 / (w * wb)
+    dh = np.zeros((2, 2, 2) + shape, complex)
+    dh[0, 0, 0] = 2j / y ** 3
+    dh[0, 0, 1] = 1 / (wb * y ** 2)
+    dh[0, 1, 0] = -1 / (w * y ** 2)
+    dh[1, 1, 0] = -2j / (y * w ** 2)
+    dh[1, 1, 1] = -4 / (w ** 2 * wb)
+    ddh = np.zeros((2, 2, 2, 2) + shape, complex)
+    ddh[0, 0, 0, 0] = 3 / y ** 4
+    ddh[0, 0, 0, 1] = -1j / (y ** 3 * wb)
+    ddh[0, 0, 1, 0] = 1j / (y ** 3 * w)
+    ddh[0, 1, 0, 1] = -1 / (y ** 2 * wb ** 2)
+    ddh[1, 0, 1, 0] = -1 / (y ** 2 * w ** 2)
+    ddh[1, 1, 1, 1] = 4 / (w ** 2 * wb ** 2)
     return h, dh, ddh
 
 
@@ -289,29 +282,29 @@ def _vaisman_jets(z, m):
     v = z[..., 1].imag
     s = v - m * np.log(y)
     shape = z.shape[:-1]
-    h = np.zeros(shape + (2, 2), complex)
-    h[..., 0, 0] = (1 + s ** 2) / y ** 2
-    h[..., 0, 1] = -s / y
-    h[..., 1, 0] = -s / y
-    h[..., 1, 1] = 1.0
-    dh = np.zeros(shape + (2, 2, 2), complex)
-    dh[..., 0, 0, 0] = 1j * (1 + s ** 2 + m * s) / y ** 3
-    dh[..., 0, 0, 1] = -1j * (m + s) / (2 * y ** 2)
-    dh[..., 0, 1, 0] = -1j * (m + s) / (2 * y ** 2)
-    dh[..., 1, 0, 0] = -1j * s / y ** 2
-    dh[..., 1, 0, 1] = 1j / (2 * y)
-    dh[..., 1, 1, 0] = 1j / (2 * y)
-    ddh = np.zeros(shape + (2, 2, 2, 2), complex)
-    ddh[..., 0, 0, 0, 0] = (3 + 3 * s ** 2 + 5 * m * s + m ** 2) / (2 * y ** 4)
-    ddh[..., 0, 0, 0, 1] = -(3 * m + 2 * s) / (4 * y ** 3)
-    ddh[..., 0, 0, 1, 0] = -(3 * m + 2 * s) / (4 * y ** 3)
-    ddh[..., 0, 1, 0, 0] = -(2 * s + m) / (2 * y ** 3)
-    ddh[..., 1, 0, 0, 0] = -(2 * s + m) / (2 * y ** 3)
-    ddh[..., 0, 1, 0, 1] = 1 / (4 * y ** 2)
-    ddh[..., 0, 1, 1, 0] = 1 / (4 * y ** 2)
-    ddh[..., 1, 0, 0, 1] = 1 / (4 * y ** 2)
-    ddh[..., 1, 0, 1, 0] = 1 / (4 * y ** 2)
-    ddh[..., 1, 1, 0, 0] = 1 / (2 * y ** 2)
+    h = np.zeros((2, 2) + shape, complex)
+    h[0, 0] = (1 + s ** 2) / y ** 2
+    h[0, 1] = -s / y
+    h[1, 0] = -s / y
+    h[1, 1] = 1.0
+    dh = np.zeros((2, 2, 2) + shape, complex)
+    dh[0, 0, 0] = 1j * (1 + s ** 2 + m * s) / y ** 3
+    dh[0, 0, 1] = -1j * (m + s) / (2 * y ** 2)
+    dh[0, 1, 0] = -1j * (m + s) / (2 * y ** 2)
+    dh[1, 0, 0] = -1j * s / y ** 2
+    dh[1, 0, 1] = 1j / (2 * y)
+    dh[1, 1, 0] = 1j / (2 * y)
+    ddh = np.zeros((2, 2, 2, 2) + shape, complex)
+    ddh[0, 0, 0, 0] = (3 + 3 * s ** 2 + 5 * m * s + m ** 2) / (2 * y ** 4)
+    ddh[0, 0, 0, 1] = -(3 * m + 2 * s) / (4 * y ** 3)
+    ddh[0, 0, 1, 0] = -(3 * m + 2 * s) / (4 * y ** 3)
+    ddh[0, 1, 0, 0] = -(2 * s + m) / (2 * y ** 3)
+    ddh[1, 0, 0, 0] = -(2 * s + m) / (2 * y ** 3)
+    ddh[0, 1, 0, 1] = 1 / (4 * y ** 2)
+    ddh[0, 1, 1, 0] = 1 / (4 * y ** 2)
+    ddh[1, 0, 0, 1] = 1 / (4 * y ** 2)
+    ddh[1, 0, 1, 0] = 1 / (4 * y ** 2)
+    ddh[1, 1, 0, 0] = 1 / (2 * y ** 2)
     return h, dh, ddh
 
 
@@ -340,11 +333,13 @@ class _TrigSum:
     def derivs(self, z, orders):
         """{(p, q): d^{p+q} phi / dz^p dzbar^q} for each (p, q) in orders.
 
-        Each tensor has shape z.shape[:-1] + (n,) * (p + q), holomorphic axes
-        first; each term's phase, cos and sin are evaluated once.
+        Each tensor has shape (n,) * (p + q) + z.shape[:-1], holomorphic axes
+        first and the batch axes last; each term's phase, cos and sin are
+        evaluated once.
         """
         n = z.shape[-1]
-        out = {pq: np.zeros(z.shape[:-1] + (n,) * sum(pq), complex) for pq in orders}
+        batch = z.shape[:-1]
+        out = {pq: np.zeros((n,) * sum(pq) + batch, complex) for pq in orders}
         for A, a, b, ph in self.terms:
             arg = 2 * np.pi * (np.tensordot(z.real, a, axes=(-1, -1))
                                + np.tensordot(z.imag, b, axes=(-1, -1))) + ph
@@ -357,7 +352,7 @@ class _TrigSum:
                 for v in (c,) * p + (np.conj(c),) * q:
                     fac = np.multiply.outer(fac, v)
                 amp = A * (trig[k % 4] * (2 * np.pi) ** k)
-                acc += amp[(...,) + (None,) * k] * fac
+                acc += fac[(...,) + (None,) * len(batch)] * amp
         return out
 
     def source(self, n):
@@ -394,8 +389,8 @@ def _bump(terms, eps):
 
 def _kaehler_bump_jets(z, eps):
     d = _bump(_KB_TERMS, eps).derivs(z, [(1, 1), (2, 1), (2, 2)])
-    h = np.eye(z.shape[-1]) + d[1, 1]
-    return h, d[2, 1], d[2, 2].swapaxes(-3, -2)
+    h = d[1, 1] + _eye(z.shape[-1], z.shape[:-1])
+    return h, d[2, 1], d[2, 2].swapaxes(1, 2)
 
 
 # Pluriclosed bump: h = I + i(g_jbar delta_{i1} - g_i delta_{j1}) from the
@@ -413,16 +408,17 @@ def _pluriclosed_bump_jets(z, eps):
     d = _bump(_PB_TERMS, eps).derivs(z, [(0, 1), (1, 0), (1, 1), (2, 0), (1, 2),
                                          (2, 1)])
     shape = z.shape[:-1]
-    p = np.zeros(shape + (n, n), complex)
-    dh = np.zeros(shape + (n, n, n), complex)
-    ddh = np.zeros(shape + (n, n, n, n), complex)
-    p[..., 0, :] += 1j * d[0, 1]
-    p[..., :, 0] -= 1j * d[1, 0]
-    dh[..., :, 0, :] += 1j * d[1, 1]
-    dh[..., :, :, 0] -= 1j * d[2, 0]
-    ddh[..., :, :, 0, :] += 1j * d[1, 2]
-    ddh[..., :, :, :, 0] -= 1j * d[2, 1].swapaxes(-2, -1)
-    return np.eye(n) + p, dh, ddh
+    h = np.zeros((n, n) + shape, complex)
+    dh = np.zeros((n, n, n) + shape, complex)
+    ddh = np.zeros((n, n, n, n) + shape, complex)
+    h[0, :] += 1j * d[0, 1]
+    h[:, 0] -= 1j * d[1, 0]
+    h += _eye(n, shape)
+    dh[:, 0, :] += 1j * d[1, 1]
+    dh[:, :, 0] -= 1j * d[2, 0]
+    ddh[:, :, 0, :] += 1j * d[1, 2]
+    ddh[:, :, :, 0] -= 1j * d[2, 1].swapaxes(1, 2)
+    return h, dh, ddh
 
 
 def _kaehler_bump_source(n, eps):
@@ -579,14 +575,8 @@ def factor_jet_from_expr(f: ex.Expr, z: np.ndarray, n: int,
     df_t = [ex.wirtinger_derivative(f, k, bar=False) for k in range(n)]
     ddf_t = [[ex.wirtinger_derivative(df_t[i], j, bar=True) for j in range(n)]
              for i in range(n)]
-    shape = z.shape[:-1]
-    df = np.empty(shape + (n,), complex)
-    ddf = np.empty(shape + (n, n), complex)
-    for i in range(n):
-        df[..., i] = ex.evaluate(df_t[i], z, params)
-        for j in range(n):
-            ddf[..., i, j] = ex.evaluate(ddf_t[i][j], z, params)
-    return FactorJet(val.real, df, ddf)
+    return FactorJet(val.real, _evaluate_tensor(df_t, z, params),
+                     _evaluate_tensor(ddf_t, z, params))
 
 
 def conformal_manifold(man: ModelManifold, f: "ex.Expr | str") -> ModelManifold:

@@ -54,14 +54,14 @@ def curvature_records(man: ModelManifold, z: np.ndarray, jet: MetricJet, ts) -> 
     table["s1"] = np.concatenate([ric.s1 for ric in rics])
     table["s2"] = np.concatenate([ric.s2 for ric in rics])
     for idx in range(1, 5):
-        m = np.concatenate([report_matrix(getattr(ric, f"ric{idx}")) for ric in rics])
+        m = report_matrix(np.concatenate([getattr(ric, f"ric{idx}") for ric in rics], -1))
         for i in range(n):
             for j in range(n):
-                table[f"ric{idx}[{i + 1}][{j + 1}].re"] = m[:, i, j].real
-                table[f"ric{idx}[{i + 1}][{j + 1}].im"] = m[:, i, j].imag
+                table[f"ric{idx}[{i + 1}][{j + 1}].re"] = m[i, j].real
+                table[f"ric{idx}[{i + 1}][{j + 1}].im"] = m[i, j].imag
     for key in ("del_omega_sq", "del_star_sq", "pairing"):
         table[f"norm.{key}"] = np.tile(getattr(traces, key), count)
-    for a, col in enumerate(np.moveaxis(traces.lee, -1, 0)):
+    for a, col in enumerate(traces.lee):
         table[f"lee[{a}]"] = np.tile(col, count)
     for key, field in residuals.items():
         table[f"residual.{key}"] = np.tile(field, count)

@@ -402,7 +402,7 @@ def _grad_energy_norm(gm: GridMetric, phi: np.ndarray):
     for i in range(n):
         acc = np.zeros(gm.grid.shape, complex)
         for j in range(n):
-            acc += gm.ginv[..., i, j] * np.conj(m[j])
+            acc += gm.ginv[i, j] * np.conj(m[j])
         c.append(w * acc)
         density += (m[i] * acc).real
     energy = float(np.sum(w * density))
@@ -418,13 +418,15 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
     On the constraint set N1 int phi^q = 1, the quotient equals
     U(phi) = ||del phi||^2 + N1 int S_B2 phi^2, which is minimized by
     projected Sobolev (H1) gradient descent with Armijo backtracking (steps
-    that lose positivity are rejected and halved).  The descent steps along
+    that lose positivity are rejected and halved, and backtracking stops once
+    the first-order decrease is below the stall test's).  The descent steps along
     (1 - lap)^{-1} grad U / 2w with the flat Laplacian symbol as lap: in that
     metric every Fourier mode moves at its own rate, so the step does not
     shrink with the stiffest grid mode and the iteration count does not grow
     with N.  Newton steps on the Euler-Lagrange system
     box(phi) = N1 mu phi^{q-1}, with q = N2, then polish phi for as long as
-    they contract its residual, and el_tol gates the result.  The report
+    each at least halves its residual (below that a step only dithers at the
+    rounding floor), and el_tol gates the result.  The report
     also carries f = ((2n-1)/(n^2-1)) log phi and the sup-deviation of the
     transformed Bismut curvature from mu.
     """
@@ -466,7 +468,7 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
         if gsg < 1e-28:
             break
         accepted = False
-        while step > 1e-12:
+        while step > 1e-12 and step * gsg > 1e-14 * max(1.0, abs(energy)):
             cand = phi - step * sg
             if np.min(cand) <= 0:
                 step *= 0.5
@@ -487,8 +489,7 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
             break  # stalled; the Euler-Lagrange polish finishes the job
 
     # Euler-Lagrange polish: box(phi) - N1 mu phi^{q-1} = 0 at fixed constraint.
-    # Newton steps continue while they contract the residual, el_tol gates
-    # the result.
+    # Newton steps continue while each halves the residual, el_tol gates it.
     def el_residual(phi, mu):
         box = -complex_laplacian(gm, phi) + N1 * s_field * phi
         r = box - N1 * mu * phi ** (q - 1)
@@ -515,7 +516,7 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
         if e_new > energy + 1e-12 * max(1.0, abs(energy)):
             break
         r_new, rn_new = el_residual(cand, e_new)
-        if not rn_new < rnorm:
+        if not rn_new < 0.5 * rnorm:
             break
         phi, energy, r, rnorm = cand, e_new, r_new, rn_new
     mu = energy
@@ -572,7 +573,7 @@ def lozenge_constancy_check(gm: GridMetric) -> dict:
     s2 = gm.scalar_fields()["s_c2"]
     f_hat = 2.0 * s2 / n
     lap = complex_laplacian(gm, f_hat)
-    df = np.stack([dz(f_hat, i, gm.grid) for i in range(n)], axis=-1)
+    df = np.stack([dz(f_hat, i, gm.grid) for i in range(n)])
     # Re<del f, tau> = -Re kappa, the pairing of the conformal law
     lozenge = n * lap - 2 * torsion_pairing(gm.jet, gm.tau(), df).real
     ein = einstein_residual(gm.jet)

@@ -51,8 +51,8 @@ def test_golden_hopf_n2():
           and np.max(np.abs(ric.s2 - 0.25)) < GOLDEN_TOL)
     ok = ok and np.max(np.abs(ric.ric2 - 0.25 * jet.h)) < GOLDEN_TOL
     r = np.sum(np.abs(z) ** 2, axis=-1)
-    want = (np.eye(2) * r[:, None, None]
-            - np.einsum("pi,pj->pij", z, np.conj(z))) / (r ** 2)[:, None, None]
+    want = (np.eye(2)[:, :, None] * r
+            - np.einsum("pi,pj->ijp", z, np.conj(z))) / r ** 2
     ok = ok and np.max(np.abs(report_matrix(ric.ric3) - want)) < GOLDEN_TOL
     ok = ok and np.max(np.abs(report_matrix(ric.ric4) - want)) < GOLDEN_TOL
     dt = time.perf_counter() - t0
@@ -76,7 +76,7 @@ def test_golden_elliptic_surface():
     dev_s1 = float(np.max(np.abs(ric.s1 - (-0.5))))
     dev_s2 = float(np.max(np.abs(ric.s2 - (-0.75))))
     y = z[:, 0].imag
-    dev_t3 = float(np.max(np.abs(ric.ric3[:, 0, 0] - (-0.75 / y ** 2))))
+    dev_t3 = float(np.max(np.abs(ric.ric3[0, 0] - (-0.75 / y ** 2))))
     ok = max(dev_s1, dev_s2, dev_t3) < GOLDEN_TOL
     report("1.elliptic", ok and time.perf_counter() - t0 < 1.0,
            f"s1 dev {dev_s1:.2e}; s2=-3/4 dev {dev_s2:.2e}; "
@@ -90,7 +90,7 @@ def test_golden_inoue_s1():
     dev_s2 = float(np.max(np.abs(ric.s2 - (-0.5))))
     diag = torsion_diagnostics(jet)
     y = z[:, 0].imag
-    dev_dd = float(np.max(np.abs(diag.ddstar[:, 0, 0] - 0.25 / y ** 2)))
+    dev_dd = float(np.max(np.abs(diag.ddstar[0, 0] - 0.25 / y ** 2)))
     ok = max(dev_s1, dev_s2, dev_dd) < GOLDEN_TOL
     report("1.inoue-s1", ok and time.perf_counter() - t0 < 1.0,
            f"s1 dev {dev_s1:.2e}; s2=-1/2 dev {dev_s2:.2e}; "

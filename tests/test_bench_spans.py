@@ -3,14 +3,18 @@
 `bench/spans.py` wraps hermcurv functions by module and attribute path, and
 a target it cannot find is listed as missing rather than raising, so a
 renamed function would drop its per-layer metric without an error.  This
-resolves every target the way `Tracer.install` does, and wraps nothing.
+resolves every target the way `Tracer.install` does, and wraps nothing, and
+checks that every timed or counted span metric BENCHMARK.json declares is
+one of those targets.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -36,3 +40,11 @@ def test_every_span_target_resolves():
         if not callable(raw.__func__ if isinstance(raw, classmethod) else raw):
             missing.append(name)
     assert missing == []
+
+
+def test_every_declared_span_metric_is_a_target():
+    targets = {name for name, _, _ in load_spans().TARGETS}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    spans = [m["name"].rsplit(".", 1)[0] for m in declared
+             if m["name"].endswith((".s", ".calls"))]
+    assert spans and sorted(set(spans) - targets) == []

@@ -56,6 +56,16 @@ def test_inspect_golden_tricerri_flags_stored_conflict(capsys, monkeypatch):
     assert code == 4
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_point_count_below_one_is_refused(capsys, points):
+    for argv in (["inspect", "hopf", "--n", "3"],
+                 ["check", "conformal", "--manifold", "hopf", "--n", "3"],
+                 ["check", "comparison", "--manifold", "vaisman"]):
+        code, _, err = run(capsys, *argv, "--points", points)
+        assert code == 2, argv
+        assert f"sample count must be at least 1, got {points}" in err, argv
+
+
 def test_inspect_csv_deterministic(capsys, tmp_path):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"

@@ -54,7 +54,7 @@ def test_torsion_antisymmetry_exact():
     for name, params in BUILTINS:
         _, jet = sample_jet(name, params, count=20)
         T = chern_torsion(jet)
-        assert np.max(np.abs(T + np.swapaxes(T, -3, -2))) == 0.0
+        assert np.max(np.abs(T + np.swapaxes(T, 0, 1))) == 0.0
 
 
 def test_hopf_torsion_closed_form():
@@ -66,8 +66,8 @@ def test_hopf_torsion_closed_form():
     zb = np.conj(z)
     eye = np.eye(2)
     # T_{ij}^k = (delta_{ik} conj(z_j) - delta_{jk} conj(z_i)) / |z|^2
-    want = (np.einsum("ik,pj->pijk", eye, zb) - np.einsum("jk,pi->pijk", eye, zb))
-    want /= r[:, None, None, None]
+    want = (np.einsum("ik,pj->ijkp", eye, zb) - np.einsum("jk,pi->ijkp", eye, zb))
+    want /= r
     np.testing.assert_allclose(T, want, rtol=1e-12, atol=1e-13)
 
 
@@ -81,8 +81,8 @@ def test_hopf_chern_tensor_closed_form():
     r = np.sum(np.abs(z) ** 2, axis=-1)
     zb = np.conj(z)
     eye = np.eye(2)
-    core = (eye * r[:, None, None] - np.einsum("pj,pi->pij", z, zb))
-    want = 4 * np.einsum("pij,kl->pijkl", core, eye) / (r ** 3)[:, None, None, None, None]
+    core = (eye[:, :, None] * r - np.einsum("pj,pi->ijp", z, zb))
+    want = 4 * np.einsum("ijp,kl->ijklp", core, eye) / r ** 3
     np.testing.assert_allclose(theta, want, rtol=1e-11, atol=1e-12)
 
 
@@ -91,7 +91,7 @@ def test_curvature_hermitian_symmetry():
         _, jet = sample_jet(name, params, count=20)
         for t in (0.0, 0.7, 1.0, -1.0):
             R = gauduchon_curvature(jet, t).R
-            flip = np.conj(np.transpose(R, (0, 2, 1, 4, 3)))
+            flip = np.conj(np.transpose(R, (1, 0, 3, 2, 4)))
             scale = max(1.0, float(np.max(np.abs(R))))
             assert np.max(np.abs(R - flip)) / scale < 1e-12, (name, t)
 
@@ -132,8 +132,8 @@ def test_hopf_theta34_closed_form():
     jet = man.jet(z)
     ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
     r = np.sum(np.abs(z) ** 2, axis=-1)
-    want = (np.eye(2) * r[:, None, None]
-            - np.einsum("pi,pj->pij", z, np.conj(z))) / (r ** 2)[:, None, None]
+    want = (np.eye(2)[:, :, None] * r
+            - np.einsum("pi,pj->ijp", z, np.conj(z))) / r ** 2
     np.testing.assert_allclose(report_matrix(ric.ric3), want, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(report_matrix(ric.ric4), want, rtol=1e-10, atol=1e-12)
 
@@ -144,7 +144,7 @@ def test_ric3_is_conj_transpose_of_ric4():
         for t in (0.0, 0.6, 1.0):
             ric = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
             lhs = ric.ric3
-            rhs = np.conj(np.swapaxes(ric.ric4, -1, -2))
+            rhs = np.conj(np.swapaxes(ric.ric4, 0, 1))
             scale = max(1.0, float(np.max(np.abs(lhs))))
             assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 
@@ -154,7 +154,7 @@ def test_ric1_ric2_hermitian():
         _, jet = sample_jet(name, params, count=15)
         ric = ricci_and_scalars(gauduchon_curvature(jet, 0.3), jet)
         for m in (ric.ric1, ric.ric2):
-            assert np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))) < 1e-11
+            assert np.max(np.abs(m - np.conj(np.swapaxes(m, 0, 1)))) < 1e-11
 
 
 # Scalar values of the surface examples.  They agree with the catalog's golden
@@ -266,8 +266,8 @@ def test_tricerri_theta1_coefficient():
     jet = man.jet(z)
     ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
     y = z[:, 0].imag
-    np.testing.assert_allclose(ric.ric1[:, 0, 0], -1 / (4 * y ** 2), rtol=1e-12)
-    np.testing.assert_allclose(ric.ric1[:, 1, 1], 0, atol=1e-13)
+    np.testing.assert_allclose(ric.ric1[0, 0], -1 / (4 * y ** 2), rtol=1e-12)
+    np.testing.assert_allclose(ric.ric1[1, 1], 0, atol=1e-13)
 
 
 # -- torsion diagnostics --------------------------------------------------------
@@ -278,18 +278,18 @@ def test_tricerri_diagnostics_closed_form():
     jet = man.jet(z)
     diag = torsion_diagnostics(jet)
     y = 1.2
-    np.testing.assert_allclose(diag.tau[0], [-0.5j / y, 0], atol=1e-13)
+    np.testing.assert_allclose(diag.tau[:, 0], [-0.5j / y, 0], atol=1e-13)
     # del* omega = -i conj(tau_j) dzbar^j = (1/(2y)) dzbar^1 in the trace normalization
-    np.testing.assert_allclose(-1j * np.conj(diag.tau[0]), [0.5 / y, 0], atol=1e-13)
+    np.testing.assert_allclose(-1j * np.conj(diag.tau[:, 0]), [0.5 / y, 0], atol=1e-13)
     np.testing.assert_allclose(diag.del_star_sq[0], 0.25, rtol=1e-12)
     np.testing.assert_allclose(diag.del_omega_sq[0], 0.25, rtol=1e-12)
     np.testing.assert_allclose(diag.pairing[0], 0.25, rtol=1e-12)
     # del del* omega = (i/(4y^2)) dz^1 ^ dzbar^1
     want = np.zeros((2, 2))
     want[0, 0] = 1 / (4 * y ** 2)
-    np.testing.assert_allclose(diag.ddstar[0], want, atol=1e-13)
+    np.testing.assert_allclose(diag.ddstar[:, :, 0], want, atol=1e-13)
     # Lee form is dy/y: real components (x1, y1, x2, y2)
-    np.testing.assert_allclose(diag.lee[0], [0, 1 / y, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(diag.lee[:, 0], [0, 1 / y, 0, 0], atol=1e-12)
 
 
 def test_elliptic_del_star_components():
@@ -299,7 +299,7 @@ def test_elliptic_del_star_components():
     diag = torsion_diagnostics(jet)
     y, w = 0.9, 0.8 - 0.5j
     want = np.array([1 / (2 * y), -1j / np.conj(w)])
-    np.testing.assert_allclose(-1j * np.conj(diag.tau[0]), want, rtol=1e-12)
+    np.testing.assert_allclose(-1j * np.conj(diag.tau[:, 0]), want, rtol=1e-12)
 
 
 def test_vaisman_del_star_components():
@@ -310,7 +310,7 @@ def test_vaisman_del_star_components():
     y, v, m = 1.1, 0.7, 1.5
     s = v - m * np.log(y)
     want = np.array([(1 + m * s) / (2 * y), -m / 2])
-    np.testing.assert_allclose(-1j * np.conj(diag.tau[0]), want, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(-1j * np.conj(diag.tau[:, 0]), want, rtol=1e-12, atol=1e-13)
 
 
 def test_balanced_metric_has_zero_lee_and_del_star():
@@ -352,7 +352,7 @@ def test_lee_defining_equation():
         eta = forms.lee_form(jet)
         n = man.n
         lhs = forms.del_omega_power(jet, n - 1)
-        eta_form = forms.PQForm(n, 1, 0, {((i,), ()): eta[..., i] for i in range(n)})
+        eta_form = forms.PQForm(n, 1, 0, {((i,), ()): eta[i] for i in range(n)})
         rhs = eta_form.wedge(forms.omega_power(jet, n - 1))
         worst = 0.0
         for key, v in lhs.coeffs.items():

@@ -4,7 +4,7 @@ import pytest
 from hermcurv.grid import (GridError, GridMetric, TorusField, TorusGrid,
                            balanced_representative, complex_laplacian, dz,
                            gauduchon_degrees, integrate, laplacian_duality_defect)
-from hermcurv.jets import MetricJet
+from hermcurv.jets import JetError, MetricJet
 from hermcurv.manifolds import builtin, conformal_manifold
 
 from conftest import make_gm
@@ -126,12 +126,14 @@ def _synthetic_n3_metric(hermitian=True):
     # stencil table reads it, through the jet's inverse
     grid = TorusGrid(n=3, N=4)
     rng = np.random.default_rng(5)
-    a = rng.normal(size=grid.shape + (3, 3)) + 1j * rng.normal(size=grid.shape + (3, 3))
-    h = a @ np.conj(np.swapaxes(a, -1, -2)) + 3 * np.eye(3)
+    a = rng.normal(size=(3, 3) + grid.shape) + 1j * rng.normal(size=(3, 3) + grid.shape)
+    h = np.einsum("ij...,kj...->ik...", a, np.conj(a))
+    for i in range(3):
+        h[i, i] += 3
     if not hermitian:
-        # Cholesky reads the lower triangle only, so this passes the
-        # positivity check and leaves the inverse non-Hermitian
-        h[..., 0, 1] += 0.1
+        # LDL^H reads the lower triangle only, so the inverse refuses this
+        # input before it factorizes
+        h[0, 1] += 0.1
     return GridMetric(grid, MetricJet(h, None, None))
 
 
@@ -156,7 +158,7 @@ def test_laplacian_transpose_is_adjoint(case):
 
 def test_non_hermitian_inverse_metric_raises():
     gm = _synthetic_n3_metric(hermitian=False)
-    with pytest.raises(GridError, match="Hermitian"):
+    with pytest.raises(JetError, match="Hermitian"):
         complex_laplacian(gm, np.ones(gm.grid.shape))
 
 
@@ -329,7 +331,7 @@ def test_balanced_representative_obstruction():
     man = builtin("pluriclosed-bump")
     gm = GridMetric.from_manifold(man, TorusGrid(n=man.n, N=8))
     eta = gm.lee_real().copy()
-    eta[..., 0] += 0.3  # inject a harmonic (constant) part: nonzero period
+    eta[0] += 0.3  # inject a harmonic (constant) part: nonzero period
     gm.lee_real = lambda: eta
     with pytest.raises(GridError, match="harmonic"):
         balanced_representative(gm)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hermcurv import expr as ex
+from hermcurv import jets
 from hermcurv.dsl import parse_expr
 from hermcurv.jets import MetricJet, JetError, check_jet_invariants, inverse_and_det
 from hermcurv.manifolds import (ChartPoint, DomainError, _TrigSum, builtin,
@@ -32,8 +33,8 @@ def fd_jet_of_h(man, z, step=1e-5):
     def dh_at(pts):
         return man.jet(pts, check_domain=False).dh
 
-    dh = np.empty(z.shape[:-1] + (n, n, n), complex)
-    ddh = np.empty(z.shape[:-1] + (n, n, n, n), complex)
+    dh = np.empty((n, n, n) + z.shape[:-1], complex)
+    ddh = np.empty((n, n, n, n) + z.shape[:-1], complex)
     for k in range(n):
         dx = np.zeros_like(z)
         dx[..., k] = step
@@ -41,11 +42,11 @@ def fd_jet_of_h(man, z, step=1e-5):
         dy[..., k] = 1j * step
         ddx = (h_at(z + dx) - h_at(z - dx)) / (2 * step)
         ddy = (h_at(z + dy) - h_at(z - dy)) / (2 * step)
-        dh[..., k, :, :] = 0.5 * (ddx - 1j * ddy)
+        dh[k] = 0.5 * (ddx - 1j * ddy)
         gdx = (dh_at(z + dx) - dh_at(z - dx)) / (2 * step)
         gdy = (dh_at(z + dy) - dh_at(z - dy)) / (2 * step)
         # anti-holomorphic derivative of the exact dh gives ddh[i, k, :, :]
-        ddh[..., :, k, :, :] = 0.5 * (gdx + 1j * gdy)
+        ddh[:, k] = 0.5 * (gdx + 1j * gdy)
     return dh, ddh
 
 
@@ -96,10 +97,10 @@ def test_trig_derivs_agree_with_expression_path(n):
         return trees[holo, anti]
 
     for p, q in orders:
-        assert got[p, q].shape == (5,) + (n,) * (p + q)
+        assert got[p, q].shape == (n,) * (p + q) + (5,)
         for idx in itertools.product(range(n), repeat=p + q):
             want = ex.evaluate(tree(idx[:p], idx[p:]), z)
-            dev = np.abs(got[p, q][(...,) + idx] - want)
+            dev = np.abs(got[p, q][idx] - want)
             assert np.all(dev <= 1e-12 * np.maximum(1.0, np.abs(want))), (p, q, idx)
 
 
@@ -142,16 +143,21 @@ def test_elliptic_inverse_closed_form():
     np.testing.assert_allclose(ginv[1, 1], abs(w) ** 2 / 2, rtol=1e-12)
 
 
-def test_random_spd_inverse_residual():
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_spd_inverse_residual(n):
     rng = np.random.default_rng(123)
-    a = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
-    h = np.einsum("...ij,...kj->...ik", a, np.conj(a)) + 3 * np.eye(3)
-    jet = MetricJet(h, np.zeros((40, 3, 3, 3), complex),
-                    np.zeros((40, 3, 3, 3, 3), complex))
+    a = rng.normal(size=(n, n, 40)) + 1j * rng.normal(size=(n, n, 40))
+    h = np.einsum("ij...,kj...->ik...", a, np.conj(a)) + 3 * np.eye(n)[:, :, None]
+    jet = MetricJet(h, None, None)
     ginv, det = inverse_and_det(jet)
-    resid = np.einsum("...ij,...kj->...ik", ginv, h) - np.eye(3)
+    resid = np.einsum("ij...,kj...->ik...", ginv, h) - np.eye(n)[:, :, None]
     assert np.max(np.abs(resid)) < 1e-12
     assert np.all(det > 0)
+    # numpy's batch-first inverse and determinant as the reference
+    h_rows = np.moveaxis(h, -1, 0)
+    want = np.moveaxis(np.linalg.inv(h_rows), 0, -1).swapaxes(0, 1)
+    np.testing.assert_allclose(ginv, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(det, np.linalg.det(h_rows).real, rtol=1e-12)
 
 
 def test_domain_violations_raise():
@@ -166,6 +172,22 @@ def test_indefinite_metric_rejected():
     jet = MetricJet(h, np.zeros((2, 2, 2), complex), np.zeros((2, 2, 2, 2), complex))
     with pytest.raises(JetError, match="positive definite"):
         inverse_and_det(jet)
+
+
+def test_vanishing_pivot_rejected():
+    # positive definite, but the second LDL^H pivot is 1e-12 of the diagonal
+    h = np.array([[1.0 + 0j, 1.0], [1.0, 1.0 + 1e-12]])
+    with pytest.raises(JetError, match="pivot below"):
+        inverse_and_det(MetricJet(h, None, None))
+
+
+def test_condition_limit_rejected(monkeypatch):
+    # with the shipped constants a pivot that passes the floor keeps the
+    # estimate below 1 / PD_PIVOT_RTOL = 1e10; a lower floor exposes the limit
+    monkeypatch.setattr(jets, "PD_PIVOT_RTOL", 1e-14)
+    h = np.diag([1.0 + 0j, 1e-13])
+    with pytest.raises(JetError, match="numerically singular"):
+        inverse_and_det(MetricJet(h, None, None))
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -189,7 +211,7 @@ def test_conformal_manifold_flattens_hopf():
     flat = conformal_manifold(man, "log(abs2(z1) + abs2(z2))")
     z = man.sample_points(20, seed=4)
     jet = flat.jet(z)
-    assert np.max(np.abs(jet.h - 4 * np.eye(2))) < 1e-10
+    assert np.max(np.abs(jet.h - 4 * np.eye(2)[:, :, None])) < 1e-10
     assert np.max(np.abs(jet.dh)) < 1e-10
     assert np.max(np.abs(jet.ddh)) < 1e-9
 
