@@ -5,9 +5,13 @@ x_k = Re z^k and axis 2k+1 samples y_k = Im z^k, each with N nodes over its
 period.  Two derivative schemes are supported: second-order centered
 differences ("fd2", the default) and Fourier-spectral ("spectral").  The
 fd2 differences are written with slices into one output array, the
-wrap-around slabs last.  The mixed Wirtinger second derivatives share one
-stencil builder so that exact cancellations (flat-metric Laplacian duality,
-linearity) hold to roundoff.
+wrap-around slabs last.  A spectral derivative of a real field is one real
+FFT along its axis (`np.fft.rfft`/`irfft`) times the half-spectrum symbol,
+which each grid builds once per axis, already shaped to broadcast along it;
+the odd-derivative Nyquist entry is zero, so the result is the real part of
+the full complex-FFT derivative.  The mixed Wirtinger second derivatives
+share one stencil builder so that exact cancellations (flat-metric Laplacian
+duality, linearity) hold to roundoff.
 
 The Chern Laplacian lap_C u = h^{i jbar} d^2 u / dz^i dzbar^j is one table of
 terms sum_k c_k S_k per grid metric: real coefficient fields c_k times
@@ -43,7 +47,7 @@ from .manifolds import ModelManifold
 
 __all__ = ["TorusGrid", "TorusField", "GridMetric", "GridError",
            "dz", "complex_laplacian", "laplacian_duality_defect",
-           "integrate", "gauduchon_degrees", "balanced_representative"]
+           "integrate", "gauduchon_degrees"]
 
 MEMORY_BUDGET_BYTES = 2 << 30
 IMAG_TOL = 1e-9
@@ -112,7 +116,7 @@ class TorusGrid:
             np.subtract(u[_at(a, 0, 1)], u[_at(a, -2, -1)], out=out[_at(a, -1, None)])
             out /= 2 * self.spacing[a]
             return out
-        return _apply_symbol(u, self.d_symbol(a), a)
+        return self._spectral(u, a, 0)
 
     def d2_axis(self, u: np.ndarray, a: int) -> np.ndarray:
         if self.scheme == "fd2":
@@ -124,7 +128,7 @@ class TorusGrid:
             out[_at(a, 0, 1)] += u[_at(a, -1, None)]
             out /= self.spacing[a] ** 2
             return out
-        return _apply_symbol(u, self.d2_symbol(a), a)
+        return self._spectral(u, a, 1)
 
     def d_symbol(self, a: int) -> np.ndarray:
         """Fourier symbol of d_axis (used by solver preconditioners)."""
@@ -142,18 +146,34 @@ class TorusGrid:
             return (2 * np.cos(2 * np.pi * k * h) - 2) / h ** 2
         return -(2 * np.pi * k) ** 2
 
+    def _spectral(self, u: np.ndarray, a: int, order: int) -> np.ndarray:
+        """Spectral derivative of order + 1 along axis a."""
+        if np.iscomplexobj(u):  # a complex field keeps the full spectrum
+            mult = (self.d_symbol, self.d2_symbol)[order](a)
+            uh = np.fft.fft(u, axis=a)
+            return np.fft.ifft(uh * mult.reshape((-1,) + (1,) * (u.ndim - a - 1)),
+                               axis=a)
+        uh = np.fft.rfft(u, axis=a)
+        uh *= self._half_symbols[order][a]
+        return np.fft.irfft(uh, n=self.N, axis=a)
+
+    @cached_property
+    def _half_symbols(self) -> tuple:
+        """(d, d2) spectral symbols on the rfft half spectrum, one per axis,
+        each shaped to broadcast along its axis."""
+        d, d2 = [], []
+        for a, h in enumerate(self.spacing):
+            k = 2 * np.pi * np.fft.rfftfreq(self.N, d=h)
+            shape = (-1,) + (1,) * (2 * self.n - a - 1)
+            d2.append((-k ** 2).reshape(shape))
+            k[-1] = 0.0  # odd-derivative Nyquist convention
+            d.append((1j * k).reshape(shape))
+        return tuple(d), tuple(d2)
+
 
 def _at(a: int, start, stop) -> tuple:
     """Index of the slice start:stop along axis a."""
     return (slice(None),) * a + (slice(start, stop),)
-
-
-def _apply_symbol(u: np.ndarray, mult: np.ndarray, a: int) -> np.ndarray:
-    uh = np.fft.fft(u, axis=a)
-    shape = [1] * u.ndim
-    shape[a] = len(mult)
-    out = np.fft.ifft(uh * mult.reshape(shape), axis=a)
-    return out.real if np.isrealobj(u) else out
 
 
 @dataclass
@@ -461,47 +481,3 @@ def gauduchon_degrees(gm: GridMetric):
     res = gm.class_residuals()
     warn = not res["gauduchon"][0]
     return g1, g2, warn
-
-
-def balanced_representative(gm: GridMetric):
-    """Balanced metric e^{-u/(n-1)} omega_G from an exact Lee form.
-
-    Solves the least-squares problem min ||du - eta||^2 over grid functions
-    by Fourier diagonalization, then verifies that the residual is pure
-    harmonic noise below tolerance.  A Lee form with nonzero periods (its
-    harmonic part on the torus, i.e. the component-wise mean) is the
-    topological obstruction and raises GridError.
-    """
-    grid = gm.grid
-    eta = gm.lee_real()
-    nn = 2 * gm.n
-    tol = 1e-8
-    means = [float(np.mean(eta[a])) for a in range(nn)]
-    if max(abs(m) for m in means) > tol:
-        raise GridError(
-            "Lee form is not d-exact: nonzero harmonic part "
-            f"{means} (first de Rham cohomology obstruction)")
-    # normal equations in Fourier space: u_hat = sum conj(d_a) eta_a / sum |d_a|^2
-    num = np.zeros(grid.shape, complex)
-    den = np.zeros(grid.shape)
-    for a in range(nn):
-        sym = grid.d_symbol(a)
-        shape = [1] * nn
-        shape[a] = grid.N
-        sym = sym.reshape(shape)
-        num = num + np.conj(sym) * np.fft.fftn(eta[a])
-        den = den + np.abs(sym) ** 2
-    den_flat = den.copy()
-    den_flat[den == 0] = 1.0
-    uhat = np.where(den == 0, 0.0, num / den_flat)
-    u = np.fft.ifftn(uhat).real
-    resid = 0.0
-    for a in range(nn):
-        resid = max(resid, float(np.max(np.abs(grid.d_axis(u, a) - eta[a]))))
-    if resid > 10 * tol:
-        raise GridError(f"Lee form residual {resid:.3e} after exact-part solve; "
-                        "input is not balanced-conformal at grid tolerance")
-    gm_bal = gm.conformal(-u / (gm.n - 1))
-    out_res = float(np.max(np.abs(gm_bal.lee_real())))
-    return TorusField(grid, u), gm_bal, {"lee_residual_in": resid,
-                                         "lee_residual_out": out_res}

@@ -104,6 +104,16 @@ def _halfplane_domain(punctured_axes=()):
 
 @dataclass
 class ModelManifold:
+    """One coordinate chart and its Hermitian metric.
+
+    The metric comes from `closed_jet`, from the DSL metric `metric_expr`,
+    or from both.  A builtin passes its DSL source as `metric_source`, a
+    callable that derives the text: `dsl_metric` parses it into
+    `metric_expr` on first use (by `expression_jet`, by `conformal_manifold`
+    or by a manifold with no closed form), so a run that only evaluates the
+    closed form never derives or parses it.
+    """
+
     name: str
     n: int
     params: dict = field(default_factory=dict)
@@ -112,6 +122,7 @@ class ModelManifold:
     declared_balanced: bool = False
     periods: tuple | None = None  # (2n real periods) when chart-periodic
     metric_expr: MetricExpr | None = None
+    metric_source: Callable[[], str] | None = None
     closed_jet: Callable | None = None  # z(..., n) -> (h[i, j, ...], dh, ddh)
     golden: dict | None = None  # stored Chern {"s1", "s2"} of a builtin, at t = 0
     _expr_jets: tuple | None = None
@@ -121,8 +132,15 @@ class ModelManifold:
             raise ValueError("complex dimension n >= 2 required")
         if self.domain is None:
             self.domain = _full_domain()
-        if self.closed_jet is None and self.metric_expr is None:
+        if (self.closed_jet is None and self.metric_expr is None
+                and self.metric_source is None):
             raise ValueError("manifold needs a metric source")
+
+    def dsl_metric(self) -> MetricExpr | None:
+        """The DSL metric, parsed from `metric_source` on first use."""
+        if self.metric_expr is None and self.metric_source is not None:
+            self.metric_expr = parse_metric(self.metric_source(), self.n)
+        return self.metric_expr
 
     # -- jets ---------------------------------------------------------------
 
@@ -153,13 +171,13 @@ class ModelManifold:
 
     def expression_jet(self, z: np.ndarray) -> MetricJet:
         """Jet via the symbolic-differentiation path, ignoring closed forms."""
-        if self.metric_expr is None:
+        if self.dsl_metric() is None:
             raise ValueError(f"{self.name} has no expression-DSL metric")
         return MetricJet(*self._eval_expr_jets(np.asarray(z, complex)))
 
     def _eval_expr_jets(self, z):
         if self._expr_jets is None:
-            self._expr_jets = _differentiate_metric(self.metric_expr)
+            self._expr_jets = _differentiate_metric(self.dsl_metric())
         return tuple(_evaluate_tensor(t, z, self.params) for t in self._expr_jets)
 
     # -- sampling -----------------------------------------------------------
@@ -528,7 +546,7 @@ def builtin(name: str, n: int | None = None, **params) -> ModelManifold:
         name=name, n=n, params=params, domain=entry.domain(),
         declared_gauduchon=True, declared_balanced=entry.balanced,
         periods=(1.0,) * (2 * n) if entry.periodic else None,
-        metric_expr=parse_metric(entry.source(n, **params), n),
+        metric_source=partial(entry.source, n, **params),
         closed_jet=entry.jets,
         golden=entry.golden(n, **params) if entry.golden else None)
 
@@ -594,13 +612,14 @@ def conformal_manifold(man: ModelManifold, f: "ex.Expr | str") -> ModelManifold:
         va = ex.evaluate(f, z, man.params)
         if np.max(np.abs(va.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(va)))):
             raise ValueError("conformal factor is not real-valued")
-    if man.metric_expr is None:
+    base = man.dsl_metric()
+    if base is None:
         raise ValueError(f"{man.name} carries no expression metric to transform")
     n = man.n
     ef = ex.Exp(f)
-    entries = [[ex.simplify(ex.Mul(ef, man.metric_expr.entries[i][j]))
+    entries = [[ex.simplify(ex.Mul(ef, base.entries[i][j]))
                 for j in range(n)] for i in range(n)]
-    mx = MetricExpr(n=n, entries=entries, params=man.metric_expr.params)
+    mx = MetricExpr(n=n, entries=entries, params=base.params)
     return ModelManifold(
         name=f"{man.name}*e^f", n=n, params=dict(man.params),
         metric_expr=mx, domain=man.domain,

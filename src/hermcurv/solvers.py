@@ -392,23 +392,25 @@ def _grad_energy_norm(gm: GridMetric, phi: np.ndarray):
     With M_i = dz_i phi and c_i = w sum_j h^{i jbar} conj(M_j), the gradient
     of sum_nodes w h^{i jbar} M_i conj(M_j) with respect to the (real) nodal
     values is -2 Re sum_i dz_i(c_i), using that the centered and spectral
-    first-difference matrices are antisymmetric.
+    first-difference matrices are antisymmetric.  The grid derivatives are
+    real, so 2 Re dz_i(c_i) = d_{x_i} Re c_i + d_{y_i} Im c_i is taken on
+    the real and imaginary parts, with no complex transform.
     """
-    n = gm.n
+    n, grid = gm.n, gm.grid
     w = gm.weights()
-    m = [dz(phi, i, gm.grid) for i in range(n)]
-    density = np.zeros(gm.grid.shape)
+    m = [dz(phi, i, grid) for i in range(n)]
+    density = np.zeros(grid.shape)
     c = []
     for i in range(n):
-        acc = np.zeros(gm.grid.shape, complex)
+        acc = np.zeros(grid.shape, complex)
         for j in range(n):
             acc += gm.ginv[i, j] * np.conj(m[j])
         c.append(w * acc)
         density += (m[i] * acc).real
     energy = float(np.sum(w * density))
-    grad = np.zeros(gm.grid.shape)
+    grad = np.zeros(grid.shape)
     for i in range(n):
-        grad -= 2 * dz(c[i], i, gm.grid).real
+        grad -= grid.d_axis(c[i].real, 2 * i) + grid.d_axis(c[i].imag, 2 * i + 1)
     return energy, grad
 
 

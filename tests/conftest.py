@@ -1,5 +1,6 @@
 """Shared fixtures: one session-wide cache of grid metrics, the exact complex
-Laplacian of a manufactured trig field, and call counters.
+Laplacian of a manufactured trig field, the balanced conformal representative
+by a Fourier least-squares solve, and call counters.
 
 Grid metrics returned by `make_gm` are shared by every test that asks for the
 same key, so a test that mutates one must build a private `GridMetric`.
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from hermcurv.grid import GridMetric, TorusGrid
+from hermcurv.grid import GridError, GridMetric, TorusField, TorusGrid
 from hermcurv.manifolds import builtin
 
 _GM_CACHE = {}
@@ -34,6 +35,50 @@ def analytic_laplacian(gm, trig):
     """h^{i jbar} d_i dbar_j of a `_TrigSum` at the grid nodes, from its exact jet."""
     d11 = trig.derivs(gm.grid.points(), [(1, 1)])[1, 1]
     return np.sum(gm.ginv * d11, axis=(0, 1)).real
+
+
+def balanced_representative(gm: GridMetric):
+    """Balanced metric e^{-u/(n-1)} omega_G from an exact Lee form.
+
+    Solves the least-squares problem min ||du - eta||^2 over grid functions
+    by Fourier diagonalization, then verifies that the residual is pure
+    harmonic noise below tolerance.  A Lee form with nonzero periods (its
+    harmonic part on the torus, i.e. the component-wise mean) is the
+    topological obstruction and raises GridError.
+    """
+    grid = gm.grid
+    eta = gm.lee_real()
+    nn = 2 * gm.n
+    tol = 1e-8
+    means = [float(np.mean(eta[a])) for a in range(nn)]
+    if max(abs(m) for m in means) > tol:
+        raise GridError(
+            "Lee form is not d-exact: nonzero harmonic part "
+            f"{means} (first de Rham cohomology obstruction)")
+    # normal equations in Fourier space: u_hat = sum conj(d_a) eta_a / sum |d_a|^2
+    num = np.zeros(grid.shape, complex)
+    den = np.zeros(grid.shape)
+    for a in range(nn):
+        sym = grid.d_symbol(a)
+        shape = [1] * nn
+        shape[a] = grid.N
+        sym = sym.reshape(shape)
+        num = num + np.conj(sym) * np.fft.fftn(eta[a])
+        den = den + np.abs(sym) ** 2
+    den_flat = den.copy()
+    den_flat[den == 0] = 1.0
+    uhat = np.where(den == 0, 0.0, num / den_flat)
+    u = np.fft.ifftn(uhat).real
+    resid = 0.0
+    for a in range(nn):
+        resid = max(resid, float(np.max(np.abs(grid.d_axis(u, a) - eta[a]))))
+    if resid > 10 * tol:
+        raise GridError(f"Lee form residual {resid:.3e} after exact-part solve; "
+                        "input is not balanced-conformal at grid tolerance")
+    gm_bal = gm.conformal(-u / (gm.n - 1))
+    out_res = float(np.max(np.abs(gm_bal.lee_real())))
+    return TorusField(grid, u), gm_bal, {"lee_residual_in": resid,
+                                         "lee_residual_out": out_res}
 
 
 @pytest.fixture

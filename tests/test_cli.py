@@ -282,6 +282,21 @@ def test_solve_bismut_deterministic(capsys, tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_solves_never_parse_the_builtin_dsl_metric(capsys, monkeypatch):
+    # the solves evaluate the closed-form jets only; the DSL source is
+    # derived and parsed on first use, and here never
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_metric called")
+
+    monkeypatch.setattr("hermcurv.manifolds.parse_metric", refuse)
+    code, _, _ = run(capsys, "solve", "bismut", "--manifold", "kaehler-bump",
+                     "--param", "eps=3e-5", "--grid", "8", "--scheme", "spectral")
+    assert code == 0
+    code, _, _ = run(capsys, "solve", "chern-negative", "--manifold",
+                     "pluriclosed-bump", "--grid", "8")
+    assert code == 0
+
+
 def test_solve_bismut_flat(capsys):
     code, out, _ = run(capsys, "solve", "bismut", "--manifold", "flat-torus", "--n", "2",
                        "--grid", "8", "--tol", "1e-8")

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from hermcurv.grid import (GridError, GridMetric, TorusField, TorusGrid,
-                           balanced_representative, complex_laplacian, dz,
-                           gauduchon_degrees, integrate, laplacian_duality_defect)
+                           complex_laplacian, dz, gauduchon_degrees, integrate,
+                           laplacian_duality_defect)
 from hermcurv.jets import JetError, MetricJet
 from hermcurv.manifolds import builtin, conformal_manifold
 
-from conftest import make_gm
+from conftest import balanced_representative, make_gm
 
 
 def dzbar(v, k, grid):
@@ -64,6 +64,24 @@ def test_spectral_derivative_exact_on_modes():
         u = np.exp(2j * np.pi * k * x)
         d = grid.d_axis(u, a)
         np.testing.assert_allclose(d, 2j * np.pi * k * u, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, N", [(2, 12), (3, 6)])
+def test_spectral_real_derivatives_match_complex_fft(n, N):
+    # the half-spectrum path for real input against a full complex FFT
+    periods = tuple(0.7 + 0.4 * a for a in range(2 * n))
+    grid = TorusGrid(n=n, N=N, periods=periods, scheme="spectral")
+    u = np.random.default_rng(n).normal(size=grid.shape)
+    for a in range(2 * n):
+        shape = [1] * u.ndim
+        shape[a] = N
+        for deriv, symbol in ((grid.d_axis, grid.d_symbol),
+                              (grid.d2_axis, grid.d2_symbol)):
+            ref = np.fft.ifft(np.fft.fft(u, axis=a) * symbol(a).reshape(shape),
+                              axis=a).real
+            got = deriv(u, a)
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_dz_on_y_independent_field():

@@ -181,13 +181,20 @@ def test_vanishing_pivot_rejected():
         inverse_and_det(MetricJet(h, None, None))
 
 
-def test_condition_limit_rejected(monkeypatch):
-    # with the shipped constants a pivot that passes the floor keeps the
-    # estimate below 1 / PD_PIVOT_RTOL = 1e10; a lower floor exposes the limit
-    monkeypatch.setattr(jets, "PD_PIVOT_RTOL", 1e-14)
-    h = np.diag([1.0 + 0j, 1e-13])
-    with pytest.raises(JetError, match="numerically singular"):
-        inverse_and_det(MetricJet(h, None, None))
+def test_near_floor_pivots_accepted():
+    # the smallest pivot is about twice the floor: a diagonal h, and one
+    # whose second pivot comes from cancellation; the inverse is still exact
+    small = 2 * jets.PD_PIVOT_RTOL
+    h = np.empty((2, 2, 2), complex)
+    h[..., 0] = np.diag([1.0, small])
+    h[..., 1] = [[1.0, 1.0], [1.0, 1.0 + small]]
+    ginv, det = inverse_and_det(MetricJet(h, None, None))
+    h_rows = np.moveaxis(h, -1, 0)
+    want = np.moveaxis(np.linalg.inv(h_rows), 0, -1).swapaxes(0, 1)
+    np.testing.assert_allclose(ginv, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    want_det = np.linalg.det(h_rows).real
+    np.testing.assert_allclose(det, want_det, rtol=0,
+                               atol=1e-12 * np.max(np.abs(want_det)))
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -3,10 +3,11 @@ import time
 import numpy as np
 import pytest
 
-from hermcurv.grid import GridMetric, TorusGrid, complex_laplacian, gauduchon_degrees
+from hermcurv.grid import (GridMetric, TorusGrid, complex_laplacian, dz,
+                           gauduchon_degrees)
 from hermcurv.manifolds import builtin, conformal_manifold, _TrigSum
 from hermcurv.solvers import (PGD_MAX, ConvergenceError, PreconditionError,
-                              SolverReport, _check_apriori_bound,
+                              SolverReport, _check_apriori_bound, _grad_energy_norm,
                               bicgstab, bismut_yamabe_minimize, continuity_solve,
                               lozenge_constancy_check, normalize_to_negative,
                               solve_chern_negative, solve_chern_zero)
@@ -290,6 +291,30 @@ def test_bismut_flat_torus_evaluates_the_objective_once(count_calls):
     calls = count_calls(solvers_mod, "_grad_energy_norm")
     bismut_yamabe_minimize(make_gm("flat-torus", 12))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scheme", ["fd2", "spectral"])
+def test_energy_gradient_is_exact_for_the_quadratic_energy(scheme):
+    # the energy is a quadratic form in phi, so its central difference along
+    # any v is exactly the directional derivative g . v
+    gm = make_gm("kaehler-bump", N=8, scheme=scheme)
+    rng = np.random.default_rng(17)
+    phi = 1.0 + 0.1 * rng.normal(size=gm.grid.shape)
+    v = rng.normal(size=gm.grid.shape)
+    _, g = _grad_energy_norm(gm, phi)
+    e_plus, _ = _grad_energy_norm(gm, phi + v)
+    e_minus, _ = _grad_energy_norm(gm, phi - v)
+    want = float(np.sum(g * v))
+    assert abs((e_plus - e_minus) / 2 - want) <= 1e-10 * abs(want)
+    if scheme == "fd2":
+        # the complex Wirtinger form of the same gradient, bit for bit
+        w = gm.weights()
+        m = [dz(phi, i, gm.grid) for i in range(gm.n)]
+        old = np.zeros(gm.grid.shape)
+        for i in range(gm.n):
+            c = w * sum(gm.ginv[i, j] * np.conj(m[j]) for j in range(gm.n))
+            old -= 2 * dz(c, i, gm.grid).real
+        np.testing.assert_array_equal(g, old)
 
 
 def test_bismut_rejects_unbalanced():
