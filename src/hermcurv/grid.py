@@ -9,7 +9,8 @@ wrap-around slabs last.  A spectral derivative of a real field is one real
 FFT along its axis (`np.fft.rfft`/`irfft`) times the half-spectrum symbol,
 which each grid builds once per axis, already shaped to broadcast along it;
 the odd-derivative Nyquist entry is zero, so the result is the real part of
-the full complex-FFT derivative.  The mixed Wirtinger second derivatives
+the full complex-FFT derivative; a complex field is differentiated as its
+real and imaginary parts.  The mixed Wirtinger second derivatives
 share one stencil builder so that exact cancellations (flat-metric Laplacian
 duality, linearity) hold to roundoff.
 
@@ -148,11 +149,8 @@ class TorusGrid:
 
     def _spectral(self, u: np.ndarray, a: int, order: int) -> np.ndarray:
         """Spectral derivative of order + 1 along axis a."""
-        if np.iscomplexobj(u):  # a complex field keeps the full spectrum
-            mult = (self.d_symbol, self.d2_symbol)[order](a)
-            uh = np.fft.fft(u, axis=a)
-            return np.fft.ifft(uh * mult.reshape((-1,) + (1,) * (u.ndim - a - 1)),
-                               axis=a)
+        if np.iscomplexobj(u):  # linear: differentiate the two real parts
+            return self._spectral(u.real, a, order) + 1j * self._spectral(u.imag, a, order)
         uh = np.fft.rfft(u, axis=a)
         uh *= self._half_symbols[order][a]
         return np.fft.irfft(uh, n=self.N, axis=a)
