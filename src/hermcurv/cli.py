@@ -185,7 +185,7 @@ def cmd_solve(args) -> int:
     _write_report(table, args)
     if args.dump_solution:
         _dump_field(rep.solution, args.dump_solution)
-    g1, g2, _ = gauduchon_degrees(gm)
+    g1, g2 = gauduchon_degrees(gm)
     print(f"{args.problem}: lambda={rep.lam:.10g} residual_linf="
           f"{rep.residual_linf:.3e} residual_l2={rep.residual_l2:.3e} "
           f"degrees=({g1:.3e}, {g2:.3e}) wall={wall:.2f}s")

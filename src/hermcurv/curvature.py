@@ -34,13 +34,18 @@ complex dimension two.
 Two paths produce the curvature traces.  The pointwise pipeline builds no
 4-tensor: `torsion_traces` gives tau, del del* omega, the torsion norms, S_C1
 and the Gauduchon and pluriclosed residuals in one pass over the jet (the
-grid metric, the class residuals and the report read its bundle), and
-`ricci_forms` gives the four Ricci forms and s1/s2 at every t of a list in
-one pass; both read the jet's components in place.  The full-tensor path
-(`chern_curvature`, `gauduchon_curvature`, `ricci_and_scalars`) builds
-R_{i jbar k lbar} with `einsum` and is the oracle for both;
+grid metric, the class residuals, the report and the comparison identity
+read its bundle), and `ricci_forms` gives the four Ricci forms and s1/s2 at
+every t of a list in one pass; both read the jet's components in place.  The
+full-tensor path (`chern_torsion`, `chern_curvature`, `gauduchon_curvature`
+at one t, `ricci_and_scalars`) builds R_{i jbar k lbar} with `einsum`; it is
+the tests' oracle for both passes, and no CLI command runs it;
 `forms` is the exterior-algebra oracle of the class residuals and the Lee
 form, and no module here imports it.
+
+Class membership is a dict of residual maxima (`classify`); each caller
+compares a residual with the threshold its decision needs (`CLASS_TOL` for
+a class flag).
 """
 
 from __future__ import annotations
@@ -55,23 +60,21 @@ from .jets import MetricJet
 from .manifolds import ModelManifold
 
 __all__ = [
-    "CurvatureTensor", "RicciForms", "ClassFlags",
-    "EinsteinReport", "chern_torsion", "chern_curvature",
-    "gauduchon_curvature", "ricci_and_scalars", "torsion_diagnostics",
+    "CurvatureTensor", "RicciForms", "EinsteinReport", "chern_torsion",
+    "chern_curvature", "gauduchon_curvature", "ricci_and_scalars", "torsion_diagnostics",
     "scalar_via_identity", "scalar_comparison_defect", "einstein_residual",
     "classify", "report_matrix", "oneone_norm2", "TorsionTraces",
     "torsion_traces", "ricci_forms", "class_residual_fields",
 ]
 
 IMAG_TOL = 1e-10
-CLASS_TOL = 1e-8  # a class flag holds iff its residual is below this
+CLASS_TOL = 1e-8  # a metric is in a class iff its residual is below this
 
 
 @dataclass
 class CurvatureTensor:
     R: np.ndarray
     t: float
-    origin: str  # "chern" or "gauduchon(t)"
 
 
 @dataclass
@@ -83,24 +86,6 @@ class RicciForms:
     s1: np.ndarray
     s2: np.ndarray
     t: float = 0.0
-
-
-@dataclass
-class ClassFlags:
-    kahler: tuple
-    balanced: tuple
-    gauduchon: tuple
-    pluriclosed: tuple
-
-    @classmethod
-    def from_residuals(cls, residuals: dict) -> "ClassFlags":
-        """Flags from `class_residual_fields` output: max over points < CLASS_TOL."""
-        worst = {k: float(np.max(v)) for k, v in residuals.items()}
-        return cls(**{k: (r < CLASS_TOL, r) for k, r in worst.items()})
-
-    def as_dict(self):
-        return {"kahler": self.kahler, "balanced": self.balanced,
-                "gauduchon": self.gauduchon, "pluriclosed": self.pluriclosed}
 
 
 @dataclass
@@ -133,31 +118,19 @@ def gauduchon_curvature(jet: MetricJet, t: float) -> CurvatureTensor:
 
     At t = 0 this returns the Chern tensor bit-identically.
     """
-    return _gauduchon_family(jet, [t])[0]
-
-
-def _gauduchon_family(jet: MetricJet, ts) -> list[CurvatureTensor]:
-    """`gauduchon_curvature` at each t in ts, with Theta and the torsion terms
-    built once for the list."""
     theta = chern_curvature(jet)
-    if any(t != 0 for t in ts):
-        torsion = chern_torsion(jet)
-        sw1 = np.einsum("ilkj...->ijkl...", theta)
-        sw2 = np.einsum("kjil...->ijkl...", theta)
-        a_term = np.einsum("ikp...,jlq...,pq...->ijkl...",
-                           torsion, np.conj(torsion), jet.h)
-        lowered = np.einsum("ipm...,ml...->ipl...", torsion, jet.h)
-        b_term = np.einsum("pq...,ipl...,jqk...->ijkl...",
-                           jet.ginv, lowered, np.conj(lowered))
-        linear, quadratic = sw1 + sw2 - 2 * theta, a_term - b_term
-    out = []
-    for t in ts:
-        if t == 0:
-            out.append(CurvatureTensor(theta, 0.0, "chern"))
-        else:
-            R = theta + t * linear + t * t * quadratic
-            out.append(CurvatureTensor(R, float(t), f"gauduchon({t})"))
-    return out
+    if t == 0:
+        return CurvatureTensor(theta, 0.0)
+    torsion = chern_torsion(jet)
+    sw1 = np.einsum("ilkj...->ijkl...", theta)
+    sw2 = np.einsum("kjil...->ijkl...", theta)
+    a_term = np.einsum("ikp...,jlq...,pq...->ijkl...",
+                       torsion, np.conj(torsion), jet.h)
+    lowered = np.einsum("ipm...,ml...->ipl...", torsion, jet.h)
+    b_term = np.einsum("pq...,ipl...,jqk...->ijkl...",
+                       jet.ginv, lowered, np.conj(lowered))
+    linear, quadratic = sw1 + sw2 - 2 * theta, a_term - b_term
+    return CurvatureTensor(theta + t * linear + t * t * quadratic, float(t))
 
 
 def ricci_and_scalars(curv: CurvatureTensor, jet: MetricJet) -> RicciForms:
@@ -404,13 +377,14 @@ def scalar_via_identity(jet: MetricJet, t: float):
 def scalar_comparison_defect(jet: MetricJet, ts) -> list[np.ndarray]:
     """s2 - s1 + (t^2 - 4t + 1)|delbar* w|^2 + 2 t^2 |dw|^2 at each t in ts.
 
-    ~0 for Gauduchon metrics.  s1 and s2 come from the full-tensor path and
-    the norms from the torsion-trace pass, each built once for the list.
+    ~0 for Gauduchon metrics.  s1 and s2 come from one `ricci_forms` pass and
+    the norms from `torsion_traces`: two independent passes over the jet, so
+    the identity checks one against the other.
     """
     tr = torsion_traces(jet)
     out = []
-    for curv in _gauduchon_family(jet, ts):
-        ric, t = ricci_and_scalars(curv, jet), curv.t
+    for ric in ricci_forms(jet, ts):
+        t = ric.t
         out.append(ric.s2 - ric.s1
                    + (t * t - 4 * t + 1) * tr.del_star_sq
                    + 2 * t * t * tr.del_omega_sq)
@@ -423,12 +397,17 @@ def oneone_norm2(m: np.ndarray, ginv: np.ndarray) -> np.ndarray:
                      m, np.conj(m), ginv, ginv).real
 
 
-def einstein_residual(jet: MetricJet) -> EinsteinReport:
+def einstein_residual(jet: MetricJet,
+                      traces: TorsionTraces | None = None) -> EinsteinReport:
     """Deviation of Theta3 + Theta4 from f * omega with f = (2/n) S_C2.
 
     Also cross-checks Theta3 + Theta4 against 2 Theta1 - (dd* w + dbar dbar* w),
-    whose two sides are computed along independent code paths.
+    whose two sides are computed along independent code paths.  `traces` is
+    the jet's torsion-trace bundle when the caller holds it, and is computed
+    here otherwise.
     """
+    if traces is None:
+        traces = torsion_traces(jet)
     ginv = jet.ginv
     ric, = ricci_forms(jet, [0.0])
     n = jet.n
@@ -436,7 +415,7 @@ def einstein_residual(jet: MetricJet) -> EinsteinReport:
     sum34 = ric.ric3 + ric.ric4
     resid = np.sqrt(np.maximum(oneone_norm2(
         sum34 - f_hat * jet.h, ginv), 0.0))
-    ddstar = torsion_traces(jet).ddstar
+    ddstar = traces.ddstar
     other = 2 * ric.ric1 - (ddstar + np.conj(ddstar.swapaxes(0, 1)))
     cross = np.sqrt(np.maximum(oneone_norm2(sum34 - other, ginv), 0.0))
     return EinsteinReport(f_hat, resid, cross, ric.ric3, ric.ric4)
@@ -453,11 +432,13 @@ def class_residual_fields(traces: TorsionTraces) -> dict:
             "gauduchon": traces.gauduchon, "pluriclosed": traces.pluriclosed}
 
 
-def classify(man: ModelManifold, points: np.ndarray) -> ClassFlags:
-    """Max-over-samples class residuals; a flag holds iff it is < CLASS_TOL."""
+def classify(man: ModelManifold, points: np.ndarray) -> dict:
+    """Each class residual's maximum over the sample points; a metric is in a
+    class iff its residual is below CLASS_TOL."""
     z = np.asarray(points, dtype=complex)
     if z.ndim == 1:
         z = z[None, :]
     if z.shape[0] < 1:
         raise ValueError("classification needs at least one sample point")
-    return ClassFlags.from_residuals(class_residual_fields(torsion_traces(man.jet(z))))
+    return {k: float(np.max(v)) for k, v in
+            class_residual_fields(torsion_traces(man.jet(z))).items()}

@@ -23,11 +23,12 @@ solvers' flat preconditioner inverts the Fourier symbol of the diagonal
 terms with mean coefficients (`d2_symbol`).
 
 Class residuals (`GridMetric.class_residuals`) are the maxima over every node
-of the closed-form residual fields in the grid metric's torsion-trace bundle,
-the same pass that gives its scalar fields and Lee form.
-Geometry arrays are component-first like the jet's (ginv[i, j] is one field
-of grid.shape, `real_inverse_metric` gives ginv_r[a, b, ...]); only the
-chart points (`TorusGrid.points`) keep their coordinate axis last.
+of the closed-form residual fields in the grid metric's torsion-trace bundle
+(`GridMetric.traces`), the same pass that gives its scalar fields and Lee
+form.  Geometry arrays are component-first like the jet's (ginv[i, j] is one
+field of grid.shape, and the duality check's real inverse metric is
+ginv_r[a, b, ...]); only the chart points (`TorusGrid.points`) keep their
+coordinate axis last.
 
 Quadrature: the volume form is det(h) * 2^n dx1 dy1 ... , so periodic
 trapezoid integration is the plain node mean times det(h) 2^n and the cell
@@ -42,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import ClassFlags, class_residual_fields, torsion_traces
+from .curvature import TorsionTraces, class_residual_fields, torsion_traces
 from .jets import FactorJet, MetricJet, conformal_jet
 from .manifolds import ModelManifold
 
@@ -316,31 +317,32 @@ class GridMetric:
         return tuple(t for t in terms if np.any(t.coef))
 
     @cached_property
-    def _traces(self):
+    def traces(self) -> TorsionTraces:
+        """The torsion-trace bundle of the jet, computed on first use."""
         return torsion_traces(self.jet)
 
     def tau(self) -> np.ndarray:
-        return self._traces.tau
+        return self.traces.tau
 
     def lee_real(self) -> np.ndarray:
-        return self._traces.lee
+        return self.traces.lee
 
     def scalar_fields(self) -> dict:
         """S_C^(1), S_C^(2), S_B^(2) fields from the cached torsion-trace bundle."""
-        tr = self._traces
+        tr = self.traces
         s_c1, s_c2 = tr.scalars(0.0)
         _, s_b2 = tr.scalars(1.0)
         return {"s_c1": s_c1, "s_c2": s_c2, "s_b2": s_b2}
 
     def class_residuals(self) -> dict:
-        """Metric-norm class residuals, maxed over every node of the cached
-        torsion-trace bundle.
+        """Each metric-norm class residual's maximum over every node of the
+        cached torsion-trace bundle.
 
         Works from this metric's own jet data, so it stays correct for
         conformally transformed grid metrics whose coefficients no longer
         match the base manifold.
         """
-        return ClassFlags.from_residuals(class_residual_fields(self._traces)).as_dict()
+        return {k: float(np.max(v)) for k, v in class_residual_fields(self.traces).items()}
 
     def conformal(self, f: np.ndarray) -> "GridMetric":
         """Grid metric of e^f h, with f differentiated by the grid scheme."""
@@ -399,71 +401,47 @@ def complex_laplacian(gm: GridMetric, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def real_inverse_metric(gm: GridMetric) -> np.ndarray:
-    """Inverse of the underlying Riemannian metric g, as 2n x 2n blocks
-    ginv_r[a, b, ...] over the grid.
+def laplacian_duality_defect(gm: GridMetric, u: np.ndarray) -> float:
+    """Grid max of | -2 lap_C u - Delta_d u - <du, eta> |.
 
-    g realifies 2h (an entry x + iy becomes the block [[x, y], [-y, x]]), and
-    realification is multiplicative, so g^{-1} realifies (2h)^{-1} = h^{-1}/2.
+    Delta_d u = -(g^{ab} d_a d_b u + J^{-1} d_a(J g^{ab}) d_b u) is the
+    Laplace-de Rham operator on functions (positive convention), with the
+    same-axis second derivatives taken by the d2 stencil used everywhere, and
+    <du, eta> pairs du with the Lee form; both read the same first
+    differences d_b u.  g realifies 2h (an entry x + iy becomes the block
+    [[x, y], [-y, x]]), and realification is multiplicative, so its inverse
+    g^{ab} realifies (2h)^{-1} = h^{-1}/2.
     """
-    n = gm.n
+    grid, nn = gm.grid, 2 * gm.n
     hinv = 0.5 * gm.ginv.swapaxes(0, 1)
-    ginv_r = np.empty((2 * n, 2 * n) + gm.grid.shape)
+    ginv_r = np.empty((nn, nn) + grid.shape)
     ginv_r[0::2, 0::2] = hinv.real
     ginv_r[1::2, 1::2] = hinv.real
     ginv_r[0::2, 1::2] = hinv.imag
     ginv_r[1::2, 0::2] = -hinv.imag
-    return ginv_r
-
-
-def laplace_de_rham(gm: GridMetric, v: np.ndarray,
-                    ginv_r: np.ndarray) -> np.ndarray:
-    """Laplace-de Rham operator on functions (positive convention).
-
-    Delta_d v = -(g^{ab} d_a d_b v + J^{-1} d_a(J g^{ab}) d_b v), with the
-    same-axis second derivatives taken by the d2 stencil used everywhere;
-    ginv_r is `real_inverse_metric(gm)`.
-    """
-    grid = gm.grid
     jac = gm.det * (2 ** gm.n)  # sqrt(det g)
-    nn = 2 * gm.n
+    du = [grid.d_axis(u, b) for b in range(nn)]
     first = np.zeros(grid.shape)
-    dv = [grid.d_axis(v, b) for b in range(nn)]
     for a in range(nn):
         for b in range(nn):
             gg = ginv_r[a, b]
             if a == b:
-                first += gg * grid.d2_axis(v, a)
+                first += gg * grid.d2_axis(u, a)
             else:
-                first += gg * grid.d_axis(dv[b], a)
+                first += gg * grid.d_axis(du[b], a)
     second = np.zeros(grid.shape)
     for b in range(nn):
         acc = np.zeros(grid.shape)
         for a in range(nn):
             acc += grid.d_axis(jac * ginv_r[a, b], a)
-        second += acc / jac * dv[b]
-    return -(first + second)
-
-
-def metric_pairing_du_eta(gm: GridMetric, v: np.ndarray,
-                          ginv_r: np.ndarray) -> np.ndarray:
-    """<dv, eta(omega)> with the real inverse metric ginv_r, stencil-consistent."""
+        second += acc / jac * du[b]
     eta = gm.lee_real()
-    nn = 2 * gm.n
-    out = np.zeros(gm.grid.shape)
+    pairing = np.zeros(grid.shape)
     for a in range(nn):
-        da = gm.grid.d_axis(v, a)
         for b in range(nn):
-            out += ginv_r[a, b] * da * eta[b]
-    return out
-
-
-def laplacian_duality_defect(gm: GridMetric, u: np.ndarray) -> float:
-    """Grid max of | -2 lap_C u - Delta_d u - <du, eta> |."""
+            pairing += ginv_r[a, b] * du[a] * eta[b]
     lhs = -2 * complex_laplacian(gm, u)
-    ginv_r = real_inverse_metric(gm)
-    rhs = laplace_de_rham(gm, u, ginv_r) + metric_pairing_du_eta(gm, u, ginv_r)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(lhs - (-(first + second) + pairing))))
 
 
 def integrate(gm: GridMetric, v: np.ndarray) -> float:
@@ -471,11 +449,9 @@ def integrate(gm: GridMetric, v: np.ndarray) -> float:
 
 
 def gauduchon_degrees(gm: GridMetric):
-    """(Gamma^1, Gamma^2) by quadrature; warns when the input fails the
-    Gauduchon residual test instead of silently reporting degrees."""
+    """(Gamma^1, Gamma^2) by quadrature.  They are the degrees only of a
+    Gauduchon metric; callers check `gm.class_residuals()` for that."""
     fields = gm.scalar_fields()
     g1 = integrate(gm, fields["s_c1"])
     g2 = integrate(gm, fields["s_c2"])
-    res = gm.class_residuals()
-    warn = not res["gauduchon"][0]
-    return g1, g2, warn
+    return g1, g2

@@ -38,8 +38,8 @@ def curvature_records(man: ModelManifold, z: np.ndarray, jet: MetricJet, ts) -> 
     `z` holds the points as rows (as `sample_points` returns them) and `jet`
     is `man`'s jet there.  Rows run over the points for each t in turn.
     Ricci coefficient matrices are reported in the golden-table convention
-    (see curvature.report_matrix).  Class residuals are pointwise values of
-    the same quantities `classify` maximizes over samples.
+    (see curvature.report_matrix).  Class residuals are the pointwise fields
+    whose maxima over the samples `classify` returns.
     """
     traces = torsion_traces(jet)
     residuals = class_residual_fields(traces)

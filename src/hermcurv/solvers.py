@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conformal import torsion_pairing, transformed_s2
-from .curvature import einstein_residual
+from .curvature import CLASS_TOL, einstein_residual
 from .grid import (GridMetric, TorusField, complex_laplacian, dz,
                    factor_jet_from_field, gauduchon_degrees, integrate)
 
@@ -217,10 +217,9 @@ def bicgstab(apply_op, b: np.ndarray, precond, tol: float):
 
 def _second_degree(gm: GridMetric) -> float:
     """Gamma^2 of a metric that passes the Gauduchon residual test."""
-    _, g2, warn = gauduchon_degrees(gm)
-    if warn:
+    if not gm.class_residuals()["gauduchon"] < CLASS_TOL:
         raise PreconditionError("input metric fails the Gauduchon residual test")
-    return g2
+    return gauduchon_degrees(gm)[1]
 
 
 def solve_chern_zero(gm: GridMetric,
@@ -295,14 +294,16 @@ def _check_apriori_bound(f: np.ndarray, s_field: np.ndarray, lam: float):
 
 
 def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
-                     f0: np.ndarray | None = None, check_bound: bool = True):
+                     f0: np.ndarray | None = None):
     """Continuity method for lap_C f = -lam e^f + S along a: 0 -> 1.
 
     F(a, f) = lap_C f - a S + lam e^f - lam (1 - a); the a = 0 problem has
     the exact solution f = 0.  Step control: try a = 1 first, halve when a
     Newton solve fails (residual non-finite or growing), double up to 1 after
-    two consecutive successes, floor 1e-4.  Returns f and the path, one
-    (a, newton_iters, residual) entry per accepted a.
+    two consecutive successes, floor 1e-4.  Every accepted f is checked
+    against the a-priori bound.  Newton starts from f0 when given, else
+    from 0.  Returns f and the path, one (a, newton_iters, residual) entry
+    per accepted a.
     """
     if lam >= 0:
         raise PreconditionError("continuity method requires lam < 0")
@@ -350,8 +351,7 @@ def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
             continue
         f = f_new
         a = a_try
-        if check_bound:
-            _check_apriori_bound(f, s_field, lam)
+        _check_apriori_bound(f, s_field, lam)
         trace.append((a, iters, rn))
         streak += 1
         if streak >= 2:
@@ -566,11 +566,11 @@ def lozenge_constancy_check(gm: GridMetric) -> dict:
     constancy is reported but not asserted.
     """
     res = gm.class_residuals()
-    if (res["gauduchon"][1] > LOZENGE_PRECOND_TOL
-            or res["pluriclosed"][1] > LOZENGE_PRECOND_TOL):
+    if (res["gauduchon"] > LOZENGE_PRECOND_TOL
+            or res["pluriclosed"] > LOZENGE_PRECOND_TOL):
         raise PreconditionError(
             f"metric is not pluriclosed+Gauduchon at tolerance "
-            f"(residuals {res['gauduchon'][1]:.3e}, {res['pluriclosed'][1]:.3e})")
+            f"(residuals {res['gauduchon']:.3e}, {res['pluriclosed']:.3e})")
     n = gm.n
     s2 = gm.scalar_fields()["s_c2"]
     f_hat = 2.0 * s2 / n
@@ -578,7 +578,7 @@ def lozenge_constancy_check(gm: GridMetric) -> dict:
     df = np.stack([dz(f_hat, i, gm.grid) for i in range(n)])
     # Re<del f, tau> = -Re kappa, the pairing of the conformal law
     lozenge = n * lap - 2 * torsion_pairing(gm.jet, gm.tau(), df).real
-    ein = einstein_residual(gm.jet)
+    ein = einstein_residual(gm.jet, gm.traces)
     ein_max = float(np.max(ein.residual))
     mean = integrate(gm, s2) / gm.volume()
     variance = integrate(gm, (s2 - mean) ** 2) / gm.volume()

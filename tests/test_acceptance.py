@@ -12,7 +12,7 @@ import pytest
 
 from hermcurv.cli import main as cli_main
 from hermcurv.conformal import conformal_oracle_check, transformed_s2
-from hermcurv.curvature import (classify, einstein_residual,
+from hermcurv.curvature import (CLASS_TOL, classify, einstein_residual,
                                 gauduchon_curvature, report_matrix,
                                 ricci_and_scalars, ricci_forms,
                                 scalar_comparison_defect, scalar_via_identity,
@@ -213,8 +213,7 @@ def test_solver_manufactured_negative():
     f1, trace = continuity_solve(gm, rhs, lam)  # a-priori bound checked inside
     rng = np.random.default_rng(5)
     f2, _ = continuity_solve(gm, rhs, lam,
-                             f0=0.01 * rng.normal(size=gm.grid.shape),
-                             check_bound=False)
+                             f0=0.01 * rng.normal(size=gm.grid.shape))
     a_end = trace[-1][0]
     resid = trace[-1][2]
     agree = float(np.max(np.abs(f1 - f2)))
@@ -228,7 +227,7 @@ def test_solver_manufactured_negative():
 def test_solver_negative_end_to_end():
     t0 = time.perf_counter()
     gm = make_gm("pluriclosed-bump", 16)
-    g1, g2, _ = gauduchon_degrees(gm)
+    g1, g2 = gauduchon_degrees(gm)
     from hermcurv.solvers import solve_chern_negative
     rep = solve_chern_negative(gm)
     lam_indep = g2 / gm.volume()
@@ -272,9 +271,9 @@ def test_negative_controls_classify():
     worst = np.inf
     for name, params in (("hopf", {}), ("tricerri", {}), ("vaisman", {"m": 1.0})):
         man = builtin(name, **params)
-        flags = classify(man, man.sample_points(40, seed=3))
-        worst = min(worst, flags.kahler[1])
-        assert not flags.kahler[0]
+        res = classify(man, man.sample_points(40, seed=3))
+        worst = min(worst, res["kahler"])
+        assert not res["kahler"] < CLASS_TOL
     report("4.classify-rejects-kahler", worst > 0.1,
            f"min kahler residual {worst:.3f} > 0.1")
 

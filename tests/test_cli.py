@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,7 +80,8 @@ def test_inspect_csv_deterministic(capsys, tmp_path):
 
 
 def test_pointwise_commands_never_build_the_curvature_tensor(capsys, count_calls):
-    # inspect and check conformal read the batch-last Ricci pass only
+    # inspect, check conformal and check comparison read the component-first
+    # passes only
     import hermcurv.curvature as curvature
     calls = count_calls(curvature, "gauduchon_curvature", "chern_curvature")
     code, out, _ = run(capsys, "inspect", "hopf", "--n", "3", "--t", "0,1",
@@ -87,6 +90,9 @@ def test_pointwise_commands_never_build_the_curvature_tensor(capsys, count_calls
     code, out, _ = run(capsys, "check", "conformal", "--manifold", "hopf",
                        "--n", "3", "--t", "0,1")
     assert code == 0 and "conformal oracle max defect" in out
+    code, out, _ = run(capsys, "check", "comparison", "--manifold", "hopf",
+                       "--n", "3", "--t", "0,0.5,1")
+    assert code == 0 and "comparison identity max defect" in out
     assert calls == []
 
 
@@ -98,6 +104,15 @@ def test_cli_import_leaves_the_forms_oracle_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    # a name left in a module's __all__ after its definition is gone breaks
+    # `from hermcurv.<module> import *`
+    for info in pkgutil.iter_modules(hermcurv.__path__):
+        mod = importlib.import_module(f"hermcurv.{info.name}")
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert missing == [], info.name
 
 
 def _count_pipeline(count_calls):
@@ -128,11 +143,11 @@ def test_inspect_golden_reuses_the_jet(capsys, count_calls):
 
 def test_check_comparison_builds_the_t_independent_work_once(capsys, count_calls):
     import hermcurv.curvature as curvature
-    calls = count_calls(curvature, "chern_curvature", "torsion_traces")
+    calls = count_calls(curvature, "ricci_forms", "torsion_traces")
     code, out, _ = run(capsys, "check", "comparison", "--manifold", "hopf",
                        "--n", "3", "--t", "0,0.5,1")
     assert code == 0 and "comparison identity max defect" in out
-    assert sorted(calls) == ["chern_curvature", "torsion_traces"]
+    assert sorted(calls) == ["ricci_forms", "torsion_traces"]
 
 
 def test_checks_reject_an_empty_t_list(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermcurv.curvature import (chern_curvature, chern_torsion,
+from hermcurv.curvature import (CLASS_TOL, chern_curvature, chern_torsion,
                                 classify, einstein_residual, gauduchon_curvature,
                                 report_matrix, ricci_and_scalars, ricci_forms,
                                 scalar_comparison_defect, scalar_via_identity,
@@ -100,7 +100,6 @@ def test_gauduchon_at_zero_is_chern_bitwise():
     _, jet = sample_jet("tricerri", {})
     theta = chern_curvature(jet)
     curv = gauduchon_curvature(jet, 0.0)
-    assert curv.origin == "chern"
     assert np.array_equal(curv.R, theta)
 
 
@@ -542,45 +541,46 @@ def test_class_residuals_match_the_forms_oracle():
 
 def test_classify_flat_torus_all_hold():
     man = builtin("flat-torus", n=2)
-    flags = classify(man, man.sample_points(10, seed=1))
-    for name, (holds, resid) in flags.as_dict().items():
-        assert holds and resid < 1e-12, name
+    res = classify(man, man.sample_points(10, seed=1))
+    for name, resid in res.items():
+        assert resid < CLASS_TOL and resid < 1e-12, name
 
 
 def test_classify_hopf():
     man = builtin("hopf", n=2)
-    flags = classify(man, man.sample_points(40, seed=2))
-    assert flags.gauduchon[0]
-    assert not flags.kahler[0] and flags.kahler[1] > 0.1
-    assert not flags.balanced[0]
-    assert flags.pluriclosed[0]  # n = 2 only
+    res = classify(man, man.sample_points(40, seed=2))
+    assert res["gauduchon"] < CLASS_TOL
+    assert not res["kahler"] < CLASS_TOL and res["kahler"] > 0.1
+    assert not res["balanced"] < CLASS_TOL
+    assert res["pluriclosed"] < CLASS_TOL  # n = 2 only
     man3 = builtin("hopf", n=3)
-    flags3 = classify(man3, man3.sample_points(25, seed=2))
-    assert flags3.gauduchon[0]
-    assert not flags3.pluriclosed[0]
-    assert not flags3.kahler[0]
+    res3 = classify(man3, man3.sample_points(25, seed=2))
+    assert res3["gauduchon"] < CLASS_TOL
+    assert not res3["pluriclosed"] < CLASS_TOL
+    assert not res3["kahler"] < CLASS_TOL
 
 
 def test_classify_tricerri_and_vaisman():
     for name, params in (("tricerri", {}), ("vaisman", {"m": 1.0})):
         man = builtin(name, **params)
-        flags = classify(man, man.sample_points(30, seed=3))
-        assert flags.gauduchon[0], name
-        assert not flags.kahler[0] and flags.kahler[1] > 0.1, name
+        res = classify(man, man.sample_points(30, seed=3))
+        assert res["gauduchon"] < CLASS_TOL, name
+        assert not res["kahler"] < CLASS_TOL and res["kahler"] > 0.1, name
 
 
 def test_classify_kaehler_bump():
     man = builtin("kaehler-bump")
-    flags = classify(man, man.sample_points(30, seed=4))
-    assert flags.kahler[0] and flags.balanced[0] and flags.gauduchon[0]
+    res = classify(man, man.sample_points(30, seed=4))
+    assert res["kahler"] < CLASS_TOL and res["balanced"] < CLASS_TOL
+    assert res["gauduchon"] < CLASS_TOL
 
 
 def test_classify_pluriclosed_bump():
     man = builtin("pluriclosed-bump")
-    flags = classify(man, man.sample_points(30, seed=5))
-    assert flags.gauduchon[0] and flags.pluriclosed[0]
-    assert not flags.balanced[0]
-    assert not flags.kahler[0]
+    res = classify(man, man.sample_points(30, seed=5))
+    assert res["gauduchon"] < CLASS_TOL and res["pluriclosed"] < CLASS_TOL
+    assert not res["balanced"] < CLASS_TOL
+    assert not res["kahler"] < CLASS_TOL
 
 
 def test_classify_residual_dominance():
@@ -588,8 +588,8 @@ def test_classify_residual_dominance():
     # by the kahler residual, up to moderate constants
     for name, params in BUILTINS:
         man = builtin(name, **params)
-        flags = classify(man, man.sample_points(25, seed=7))
-        rk, rb, rg = flags.kahler[1], flags.balanced[1], flags.gauduchon[1]
+        res = classify(man, man.sample_points(25, seed=7))
+        rk, rb, rg = res["kahler"], res["balanced"], res["gauduchon"]
         C = 50.0
         assert rb <= C * rk + 1e-12
         assert rg <= C * rb + 1e-12

@@ -202,8 +202,7 @@ def test_continuity_uniqueness_two_inits():
     f1, _ = continuity_solve(gm, rhs, LAM_NEG)
     rng = np.random.default_rng(0)
     f2, _ = continuity_solve(gm, rhs, LAM_NEG,
-                             f0=0.01 * rng.normal(size=gm.grid.shape),
-                             check_bound=False)
+                             f0=0.01 * rng.normal(size=gm.grid.shape))
     assert np.max(np.abs(f1 - f2)) < 1e-6
 
 
@@ -231,14 +230,13 @@ def test_continuity_falls_back_to_the_path():
     fstar = trig_values(gm, big)
     fstar += 0.01 - fstar.min()
     rhs = analytic_laplacian(gm, big) + LAM_NEG * np.exp(fstar)
-    f, trace = continuity_solve(gm, rhs, LAM_NEG, check_bound=True)
+    f, trace = continuity_solve(gm, rhs, LAM_NEG)
     assert trace[1][0] < 1.0 and trace[-1][0] == 1.0
     assert trace[-1][2] < 1e-8
     # the discretization error that the path-only solve reaches
     assert abs(np.max(np.abs(f - fstar)) - 1.083930639448534e-2) < 1e-8
     f2, _ = continuity_solve(gm, rhs, LAM_NEG,
-                             f0=0.01 * np.random.default_rng(0).normal(size=gm.grid.shape),
-                             check_bound=False)
+                             f0=0.01 * np.random.default_rng(0).normal(size=gm.grid.shape))
     assert np.max(np.abs(f - f2)) < 1e-6
 
 
@@ -260,7 +258,7 @@ def test_apriori_bound_checker():
 
 def test_negative_end_to_end():
     gm = make_gm("pluriclosed-bump", 16)
-    g1, g2, _ = gauduchon_degrees(gm)
+    g1, g2 = gauduchon_degrees(gm)
     t0 = time.perf_counter()
     rep = solve_chern_negative(gm)
     wall = time.perf_counter() - t0
@@ -395,6 +393,16 @@ def test_lozenge_precondition():
     gm = GridMetric.from_manifold(bent, TorusGrid(n=2, N=8))
     with pytest.raises(PreconditionError, match="pluriclosed"):
         lozenge_constancy_check(gm)
+
+
+def test_lozenge_check_runs_the_trace_pass_once(count_calls):
+    # the Einstein residual reads the grid metric's cached bundle
+    import hermcurv.curvature as curvature
+    calls = count_calls(curvature, "torsion_traces")
+    man = builtin("pluriclosed-bump")
+    gm = GridMetric.from_manifold(man, TorusGrid(n=man.n, N=8))
+    lozenge_constancy_check(gm)
+    assert len(calls) == 1
 
 
 def test_lozenge_of_constant_field_is_zero():
