@@ -20,34 +20,15 @@ import numpy as np
 
 from . import expr as ex
 from .dsl import MetricExpr, ParseError, parse_expr, parse_metric
-from .jets import FactorJet, MetricJet, check_jet_invariants
+from .jets import FactorJet, MetricJet
 
-__all__ = ["ChartPoint", "Domain", "ModelManifold", "DomainError",
+__all__ = ["Domain", "ModelManifold", "DomainError",
            "builtin", "builtin_names", "manifold_from_manifest",
            "conformal_manifold", "factor_jet_from_expr"]
 
 
 class DomainError(ValueError):
     """Chart point outside the manifold's declared domain."""
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A single chart point z = (z^1, ..., z^n)."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(complex(c) for c in self.coords))
-        if len(self.coords) < 2:
-            raise ValueError("chart dimension n >= 2 required")
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=complex)
 
 
 @dataclass
@@ -160,14 +141,6 @@ class ModelManifold:
             h, dh, ddh = self._eval_expr_jets(z)
         return MetricJet(np.asarray(h, complex), np.asarray(dh, complex),
                          np.asarray(ddh, complex))
-
-    def evaluate_metric_jet(self, p: "ChartPoint | np.ndarray") -> MetricJet:
-        """Public pointwise evaluation, with full invariant checking."""
-        z = p.array() if isinstance(p, ChartPoint) else np.asarray(p, complex)
-        jet = self.jet(z)
-        check_jet_invariants(jet)
-        jet.ginv  # raises JetError when positivity fails
-        return jet
 
     def expression_jet(self, z: np.ndarray) -> MetricJet:
         """Jet via the symbolic-differentiation path, ignoring closed forms."""

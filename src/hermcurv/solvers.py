@@ -11,11 +11,13 @@ Three problems, each returning a SolverReport with residual certificates:
                    sum(phi^q) constrained, then Newton polish of the
                    Euler-Lagrange system
 
-The discrete complex Laplacian is not symmetric, so the zero-degree case is
-solved as normal-equations least squares with a mean-zero constraint and
-the Newton systems by BiCGStab; both are preconditioned with the Fourier
-symbol of the flat-coefficient operator, which keeps iteration counts flat
-in N on these desk-scale problems.  That symbol is real and even, so the
+The discrete complex Laplacian is not symmetric.  Every linear solve runs on
+the one BiCGStab routine: the least-squares stage (zero-degree solve and
+negative-degree normalization) on the mean-zero normal equations, and the
+Newton and Euler-Lagrange corrections on their own systems.  All are
+preconditioned with the Fourier symbol of the flat-coefficient operator
+(squared for the normal equations), which keeps iteration counts flat in N
+on these desk-scale problems.  That symbol is real and even, so the
 preconditioner is a real FFT (`rfftn`/`irfftn`) times the half-spectrum of
 its masked inverse power, cached for the last (shift, power).  The same
 symbol is the Bismut-Yamabe descent's metric: the nodal gradient is smoothed
@@ -46,7 +48,6 @@ NORMALIZE_TOL = 1e-10       # least-squares tolerance of the normalization stage
 NEWTON_TOL = 1e-10          # sup residual ending each continuity Newton solve
 NEWTON_MAX = 50
 EL_KRYLOV_TOL = 1e-12       # BiCGStab tolerance of an Euler-Lagrange step
-LSTSQ_MAXIT = 400
 BICGSTAB_MAXIT = 500
 PGD_MAX = 300
 BALANCED_TOL = 1e-7         # torsion-trace sup accepted as balanced
@@ -135,39 +136,6 @@ def _mean_zero(u: np.ndarray) -> np.ndarray:
     return u - np.mean(u)
 
 
-def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12):
-    """CG on the normal equations for min ||lap f - rhs||, f mean-zero.
-
-    Preconditioned with the squared flat symbol; returns (f, linf_residual).
-    """
-    b = _mean_zero(op.apply_transpose(rhs))
-    f = np.zeros_like(rhs)
-    if np.max(np.abs(b)) < 1e-300:
-        return f, float(np.max(np.abs(rhs)))
-    r = b.copy()
-    z = _mean_zero(op.precondition(r, power=2))
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    scale = max(float(np.max(np.abs(b))), 1e-30)
-    for it in range(LSTSQ_MAXIT):
-        ap = _mean_zero(op.apply_transpose(complex_laplacian(op.gm, p)))
-        alpha = rz / float(np.sum(p * ap))
-        f += alpha * p
-        r -= alpha * ap
-        if np.max(np.abs(r)) < tol * scale:
-            break
-        z = _mean_zero(op.precondition(r, power=2))
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    else:
-        raise ConvergenceError("least-squares CG stagnated on the zero-degree "
-                               f"problem (residual {np.max(np.abs(r)):.3e})")
-    f = _mean_zero(f)
-    resid = complex_laplacian(op.gm, f) - rhs
-    return f, float(np.max(np.abs(resid)))
-
-
 def _denominator(name: str, value: float) -> float:
     """A BiCGStab denominator; zero or non-finite is a breakdown."""
     if not 1e-300 <= abs(value) < np.inf:
@@ -211,6 +179,23 @@ def bicgstab(apply_op, b: np.ndarray, precond, tol: float):
             return x, float(np.max(np.abs(r)))
         rho = rho_new
     raise ConvergenceError(f"BiCGStab stagnated (residual {np.max(np.abs(r)):.3e})")
+
+
+def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12):
+    """Least squares min ||lap f - rhs|| over mean-zero f, by `bicgstab`.
+
+    Solves the mean-zero normal equations mean_zero(lap^T lap f) =
+    mean_zero(lap^T rhs), preconditioned with the squared flat symbol, to a
+    relative max-norm residual of tol; returns (f, linf_residual).
+    """
+    def normal(v):
+        return _mean_zero(op.apply_transpose(complex_laplacian(op.gm, v)))
+
+    f, _ = bicgstab(normal, _mean_zero(op.apply_transpose(rhs)),
+                    lambda v: op.precondition(v, power=2), tol)
+    f = _mean_zero(f)
+    resid = complex_laplacian(op.gm, f) - rhs
+    return f, float(np.max(np.abs(resid)))
 
 
 # -- zero-degree case ---------------------------------------------------------
@@ -258,8 +243,10 @@ def solve_chern_zero(gm: GridMetric,
 def normalize_to_negative(gm: GridMetric):
     """First stage of the negative case: e^u omega with pointwise-negative S_C2.
 
-    u solves lap_C u = S_C2 - Gamma^2/Vol (mean zero); the output metric's
-    curvature field is checked for strict negativity on every node.
+    u solves lap_C u = S_C2 - Gamma^2/Vol (mean zero).  The curvature field
+    of e^u omega comes from the conformal law at t = 0 and is checked for
+    strict negativity on every node.  Returns (u, grid metric of e^u omega,
+    Gamma^2/Vol, that curvature field).
     """
     g2 = _second_degree(gm)
     lam = g2 / gm.volume()
@@ -272,12 +259,13 @@ def normalize_to_negative(gm: GridMetric):
     op = _LaplacianOp(gm)
     u, _ = lstsq_mean_zero(op, s_field - lam, tol=NORMALIZE_TOL)
     gm_neg = gm.conformal(u)
-    s_neg = gm_neg.scalar_fields()["s_c2"]
+    s_neg = transformed_s2(gm.jet, factor_jet_from_field(gm.grid, u), 0.0,
+                           s2_base=s_field)
     if np.max(s_neg) >= 0:
         raise ConvergenceError(
             f"normalized curvature fails pointwise negativity "
             f"(max {np.max(s_neg):.3e}); refine the grid")
-    return TorusField(gm.grid, u), gm_neg, lam
+    return TorusField(gm.grid, u), gm_neg, lam, s_neg
 
 
 LEMMA_BOUND_SLACK = (1e-2, 1e-6)  # relative to ||f||_inf, absolute
@@ -367,8 +355,7 @@ def solve_chern_negative(gm: GridMetric) -> SolverReport:
     constant is Gamma^2/Vol and the final metric's curvature field is
     reported along with its sup-deviation from that constant.
     """
-    u, gm_neg, lam = normalize_to_negative(gm)
-    s_field = gm_neg.scalar_fields()["s_c2"]
+    _, gm_neg, lam, s_field = normalize_to_negative(gm)
     f, trace = continuity_solve(gm_neg, s_field, lam)
     lap_f = complex_laplacian(gm_neg, f)
     resid = lap_f + lam * np.exp(f) - s_field
@@ -378,8 +365,7 @@ def solve_chern_negative(gm: GridMetric) -> SolverReport:
         residual_linf=float(np.max(np.abs(resid))),
         residual_l2=float(np.sqrt(integrate(gm_neg, resid ** 2))),
         path_trace=trace,
-        extras={"normalizer": u,
-                "sup_dev_from_lam": float(np.max(np.abs(achieved - lam))),
+        extras={"sup_dev_from_lam": float(np.max(np.abs(achieved - lam))),
                 "achieved_mean": float(integrate(gm_neg, achieved)
                                        / gm_neg.volume())})
 

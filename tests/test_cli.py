@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +257,31 @@ def test_solve_negative_refuses_zero_degree(capsys):
                        "--n", "2", "--grid", "8")
     assert code == 2
     assert "degree" in err
+
+
+def test_solve_reports_non_convergence_with_exit_3(capsys):
+    # the fd2 zero-degree residual at N = 8 is above the default --tol
+    code, out, err = run(capsys, "solve", "chern-zero", "--manifold", "kaehler-bump",
+                         "--grid", "8")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("non-convergence: zero-degree residual l2")
+
+
+REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.json"
+
+
+def test_solve_lambdas_match_the_benchmark_references(capsys):
+    # the benchmark gate's rule: |lambda - ref| <= tol * max(1, |ref|)
+    refs = json.loads(REFERENCES.read_text())
+    assert refs
+    for command, ref in refs.items():
+        argv = command.split()
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (command, err)
+        got = float(re.search(r"lambda=(\S+)", out).group(1))
+        tol = float(argv[argv.index("--tol") + 1])
+        assert abs(got - ref) <= tol * max(1.0, abs(ref)), (command, got, ref)
 
 
 def test_solve_negative_end_to_end(capsys, tmp_path):

@@ -7,7 +7,7 @@ from hermcurv import expr as ex
 from hermcurv import jets
 from hermcurv.dsl import parse_expr
 from hermcurv.jets import MetricJet, JetError, check_jet_invariants, inverse_and_det
-from hermcurv.manifolds import (ChartPoint, DomainError, _TrigSum, builtin,
+from hermcurv.manifolds import (DomainError, _TrigSum, builtin,
                                 builtin_names, conformal_manifold,
                                 manifold_from_manifest)
 
@@ -106,7 +106,7 @@ def test_trig_derivs_agree_with_expression_path(n):
 
 def test_hopf_value_at_unit_point():
     man = builtin("hopf", n=2)
-    jet = man.evaluate_metric_jet(ChartPoint((1.0, 0.0)))
+    jet = man.jet(np.array([1.0, 0.0]))
     np.testing.assert_allclose(jet.h, np.diag([4.0, 4.0]), atol=1e-14)
     ginv, det = inverse_and_det(jet)
     np.testing.assert_allclose(ginv, np.diag([0.25, 0.25]), atol=1e-14)
@@ -115,7 +115,7 @@ def test_hopf_value_at_unit_point():
 
 def test_tricerri_value_at_unit_height():
     man = builtin("tricerri")
-    jet = man.evaluate_metric_jet(ChartPoint((1j, 0.3 + 0.1j)))
+    jet = man.jet(np.array([1j, 0.3 + 0.1j]))
     np.testing.assert_allclose(jet.h, np.eye(2), atol=1e-14)
 
 
@@ -123,7 +123,7 @@ def test_vaisman_inverse_matches_closed_form():
     man = builtin("vaisman", m=0.0)
     # v = Im z2 = 0 so s = 0: inverse should be diag-ish with h^{zz} = y^2
     z = np.array([0.2 + 1.3j, 0.5 + 0j])
-    jet = man.evaluate_metric_jet(z)
+    jet = man.jet(z)
     ginv, _ = inverse_and_det(jet)
     y = 1.3
     np.testing.assert_allclose(ginv[0, 0], y ** 2, rtol=1e-13)
@@ -134,7 +134,7 @@ def test_vaisman_inverse_matches_closed_form():
 def test_elliptic_inverse_closed_form():
     man = builtin("elliptic")
     z = np.array([0.4 + 0.9j, 0.7 - 0.2j])
-    jet = man.evaluate_metric_jet(z)
+    jet = man.jet(z)
     ginv, _ = inverse_and_det(jet)
     y, w = 0.9, 0.7 - 0.2j
     np.testing.assert_allclose(ginv[0, 0], y ** 2, rtol=1e-12)
@@ -162,9 +162,9 @@ def test_random_spd_inverse_residual(n):
 
 def test_domain_violations_raise():
     with pytest.raises(DomainError):
-        builtin("hopf", n=2).evaluate_metric_jet(np.array([0j, 0j]))
+        builtin("hopf", n=2).jet(np.array([0j, 0j]))
     with pytest.raises(DomainError):
-        builtin("tricerri").evaluate_metric_jet(np.array([1.0 - 1j, 0j]))
+        builtin("tricerri").jet(np.array([1.0 - 1j, 0j]))
 
 
 def test_indefinite_metric_rejected():

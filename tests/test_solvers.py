@@ -140,12 +140,37 @@ def test_zero_case_rejects_nonzero_degree():
 
 def test_normalize_to_negative():
     gm = make_gm("pluriclosed-bump", 16)
-    u, gm_neg, lam = normalize_to_negative(gm)
+    u, gm_neg, lam, _ = normalize_to_negative(gm)
     assert lam < 0
     s_neg = gm_neg.scalar_fields()["s_c2"]
     assert np.max(s_neg) < 0  # pointwise negative on every node
     # curvature of e^u omega follows e^{-u} lam up to discretization
     np.testing.assert_allclose(s_neg, lam * np.exp(-u.values), atol=5e-3)
+
+
+@pytest.mark.parametrize("scheme", ["fd2", "spectral"])
+def test_normalized_curvature_is_the_trace_pass_of_the_changed_metric(scheme):
+    # the conformal law at t = 0 against a torsion-trace pass on e^u omega
+    _, gm_neg, _, s_neg = normalize_to_negative(
+        make_gm("pluriclosed-bump", 8, scheme=scheme))
+    s_pass = gm_neg.scalar_fields()["s_c2"]
+    assert np.max(np.abs(s_neg - s_pass)) <= 1e-13 * np.max(np.abs(s_pass))
+
+
+def test_negative_solve_runs_the_trace_pass_once(count_calls):
+    # on the input metric only; e^u omega's curvature comes from the law
+    import hermcurv.curvature as curvature
+    calls = count_calls(curvature, "torsion_traces")
+    man = builtin("pluriclosed-bump")
+    solve_chern_negative(GridMetric.from_manifold(man, TorusGrid(n=man.n, N=8)))
+    assert len(calls) == 1
+
+
+def test_zero_solve_runs_on_bicgstab(count_calls):
+    import hermcurv.solvers as solvers_mod
+    calls = count_calls(solvers_mod, "bicgstab")
+    solve_chern_zero(make_gm("kaehler-bump", 8))
+    assert len(calls) == 1
 
 
 def test_normalize_rejects_zero_degree():
