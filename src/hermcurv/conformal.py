@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ricci_forms
+from .curvature import ricci_forms, torsion_traces
 from .dsl import parse_expr
 from .jets import FactorJet, MetricJet, conformal_jet
 from .manifolds import ModelManifold, factor_jet_from_expr
@@ -34,17 +34,14 @@ def torsion_pairing(jet: MetricJet, tau: np.ndarray, df: np.ndarray) -> np.ndarr
     return -np.einsum("kj...,j...,k...->...", jet.ginv, np.conj(tau), df)
 
 
-def _factor_terms(jet: MetricJet, fj: FactorJet):
-    """Shared ingredients: laplacian, gradient norm, lowered torsion, tau, pairing."""
+def _factor_terms(jet: MetricJet, fj: FactorJet, tau: np.ndarray):
+    """Shared ingredients: laplacian, gradient norm and the pairing kappa."""
     ginv = jet.ginv
     lap = np.einsum("ij...,ij...->...", ginv, fj.ddf)
     if np.max(np.abs(lap.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(lap)))):
         raise ArithmeticError("complex laplacian of a real factor is not real")
     grad2 = np.einsum("ij...,i...,j...->...", ginv, fj.df, np.conj(fj.df)).real
-    # tau_i = T_{ip}^p = h^{p lbar} (d h_{p lbar}/dz^i - d h_{i lbar}/dz^p)
-    low = jet.dh - jet.dh.swapaxes(0, 1)
-    tau = np.einsum("pl...,ipl...->i...", ginv, low)
-    return lap.real, grad2, low, tau, torsion_pairing(jet, tau, fj.df)
+    return lap.real, grad2, torsion_pairing(jet, tau, fj.df)
 
 
 def _s2_law(n: int, t: float, fj: FactorJet, s2_base, lap, grad2, kappa):
@@ -55,8 +52,9 @@ def _s2_law(n: int, t: float, fj: FactorJet, s2_base, lap, grad2, kappa):
 
 
 def transformed_s2(jet: MetricJet, fj: FactorJet, t: float, *,
-                   s2_base: np.ndarray | None = None) -> np.ndarray:
-    """Second scalar curvature of e^f omega from base-metric data.
+                   s2_base=None, tau=None) -> np.ndarray:
+    """Second scalar curvature of e^f omega from base-metric data (the base
+    s2 at t and the torsion trace tau, which the solvers pass in):
 
     s2(e^f w, t) = e^{-f} ( s2(w, t) - (1 + 2(n-1) t) lap f
                             - (n^2 - 1) t^2 |df|^2
@@ -64,7 +62,9 @@ def transformed_s2(jet: MetricJet, fj: FactorJet, t: float, *,
     """
     if s2_base is None:
         s2_base = ricci_forms(jet, [t])[0].s2
-    lap, grad2, _, _, kappa = _factor_terms(jet, fj)
+    if tau is None:
+        tau = torsion_traces(jet).tau
+    lap, grad2, kappa = _factor_terms(jet, fj, tau)
     return _s2_law(jet.n, t, fj, s2_base, lap, grad2, kappa)
 
 
@@ -80,7 +80,10 @@ def transformed_ric34(jet: MetricJet, fj: FactorJet, ts) -> list[TransformedCurv
     n = jet.n
     h = jet.h
     rics = ricci_forms(jet, ts)
-    lap, grad2, low, tau, kappa = _factor_terms(jet, fj)
+    # tau_i = T_{ip}^p = h^{p lbar} (d h_{p lbar}/dz^i - d h_{i lbar}/dz^p)
+    low = jet.dh - jet.dh.swapaxes(0, 1)
+    tau = np.einsum("pl...,ipl...->i...", jet.ginv, low)
+    lap, grad2, kappa = _factor_terms(jet, fj, tau)
     dfbar = np.conj(fj.df)
     v = np.einsum("pq...,q...->p...", jet.ginv, dfbar)  # (dbar f)^sharp
     # T(V) matrix c[i, j] = T_{pi}^k h_{k jbar} V^p, with the lowered torsion

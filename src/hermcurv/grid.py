@@ -25,10 +25,12 @@ terms with mean coefficients (`d2_symbol`).
 Class residuals (`GridMetric.class_residuals`) are the maxima over every node
 of the closed-form residual fields in the grid metric's torsion-trace bundle
 (`GridMetric.traces`), the same pass that gives its scalar fields and Lee
-form.  Geometry arrays are component-first like the jet's (ginv[i, j] is one
-field of grid.shape, and the duality check's real inverse metric is
-ginv_r[a, b, ...]); only the chart points (`TorusGrid.points`) keep their
-coordinate axis last.
+form.  The metric of e^f h (`GridMetric.conformal`) scales h, h^{-1} and
+det exactly, with no second inversion, and builds its dh and ddh (by
+`jets.conformal_jet`) only if a curvature pass reads them.  Geometry arrays
+are component-first like the jet's (ginv[i, j] is one field of grid.shape,
+and the duality check's real inverse metric is ginv_r[a, b, ...]); only the
+chart points (`TorusGrid.points`) keep their coordinate axis last.
 
 Quadrature: the volume form is det(h) * 2^n dx1 dy1 ... , so periodic
 trapezoid integration is the plain node mean times det(h) 2^n and the cell
@@ -44,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import TorsionTraces, class_residual_fields, torsion_traces
-from .jets import FactorJet, MetricJet, conformal_jet
+from .jets import ConformalJet, FactorJet, MetricJet
 from .manifolds import ModelManifold
 
 __all__ = ["TorusGrid", "TorusField", "GridMetric", "GridError",
@@ -321,12 +323,6 @@ class GridMetric:
         """The torsion-trace bundle of the jet, computed on first use."""
         return torsion_traces(self.jet)
 
-    def tau(self) -> np.ndarray:
-        return self.traces.tau
-
-    def lee_real(self) -> np.ndarray:
-        return self.traces.lee
-
     def scalar_fields(self) -> dict:
         """S_C^(1), S_C^(2), S_B^(2) fields from the cached torsion-trace bundle."""
         tr = self.traces
@@ -345,10 +341,12 @@ class GridMetric:
         return {k: float(np.max(v)) for k, v in class_residual_fields(self.traces).items()}
 
     def conformal(self, f: np.ndarray) -> "GridMetric":
-        """Grid metric of e^f h, with f differentiated by the grid scheme."""
-        jet2 = conformal_jet(self.jet, factor_jet_from_field(self.grid, f))
-        jet2.ginv  # invert now, so that a JetError surfaces at build time
-        return GridMetric(self.grid, jet2)
+        """Grid metric of e^f h: h, h^{-1} and det scaled from this metric's
+        by e^f, e^{-f} and e^{nf} and checked now (`jets.ConformalJet`); dh
+        and ddh on first read, with f differentiated by the grid scheme."""
+        f = np.array(f, float)
+        return GridMetric(self.grid, ConformalJet(
+            self.jet, f, lambda: factor_jet_from_field(self.grid, f)))
 
 
 def factor_jet_from_field(grid: TorusGrid, f: np.ndarray) -> FactorJet:
@@ -435,7 +433,7 @@ def laplacian_duality_defect(gm: GridMetric, u: np.ndarray) -> float:
         for a in range(nn):
             acc += grid.d_axis(jac * ginv_r[a, b], a)
         second += acc / jac * du[b]
-    eta = gm.lee_real()
+    eta = gm.traces.lee
     pairing = np.zeros(grid.shape)
     for a in range(nn):
         for b in range(nn):

@@ -12,7 +12,7 @@ trail): each component h[i, j] is one contiguous field over the points.
 The jet also owns ``ginv`` (ginv[i, j, ...] = h^{i jbar}) and ``det``
 (det h): `inverse_and_det` computes both on first use and the jet keeps
 them, so every contraction downstream reads the same inverse and no
-function takes it as an argument.
+function takes it as an argument (a `ConformalJet` scales its base's).
 
 Antiholomorphic first derivatives are never stored: d h_{j lbar}/d zbar^i
 equals conj(dh[i, l, j]).  Every curvature formula downstream consumes
@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = ["MetricJet", "FactorJet", "JetError", "inverse_and_det",
-           "conformal_jet", "check_jet_invariants"]
+           "ConformalJet", "conformal_jet", "check_jet_invariants"]
 
 # smallest LDL^H pivot must exceed this times the largest diagonal entry
 PD_PIVOT_RTOL = 1e-10
@@ -136,12 +136,39 @@ def inverse_and_det(jet: MetricJet):
             ginv[i, j] = sum(np.conj(x[k, j]) * x[k, i] / pivots[k] for k in range(j, n))
             if i < j:
                 ginv[j, i] = np.conj(ginv[i, j])
-    det = np.prod(pivots, axis=0)
-    dev = max(float(np.max(np.abs(sum(ginv[i, j] * h[k, j] for j in r) - (i == k))))
-              for i in r for k in r)
-    if dev > INVERSE_RTOL * max(1.0, float(np.max(np.abs(h)))) * 10:
+    _check_inverse(h, ginv)
+    return ginv, np.prod(pivots, axis=0)
+
+
+def _check_inverse(h: np.ndarray, ginv: np.ndarray) -> None:
+    """JetError unless sum_j h^{i jbar} h_{k jbar} = delta_{ik}; NaN fails."""
+    r = range(h.shape[0])
+    dev = float(np.max([np.max(np.abs(sum(ginv[i, j] * h[k, j] for j in r) - (i == k)))
+                        for i in r for k in r]))
+    if not dev <= INVERSE_RTOL * max(1.0, float(np.max(np.abs(h)))) * 10:
         raise JetError(f"inverse residual {dev:.3e} too large")
-    return ginv, det
+
+
+class ConformalJet(MetricJet):
+    """Jet of e^f h0 with h, ginv and det scaled from the base jet's by e^f,
+    e^{-f} and e^{nf}, never factorized; dh and ddh are `conformal_jet`'s
+    with the factor 2-jet `factor()`, built when first read.  JetError if
+    e^{nf} det h0 is not positive and finite (NaN f, e^f over- or
+    underflowing) or the scaled inverse fails `inverse_and_det`'s residual."""
+
+    def __init__(self, base: MetricJet, f: np.ndarray, factor):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            ef, det = np.exp(f), np.exp(base.n * f) * base.det
+        if not np.all((det > 0) & (det < np.inf)):  # a NaN fails too
+            raise JetError("conformal factor out of range: e^(n f) det h is "
+                           "not a positive finite number")
+        self.h, self._inverse = ef * base.h, (base.ginv / ef, det)
+        _check_inverse(self.h, self.ginv)
+        self._base, self._factor = base, factor
+
+    _jet = cached_property(lambda self: conformal_jet(self._base, self._factor()))
+    dh = property(lambda self: self._jet.dh)
+    ddh = property(lambda self: self._jet.ddh)
 
 
 def conformal_jet(jet: MetricJet, fj: FactorJet) -> MetricJet:

@@ -186,7 +186,7 @@ def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12):
 
     Solves the mean-zero normal equations mean_zero(lap^T lap f) =
     mean_zero(lap^T rhs), preconditioned with the squared flat symbol, to a
-    relative max-norm residual of tol; returns (f, linf_residual).
+    relative max-norm residual of tol; returns (f, lap f).
     """
     def normal(v):
         return _mean_zero(op.apply_transpose(complex_laplacian(op.gm, v)))
@@ -194,8 +194,7 @@ def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12):
     f, _ = bicgstab(normal, _mean_zero(op.apply_transpose(rhs)),
                     lambda v: op.precondition(v, power=2), tol)
     f = _mean_zero(f)
-    resid = complex_laplacian(op.gm, f) - rhs
-    return f, float(np.max(np.abs(resid)))
+    return f, complex_laplacian(op.gm, f)
 
 
 # -- zero-degree case ---------------------------------------------------------
@@ -224,8 +223,7 @@ def solve_chern_zero(gm: GridMetric,
             "zero-degree problem")
     s_field = gm.scalar_fields()["s_c2"]
     op = _LaplacianOp(gm)
-    f, linf = lstsq_mean_zero(op, s_field)
-    lap_f = complex_laplacian(gm, f)
+    f, lap_f = lstsq_mean_zero(op, s_field)
     resid = lap_f - s_field
     l2 = float(np.sqrt(integrate(gm, resid ** 2)))
     if resid_tol is not None and l2 > resid_tol:
@@ -233,7 +231,7 @@ def solve_chern_zero(gm: GridMetric,
     achieved = np.exp(-f) * (s_field - lap_f)
     return SolverReport(
         solution=TorusField(gm.grid, f), lam=0.0,
-        residual_linf=linf, residual_l2=l2,
+        residual_linf=float(np.max(np.abs(resid))), residual_l2=l2,
         extras={"sup_dev_from_zero": float(np.max(np.abs(achieved))),
                 "gamma2": g2})
 
@@ -260,7 +258,7 @@ def normalize_to_negative(gm: GridMetric):
     u, _ = lstsq_mean_zero(op, s_field - lam, tol=NORMALIZE_TOL)
     gm_neg = gm.conformal(u)
     s_neg = transformed_s2(gm.jet, factor_jet_from_field(gm.grid, u), 0.0,
-                           s2_base=s_field)
+                           s2_base=s_field, tau=gm.traces.tau)
     if np.max(s_neg) >= 0:
         raise ConvergenceError(
             f"normalized curvature fails pointwise negativity "
@@ -373,14 +371,14 @@ def solve_chern_negative(gm: GridMetric) -> SolverReport:
 # -- Bismut-Yamabe minimizer ----------------------------------------------------
 
 def _grad_energy_norm(gm: GridMetric, phi: np.ndarray):
-    """Dirichlet energy ||del phi||^2 and its nodal gradient.
+    """Dirichlet energy ||del phi||^2 and a callable for its nodal gradient.
 
     With M_i = dz_i phi and c_i = w sum_j h^{i jbar} conj(M_j), the gradient
     of sum_nodes w h^{i jbar} M_i conj(M_j) with respect to the (real) nodal
     values is -2 Re sum_i dz_i(c_i), using that the centered and spectral
-    first-difference matrices are antisymmetric.  The grid derivatives are
-    real, so 2 Re dz_i(c_i) = d_{x_i} Re c_i + d_{y_i} Im c_i is taken on
-    the real and imaginary parts, with no complex transform.
+    first-difference matrices are antisymmetric.  The callable takes 2 Re
+    dz_i(c_i) = d_{x_i} Re c_i + d_{y_i} Im c_i with real derivatives, so a
+    caller that reads the energy alone skips those 2n derivatives.
     """
     n, grid = gm.n, gm.grid
     w = gm.weights()
@@ -393,11 +391,13 @@ def _grad_energy_norm(gm: GridMetric, phi: np.ndarray):
             acc += gm.ginv[i, j] * np.conj(m[j])
         c.append(w * acc)
         density += (m[i] * acc).real
-    energy = float(np.sum(w * density))
-    grad = np.zeros(grid.shape)
-    for i in range(n):
-        grad -= grid.d_axis(c[i].real, 2 * i) + grid.d_axis(c[i].imag, 2 * i + 1)
-    return energy, grad
+
+    def grad():
+        out = np.zeros(grid.shape)
+        for i in range(n):
+            out -= grid.d_axis(c[i].real, 2 * i) + grid.d_axis(c[i].imag, 2 * i + 1)
+        return out
+    return float(np.sum(w * density)), grad
 
 
 def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport:
@@ -418,7 +418,7 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
     also carries f = ((2n-1)/(n^2-1)) log phi and the sup-deviation of the
     transformed Bismut curvature from mu.
     """
-    tau_sup = float(np.max(np.abs(gm.tau())))
+    tau_sup = float(np.max(np.abs(gm.traces.tau)))
     if tau_sup > BALANCED_TOL:
         raise PreconditionError(
             f"metric is not balanced at tolerance (torsion trace sup "
@@ -434,19 +434,21 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
         return phi * mass ** (-1.0 / q)
 
     def objective(phi):
-        """(U(phi), grad U(phi)) from one energy evaluation."""
-        e, g = _grad_energy_norm(gm, phi)
+        """U(phi) from one energy evaluation, and a callable for grad U(phi)."""
+        e, grad = _grad_energy_norm(gm, phi)
         return (e + N1 * float(np.sum(w * s_field * phi ** 2)),
-                g + 2 * N1 * w * s_field * phi)
+                lambda: grad() + 2 * N1 * w * s_field * phi)
 
     # Sobolev (H1) gradient sg = (1 - lap)^{-1} g / (2 mean(w)), with the flat
     # symbol (<= 0) as lap, so the stiffest grid mode no longer sets the step
     op = _LaplacianOp(gm)
     w_mean = float(np.mean(w))
 
-    # energy is U(phi) throughout, and g is grad U(phi) during the descent
+    # energy is U(phi) throughout, and g is grad U(phi) during the descent,
+    # taken at the start and after each accepted step only
     phi = project(np.ones(gm.grid.shape))
-    energy, g = objective(phi)
+    energy, grad = objective(phi)
+    g = grad()
     mu_upper_exact = energy  # = Y_q(1), exact discrete value
     trace = [(0, energy, 0.0)]
     step = 1.0
@@ -462,9 +464,9 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
                 step *= 0.5
                 continue
             cand = project(cand)
-            e_new, g_new = objective(cand)
+            e_new, grad = objective(cand)
             if e_new <= energy - 1e-6 * step * gsg:
-                phi, energy, g = cand, e_new, g_new
+                phi, energy, g = cand, e_new, grad()
                 accepted = True
                 step *= 1.6
                 break
@@ -520,7 +522,7 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
                 if smin < 0 else 0.0)
     f = (2 * n - 1) / (n * n - 1) * np.log(phi)
     s_new = transformed_s2(gm.jet, factor_jet_from_field(gm.grid, f), 1.0,
-                           s2_base=s_field)
+                           s2_base=s_field, tau=gm.traces.tau)
     sup_dev = float(np.max(np.abs(s_new - mu)))
     rep = SolverReport(
         solution=TorusField(gm.grid, phi), lam=mu,
@@ -563,7 +565,7 @@ def lozenge_constancy_check(gm: GridMetric) -> dict:
     lap = complex_laplacian(gm, f_hat)
     df = np.stack([dz(f_hat, i, gm.grid) for i in range(n)])
     # Re<del f, tau> = -Re kappa, the pairing of the conformal law
-    lozenge = n * lap - 2 * torsion_pairing(gm.jet, gm.tau(), df).real
+    lozenge = n * lap - 2 * torsion_pairing(gm.jet, gm.traces.tau, df).real
     ein = einstein_residual(gm.jet, gm.traces)
     ein_max = float(np.max(ein.residual))
     mean = integrate(gm, s2) / gm.volume()

@@ -47,7 +47,7 @@ def balanced_representative(gm: GridMetric):
     topological obstruction and raises GridError.
     """
     grid = gm.grid
-    eta = gm.lee_real()
+    eta = gm.traces.lee
     nn = 2 * gm.n
     tol = 1e-8
     means = [float(np.mean(eta[a])) for a in range(nn)]
@@ -76,7 +76,7 @@ def balanced_representative(gm: GridMetric):
         raise GridError(f"Lee form residual {resid:.3e} after exact-part solve; "
                         "input is not balanced-conformal at grid tolerance")
     gm_bal = gm.conformal(-u / (gm.n - 1))
-    out_res = float(np.max(np.abs(gm_bal.lee_real())))
+    out_res = float(np.max(np.abs(gm_bal.traces.lee)))
     return TorusField(grid, u), gm_bal, {"lee_residual_in": resid,
                                          "lee_residual_out": out_res}
 

@@ -3,7 +3,7 @@ import numpy as np
 from hermcurv.conformal import (conformal_oracle_check, transformed_ric34,
                                 transformed_s2)
 from hermcurv.curvature import (CLASS_TOL, classify, gauduchon_curvature,
-                                ricci_and_scalars, ricci_forms)
+                                ricci_and_scalars, ricci_forms, torsion_traces)
 from hermcurv.dsl import parse_expr
 from hermcurv.jets import conformal_jet
 from hermcurv.manifolds import builtin, conformal_manifold, factor_jet_from_expr
@@ -92,7 +92,7 @@ def test_pairing_term_vanishes_on_balanced_base():
     d, = conformal_oracle_check(man, ["re(z2)/4"], [1.0], z)
     assert d["max"] < 1e-9
     from hermcurv.conformal import _factor_terms
-    *_, kappa = _factor_terms(jet, fj)
+    *_, kappa = _factor_terms(jet, fj, torsion_traces(jet).tau)
     assert np.max(np.abs(kappa)) < 1e-12
 
 

@@ -1,11 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hermcurv.curvature import CLASS_TOL
 from hermcurv.grid import (GridError, GridMetric, TorusField, TorusGrid,
-                           complex_laplacian, dz, gauduchon_degrees, integrate,
-                           laplacian_duality_defect)
-from hermcurv.jets import JetError, MetricJet
+                           complex_laplacian, dz, factor_jet_from_field,
+                           gauduchon_degrees, integrate, laplacian_duality_defect)
+from hermcurv.jets import JetError, MetricJet, conformal_jet, inverse_and_det
 from hermcurv.manifolds import builtin, conformal_manifold
 
 from conftest import balanced_representative, make_gm
@@ -350,9 +352,9 @@ def test_balanced_representative_obstruction():
     # a private metric: the injected Lee form must not reach the shared cache
     man = builtin("pluriclosed-bump")
     gm = GridMetric.from_manifold(man, TorusGrid(n=man.n, N=8))
-    eta = gm.lee_real().copy()
+    eta = gm.traces.lee.copy()
     eta[0] += 0.3  # inject a harmonic (constant) part: nonzero period
-    gm.lee_real = lambda: eta
+    gm.traces = SimpleNamespace(lee=eta)  # the Lee form is all it reads first
     with pytest.raises(GridError, match="harmonic"):
         balanced_representative(gm)
 
@@ -375,8 +377,8 @@ def test_grid_metric_runs_the_fused_pass_once(count_calls):
     man = builtin("pluriclosed-bump")
     gm = GridMetric.from_manifold(man, TorusGrid(n=man.n, N=8))
     gm.scalar_fields()
-    gm.tau()
-    gm.lee_real()
+    gm.traces.tau
+    gm.traces.lee
     gauduchon_degrees(gm)
     gm.scalar_fields()
     assert len(calls) == 1
@@ -387,3 +389,44 @@ def test_grid_metric_builds_the_nodes_once(count_calls):
     calls = count_calls(TorusGrid, "points")
     GridMetric.from_manifold(builtin("pluriclosed-bump"), TorusGrid(n=2, N=8))
     assert len(calls) == 1
+
+
+def _normalizer(scheme):
+    """Pluriclosed-bump at N = 8 and the normalization's factor u on it."""
+    from hermcurv.solvers import normalize_to_negative
+    gm = make_gm("pluriclosed-bump", 8, scheme=scheme)
+    return gm, normalize_to_negative(gm)[0].values
+
+
+@pytest.mark.parametrize("scheme", ["fd2", "spectral"])
+def test_conformal_metric_scales_the_inverse_and_det(scheme):
+    # e^{-u} h^{-1} and e^{nu} det h against an LDL^H of e^u h
+    gm, u = _normalizer(scheme)
+    gm_u = gm.conformal(u)
+    np.testing.assert_array_equal(gm_u.jet.h, np.exp(u) * gm.jet.h)
+    ginv, det = inverse_and_det(MetricJet(np.exp(u) * gm.jet.h, None, None))
+    for got, want in ((gm_u.ginv, ginv), (gm_u.det, det)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("scheme", ["fd2", "spectral"])
+def test_conformal_metric_builds_its_two_jet_on_first_read(scheme, count_calls):
+    import hermcurv.jets as jets
+    gm, u = _normalizer(scheme)
+    want = conformal_jet(gm.jet, factor_jet_from_field(gm.grid, u))
+    calls = count_calls(jets, "conformal_jet")
+    gm_u = gm.conformal(u)
+    assert calls == []
+    gm_u.jet.dh, gm_u.jet.ddh
+    assert len(calls) == 1  # one build serves both reads
+    np.testing.assert_array_equal(gm_u.jet.dh, want.dh)
+    np.testing.assert_array_equal(gm_u.jet.ddh, want.ddh)
+
+
+@pytest.mark.parametrize("value", [np.nan, 800.0, -800.0])
+def test_conformal_metric_refuses_a_factor_out_of_range(value):
+    gm = make_gm("pluriclosed-bump", 8)
+    f = np.zeros(gm.grid.shape)
+    f[1, 2, 3, 4] = value
+    with pytest.raises(JetError, match="conformal factor out of range"):
+        gm.conformal(f)

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,47 @@ def test_negative_solve_runs_the_trace_pass_once(count_calls):
     assert len(calls) == 1
 
 
+def test_negative_solve_scales_the_normalized_metric(count_calls):
+    # e^u omega is scaled from the prebuilt metric: no conformal 2-jet and no
+    # second LDL^H (building and inverting it eagerly made one call of each)
+    import hermcurv.jets as jets
+    man = builtin("pluriclosed-bump")
+    gm = GridMetric.from_manifold(man, TorusGrid(n=man.n, N=8))
+    calls = count_calls(jets, "conformal_jet", "inverse_and_det")
+    solve_chern_negative(gm)
+    assert calls == []
+
+
+def test_negative_solve_peak_memory_per_node():
+    # tracemalloc peak of the solve on a prebuilt metric whose trace bundle
+    # is cached: about 460 B/node, and 1096 with the eager conformal 2-jet
+    man = builtin("pluriclosed-bump")
+    gm = GridMetric.from_manifold(man, TorusGrid(n=man.n, N=8))
+    gm.traces
+    tracemalloc.start()
+    try:
+        solve_chern_negative(gm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / gm.grid.node_count < 600
+
+
+def test_zero_solve_reuses_the_least_squares_laplacian(count_calls, monkeypatch):
+    # lstsq_mean_zero hands back lap f, so no apply follows it
+    import hermcurv.solvers as solvers_mod
+    calls = count_calls(solvers_mod, "complex_laplacian")
+    real, after = solvers_mod.lstsq_mean_zero, []
+
+    def lstsq(*args, **kwargs):
+        out = real(*args, **kwargs)
+        after.append(len(calls))
+        return out
+    monkeypatch.setattr(solvers_mod, "lstsq_mean_zero", lstsq)
+    solve_chern_zero(make_gm("kaehler-bump", 8))
+    assert after == [len(calls)]
+
+
 def test_zero_solve_runs_on_bicgstab(count_calls):
     import hermcurv.solvers as solvers_mod
     calls = count_calls(solvers_mod, "bicgstab")
@@ -324,7 +366,7 @@ def test_energy_gradient_is_exact_for_the_quadratic_energy(scheme):
     rng = np.random.default_rng(17)
     phi = 1.0 + 0.1 * rng.normal(size=gm.grid.shape)
     v = rng.normal(size=gm.grid.shape)
-    _, g = _grad_energy_norm(gm, phi)
+    g = _grad_energy_norm(gm, phi)[1]()
     e_plus, _ = _grad_energy_norm(gm, phi + v)
     e_minus, _ = _grad_energy_norm(gm, phi - v)
     want = float(np.sum(g * v))
@@ -338,6 +380,23 @@ def test_energy_gradient_is_exact_for_the_quadratic_energy(scheme):
             c = w * sum(gm.ginv[i, j] * np.conj(m[j]) for j in range(gm.n))
             old -= 2 * dz(c, i, gm.grid).real
         np.testing.assert_array_equal(g, old)
+
+
+def test_bismut_descent_takes_gradients_where_it_steps_only(monkeypatch):
+    # a gradient is read at the start and after each accepted step; rejected
+    # line-search trials and the polish's energy checks read the energy only
+    import hermcurv.solvers as solvers_mod
+    real, evals, grads = solvers_mod._grad_energy_norm, [], []
+
+    def counted(gm, phi):
+        energy, grad = real(gm, phi)
+        evals.append(energy)
+        return energy, lambda: grads.append(energy) or grad()
+    monkeypatch.setattr(solvers_mod, "_grad_energy_norm", counted)
+    rep = bismut_yamabe_minimize(make_gm("kaehler-bump", 12, scheme="spectral", eps=3e-5))
+    energies = [e for _, e, _ in rep.energy_trace]
+    accepted = sum(b < a for a, b in zip(energies, energies[1:]))
+    assert len(grads) == 1 + accepted < len(evals)
 
 
 def test_bismut_rejects_unbalanced():
@@ -436,7 +495,7 @@ def test_lozenge_of_constant_field_is_zero():
     f = np.full(gm.grid.shape, 1.7)
     lap = complex_laplacian(gm, f)
     assert np.max(np.abs(lap)) < 1e-12
-    tau = gm.tau()
+    tau = gm.traces.tau
     pair = np.zeros(gm.grid.shape)
     for i in range(gm.n):
         dfi = dz(f, i, gm.grid)
