@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("catalog", help="list builtin manifolds")
 
-    def common_options(p, manifold_positional):
+    def common_options(p, manifold_positional, seed=True, report=True):
         if manifold_positional:
             p.add_argument("manifold", help="builtin name or manifest path")
         else:
@@ -220,9 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="complex dimension")
         p.add_argument("--param", action="append", metavar="NAME=VALUE",
                        help="real manifold parameter (repeatable)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("text", "csv"), default="text")
-        p.add_argument("--out", default=None, help="write the report here")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if report:
+            p.add_argument("--format", choices=("text", "csv"), default="text")
+            p.add_argument("--out", default=None, help="write the report here")
 
     def grid_options(p):
         p.add_argument("--grid", type=int, default=16)
@@ -235,15 +237,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins.add_argument("--golden", action="store_true",
                        help="compare against stored golden values")
 
-    p_chk = sub.add_parser("check", help="identity defect tables")
-    p_chk.add_argument("what", choices=("conformal", "comparison", "duality"))
-    common_options(p_chk, manifold_positional=False)
-    p_chk.add_argument("--points", type=int, default=20)
-    p_chk.add_argument("--t", default="0,0.5,1,-1")
-    p_chk.add_argument("--factor", action="append",
+    # each check mode takes only the options it reads
+    modes = sub.add_parser("check", help="identity defect tables").add_subparsers(
+        dest="what", required=True)
+    p_cnf, p_cmp, p_dua = map(modes.add_parser, ("conformal", "comparison", "duality"))
+    common_options(p_cnf, manifold_positional=False)
+    common_options(p_cmp, manifold_positional=False, report=False)
+    common_options(p_dua, manifold_positional=False, seed=False, report=False)
+    for p in (p_cnf, p_cmp):
+        p.add_argument("--points", type=int, default=20)
+        p.add_argument("--t", default="0,0.5,1,-1")
+    p_cnf.add_argument("--factor", action="append",
                        help="conformal factor expression (repeatable)")
-    p_chk.add_argument("--tol", type=float, default=1e-7)
-    grid_options(p_chk)
+    grid_options(p_dua)
+    for p in (p_cnf, p_cmp, p_dua):
+        p.add_argument("--tol", type=float, default=1e-7)
 
     p_sol = sub.add_parser("solve", help="constant-curvature solvers")
     p_sol.add_argument("problem", choices=("chern-zero", "chern-negative",

@@ -4,6 +4,7 @@ Implements the closed-form transformation of the third/fourth Ricci forms
 and the second scalar curvature under omega -> e^f omega, together with a
 direct-recomputation oracle: transform the metric jet, rerun the curvature
 engine, compare.  The oracle is the arbiter for every coefficient here.
+`s2_law` is the one S_C2 law; the grid solvers feed it the lap f they hold.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ricci_forms, torsion_traces
+from .curvature import ricci_forms
 from .dsl import parse_expr
 from .jets import FactorJet, MetricJet, conformal_jet
 from .manifolds import ModelManifold, factor_jet_from_expr
 
-__all__ = ["TransformedCurvature", "transformed_s2", "transformed_ric34",
-           "conformal_oracle_check", "torsion_pairing"]
+__all__ = ["TransformedCurvature", "law_coefficients", "s2_law", "transformed_ric34",
+           "conformal_oracle_check", "gradient_terms", "torsion_pairing"]
 
 
 @dataclass
@@ -34,38 +35,31 @@ def torsion_pairing(jet: MetricJet, tau: np.ndarray, df: np.ndarray) -> np.ndarr
     return -np.einsum("kj...,j...,k...->...", jet.ginv, np.conj(tau), df)
 
 
+def gradient_terms(jet: MetricJet, tau: np.ndarray, df: np.ndarray):
+    """|df|^2 = h^{i jbar} f_i conj(f_j) and the pairing kappa of the laws."""
+    grad2 = np.einsum("ij...,i...,j...->...", jet.ginv, df, np.conj(df)).real
+    return grad2, torsion_pairing(jet, tau, df)
+
+
 def _factor_terms(jet: MetricJet, fj: FactorJet, tau: np.ndarray):
     """Shared ingredients: laplacian, gradient norm and the pairing kappa."""
-    ginv = jet.ginv
-    lap = np.einsum("ij...,ij...->...", ginv, fj.ddf)
+    lap = np.einsum("ij...,ij...->...", jet.ginv, fj.ddf)
     if np.max(np.abs(lap.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(lap)))):
         raise ArithmeticError("complex laplacian of a real factor is not real")
-    grad2 = np.einsum("ij...,i...,j...->...", ginv, fj.df, np.conj(fj.df)).real
-    return lap.real, grad2, torsion_pairing(jet, tau, fj.df)
+    return (lap.real, *gradient_terms(jet, tau, fj.df))
 
 
-def _s2_law(n: int, t: float, fj: FactorJet, s2_base, lap, grad2, kappa):
-    return np.exp(-fj.f) * (s2_base
-                            - (1 + 2 * (n - 1) * t) * lap
-                            - (n * n - 1) * t * t * grad2
-                            + 2 * (n + 1) * t * t * kappa.real)
+def law_coefficients(n: int, t: float) -> tuple:
+    """(A, B) = (1 + 2(n-1) t, (n^2 - 1) t^2), the lap f and |df|^2 coefficients."""
+    return 1 + 2 * (n - 1) * t, (n * n - 1) * t * t
 
 
-def transformed_s2(jet: MetricJet, fj: FactorJet, t: float, *,
-                   s2_base=None, tau=None) -> np.ndarray:
-    """Second scalar curvature of e^f omega from base-metric data (the base
-    s2 at t and the torsion trace tau, which the solvers pass in):
-
-    s2(e^f w, t) = e^{-f} ( s2(w, t) - (1 + 2(n-1) t) lap f
-                            - (n^2 - 1) t^2 |df|^2
-                            + 2 (n+1) t^2 Re<del* w, i dbar f> ).
-    """
-    if s2_base is None:
-        s2_base = ricci_forms(jet, [t])[0].s2
-    if tau is None:
-        tau = torsion_traces(jet).tau
-    lap, grad2, kappa = _factor_terms(jet, fj, tau)
-    return _s2_law(jet.n, t, fj, s2_base, lap, grad2, kappa)
+def s2_law(n: int, t: float, f, s2, lap, grad2, kappa) -> np.ndarray:
+    """S_C2 of e^f omega from the base s2 at t, f, lap f, |df|^2 and kappa,
+    s2(e^f w, t) = e^{-f} (s2(w, t) - A lap f - B |df|^2 + 2 (n+1) t^2 Re kappa)
+    with (A, B) = law_coefficients(n, t) and kappa = <del* w, i dbar f>."""
+    a, b = law_coefficients(n, t)
+    return np.exp(-f) * (s2 - a * lap - b * grad2 + 2 * (n + 1) * t * t * kappa.real)
 
 
 def transformed_ric34(jet: MetricJet, fj: FactorJet, ts) -> list[TransformedCurvature]:
@@ -104,7 +98,7 @@ def transformed_ric34(jet: MetricJet, fj: FactorJet, ts) -> list[TransformedCurv
                 + t2 * kappa * h
                 - t2 * tau_outer)
         ric4 = np.conj(ric3.swapaxes(0, 1))
-        s2 = _s2_law(n, t, fj, ric.s2, lap, grad2, kappa)
+        s2 = s2_law(n, t, fj.f, ric.s2, lap, grad2, kappa)
         out.append(TransformedCurvature(ric3, ric4, s2, float(t)))
     return out
 

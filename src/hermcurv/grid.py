@@ -135,7 +135,8 @@ class TorusGrid:
         return self._spectral(u, a, 1)
 
     def d_symbol(self, a: int) -> np.ndarray:
-        """Fourier symbol of d_axis (used by solver preconditioners)."""
+        """Fourier symbol of d_axis: the tests' reference for d_axis and the
+        symbol of their Lee-form solve (`conftest.balanced_representative`)."""
         h = self.spacing[a]
         k = np.fft.fftfreq(self.N, d=h)
         if self.scheme == "fd2":

@@ -1,6 +1,7 @@
 """Constant-second-scalar-curvature solvers on periodic grid metrics.
 
-Three problems, each returning a SolverReport with residual certificates:
+Three problems, each returning a SolverReport with residual certificates and
+the curvature of e^f omega by `conformal.s2_law` on the lap f the solve holds:
 
 * zero degree:     lap_C f = S_C2(omega),  f mean-zero least squares
 * negative degree: Newton at a = 1, the continuity path in a as fallback,
@@ -32,10 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import torsion_pairing, transformed_s2
+from .conformal import gradient_terms, law_coefficients, s2_law, torsion_pairing
 from .curvature import CLASS_TOL, einstein_residual
 from .grid import (GridMetric, TorusField, complex_laplacian, dz,
-                   factor_jet_from_field, gauduchon_degrees, integrate)
+                   gauduchon_degrees, integrate)
 
 __all__ = ["SolverReport", "PreconditionError",
            "ConvergenceError", "solve_chern_zero", "normalize_to_negative",
@@ -197,6 +198,16 @@ def lstsq_mean_zero(op: _LaplacianOp, rhs: np.ndarray, tol: float = 1e-12):
     return f, complex_laplacian(op.gm, f)
 
 
+def _conformal_s2(gm: GridMetric, s2: np.ndarray, f: np.ndarray,
+                  lap_f: np.ndarray, t: float = 0.0) -> np.ndarray:
+    """S_C2 at t of e^f omega by `s2_law` from the base s2 at t and lap f."""
+    grad2 = kappa = 0.0
+    if t:  # |df|^2 and kappa enter with t^2: differentiate f only if t != 0
+        df = np.stack([dz(f, i, gm.grid) for i in range(gm.n)])
+        grad2, kappa = gradient_terms(gm.jet, gm.traces.tau, df)
+    return s2_law(gm.n, t, f, s2, lap_f, grad2, kappa)
+
+
 # -- zero-degree case ---------------------------------------------------------
 
 def _second_degree(gm: GridMetric) -> float:
@@ -222,13 +233,12 @@ def solve_chern_zero(gm: GridMetric,
             f"second Gauduchon degree {g2:.3e} is not compatible with the "
             "zero-degree problem")
     s_field = gm.scalar_fields()["s_c2"]
-    op = _LaplacianOp(gm)
-    f, lap_f = lstsq_mean_zero(op, s_field)
+    f, lap_f = lstsq_mean_zero(_LaplacianOp(gm), s_field)
     resid = lap_f - s_field
     l2 = float(np.sqrt(integrate(gm, resid ** 2)))
     if resid_tol is not None and l2 > resid_tol:
         raise ConvergenceError(f"zero-degree residual l2 = {l2:.3e} > {resid_tol}")
-    achieved = np.exp(-f) * (s_field - lap_f)
+    achieved = _conformal_s2(gm, s_field, f, lap_f)
     return SolverReport(
         solution=TorusField(gm.grid, f), lam=0.0,
         residual_linf=float(np.max(np.abs(resid))), residual_l2=l2,
@@ -242,9 +252,9 @@ def normalize_to_negative(gm: GridMetric):
     """First stage of the negative case: e^u omega with pointwise-negative S_C2.
 
     u solves lap_C u = S_C2 - Gamma^2/Vol (mean zero).  The curvature field
-    of e^u omega comes from the conformal law at t = 0 and is checked for
-    strict negativity on every node.  Returns (u, grid metric of e^u omega,
-    Gamma^2/Vol, that curvature field).
+    of e^u omega comes from the conformal law at t = 0, with the lap u of
+    the least-squares solve, and is checked for strict negativity on every
+    node.  Returns (u, grid metric of e^u omega, Gamma^2/Vol, that field).
     """
     g2 = _second_degree(gm)
     lam = g2 / gm.volume()
@@ -254,11 +264,9 @@ def normalize_to_negative(gm: GridMetric):
         raise PreconditionError(
             f"second Gauduchon degree {g2:.3e} is not negative")
     s_field = gm.scalar_fields()["s_c2"]
-    op = _LaplacianOp(gm)
-    u, _ = lstsq_mean_zero(op, s_field - lam, tol=NORMALIZE_TOL)
+    u, lap_u = lstsq_mean_zero(_LaplacianOp(gm), s_field - lam, tol=NORMALIZE_TOL)
     gm_neg = gm.conformal(u)
-    s_neg = transformed_s2(gm.jet, factor_jet_from_field(gm.grid, u), 0.0,
-                           s2_base=s_field, tau=gm.traces.tau)
+    s_neg = _conformal_s2(gm, s_field, u, lap_u)
     if np.max(s_neg) >= 0:
         raise ConvergenceError(
             f"normalized curvature fails pointwise negativity "
@@ -357,7 +365,7 @@ def solve_chern_negative(gm: GridMetric) -> SolverReport:
     f, trace = continuity_solve(gm_neg, s_field, lam)
     lap_f = complex_laplacian(gm_neg, f)
     resid = lap_f + lam * np.exp(f) - s_field
-    achieved = np.exp(-f) * (s_field - lap_f)
+    achieved = _conformal_s2(gm_neg, s_field, f, lap_f)
     return SolverReport(
         solution=TorusField(gm_neg.grid, f), lam=lam,
         residual_linf=float(np.max(np.abs(resid))),
@@ -414,18 +422,17 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
     with N.  Newton steps on the Euler-Lagrange system
     box(phi) = N1 mu phi^{q-1}, with q = N2, then polish phi for as long as
     each at least halves its residual (below that a step only dithers at the
-    rounding floor), and el_tol gates the result.  The report
-    also carries f = ((2n-1)/(n^2-1)) log phi and the sup-deviation of the
-    transformed Bismut curvature from mu.
+    rounding floor), and el_tol gates the result.  N1 = B/A^2 and N2 = 2 + A/B
+    with (A, B) = law_coefficients(n, 1); the report also carries f = (A/B) log phi
+    and the sup-deviation of the transformed Bismut curvature from mu.
     """
     tau_sup = float(np.max(np.abs(gm.traces.tau)))
     if tau_sup > BALANCED_TOL:
         raise PreconditionError(
             f"metric is not balanced at tolerance (torsion trace sup "
             f"{tau_sup:.3e} > {BALANCED_TOL:.1e})")
-    n = gm.n
-    N1 = (n ** 2 - 1) / (2 * n - 1) ** 2
-    q = 2 + (2 * n - 1) / (n ** 2 - 1)  # N2, inside (2, 2n/(n-1)) for every n
+    a, b = law_coefficients(gm.n, 1.0)
+    N1, q = b / a ** 2, 2 + a / b  # q = N2, inside (2, 2n/(n-1)) for every n
     w = gm.weights()
     s_field = gm.scalar_fields()["s_b2"]
 
@@ -520,10 +527,8 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
     smin = float(np.min(s_field))
     mu_lower = (N1 ** (1 - 2 / q) * smin * vol ** (1 - 2 / q)
                 if smin < 0 else 0.0)
-    f = (2 * n - 1) / (n * n - 1) * np.log(phi)
-    s_new = transformed_s2(gm.jet, factor_jet_from_field(gm.grid, f), 1.0,
-                           s2_base=s_field, tau=gm.traces.tau)
-    sup_dev = float(np.max(np.abs(s_new - mu)))
+    f = a / b * np.log(phi)
+    s_new = _conformal_s2(gm, s_field, f, complex_laplacian(gm, f), 1.0)
     rep = SolverReport(
         solution=TorusField(gm.grid, phi), lam=mu,
         residual_linf=float(np.max(np.abs(r))), residual_l2=rnorm,
@@ -534,7 +539,7 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
                 "mu_lower": mu_lower,
                 "constraint_defect": abs(N1 * float(np.sum(w * phi ** q)) - 1.0),
                 "f": TorusField(gm.grid, f),
-                "sup_dev_from_mu": sup_dev,
+                "sup_dev_from_mu": float(np.max(np.abs(s_new - mu))),
                 "min_phi": float(np.min(phi))})
     if not (mu <= mu_upper_exact + 1e-8 * max(1.0, abs(mu_upper_exact))):
         raise ConvergenceError("minimum exceeds the constant-candidate bound")

@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from hermcurv.cli import main as cli_main
-from hermcurv.conformal import conformal_oracle_check, transformed_s2
+from hermcurv.conformal import conformal_oracle_check
 from hermcurv.curvature import (CLASS_TOL, classify, einstein_residual,
                                 gauduchon_curvature, report_matrix,
-                                ricci_and_scalars, ricci_forms,
-                                scalar_comparison_defect, scalar_via_identity,
+                                ricci_and_scalars, scalar_comparison_defect,
+                                scalar_via_identity,
                                 torsion_diagnostics)
-from hermcurv.dsl import parse_expr
 from hermcurv.grid import gauduchon_degrees, laplacian_duality_defect
-from hermcurv.manifolds import builtin, factor_jet_from_expr, _TrigSum
+from hermcurv.manifolds import builtin, _TrigSum
 from hermcurv.solvers import (bismut_yamabe_minimize, continuity_solve,
                               solve_chern_zero)
 
@@ -126,18 +125,8 @@ def test_conformal_oracle_suite():
         for d in conformal_oracle_check(man, CONFORMAL_FACTORS, (0.0, 0.5, 1.0, -1.0), z):
             worst = max(worst, d["max"])
     dt = time.perf_counter() - t0
-    # the t = 0 and t = 1 laws give the same bits with the base s2 passed in
-    man = builtin("vaisman", m=1.0)
-    z = man.sample_points(15, seed=7)
-    jet = man.jet(z)
-    fj = factor_jet_from_expr(parse_expr(CONFORMAL_FACTORS[2], 2), z, 2)
-    bits = all(np.array_equal(transformed_s2(jet, fj, t),
-                              transformed_s2(jet, fj, t,
-                                             s2_base=ricci_forms(jet, [t])[0].s2))
-               for t in (0.0, 1.0))
-    report("2.conformal-oracle", worst < 1e-7 and bits and dt < 30.0,
-           f"max defect {worst:.3e} over 5x5x20x4 ({dt:.1f}s); "
-           f"specializations bit-consistent: {bits}")
+    report("2.conformal-oracle", worst < 1e-7 and dt < 30.0,
+           f"max defect {worst:.3e} over 5x5x20x4 ({dt:.1f}s)")
 
 
 def test_comparison_identity_suite():

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -114,6 +115,19 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(f"hermcurv.{info.name}")
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert missing == [], info.name
+
+
+def test_every_exported_name_is_defined_once_in_its_module():
+    # a function or class exported by a module that only imports it, or by
+    # two modules, is a stale export left behind when its definition moves
+    owners = {}
+    for info in pkgutil.iter_modules(hermcurv.__path__):
+        mod = importlib.import_module(f"hermcurv.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert owners.setdefault(name, info.name) == info.name, name
+            obj = getattr(mod, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == mod.__name__, (info.name, name)
 
 
 def _count_pipeline(count_calls):
@@ -239,6 +253,17 @@ def test_check_duality_flat(capsys):
     code, out, _ = run(capsys, "check", "duality", "--manifold", "flat-torus", "--n", "2",
                        "--grid", "8", "--tol", "1e-9")
     assert code == 0
+
+
+def test_check_modes_refuse_the_options_they_ignore(tmp_path):
+    # comparison writes no report and duality samples no points: usage errors
+    out = tmp_path / "report.csv"
+    for argv in (["check", "comparison", "--manifold", "hopf", "--out", str(out)],
+                 ["check", "duality", "--manifold", "flat-torus", "--points", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert not out.exists()
 
 
 def test_solve_zero_writes_report(capsys, tmp_path):

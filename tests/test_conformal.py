@@ -1,9 +1,8 @@
 import numpy as np
 
-from hermcurv.conformal import (conformal_oracle_check, transformed_ric34,
-                                transformed_s2)
+from hermcurv.conformal import conformal_oracle_check, transformed_ric34
 from hermcurv.curvature import (CLASS_TOL, classify, gauduchon_curvature,
-                                ricci_and_scalars, ricci_forms, torsion_traces)
+                                ricci_and_scalars, torsion_traces)
 from hermcurv.dsl import parse_expr
 from hermcurv.jets import conformal_jet
 from hermcurv.manifolds import builtin, conformal_manifold, factor_jet_from_expr
@@ -55,19 +54,6 @@ def test_constant_factor_scales_s2_and_fixes_ric3():
         base = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
         np.testing.assert_allclose(out.s2, np.exp(-c) * base.s2, rtol=1e-12)
         np.testing.assert_allclose(out.ric3, base.ric3, rtol=1e-12, atol=1e-14)
-
-
-def test_specializations_bit_consistent():
-    man = builtin("vaisman", m=1.0)
-    z = man.sample_points(25, seed=5)
-    jet = man.jet(z)
-    fj = factor_jet_from_expr(parse_expr(FACTORS[2], 2), z, 2)
-    # the t = 0 (Chern) and t = 1 (Bismut) laws, with the base s2 passed in
-    # as the solvers pass it and recomputed, are the same arithmetic
-    for t in (0.0, 1.0):
-        assert np.array_equal(transformed_s2(jet, fj, t),
-                              transformed_s2(jet, fj, t,
-                                             s2_base=ricci_forms(jet, [t])[0].s2))
 
 
 def test_chern_specialization_ric3_is_ric3_minus_hessian():

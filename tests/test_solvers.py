@@ -4,11 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hermcurv.conformal import transformed_ric34
 from hermcurv.grid import (GridMetric, TorusGrid, complex_laplacian, dz,
-                           gauduchon_degrees)
+                           factor_jet_from_field, gauduchon_degrees)
 from hermcurv.manifolds import builtin, conformal_manifold, _TrigSum
 from hermcurv.solvers import (PGD_MAX, ConvergenceError, PreconditionError,
-                              SolverReport, _check_apriori_bound, _grad_energy_norm,
+                              SolverReport, _check_apriori_bound, _conformal_s2,
+                              _grad_energy_norm,
                               bicgstab, bismut_yamabe_minimize, continuity_solve,
                               lozenge_constancy_check, normalize_to_negative,
                               solve_chern_negative, solve_chern_zero)
@@ -176,6 +178,30 @@ def test_negative_solve_scales_the_normalized_metric(count_calls):
     calls = count_calls(jets, "conformal_jet", "inverse_and_det")
     solve_chern_negative(gm)
     assert calls == []
+
+
+def test_negative_solve_differentiates_no_factor(count_calls):
+    # both t = 0 laws read the lap of u and f that the solve holds: no dz of
+    # them and no factor 2-jet (the 2-jet law of u made 2 and 1)
+    import hermcurv.grid as grid
+    gm = make_gm("pluriclosed-bump", 8)
+    calls = count_calls(grid, "dz", "factor_jet_from_field")
+    solve_chern_negative(gm)
+    assert calls == []
+
+
+@pytest.mark.parametrize("scheme", ["fd2", "spectral"])
+@pytest.mark.parametrize("name", ["pluriclosed-bump", "kaehler-bump"])
+def test_grid_law_matches_the_oracle_checked_law(name, scheme):
+    # the solvers' S_C2 law on the stencil Laplacian against transformed_ric34
+    # on the grid factor 2-jet, the path the direct-recomputation oracle checks
+    gm = make_gm(name, 8, scheme=scheme)
+    f = trig_values(gm, MMS_FIELD)
+    fj = factor_jet_from_field(gm.grid, f)
+    for t in (0.0, 1.0):
+        got = _conformal_s2(gm, gm.traces.scalars(t)[1], f, complex_laplacian(gm, f), t)
+        want = transformed_ric34(gm.jet, fj, [t])[0].s2
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), t
 
 
 def test_negative_solve_peak_memory_per_node():
