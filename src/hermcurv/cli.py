@@ -201,8 +201,18 @@ def _dump_field(field, path):
         fh.write("\n".join(lines) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    # subcommand parsers inherit the class: an unknown option is reported
+    # with the usage of the command it follows, not the root usage
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hermcurv",
         description="Hermitian curvature engine and constant-scalar-curvature "
                     "solvers on coordinate charts")
@@ -267,15 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "catalog":
-            return cmd_catalog(args)
-        if args.command == "inspect":
-            return cmd_inspect(args)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        raise AssertionError(args.command)
+        return {"catalog": cmd_catalog, "inspect": cmd_inspect, "check": cmd_check,
+                "solve": cmd_solve}[args.command](args)
     except (PreconditionError, ParseError, DomainError, JetError, GridError,
             KeyError, ValueError) as err:
         print(f"precondition error: {err}", file=sys.stderr)

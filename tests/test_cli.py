@@ -255,14 +255,23 @@ def test_check_duality_flat(capsys):
     assert code == 0
 
 
-def test_check_modes_refuse_the_options_they_ignore(tmp_path):
-    # comparison writes no report and duality samples no points: usage errors
+def test_check_modes_refuse_the_options_they_ignore(tmp_path, capsys):
+    # comparison writes no report and duality samples no points: usage errors,
+    # reported with the usage of the command that refuses the option
     out = tmp_path / "report.csv"
-    for argv in (["check", "comparison", "--manifold", "hopf", "--out", str(out)],
-                 ["check", "duality", "--manifold", "flat-torus", "--points", "3"]):
+    for argv, usage in (
+            (["check", "comparison", "--manifold", "hopf", "--out", str(out)],
+             "usage: hermcurv check comparison "),
+            (["check", "duality", "--manifold", "flat-torus", "--points", "3"],
+             "usage: hermcurv check duality "),
+            (["solve", "chern-negative", "--manifold", "pluriclosed-bump", "--bogus"],
+             "usage: hermcurv solve ")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(usage), (argv, err)
+        assert f"unrecognized arguments: {argv[4]}" in err
     assert not out.exists()
 
 
@@ -318,6 +327,10 @@ def test_solve_negative_end_to_end(capsys, tmp_path):
     lines = dump.read_text().splitlines()
     assert lines[0] == "index,value"
     assert len(lines) == 8 ** 4 + 1
+    # the dump is the reported solution F, not the continuity stage's f
+    values = [float(line.split(",")[1]) for line in lines[1:]]
+    for key, want in (("min", min(values)), ("max", max(values))):
+        assert float(re.search(rf"solution\.{key}: (\S+)", out).group(1)) == want
 
 
 def test_solve_negative_deterministic(capsys, tmp_path):

@@ -190,6 +190,34 @@ def test_negative_solve_differentiates_no_factor(count_calls):
     assert calls == []
 
 
+@pytest.mark.parametrize("N, scheme", [(8, "fd2"), (16, "fd2"), (8, "spectral")])
+def test_negative_solution_is_pinned(N, scheme, monkeypatch):
+    # the solution is F = u + f, and e^F omega is the unique constant-curvature
+    # metric of the class: a 1e-10 normalizer moves u and f, not F
+    import hermcurv.solvers as solvers_mod
+    gm = make_gm("pluriclosed-bump", N, scheme=scheme)
+    rep = solve_chern_negative(gm)
+    u, gm_neg, lam, s_neg = normalize_to_negative(gm)
+    f, _ = continuity_solve(gm_neg, s_neg, lam)
+    np.testing.assert_array_equal(rep.solution.values, u.values + f)
+    monkeypatch.setattr(solvers_mod, "NORMALIZE_TOL", 1e-10)
+    tight = solve_chern_negative(gm).solution.values
+    assert np.max(np.abs(rep.solution.values - tight)) <= 1e-13
+
+
+def test_normalization_stops_at_its_loose_tolerance(count_calls):
+    # the 1e-10 normalizer made 12 transposes, and the whole solve 26 Laplacians
+    import hermcurv.grid as grid
+    from hermcurv.solvers import _LaplacianOp
+    gm = make_gm("pluriclosed-bump", 8)
+    transposes = count_calls(_LaplacianOp, "apply_transpose")
+    normalize_to_negative(gm)
+    assert len(transposes) <= 6
+    laplacians = count_calls(grid, "complex_laplacian")
+    solve_chern_negative(gm)
+    assert len(laplacians) <= 20
+
+
 @pytest.mark.parametrize("scheme", ["fd2", "spectral"])
 @pytest.mark.parametrize("name", ["pluriclosed-bump", "kaehler-bump"])
 def test_grid_law_matches_the_oracle_checked_law(name, scheme):
