@@ -27,6 +27,9 @@ symbol is the Bismut-Yamabe descent's metric: the nodal gradient is smoothed
 by (1 - flat lap)^{-1}, which damps each Fourier mode by its own stiffness,
 so the stiffest grid mode no longer sets the step and the descent's
 iteration count stays flat in N.
+
+Each solve gates its own residual with its one `tol`, failing closed (a NaN
+fails), and `_require` checks the input's classes against CLASS_TOL.
 """
 
 from __future__ import annotations
@@ -53,8 +56,6 @@ NEWTON_MAX = 50
 EL_KRYLOV_TOL = 1e-12       # BiCGStab tolerance of an Euler-Lagrange step
 BICGSTAB_MAXIT = 500
 PGD_MAX = 300
-BALANCED_TOL = 1e-7         # torsion-trace sup accepted as balanced
-LOZENGE_PRECOND_TOL = 1e-6  # Gauduchon and pluriclosed residuals
 EINSTEIN_TOL = 1e-8
 CONSTANCY_TOL = 1e-8        # S_C2 variance asserted when Einstein holds
 
@@ -210,26 +211,28 @@ def _conformal_s2(gm: GridMetric, s2: np.ndarray, f: np.ndarray,
     return s2_law(gm.n, t, f, s2, lap_f, grad2, kappa)
 
 
+def _require(gm: GridMetric, *classes: str) -> None:
+    """Refuse gm unless each class residual named (in any case) is below CLASS_TOL."""
+    res = gm.class_residuals()
+    if not all(res[c.lower()] < CLASS_TOL for c in classes):
+        found = ", ".join(f"{c} {res[c.lower()]:.3e}" for c in classes)
+        raise PreconditionError(f"input metric fails the {'+'.join(classes)} "
+                                f"residual test ({found}; class tolerance {CLASS_TOL:g})")
+
+
 # -- zero-degree case ---------------------------------------------------------
 
-def _second_degree(gm: GridMetric) -> float:
-    """Gamma^2 of a metric that passes the Gauduchon residual test."""
-    if not gm.class_residuals()["gauduchon"] < CLASS_TOL:
-        raise PreconditionError("input metric fails the Gauduchon residual test")
-    return gauduchon_degrees(gm)[1]
-
-
-def solve_chern_zero(gm: GridMetric,
-                     resid_tol: float | None = None) -> SolverReport:
+def solve_chern_zero(gm: GridMetric, tol: float | None = None) -> SolverReport:
     """Mean-zero least-squares solution of lap_C f = S_C2(omega).
 
     Requires |Gamma^2| below ZERO_DEGREE_TOL (the zero-degree case); reports
     the conformally transformed curvature field e^{-f}(S - lap f) and its
     sup-deviation from zero.  The reported residual is the achieved
-    least-squares residual, which is discretization-limited; pass
-    `resid_tol` to make an excess a hard failure.
+    least-squares residual, which is discretization-limited; a `tol` makes
+    an l2 residual above it a hard failure.
     """
-    g2 = _second_degree(gm)
+    _require(gm, "Gauduchon")
+    g2 = gauduchon_degrees(gm)[1]
     if abs(g2) > ZERO_DEGREE_TOL:
         raise PreconditionError(
             f"second Gauduchon degree {g2:.3e} is not compatible with the "
@@ -238,8 +241,8 @@ def solve_chern_zero(gm: GridMetric,
     f, lap_f = lstsq_mean_zero(_LaplacianOp(gm), s_field)
     resid = lap_f - s_field
     l2 = float(np.sqrt(integrate(gm, resid ** 2)))
-    if resid_tol is not None and l2 > resid_tol:
-        raise ConvergenceError(f"zero-degree residual l2 = {l2:.3e} > {resid_tol}")
+    if tol is not None and not l2 <= tol:
+        raise ConvergenceError(f"zero-degree residual l2 = {l2:.3e} > {tol}")
     achieved = _conformal_s2(gm, s_field, f, lap_f)
     return SolverReport(
         solution=TorusField(gm.grid, f), lam=0.0,
@@ -259,7 +262,8 @@ def normalize_to_negative(gm: GridMetric):
     least-squares solve, and is checked for strict negativity on every node.
     Returns (u, grid metric of e^u omega, Gamma^2/Vol, that field).
     """
-    g2 = _second_degree(gm)
+    _require(gm, "Gauduchon")
+    g2 = gauduchon_degrees(gm)[1]
     lam = g2 / gm.volume()
     # quadrature noise makes an exact >= 0 test meaningless; require the
     # degree to be negative beyond noise level
@@ -290,23 +294,22 @@ def _check_apriori_bound(f: np.ndarray, s_field: np.ndarray, lam: float):
             f"admissible [0, {upper:.3e}] + {slack:.1e} (discretization trouble)")
 
 
-def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
-                     f0: np.ndarray | None = None):
+def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float):
     """Continuity method for lap_C f = -lam e^f + S along a: 0 -> 1.
 
     F(a, f) = lap_C f - a S + lam e^f - lam (1 - a); the a = 0 problem has
-    the exact solution f = 0.  Step control: try a = 1 first, halve when a
-    Newton solve fails (residual non-finite or growing), double up to 1 after
-    two consecutive successes, floor 1e-4.  Every accepted f is checked
-    against the a-priori bound.  Newton starts from f0 when given, else
-    from 0.  Returns f and the path, one (a, newton_iters, residual) entry
-    per accepted a.
+    the exact solution f = 0, where the path starts without a solve.  Step
+    control: try a = 1 first, halve when a Newton solve fails (residual
+    non-finite or growing), double up to 1 after two consecutive successes,
+    floor 1e-4.  Every accepted f is checked against the a-priori bound.
+    Returns f and the path, one (a, newton_iters, residual) entry per
+    accepted a, the exact entry (0.0, 0, 0.0) first.
     """
     if lam >= 0:
         raise PreconditionError("continuity method requires lam < 0")
     op = _LaplacianOp(gm)
-    f = np.zeros(gm.grid.shape) if f0 is None else np.asarray(f0, float).copy()
-    trace = []
+    f = np.zeros(gm.grid.shape)
+    trace = [(0.0, 0, 0.0)]
 
     def F(a, f):
         return complex_laplacian(gm, f) - a * s_field + lam * np.exp(f) - lam * (1 - a)
@@ -333,8 +336,6 @@ def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
         raise ConvergenceError(f"Newton stalled at a={a} (residual {rn:.3e})")
 
     a, da, streak = 0.0, 1.0, 0
-    f, rn, _ = newton(0.0, f)
-    trace.append((0.0, 0, rn))
     while a < 1.0 - 1e-14:
         a_try = min(1.0, a + da)
         try:
@@ -357,7 +358,7 @@ def continuity_solve(gm: GridMetric, s_field: np.ndarray, lam: float,
     return f, trace
 
 
-def solve_chern_negative(gm: GridMetric) -> SolverReport:
+def solve_chern_negative(gm: GridMetric, tol: float | None = None) -> SolverReport:
     """Negative-degree constant-curvature metric via the continuity method.
 
     Normalizes to e^u omega, then runs the continuity path for f on it.  The
@@ -365,15 +366,18 @@ def solve_chern_negative(gm: GridMetric) -> SolverReport:
     lam < 0 e^F omega is unique, so F does not move with the normalizer's
     stop point.  The achieved constant is Gamma^2/Vol; the residuals and the
     curvature field with its sup-deviation from lam are those of f on e^u omega.
+    A `tol` makes a sup residual above it a hard failure.
     """
     u, gm_neg, lam, s_field = normalize_to_negative(gm)
     f, trace = continuity_solve(gm_neg, s_field, lam)
     lap_f = complex_laplacian(gm_neg, f)
     resid = lap_f + lam * np.exp(f) - s_field
+    linf = float(np.max(np.abs(resid)))
+    if tol is not None and not linf <= tol:
+        raise ConvergenceError(f"final residual {linf:.3e} > tol {tol:g}")
     achieved = _conformal_s2(gm_neg, s_field, f, lap_f)
     return SolverReport(
-        solution=TorusField(gm.grid, u.values + f), lam=lam,
-        residual_linf=float(np.max(np.abs(resid))),
+        solution=TorusField(gm.grid, u.values + f), lam=lam, residual_linf=linf,
         residual_l2=float(np.sqrt(integrate(gm_neg, resid ** 2))),
         path_trace=trace,
         extras={"sup_dev_from_lam": float(np.max(np.abs(achieved - lam))),
@@ -413,7 +417,7 @@ def _grad_energy_norm(gm: GridMetric, phi: np.ndarray):
     return float(np.sum(w * density)), grad
 
 
-def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport:
+def bismut_yamabe_minimize(gm: GridMetric, tol: float = 1e-8) -> SolverReport:
     """Minimize the constrained quotient for constant second Bismut curvature.
 
     On the constraint set N1 int phi^q = 1, the quotient equals
@@ -427,15 +431,12 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
     with N.  Newton steps on the Euler-Lagrange system
     box(phi) = N1 mu phi^{q-1}, with q = N2, then polish phi for as long as
     each at least halves its residual (below that a step only dithers at the
-    rounding floor), and el_tol gates the result.  N1 = B/A^2 and N2 = 2 + A/B
-    with (A, B) = law_coefficients(n, 1); the report also carries f = (A/B) log phi
-    and the sup-deviation of the transformed Bismut curvature from mu.
+    rounding floor), and tol gates the Euler-Lagrange residual.  N1 = B/A^2
+    and N2 = 2 + A/B with (A, B) = law_coefficients(n, 1); the report also
+    carries f = (A/B) log phi and the sup-deviation of the transformed Bismut
+    curvature from mu.
     """
-    tau_sup = float(np.max(np.abs(gm.traces.tau)))
-    if tau_sup > BALANCED_TOL:
-        raise PreconditionError(
-            f"metric is not balanced at tolerance (torsion trace sup "
-            f"{tau_sup:.3e} > {BALANCED_TOL:.1e})")
+    _require(gm, "balanced")
     a, b = law_coefficients(gm.n, 1.0)
     N1, q = b / a ** 2, 2 + a / b  # q = N2, inside (2, 2n/(n-1)) for every n
     w = gm.weights()
@@ -491,7 +492,7 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
             break  # stalled; the Euler-Lagrange polish finishes the job
 
     # Euler-Lagrange polish: box(phi) - N1 mu phi^{q-1} = 0 at fixed constraint.
-    # Newton steps continue while each halves the residual, el_tol gates it.
+    # Newton steps continue while each halves the residual, tol gates it.
     def el_residual(phi, mu):
         box = -complex_laplacian(gm, phi) + N1 * s_field * phi
         r = box - N1 * mu * phi ** (q - 1)
@@ -522,8 +523,8 @@ def bismut_yamabe_minimize(gm: GridMetric, el_tol: float = 1e-8) -> SolverReport
             break
         phi, energy, r, rnorm = cand, e_new, r_new, rn_new
     mu = energy
-    if rnorm > el_tol:
-        raise ConvergenceError(f"Euler-Lagrange residual {rnorm:.3e} > {el_tol}")
+    if not rnorm <= tol:
+        raise ConvergenceError(f"Euler-Lagrange residual {rnorm:.3e} > {tol}")
     if np.min(phi) <= 0:
         raise ConvergenceError("minimizer lost strict positivity")
 
@@ -563,12 +564,7 @@ def lozenge_constancy_check(gm: GridMetric) -> dict:
     second Chern scalar curvature is constant within CONSTANCY_TOL; otherwise
     constancy is reported but not asserted.
     """
-    res = gm.class_residuals()
-    if (res["gauduchon"] > LOZENGE_PRECOND_TOL
-            or res["pluriclosed"] > LOZENGE_PRECOND_TOL):
-        raise PreconditionError(
-            f"metric is not pluriclosed+Gauduchon at tolerance "
-            f"(residuals {res['gauduchon']:.3e}, {res['pluriclosed']:.3e})")
+    _require(gm, "Gauduchon", "pluriclosed")
     n = gm.n
     s2 = gm.scalar_fields()["s_c2"]
     f_hat = 2.0 * s2 / n

@@ -275,6 +275,32 @@ def test_check_modes_refuse_the_options_they_ignore(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])
+def test_tol_must_be_positive_and_finite(capsys, tol):
+    # a NaN tol passed every gate and a negative one failed every solve: each
+    # is a usage error of the command it follows
+    for argv in (["solve", "bismut", "--manifold", "flat-torus", "--grid", "4"],
+                 ["check", "conformal", "--manifold", "hopf", "--points", "1"],
+                 ["check", "comparison", "--manifold", "hopf", "--points", "1"],
+                 ["check", "duality", "--manifold", "flat-torus", "--grid", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", tol])
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument --tol: invalid tolerance value: '{tol}'" in err
+
+
+def test_unwritable_paths_are_precondition_errors(capsys, tmp_path):
+    missing = tmp_path / "no" / "such" / "dir"
+    for argv in (["inspect", "hopf", "--points", "2", "--out", str(missing / "r.txt")],
+                 ["solve", "bismut", "--manifold", "flat-torus", "--grid", "4",
+                  "--dump-solution", str(missing / "phi.csv")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("precondition error: ") and str(missing) in err
+    assert not missing.exists()
+
+
 def test_solve_zero_writes_report(capsys, tmp_path):
     out_path = tmp_path / "report.txt"
     code, out, _ = run(capsys, "solve", "chern-zero", "--manifold", "kaehler-bump",

@@ -129,7 +129,7 @@ def test_zero_case_end_to_end_constancy():
     # transformed curvature field is constant (zero) within 1e-4 at N = 16
     assert rep.extras["sup_dev_from_zero"] < 1e-4
     gm_s = make_gm("kaehler-bump", 16, scheme="spectral")
-    rep_s = solve_chern_zero(gm_s, resid_tol=1e-6)
+    rep_s = solve_chern_zero(gm_s, tol=1e-6)
     assert rep_s.residual_l2 < 1e-10
 
 
@@ -317,14 +317,17 @@ def test_continuity_manufactured_order_and_path():
     assert min(orders) >= 1.8, (errs, orders)
 
 
-def test_continuity_uniqueness_two_inits():
+def test_continuity_starts_at_the_exact_entry(count_calls):
+    # f = 0 solves the a = 0 problem exactly: the path records it without a
+    # Newton solve, so the one Laplacian before the first Krylov solve is the
+    # a = 1 residual (a solved a = 0 entry made 2)
+    import hermcurv.solvers as solvers_mod
     gm = make_gm("kaehler-bump", 8)
-    fstar, rhs = manufactured_negative(gm)
-    f1, _ = continuity_solve(gm, rhs, LAM_NEG)
-    rng = np.random.default_rng(0)
-    f2, _ = continuity_solve(gm, rhs, LAM_NEG,
-                             f0=0.01 * rng.normal(size=gm.grid.shape))
-    assert np.max(np.abs(f1 - f2)) < 1e-6
+    _, rhs = manufactured_negative(gm)
+    calls = count_calls(solvers_mod, "complex_laplacian", "bicgstab")
+    _, trace = continuity_solve(gm, rhs, LAM_NEG)
+    assert trace[0] == (0.0, 0, 0.0)
+    assert calls.index("bicgstab") == 1
 
 
 @pytest.mark.parametrize("N", [8, 16])
@@ -356,9 +359,6 @@ def test_continuity_falls_back_to_the_path():
     assert trace[-1][2] < 1e-8
     # the discretization error that the path-only solve reaches
     assert abs(np.max(np.abs(f - fstar)) - 1.083930639448534e-2) < 1e-8
-    f2, _ = continuity_solve(gm, rhs, LAM_NEG,
-                             f0=0.01 * np.random.default_rng(0).normal(size=gm.grid.shape))
-    assert np.max(np.abs(f - f2)) < 1e-6
 
 
 def test_continuity_requires_negative_lam():
@@ -366,6 +366,21 @@ def test_continuity_requires_negative_lam():
     _, rhs = manufactured_negative(gm)
     with pytest.raises(PreconditionError):
         continuity_solve(gm, rhs, +1.0)
+
+
+def test_solver_gates_fail_closed():
+    # each solver gates its own residual with its tol: a residual that is not
+    # at most tol fails, and a NaN tol fails every gate
+    neg = make_gm("pluriclosed-bump", 8)
+    with pytest.raises(ConvergenceError, match="final residual"):
+        solve_chern_negative(neg, tol=1e-30)
+    nan = float("nan")
+    with pytest.raises(ConvergenceError, match="final residual"):
+        solve_chern_negative(neg, tol=nan)
+    with pytest.raises(ConvergenceError, match="zero-degree residual"):
+        solve_chern_zero(make_gm("kaehler-bump", 8, scheme="spectral"), tol=nan)
+    with pytest.raises(ConvergenceError, match="Euler-Lagrange residual"):
+        bismut_yamabe_minimize(make_gm("flat-torus", 4), tol=nan)
 
 
 def test_apriori_bound_checker():
