@@ -185,10 +185,9 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     rep = SOLVERS[args.problem](gm, args.tol)
     wall = time.perf_counter() - t0
-    table = solver_record(rep, digest)
-    _write_report(table, args)
-    if args.dump_solution:
+    if args.dump_solution:  # first, so that an unwritable path prints no report
         _dump_field(rep.solution, args.dump_solution)
+    _write_report(solver_record(rep, digest), args)
     g1, g2 = gauduchon_degrees(gm)
     print(f"{args.problem}: lambda={rep.lam:.10g} residual_linf="
           f"{rep.residual_linf:.3e} residual_l2={rep.residual_l2:.3e} "

@@ -5,14 +5,13 @@ x_k = Re z^k and axis 2k+1 samples y_k = Im z^k, each with N nodes over its
 period.  Two derivative schemes are supported: second-order centered
 differences ("fd2", the default) and Fourier-spectral ("spectral").  The
 fd2 differences are written with slices into one output array, the
-wrap-around slabs last.  A spectral derivative of a real field is one real
-FFT along its axis (`np.fft.rfft`/`irfft`) times the half-spectrum symbol,
-which each grid builds once per axis, already shaped to broadcast along it;
-the odd-derivative Nyquist entry is zero, so the result is the real part of
-the full complex-FFT derivative; a complex field is differentiated as its
-real and imaginary parts.  The mixed Wirtinger second derivatives
-share one stencil builder so that exact cancellations (flat-metric Laplacian
-duality, linearity) hold to roundoff.
+wrap-around slabs last.  A spectral derivative of a real field is a stack of
+N x N products along its axis by the axis's circulant matrix (Trefethen,
+Spectral Methods in MATLAB, ch. 3), built once per grid from `d_symbol` and
+`d2_symbol`, exactly antisymmetric for d and symmetric for d2; a complex
+field is differentiated as its real and imaginary parts.  The mixed
+Wirtinger second derivatives share one stencil builder so that exact
+cancellations (flat-metric Laplacian duality, linearity) hold to roundoff.
 
 The Chern Laplacian lap_C u = h^{i jbar} d^2 u / dz^i dzbar^j is one table of
 terms sum_k c_k S_k per grid metric: real coefficient fields c_k times
@@ -135,8 +134,8 @@ class TorusGrid:
         return self._spectral(u, a, 1)
 
     def d_symbol(self, a: int) -> np.ndarray:
-        """Fourier symbol of d_axis: the tests' reference for d_axis and the
-        symbol of their Lee-form solve (`conftest.balanced_representative`)."""
+        """Fourier symbol of d_axis (and of the spectral `_matrices`): the tests'
+        d_axis reference and Lee-form symbol (`conftest.balanced_representative`)."""
         h = self.spacing[a]
         k = np.fft.fftfreq(self.N, d=h)
         if self.scheme == "fd2":
@@ -152,25 +151,27 @@ class TorusGrid:
         return -(2 * np.pi * k) ** 2
 
     def _spectral(self, u: np.ndarray, a: int, order: int) -> np.ndarray:
-        """Spectral derivative of order + 1 along axis a."""
+        """Spectral derivative of order + 1 along axis a, C-ordered: stacked N x N
+        products by its circulant matrix, not one GEMM (DECISIONS.md D8)."""
         if np.iscomplexobj(u):  # linear: differentiate the two real parts
             return self._spectral(u.real, a, order) + 1j * self._spectral(u.imag, a, order)
-        uh = np.fft.rfft(u, axis=a)
-        uh *= self._half_symbols[order][a]
-        return np.fft.irfft(uh, n=self.N, axis=a)
+        out = np.empty(u.shape)
+        np.matmul(self._matrices[order][a], np.moveaxis(u, a, -2),
+                  out=np.moveaxis(out, a, -2))
+        return out
 
     @cached_property
-    def _half_symbols(self) -> tuple:
-        """(d, d2) spectral symbols on the rfft half spectrum, one per axis,
-        each shaped to broadcast along its axis."""
-        d, d2 = [], []
-        for a, h in enumerate(self.spacing):
-            k = 2 * np.pi * np.fft.rfftfreq(self.N, d=h)
-            shape = (-1,) + (1,) * (2 * self.n - a - 1)
-            d2.append((-k ** 2).reshape(shape))
-            k[-1] = 0.0  # odd-derivative Nyquist convention
-            d.append((1j * k).reshape(shape))
-        return tuple(d), tuple(d2)
+    def _matrices(self) -> tuple:
+        """(d, d2) spectral differentiation matrices, one per axis: M[j, k] =
+        c[(j - k) mod N] with c = ifft(symbol).real, made odd for d (so that
+        M = -M^T exactly) and even for d2 (M = M^T)."""
+        idx = np.subtract.outer(np.arange(self.N), np.arange(self.N)) % self.N
+
+        def circulant(symbol, sign):
+            c = np.fft.ifft(symbol).real
+            return ((c + sign * c[idx[0]]) / 2)[idx]  # idx[0] is -m mod N
+        return (tuple(circulant(self.d_symbol(a), -1) for a in range(2 * self.n)),
+                tuple(circulant(self.d2_symbol(a), 1) for a in range(2 * self.n)))
 
 
 def _at(a: int, start, stop) -> tuple:

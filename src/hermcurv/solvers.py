@@ -393,7 +393,7 @@ def _grad_energy_norm(gm: GridMetric, phi: np.ndarray):
     With M_i = dz_i phi and c_i = w sum_j h^{i jbar} conj(M_j), the gradient
     of sum_nodes w h^{i jbar} M_i conj(M_j) with respect to the (real) nodal
     values is -2 Re sum_i dz_i(c_i), using that the centered and spectral
-    first-difference matrices are antisymmetric.  The callable takes 2 Re
+    first-difference matrices are exactly antisymmetric.  The callable takes 2 Re
     dz_i(c_i) = d_{x_i} Re c_i + d_{y_i} Im c_i with real derivatives, so a
     caller that reads the energy alone skips those 2n derivatives.
     """

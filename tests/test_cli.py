@@ -295,9 +295,10 @@ def test_unwritable_paths_are_precondition_errors(capsys, tmp_path):
     for argv in (["inspect", "hopf", "--points", "2", "--out", str(missing / "r.txt")],
                  ["solve", "bismut", "--manifold", "flat-torus", "--grid", "4",
                   "--dump-solution", str(missing / "phi.csv")]):
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("precondition error: ") and str(missing) in err
+        assert out == "", argv  # nothing is reported before the path fails
     assert not missing.exists()
 
 
@@ -384,6 +385,23 @@ def test_solve_bismut_deterministic(capsys, tmp_path):
                          "--out", str(out_path), "--dump-solution", str(dump))
         assert code == 0
         reports.append((out_path.read_bytes(), dump.read_bytes()))
+    assert reports[0] == reports[1]
+
+
+def test_spectral_report_does_not_depend_on_blas_threads(tmp_path):
+    # the spectral derivatives are BLAS products: one and two threads must
+    # write the same bytes
+    src = str(Path(hermcurv.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        out_path = tmp_path / f"report{threads}.txt"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "hermcurv.cli", "solve", "bismut",
+                        "--manifold", "kaehler-bump", "--param", "eps=3e-5",
+                        "--grid", "8", "--scheme", "spectral", "--out", str(out_path)],
+                       capture_output=True, env=env, check=True)
+        reports.append(out_path.read_bytes())
     assert reports[0] == reports[1]
 
 

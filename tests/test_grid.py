@@ -69,9 +69,9 @@ def test_spectral_derivative_exact_on_modes():
         np.testing.assert_allclose(d, 2j * np.pi * k * u, atol=1e-12)
 
 
-@pytest.mark.parametrize("n, N", [(2, 12), (3, 6)])
+@pytest.mark.parametrize("n, N", [(2, 12), (2, 16), (3, 6)])
 def test_spectral_real_derivatives_match_complex_fft(n, N):
-    # the half-spectrum path for real input against a full complex FFT
+    # the circulant matrices for real input against a full complex FFT
     periods = tuple(0.7 + 0.4 * a for a in range(2 * n))
     grid = TorusGrid(n=n, N=N, periods=periods, scheme="spectral")
     u = np.random.default_rng(n).normal(size=grid.shape)
@@ -85,6 +85,35 @@ def test_spectral_real_derivatives_match_complex_fft(n, N):
             got = deriv(u, a)
             assert got.dtype == np.float64
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 12, 16])
+def test_spectral_matrices_are_circulant_and_exactly_skew_or_symmetric(N):
+    # the energy gradient of the Bismut descent takes d as antisymmetric
+    grid = TorusGrid(n=2, N=N, periods=(0.7, 1.1, 1.5, 1.9), scheme="spectral")
+    d, d2 = grid._matrices
+    for a in range(4):
+        for m in (d[a], d2[a]):
+            assert m.shape == (N, N)
+            for j in range(N):
+                assert np.array_equal(m[j], np.roll(m[0], j))
+        assert np.array_equal(d[a], -d[a].T)
+        assert np.array_equal(d2[a], d2[a].T)
+
+
+def test_spectral_derivative_ignores_the_input_layout():
+    # strided views (a transpose, the imaginary part of a complex field)
+    # give the same bits as their contiguous copies
+    grid = TorusGrid(n=2, N=12, periods=(0.7, 1.1, 1.5, 1.9), scheme="spectral")
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    for v in (rng.normal(size=grid.shape).T, z.imag):
+        assert not v.flags.c_contiguous
+        for a in range(4):
+            for deriv in (grid.d_axis, grid.d2_axis):
+                got = deriv(v, a)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, deriv(np.ascontiguousarray(v), a))
 
 
 def test_dz_on_y_independent_field():
