@@ -4,6 +4,7 @@ Implements the closed-form transformation of the third/fourth Ricci forms
 and the second scalar curvature under omega -> e^f omega, together with a
 direct-recomputation oracle: transform the metric jet, rerun the curvature
 engine, compare.  The oracle is the arbiter for every coefficient here.
+Every factor's law reads the base Ric3 and S_C2 of one shared Ricci pass.
 `s2_law` is the one S_C2 law; the grid solvers feed it the lap f they hold.
 """
 
@@ -24,10 +25,14 @@ __all__ = ["TransformedCurvature", "law_coefficients", "s2_law", "transformed_ri
 
 @dataclass
 class TransformedCurvature:
+    """Ric3 and S_C2 at one t; Ric4 = conj(Ric3)^T holds at every metric."""
     ric3: np.ndarray
-    ric4: np.ndarray
     s2: np.ndarray
     t: float
+
+    @property
+    def ric4(self) -> np.ndarray:
+        return np.conj(self.ric3.swapaxes(0, 1))
 
 
 def torsion_pairing(jet: MetricJet, tau: np.ndarray, df: np.ndarray) -> np.ndarray:
@@ -62,18 +67,18 @@ def s2_law(n: int, t: float, f, s2, lap, grad2, kappa) -> np.ndarray:
     return np.exp(-f) * (s2 - a * lap - b * grad2 + 2 * (n + 1) * t * t * kappa.real)
 
 
-def transformed_ric34(jet: MetricJet, fj: FactorJet, ts) -> list[TransformedCurvature]:
+def transformed_ric34(jet: MetricJet, fj: FactorJet, base) -> list[TransformedCurvature]:
     """Third/fourth Ricci forms of e^f omega assembled from base-metric data, per t.
 
     All nine contributions, with the torsion contraction T(V) taken at the
     metric dual V of the (0,1)-form dbar f.  The coefficient asymmetry
     (-n t^2 on T(V), -t^2 on its conjugate) is implemented as displayed and
-    validated against the direct recomputation oracle.  The base Ricci pass
-    and the factor terms are computed once for all of ts.
+    validated against the direct recomputation oracle.  `base` is the base
+    metric's Ric3, S_C2 and t per t (`ricci_forms(jet, ts)` serves), made once
+    for every factor; the factor terms are computed once for all of it.
     """
     n = jet.n
     h = jet.h
-    rics = ricci_forms(jet, ts)
     # tau_i = T_{ip}^p = h^{p lbar} (d h_{p lbar}/dz^i - d h_{i lbar}/dz^p)
     low = jet.dh - jet.dh.swapaxes(0, 1)
     tau = np.einsum("pl...,ipl...->i...", jet.ginv, low)
@@ -86,8 +91,8 @@ def transformed_ric34(jet: MetricJet, fj: FactorJet, ts) -> list[TransformedCurv
     df_outer = fj.df[:, None] * dfbar[None]
     tau_outer = tau[:, None] * dfbar[None]
     out = []
-    for t, ric in zip(ts, rics):
-        t2 = t * t
+    for ric in base:
+        t, t2 = ric.t, ric.t * ric.t
         ric3 = (ric.ric3
                 - (1 + (n - 2) * t) * fj.ddf
                 - t * lap * h
@@ -97,17 +102,16 @@ def transformed_ric34(jet: MetricJet, fj: FactorJet, ts) -> list[TransformedCurv
                 - t2 * ch
                 + t2 * kappa * h
                 - t2 * tau_outer)
-        ric4 = np.conj(ric3.swapaxes(0, 1))
         s2 = s2_law(n, t, fj.f, ric.s2, lap, grad2, kappa)
-        out.append(TransformedCurvature(ric3, ric4, s2, float(t)))
+        out.append(TransformedCurvature(ric3, s2, float(t)))
     return out
 
 
-def _oracle_defects(jet: MetricJet, fj: FactorJet, ts) -> list[dict]:
+def _oracle_defects(jet: MetricJet, fj: FactorJet, base, ts) -> list[dict]:
     """Max absolute defects of the formula path against the direct path, per t."""
     direct = ricci_forms(conformal_jet(jet, fj), ts)
     rows = []
-    for formula, ric_f in zip(transformed_ric34(jet, fj, ts), direct):
+    for formula, ric_f in zip(transformed_ric34(jet, fj, base), direct):
         row = {key: float(np.max(np.abs(getattr(formula, key) - getattr(ric_f, key))))
                for key in ("s2", "ric3", "ric4")}
         rows.append(dict(row, max=max(row.values())))
@@ -118,14 +122,15 @@ def conformal_oracle_check(man: ModelManifold, factors, ts, points) -> list[dict
     """Formula path vs direct recomputation at the given points.
 
     Returns one row of max absolute defects (s2, ric3, ric4 and their max)
-    per (factor, t), the factors outermost.  The base jet is evaluated once;
-    the direct path builds the jet of e^f h for each factor and reruns the
-    Ricci pass on it for every t at once.
+    per (factor, t), the factors outermost.  The base jet and its Ricci pass
+    run once, keeping only Ric3 and S_C2; the direct path builds the jet of
+    e^f h for each factor and reruns the Ricci pass on it for all t at once.
     """
     z = np.asarray(points, dtype=complex)
     jet = man.jet(z)
+    base = [TransformedCurvature(ric.ric3, ric.s2, ric.t) for ric in ricci_forms(jet, ts)]
     rows = []
     for f in factors:
         fj = factor_jet_from_expr(parse_expr(f, man.n), z, man.n, man.params)
-        rows += _oracle_defects(jet, fj, ts)
+        rows += _oracle_defects(jet, fj, base, ts)  # frees each direct pass
     return rows

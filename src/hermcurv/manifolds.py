@@ -192,7 +192,7 @@ def _eye(n: int, shape: tuple) -> np.ndarray:
 def _hopf_jets(z):
     n = z.shape[-1]
     r = np.sum(z * np.conj(z), axis=-1).real
-    zc = np.moveaxis(z, -1, 0)  # zc[i] = z^i
+    zc = np.ascontiguousarray(np.moveaxis(z, -1, 0))  # zc[i] = z^i, one field each
     zb, eye = np.conj(zc), _eye(n, r.shape)
     # h = 4 delta / r, dh[i,j,l] = -4 delta_{jl} conj(z_i) / r^2, and
     # ddh[i,j,k,l] = 4 delta_{kl} (-delta_{ij}/r^2 + 2 z_j conj(z_i)/r^3)

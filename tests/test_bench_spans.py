@@ -11,6 +11,10 @@ one of those targets.
 import importlib
 import importlib.util
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +52,19 @@ def test_every_declared_span_metric_is_a_target():
     spans = [m["name"].rsplit(".", 1)[0] for m in declared
              if m["name"].endswith((".s", ".calls"))]
     assert spans and sorted(set(spans) - targets) == []
+
+
+def test_traced_bismut_solve_keeps_its_energy_steps(tmp_path):
+    # the CLI looks its solver up at call time, so the solve span that the
+    # tracer binds to the module attribute fires and keeps the PGD count
+    cmd = [sys.executable, str(ROOT / "bench" / "child.py"),
+           "--spans", str(tmp_path / "spans.jsonl"), "--run-id", "t", "--",
+           "solve", "bismut", "--manifold", "kaehler-bump", "--param", "eps=3e-5",
+           "--grid", "8", "--scheme", "spectral", "--tol", "1e-8"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["rc"] == 0
+    steps = re.search(r"^energy_steps: (\d+)$", out["tail"], re.M)
+    assert steps is not None, out["tail"]
+    assert out["trace"]["kept"]["solvers.bismut_yamabe_minimize"] == [int(steps[1])]

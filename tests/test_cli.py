@@ -156,6 +156,36 @@ def test_inspect_golden_reuses_the_jet(capsys, count_calls):
     assert (len(jet_calls), len(inversions)) == (1, 1)
 
 
+def test_conformal_check_makes_one_base_ricci_pass(count_calls):
+    # one base pass shared by every factor and one direct pass per factor:
+    # 4 for the three default factors, where a base pass per factor made 6
+    import hermcurv.curvature as curvature
+    from hermcurv.conformal import conformal_oracle_check
+    from hermcurv.manifolds import builtin
+    calls = count_calls(curvature, "ricci_forms")
+    man = builtin("hopf", n=3)
+    rows = conformal_oracle_check(man, cli.DEFAULT_FACTORS, [0.0, 1.0],
+                                  man.sample_points(20, seed=0))
+    assert len(rows) == 6 and max(row["max"] for row in rows) < 1e-7
+    assert len(calls) == 4
+
+
+def test_inspect_golden_reads_the_t0_rows_of_the_table(capsys, count_calls):
+    # with 0 in --t the golden gate reads the table's t = 0 rows; without
+    # it, it makes its own t = 0 pass; the golden lines are the same bytes
+    import hermcurv.curvature as curvature
+    calls = count_calls(curvature, "ricci_forms")
+    lines = {}
+    for ts, passes in (("0,1", 1), ("1,0", 1), ("0.5", 2)):
+        del calls[:]
+        code, out, _ = run(capsys, "inspect", "hopf", "--n", "3", "--t", ts,
+                           "--golden")
+        assert code == 0 and len(calls) == passes, ts
+        lines[ts] = [line for line in out.splitlines() if line.startswith("GOLDEN")]
+    assert len(lines["0,1"]) == 2
+    assert lines["0,1"] == lines["1,0"] == lines["0.5"]
+
+
 def test_check_comparison_builds_the_t_independent_work_once(capsys, count_calls):
     import hermcurv.curvature as curvature
     calls = count_calls(curvature, "ricci_forms", "torsion_traces")

@@ -2,7 +2,7 @@ import numpy as np
 
 from hermcurv.conformal import conformal_oracle_check, transformed_ric34
 from hermcurv.curvature import (CLASS_TOL, classify, gauduchon_curvature,
-                                ricci_and_scalars, torsion_traces)
+                                ricci_and_scalars, ricci_forms, torsion_traces)
 from hermcurv.dsl import parse_expr
 from hermcurv.jets import conformal_jet
 from hermcurv.manifolds import builtin, conformal_manifold, factor_jet_from_expr
@@ -50,7 +50,7 @@ def test_constant_factor_scales_s2_and_fixes_ric3():
     jet = man.jet(z)
     c = 0.8
     fj = factor_jet_from_expr(parse_expr(f"{c}", 2), z, 2)
-    for t, out in zip(TS, transformed_ric34(jet, fj, TS)):
+    for t, out in zip(TS, transformed_ric34(jet, fj, ricci_forms(jet, TS))):
         base = ricci_and_scalars(gauduchon_curvature(jet, t), jet)
         np.testing.assert_allclose(out.s2, np.exp(-c) * base.s2, rtol=1e-12)
         np.testing.assert_allclose(out.ric3, base.ric3, rtol=1e-12, atol=1e-14)
@@ -63,7 +63,7 @@ def test_chern_specialization_ric3_is_ric3_minus_hessian():
     jet = man.jet(z)
     fj = factor_jet_from_expr(parse_expr("re(z1)/3", 2), z, 2)
     base = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
-    out, = transformed_ric34(jet, fj, [0.0])
+    out, = transformed_ric34(jet, fj, ricci_forms(jet, [0.0]))
     np.testing.assert_allclose(out.ric3, base.ric3 - fj.ddf, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(out.ric4, base.ric4 - fj.ddf, rtol=1e-12, atol=1e-14)
 
@@ -87,7 +87,7 @@ def test_ric3_ric4_conjugate_transpose_relation():
     z = man.sample_points(12, seed=9)
     jet = man.jet(z)
     fj = factor_jet_from_expr(parse_expr(FACTORS[3], 2), z, 2)
-    out, = transformed_ric34(jet, fj, [0.7])
+    out, = transformed_ric34(jet, fj, ricci_forms(jet, [0.7]))
     np.testing.assert_allclose(out.ric4,
                                np.conj(np.swapaxes(out.ric3, 0, 1)),
                                rtol=0, atol=0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hermcurv.conformal import transformed_ric34
+from hermcurv.curvature import ricci_forms
 from hermcurv.grid import (GridMetric, TorusGrid, complex_laplacian, dz,
                            factor_jet_from_field, gauduchon_degrees)
 from hermcurv.manifolds import builtin, conformal_manifold, _TrigSum
@@ -228,7 +229,7 @@ def test_grid_law_matches_the_oracle_checked_law(name, scheme):
     fj = factor_jet_from_field(gm.grid, f)
     for t in (0.0, 1.0):
         got = _conformal_s2(gm, gm.traces.scalars(t)[1], f, complex_laplacian(gm, f), t)
-        want = transformed_ric34(gm.jet, fj, [t])[0].s2
+        want = transformed_ric34(gm.jet, fj, ricci_forms(gm.jet, [t]))[0].s2
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), t
 
 
