@@ -9,10 +9,10 @@ the curvature of e^f omega by `conformal.s2_law` on the lap f the solve holds:
                    F(a, f) = lap_C f - a S + lam e^f - lam (1 - a) = 0, with
                    inexact (Eisenstat-Walker) corrections D w = lap_C w + lam e^f w;
                    the solution is F = u + f, which does not depend on u
-* Bismut-Yamabe:   projected Sobolev (H1) gradient descent on the
-                   Rayleigh-type quotient Y_q over positive fields with
-                   sum(phi^q) constrained, then Newton polish of the
-                   Euler-Lagrange system
+* Bismut-Yamabe:   projected Sobolev (H1) gradient descent on one discrete
+                   functional U_h(phi) = -<phi, lap_C phi>_w + N1 <S_B2 phi, phi>_w
+                   over positive fields with sum(phi^q) constrained, then
+                   Newton polish of the gradient's Euler-Lagrange system
 
 The discrete complex Laplacian is not symmetric.  Every linear solve runs on
 the one BiCGStab routine: the least-squares stage (zero-degree solve and
@@ -387,60 +387,46 @@ def solve_chern_negative(gm: GridMetric, tol: float | None = None) -> SolverRepo
 
 # -- Bismut-Yamabe minimizer ----------------------------------------------------
 
-def _grad_energy_norm(gm: GridMetric, phi: np.ndarray):
-    """Dirichlet energy ||del phi||^2 and a callable for its nodal gradient.
+def _grad_energy_norm(op: _LaplacianOp, phi: np.ndarray):
+    """Dirichlet energy -sum_nodes w phi lap_C phi and a callable for its gradient.
 
-    With M_i = dz_i phi and c_i = w sum_j h^{i jbar} conj(M_j), the gradient
-    of sum_nodes w h^{i jbar} M_i conj(M_j) with respect to the (real) nodal
-    values is -2 Re sum_i dz_i(c_i), using that the centered and spectral
-    first-difference matrices are exactly antisymmetric.  The callable takes 2 Re
-    dz_i(c_i) = d_{x_i} Re c_i + d_{y_i} Im c_i with real derivatives, so a
-    caller that reads the energy alone skips those 2n derivatives.
+    On balanced metrics (tau = 0) int |del phi|^2 = -int phi lap_C phi, so this
+    is the discrete ||del phi||^2.  The gradient in the nodal values is
+    -(w lap_C phi + lap_C^T (w phi)); the callable applies the transpose, so a
+    caller that reads the energy alone skips it.
     """
-    n, grid = gm.n, gm.grid
-    w = gm.weights()
-    m = [dz(phi, i, grid) for i in range(n)]
-    density = np.zeros(grid.shape)
-    c = []
-    for i in range(n):
-        acc = np.zeros(grid.shape, complex)
-        for j in range(n):
-            acc += gm.ginv[i, j] * np.conj(m[j])
-        c.append(w * acc)
-        density += (m[i] * acc).real
-
-    def grad():
-        out = np.zeros(grid.shape)
-        for i in range(n):
-            out -= grid.d_axis(c[i].real, 2 * i) + grid.d_axis(c[i].imag, 2 * i + 1)
-        return out
-    return float(np.sum(w * density)), grad
+    w = op.gm.weights()
+    lap = complex_laplacian(op.gm, phi)
+    return (-float(np.sum(w * phi * lap)),
+            lambda: -(w * lap + op.apply_transpose(w * phi)))
 
 
 def bismut_yamabe_minimize(gm: GridMetric, tol: float = 1e-8) -> SolverReport:
     """Minimize the constrained quotient for constant second Bismut curvature.
 
     On the constraint set N1 int phi^q = 1, the quotient equals
-    U(phi) = ||del phi||^2 + N1 int S_B2 phi^2, which is minimized by
-    projected Sobolev (H1) gradient descent with Armijo backtracking (steps
-    that lose positivity are rejected and halved, and backtracking stops once
-    the first-order decrease is below the stall test's).  The descent steps along
-    (1 - lap)^{-1} grad U / 2w with the flat Laplacian symbol as lap: in that
+    U(phi) = ||del phi||^2 + N1 int S_B2 phi^2, discretized once as
+    U_h(phi) = -<phi, lap_C phi>_w + N1 <S_B2 phi, phi>_w.  Projected Sobolev
+    (H1) gradient descent with Armijo backtracking minimizes U_h (steps that
+    lose positivity are rejected and halved, and backtracking stops once the
+    first-order decrease is below the stall test's).  The descent steps along
+    (1 - lap)^{-1} grad U_h / 2w with the flat Laplacian symbol as lap: in that
     metric every Fourier mode moves at its own rate, so the step does not
     shrink with the stiffest grid mode and the iteration count does not grow
-    with N.  Newton steps on the Euler-Lagrange system
-    box(phi) = N1 mu phi^{q-1}, with q = N2, then polish phi for as long as
-    each at least halves its residual (below that a step only dithers at the
-    rounding floor), and tol gates the Euler-Lagrange residual.  N1 = B/A^2
-    and N2 = 2 + A/B with (A, B) = law_coefficients(n, 1); the report also
-    carries f = (A/B) log phi and the sup-deviation of the transformed Bismut
-    curvature from mu.
+    with N.  Newton steps on the Euler-Lagrange system of the same U_h,
+    grad U_h(phi) / 2w = N1 mu phi^{q-1} with mu = U_h(phi) and q = N2, then
+    polish phi for as long as each at least halves its residual (below that a
+    step only dithers at the rounding floor), and tol gates that residual.
+    N1 = B/A^2 and N2 = 2 + A/B with (A, B) = law_coefficients(n, 1); the
+    report also carries f = (A/B) log phi and the sup-deviation of the
+    transformed Bismut curvature from mu.
     """
     _require(gm, "balanced")
     a, b = law_coefficients(gm.n, 1.0)
     N1, q = b / a ** 2, 2 + a / b  # q = N2, inside (2, 2n/(n-1)) for every n
     w = gm.weights()
     s_field = gm.scalar_fields()["s_b2"]
+    op = _LaplacianOp(gm)
 
     def project(phi):
         mass = N1 * float(np.sum(w * np.maximum(phi, 0.0) ** q))
@@ -448,17 +434,16 @@ def bismut_yamabe_minimize(gm: GridMetric, tol: float = 1e-8) -> SolverReport:
 
     def objective(phi):
         """U(phi) from one energy evaluation, and a callable for grad U(phi)."""
-        e, grad = _grad_energy_norm(gm, phi)
+        e, grad = _grad_energy_norm(op, phi)
         return (e + N1 * float(np.sum(w * s_field * phi ** 2)),
                 lambda: grad() + 2 * N1 * w * s_field * phi)
 
     # Sobolev (H1) gradient sg = (1 - lap)^{-1} g / (2 mean(w)), with the flat
     # symbol (<= 0) as lap, so the stiffest grid mode no longer sets the step
-    op = _LaplacianOp(gm)
     w_mean = float(np.mean(w))
 
-    # energy is U(phi) throughout, and g is grad U(phi) during the descent,
-    # taken at the start and after each accepted step only
+    # energy is U(phi) and g is grad U(phi) throughout, the gradient taken at
+    # the start and after each accepted step only
     phi = project(np.ones(gm.grid.shape))
     energy, grad = objective(phi)
     g = grad()
@@ -491,14 +476,13 @@ def bismut_yamabe_minimize(gm: GridMetric, tol: float = 1e-8) -> SolverReport:
         if len(trace) > 6 and trace[-6][1] - energy < 1e-14 * max(1.0, abs(energy)):
             break  # stalled; the Euler-Lagrange polish finishes the job
 
-    # Euler-Lagrange polish: box(phi) - N1 mu phi^{q-1} = 0 at fixed constraint.
-    # Newton steps continue while each halves the residual, tol gates it.
-    def el_residual(phi, mu):
-        box = -complex_laplacian(gm, phi) + N1 * s_field * phi
-        r = box - N1 * mu * phi ** (q - 1)
+    # Euler-Lagrange polish: grad U(phi) / 2w - N1 U(phi) phi^{q-1} = 0 at fixed
+    # constraint.  Newton steps continue while each halves the residual.
+    def el_residual(phi, mu, g):
+        r = g / (2 * w) - N1 * mu * phi ** (q - 1)
         return r, float(np.sqrt(integrate(gm, r ** 2)))
 
-    r, rnorm = el_residual(phi, energy)
+    r, rnorm = el_residual(phi, energy, g)
     for _ in range(40):
         if rnorm == 0.0:
             break  # an exact solution leaves nothing to polish
@@ -515,10 +499,10 @@ def bismut_yamabe_minimize(gm: GridMetric, tol: float = 1e-8) -> SolverReport:
         if np.min(cand) <= 0:
             break
         cand = project(cand)
-        e_new, _ = objective(cand)
+        e_new, grad = objective(cand)
         if e_new > energy + 1e-12 * max(1.0, abs(energy)):
             break
-        r_new, rn_new = el_residual(cand, e_new)
+        r_new, rn_new = el_residual(cand, e_new, grad())
         if not rn_new < 0.5 * rnorm:
             break
         phi, energy, r, rnorm = cand, e_new, r_new, rn_new

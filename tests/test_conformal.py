@@ -83,14 +83,15 @@ def test_pairing_term_vanishes_on_balanced_base():
 
 
 def test_ric3_ric4_conjugate_transpose_relation():
+    # Ric4 = conj(Ric3)^T on the direct side: both forms of e^f omega come from
+    # their own traces of one ricci_forms pass, and Ric3 is not Hermitian at
+    # t != 1/2, so the check is not one form against itself (seen: <= 5e-16)
     man = builtin("pluriclosed-bump")
     z = man.sample_points(12, seed=9)
-    jet = man.jet(z)
     fj = factor_jet_from_expr(parse_expr(FACTORS[3], 2), z, 2)
-    out, = transformed_ric34(jet, fj, ricci_forms(jet, [0.7]))
-    np.testing.assert_allclose(out.ric4,
-                               np.conj(np.swapaxes(out.ric3, 0, 1)),
-                               rtol=0, atol=0)
+    for rf in ricci_forms(conformal_jet(man.jet(z), fj), TS):
+        np.testing.assert_allclose(rf.ric4, np.conj(np.swapaxes(rf.ric3, 0, 1)),
+                                   rtol=0, atol=1e-13)
 
 
 def test_constant_factor_preserves_class_flags():

@@ -11,7 +11,7 @@ from hermcurv.grid import (GridMetric, TorusGrid, complex_laplacian, dz,
 from hermcurv.manifolds import builtin, conformal_manifold, _TrigSum
 from hermcurv.solvers import (PGD_MAX, ConvergenceError, PreconditionError,
                               SolverReport, _check_apriori_bound, _conformal_s2,
-                              _grad_energy_norm,
+                              _LaplacianOp, _grad_energy_norm,
                               bicgstab, bismut_yamabe_minimize, continuity_solve,
                               lozenge_constancy_check, normalize_to_negative,
                               solve_chern_negative, solve_chern_zero)
@@ -433,40 +433,58 @@ def test_energy_gradient_is_exact_for_the_quadratic_energy(scheme):
     # the energy is a quadratic form in phi, so its central difference along
     # any v is exactly the directional derivative g . v
     gm = make_gm("kaehler-bump", N=8, scheme=scheme)
+    op = _LaplacianOp(gm)
     rng = np.random.default_rng(17)
     phi = 1.0 + 0.1 * rng.normal(size=gm.grid.shape)
     v = rng.normal(size=gm.grid.shape)
-    g = _grad_energy_norm(gm, phi)[1]()
-    e_plus, _ = _grad_energy_norm(gm, phi + v)
-    e_minus, _ = _grad_energy_norm(gm, phi - v)
+    g = _grad_energy_norm(op, phi)[1]()
+    e_plus, _ = _grad_energy_norm(op, phi + v)
+    e_minus, _ = _grad_energy_norm(op, phi - v)
     want = float(np.sum(g * v))
     assert abs((e_plus - e_minus) / 2 - want) <= 1e-10 * abs(want)
-    if scheme == "fd2":
-        # the complex Wirtinger form of the same gradient, bit for bit
-        w = gm.weights()
-        m = [dz(phi, i, gm.grid) for i in range(gm.n)]
-        old = np.zeros(gm.grid.shape)
-        for i in range(gm.n):
-            c = w * sum(gm.ginv[i, j] * np.conj(m[j]) for j in range(gm.n))
-            old -= 2 * dz(c, i, gm.grid).real
-        np.testing.assert_array_equal(g, old)
+    # the gradient is -(w lap_C phi + lap_C^T (w phi)), bit for bit
+    w = gm.weights()
+    np.testing.assert_array_equal(
+        g, -(w * complex_laplacian(gm, phi) + op.apply_transpose(w * phi)))
 
 
 def test_bismut_descent_takes_gradients_where_it_steps_only(monkeypatch):
-    # a gradient is read at the start and after each accepted step; rejected
-    # line-search trials and the polish's energy checks read the energy only
+    # the descent reads a gradient at the start and after each accepted step,
+    # not for rejected line-search trials; the polish reads one for each
+    # candidate that passes its energy check, for that candidate's residual
     import hermcurv.solvers as solvers_mod
-    real, evals, grads = solvers_mod._grad_energy_norm, [], []
+    real, real_krylov, events = solvers_mod._grad_energy_norm, solvers_mod.bicgstab, []
 
-    def counted(gm, phi):
-        energy, grad = real(gm, phi)
-        evals.append(energy)
-        return energy, lambda: grads.append(energy) or grad()
+    def counted(op, phi):
+        energy, grad = real(op, phi)
+        events.append(("energy", phi))
+        return energy, lambda: events.append(("gradient", phi)) or grad()
+
+    def krylov(*args, **kwargs):
+        events.append(("bicgstab", None))
+        return real_krylov(*args, **kwargs)
     monkeypatch.setattr(solvers_mod, "_grad_energy_norm", counted)
-    rep = bismut_yamabe_minimize(make_gm("kaehler-bump", 12, scheme="spectral", eps=3e-5))
+    monkeypatch.setattr(solvers_mod, "bicgstab", krylov)
+    gm = make_gm("kaehler-bump", 12, scheme="spectral", eps=3e-5)
+    rep = bismut_yamabe_minimize(gm)
     energies = [e for _, e, _ in rep.energy_trace]
     accepted = sum(b < a for a, b in zip(energies, energies[1:]))
-    assert len(grads) == 1 + accepted < len(evals)
+    first = [kind for kind, _ in events].index("bicgstab")
+    descent, polish = events[:first], events[first:]
+    kinds = [kind for kind, _ in descent]
+    assert kinds.count("gradient") == 1 + accepted < kinds.count("energy")
+    # a candidate that fails the energy check ends the polish, so every
+    # candidate but the last was accepted and sets the U to check against
+    w, s_b2, n1 = gm.weights(), gm.scalar_fields()["s_b2"], rep.extras["N1"]
+    current, passed = energies[-1], []
+    for phi in (phi for kind, phi in polish if kind == "energy"):
+        u = real(_LaplacianOp(gm), phi)[0] + n1 * float(np.sum(w * s_b2 * phi ** 2))
+        if u <= current + 1e-12 * max(1.0, abs(current)):
+            passed.append(phi)
+        current = u
+    read = [phi for kind, phi in polish if kind == "gradient"]
+    assert passed and len(read) == len(passed)
+    assert all(a is b for a, b in zip(read, passed))
 
 
 def test_bismut_rejects_unbalanced():
@@ -516,10 +534,26 @@ def test_bismut_larger_amplitude_descent_ends_before_the_cap():
 
 
 def test_bismut_larger_amplitude_still_converges():
-    gm = make_gm("kaehler-bump", 12, scheme="spectral", eps=2e-3)
-    rep = bismut_yamabe_minimize(gm)
-    assert rep.residual_l2 < 1e-8
-    assert rep.extras["mu"] < 0  # variable curvature pulls the infimum below 0
+    for scheme in ("spectral", "fd2"):
+        gm = make_gm("kaehler-bump", 12, scheme=scheme, eps=2e-3)
+        rep = bismut_yamabe_minimize(gm)
+        assert rep.residual_l2 < 1e-8
+        assert rep.extras["mu"] < 0  # variable curvature pulls the infimum below 0
+
+
+@pytest.mark.parametrize("eps", [3e-5, 2e-3])
+def test_bismut_fd2_converges_with_second_order_mu(eps):
+    # the descent and the polish share one discrete functional, so fd2 solves
+    # to tol at every N, and its mu approaches the spectral value at order 2
+    ref = bismut_yamabe_minimize(
+        make_gm("kaehler-bump", 16, scheme="spectral", eps=eps), tol=1e-8).extras["mu"]
+    errors = []
+    for N in (8, 12, 16):
+        rep = bismut_yamabe_minimize(make_gm("kaehler-bump", N, eps=eps), tol=1e-8)
+        assert rep.residual_l2 <= 1e-8
+        errors.append(abs(rep.extras["mu"] - ref))
+    for (n0, e0), (n1, e1) in zip(zip((8, 12), errors), zip((12, 16), errors[1:])):
+        assert np.log(e0 / e1) / np.log(n1 / n0) >= 1.8
 
 
 # -- constancy check ---------------------------------------------------------------
