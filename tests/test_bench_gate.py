@@ -28,10 +28,13 @@ def load(name):
     return module
 
 
+CHILD, RUN = load("child"), load("run")
+
+
 @pytest.mark.parametrize("command", sorted(REFS))
 def test_reference_command_passes_the_benchmark_gate(command):
     argv = shlex.split(command)
-    tail = load("child")._Tail()
+    tail = CHILD._Tail()
     with contextlib.redirect_stdout(tail):
         rc = main(argv)
-    assert load("run").gate(argv, {"rc": rc, "tail": tail.buf}, REFS) is None
+    assert RUN.gate(argv, {"rc": rc, "tail": tail.buf}, REFS) is None

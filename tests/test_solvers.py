@@ -475,10 +475,10 @@ def test_bismut_descent_takes_gradients_where_it_steps_only(monkeypatch):
     assert kinds.count("gradient") == 1 + accepted < kinds.count("energy")
     # a candidate that fails the energy check ends the polish, so every
     # candidate but the last was accepted and sets the U to check against
-    w, s_b2, n1 = gm.weights(), gm.scalar_fields()["s_b2"], rep.extras["N1"]
+    op, w, s_b2 = _LaplacianOp(gm), gm.weights(), gm.scalar_fields()["s_b2"]
     current, passed = energies[-1], []
     for phi in (phi for kind, phi in polish if kind == "energy"):
-        u = real(_LaplacianOp(gm), phi)[0] + n1 * float(np.sum(w * s_b2 * phi ** 2))
+        u = real(op, phi)[0] + rep.extras["N1"] * float(np.sum(w * s_b2 * phi ** 2))
         if u <= current + 1e-12 * max(1.0, abs(current)):
             passed.append(phi)
         current = u
