@@ -75,7 +75,10 @@ class TorusGrid:
         periods = self.periods or (1.0,) * (2 * self.n)
         if len(periods) != 2 * self.n:
             raise GridError(f"need {2 * self.n} periods, got {len(periods)}")
-        object.__setattr__(self, "periods", tuple(float(p) for p in periods))
+        periods = tuple(float(p) for p in periods)
+        if not all(0 < p < np.inf for p in periods):
+            raise GridError(f"periods must be positive finite numbers, got {periods}")
+        object.__setattr__(self, "periods", periods)
         nodes = self.N ** (2 * self.n)
         # ~40 doubles of jet/curvature data per node is the working set
         if nodes * 8 * 40 > MEMORY_BUDGET_BYTES:

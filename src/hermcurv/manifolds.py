@@ -23,7 +23,7 @@ from .dsl import MetricExpr, ParseError, parse_expr, parse_metric
 from .jets import FactorJet, MetricJet
 
 __all__ = ["Domain", "ModelManifold", "DomainError",
-           "builtin", "builtin_names", "manifold_from_manifest",
+           "builtin", "builtin_names", "manifold_from_manifest", "plane_wave_jets",
            "conformal_manifold", "factor_jet_from_expr"]
 
 
@@ -184,16 +184,11 @@ def _differentiate_metric(mx: MetricExpr):
 # builtin catalog
 # ---------------------------------------------------------------------------
 
-def _eye(n: int, shape: tuple) -> np.ndarray:
-    """delta_{ij} as an (n, n) array that broadcasts over batch axes `shape`."""
-    return np.eye(n).reshape((n, n) + (1,) * len(shape))
-
-
 def _hopf_jets(z):
     n = z.shape[-1]
     r = np.sum(z * np.conj(z), axis=-1).real
     zc = np.ascontiguousarray(np.moveaxis(z, -1, 0))  # zc[i] = z^i, one field each
-    zb, eye = np.conj(zc), _eye(n, r.shape)
+    zb, eye = np.conj(zc), np.eye(n).reshape((n, n) + (1,) * r.ndim)
     # h = 4 delta / r, dh[i,j,l] = -4 delta_{jl} conj(z_i) / r^2, and
     # ddh[i,j,k,l] = 4 delta_{kl} (-delta_{ij}/r^2 + 2 z_j conj(z_i)/r^3)
     core = -eye / r ** 2 + 2 * zc[None, :] * zb[:, None] / r ** 3
@@ -204,12 +199,6 @@ def _hopf_jets(z):
 def _hopf_source(n):
     r = " + ".join(f"abs2(z{k + 1})" for k in range(n))
     return "\n".join(f"h[{k + 1}][{k + 1}] = 4/({r})" for k in range(n))
-
-
-def _flat_jets(z):
-    n, shape = z.shape[-1], z.shape[:-1]
-    return (np.broadcast_to(_eye(n, shape), (n, n) + shape).astype(complex),
-            np.zeros((n, n, n) + shape, complex), np.zeros((n, n, n, n) + shape, complex))
 
 
 def _tricerri_jets(z):
@@ -307,44 +296,17 @@ h[2][2] = 1
 
 
 class _TrigSum:
-    """Sum of A * cos(2 pi (a.x + b.y) + phase) terms with exact Wirtinger jets.
+    """Sum of A * cos(2 pi (a.x + b.y) + phase) terms.
 
-    Wirtinger derivatives of the linear phase u = a.x + b.y are constants:
-    du/dz_k = c_k = a_k/2 - i b_k/2, du/dzbar_k = conj(c_k).  So a term's
-    derivative of order k = p + q is A (2 pi)^k times the k-th derivative of
-    cos at the phase times c^(x p) (x) conj(c)^(x q), which keeps the builtin
-    grid metrics exactly periodic.
+    `plane_wave_jets` evaluates its jets exactly, which keeps the builtin
+    grid metrics exactly periodic; `source` gives the same sum as a DSL
+    expression for the symbolic path.
     """
 
     def __init__(self, terms):
         # terms: list of (amplitude, a(len n), b(len n), phase in turns*2pi)
         self.terms = [(float(A), np.asarray(a, float), np.asarray(b, float),
                        float(ph)) for A, a, b, ph in terms]
-
-    def derivs(self, z, orders):
-        """{(p, q): d^{p+q} phi / dz^p dzbar^q} for each (p, q) in orders.
-
-        Each tensor has shape (n,) * (p + q) + z.shape[:-1], holomorphic axes
-        first and the batch axes last; each term's phase, cos and sin are
-        evaluated once.
-        """
-        n = z.shape[-1]
-        batch = z.shape[:-1]
-        out = {pq: np.zeros((n,) * sum(pq) + batch, complex) for pq in orders}
-        for A, a, b, ph in self.terms:
-            arg = 2 * np.pi * (np.tensordot(z.real, a, axes=(-1, -1))
-                               + np.tensordot(z.imag, b, axes=(-1, -1))) + ph
-            cos, sin = np.cos(arg), np.sin(arg)
-            trig = (cos, -sin, -cos, sin)  # successive derivatives of cos
-            c = 0.5 * a - 0.5j * b
-            for (p, q), acc in out.items():
-                k = p + q
-                fac = np.array(1.0 + 0j)
-                for v in (c,) * p + (np.conj(c),) * q:
-                    fac = np.multiply.outer(fac, v)
-                amp = A * (trig[k % 4] * (2 * np.pi) ** k)
-                acc += fac[(...,) + (None,) * len(batch)] * amp
-        return out
 
     def source(self, n):
         """Equivalent DSL expression: re(exp(i*(2 pi u + phase)))."""
@@ -365,6 +327,54 @@ def _flit(x: float) -> str:
     return repr(float(x))
 
 
+def plane_wave_jets(z, waves: _TrigSum, amplitude: Callable):
+    """(h, dh, ddh) of h = I + sum_t (P_t e^{i theta_t} + P_t^H e^{-i theta_t}).
+
+    `waves` gives the phases theta_t = 2 pi (a_t.x + b_t.y) + phase_t and the
+    amplitudes A_t; `amplitude(A, c)` returns the (T, m, m) matrices P_t from
+    A (T,) and c (T, n), c_t = a_t/2 - i b_t/2.  d/dz^i multiplies
+    e^{+-i theta} by +-2 pi i c_i and d/dzbar^j by +-2 pi i conj(c_j), so
+    every component of h, dh and ddh is a fixed combination of the 2T fields
+    e^{+-i theta_t}: each array is one (components x 2T) @ (2T x points)
+    product, one C-ordered block.  T = 0 gives the identity.
+    """
+    n, batch = z.shape[-1], z.shape[:-1]
+    A = np.array([t[0] for t in waves.terms])
+    a, b = (np.reshape([t[k] for t in waves.terms], (len(A), n)) for k in (1, 2))
+    phase = np.array([t[3] for t in waves.terms])
+    c = 0.5 * a - 0.5j * b
+    P = np.asarray(amplitude(A, c), complex)
+    amp = np.concatenate([P, np.conj(P).swapaxes(1, 2)])  # of e^{i theta}, e^{-i theta}
+    dz = 2j * np.pi * np.concatenate([c, -c])  # d/dz^i, then its d/dzbar^j is -conj
+    pts = z.reshape(-1, n)
+    e = np.exp(1j * (2 * np.pi * (a @ pts.real.T + b @ pts.imag.T) + phase[:, None]))
+    fields = np.concatenate([e, np.conj(e)])
+
+    def expand(coef):
+        return np.tensordot(coef, fields, axes=(0, 0)).reshape(coef.shape[1:] + batch)
+
+    h = expand(amp)
+    diag = np.arange(amp.shape[-1])
+    h[diag, diag] += 1
+    return (h, expand(dz[:, :, None, None] * amp[:, None]),
+            expand(dz[:, :, None, None, None] * -np.conj(dz)[:, None, :, None, None]
+                   * amp[:, None, None]))
+
+
+def _kaehler_amplitude(A, c):
+    # h = I + d dbar phi with phi = sum A cos(theta): P = -2 pi^2 A c c^H
+    return -2 * np.pi ** 2 * A[:, None, None] * c[:, :, None] * np.conj(c)[:, None, :]
+
+
+def _pluriclosed_amplitude(A, c):
+    # h_{k lbar} = delta + i (dbar_l g [k = 0] - d_k g [l = 0]) with
+    # g = sum A cos(theta): P[0, l] = -pi A conj(c_l), P[k, 0] += pi A c_k
+    P = np.zeros(c.shape + c.shape[-1:], complex)
+    P[:, 0, :] = -np.pi * A[:, None] * np.conj(c)
+    P[:, :, 0] += np.pi * A[:, None] * c
+    return P
+
+
 # Kaehler potential bump: phi = sum of trig terms; h = I + d d-bar phi.
 _KB_TERMS = [
     (1.0, (1, 0), (0, 0), 0.0),          # cos(2 pi x1)
@@ -372,17 +382,6 @@ _KB_TERMS = [
     (0.5, (1, 0), (0, -1), 0.0),         # cos(2 pi (x1 - y2))
     (1.0 / 3.0, (0, 1), (1, 0), 0.5),    # cos(2 pi (x2 + y1) + 1/2)
 ]
-
-
-def _bump(terms, eps):
-    return _TrigSum([(eps * A, a, b, ph) for A, a, b, ph in terms])
-
-
-def _kaehler_bump_jets(z, eps):
-    d = _bump(_KB_TERMS, eps).derivs(z, [(1, 1), (2, 1), (2, 2)])
-    h = d[1, 1] + _eye(z.shape[-1], z.shape[:-1])
-    return h, d[2, 1], d[2, 2].swapaxes(1, 2)
-
 
 # Pluriclosed bump: h = I + i(g_jbar delta_{i1} - g_i delta_{j1}) from the
 # (0,1)-form g dzbar^1; exactly pluriclosed (n = 2: Gauduchon), not balanced.
@@ -393,23 +392,12 @@ _PB_TERMS = [
 ]
 
 
-def _pluriclosed_bump_jets(z, eps):
-    # P_{kl} = i (g_lbar [k=0] - g_k [l=0]); h = I + P, dh = d_i P, ddh = d_i dbar_j P
-    n = z.shape[-1]
-    d = _bump(_PB_TERMS, eps).derivs(z, [(0, 1), (1, 0), (1, 1), (2, 0), (1, 2),
-                                         (2, 1)])
-    shape = z.shape[:-1]
-    h = np.zeros((n, n) + shape, complex)
-    dh = np.zeros((n, n, n) + shape, complex)
-    ddh = np.zeros((n, n, n, n) + shape, complex)
-    h[0, :] += 1j * d[0, 1]
-    h[:, 0] -= 1j * d[1, 0]
-    h += _eye(n, shape)
-    dh[:, 0, :] += 1j * d[1, 1]
-    dh[:, :, 0] -= 1j * d[2, 0]
-    ddh[:, :, 0, :] += 1j * d[1, 2]
-    ddh[:, :, :, 0] -= 1j * d[2, 1].swapaxes(1, 2)
-    return h, dh, ddh
+def _bump(terms, eps):
+    return _TrigSum([(eps * A, a, b, ph) for A, a, b, ph in terms])
+
+
+def _bump_jets(terms, amplitude, z, eps):
+    return plane_wave_jets(z, _bump(terms, eps), amplitude)
 
 
 def _kaehler_bump_source(n, eps):
@@ -460,8 +448,9 @@ class _Builtin(NamedTuple):
 # `inspect --golden`; each agrees with the exact sympy oracle in the test
 # suite, and DECISIONS.md (D1) records the corrected surface constants.
 _CATALOG = {
-    "flat-torus": _Builtin(
-        _flat_jets, lambda n: "\n".join(f"h[{k + 1}][{k + 1}] = 1" for k in range(n)),
+    "flat-torus": _Builtin(  # the empty plane-wave sum
+        partial(plane_wave_jets, waves=_TrigSum([]), amplitude=_kaehler_amplitude),
+        lambda n: "\n".join(f"h[{k + 1}][{k + 1}] = 1" for k in range(n)),
         any_n=True, balanced=True, periodic=True,
         golden=lambda n: {"s1": 0.0, "s2": 0.0}),
     "hopf": _Builtin(
@@ -478,11 +467,11 @@ _CATALOG = {
         _vaisman_jets, lambda n, m: _VAISMAN_SRC, {"m": 0.0}, domain=_halfplane_domain,
         golden=lambda n, m: {"s1": -0.5, "s2": -(3.0 + m * m) / 4.0}),
     "kaehler-bump": _Builtin(
-        _kaehler_bump_jets, _kaehler_bump_source, {"eps": 1e-3},
-        balanced=True, periodic=True),
+        partial(_bump_jets, _KB_TERMS, _kaehler_amplitude), _kaehler_bump_source,
+        {"eps": 1e-3}, balanced=True, periodic=True),
     "pluriclosed-bump": _Builtin(
-        _pluriclosed_bump_jets, _pluriclosed_bump_source, {"eps": 0.03},
-        periodic=True),
+        partial(_bump_jets, _PB_TERMS, _pluriclosed_amplitude),
+        _pluriclosed_bump_source, {"eps": 0.03}, periodic=True),
 }
 
 _BUILTIN_ALIASES = {
@@ -510,7 +499,7 @@ def builtin(name: str, n: int | None = None, **params) -> ModelManifold:
     entry = _CATALOG[name]
     if not entry.any_n and n is not None and n != 2:
         raise ValueError(f"{name} is only defined for n=2")
-    n = n or 2
+    n = 2 if n is None else n
     extra = set(params) - set(entry.defaults)
     if extra:
         raise ValueError(f"unknown parameters: {sorted(extra)}")
@@ -535,21 +524,34 @@ def manifold_from_manifest(doc: dict) -> ModelManifold:
     if unbound:
         raise ParseError(f"manifest leaves parameters unbound: {sorted(unbound)}")
     dom = doc.get("domain", {}) or {}
+    if not isinstance(dom, dict):
+        raise ParseError(f"manifest domain must be an object, got {dom!r}")
     kind = dom.get("kind", "full")
     if kind == "full":
         domain = _full_domain()
     elif kind == "punctured":
         domain = _punctured_domain()
     elif kind == "halfplane":
-        domain = _halfplane_domain(tuple(dom.get("punctured_axes", ())))
+        axes = dom.get("punctured_axes", [])
+        if not (isinstance(axes, list) and all(type(k) is int and 1 <= k < n
+                                               for k in axes)):
+            raise ParseError(f"punctured_axes must be integers in 1..{n - 1}, "
+                             f"got {axes!r}")
+        domain = _halfplane_domain(tuple(axes))
     else:
         raise ParseError(f"unknown domain kind {kind!r}")
     periods = dom.get("periods")
+    if periods is not None:
+        if not (isinstance(periods, list) and len(periods) == 2 * n
+                and all(type(p) in (int, float) and 0 < p < np.inf for p in periods)):
+            raise ParseError(f"periods must be {2 * n} positive finite numbers, "
+                             f"got {periods!r}")
+        periods = tuple(float(p) for p in periods)
     return ModelManifold(
         name=str(doc["name"]), n=n, params=params, metric_expr=mx, domain=domain,
         declared_gauduchon=bool(doc.get("declared_gauduchon", False)),
         declared_balanced=bool(doc.get("declared_balanced", False)),
-        periods=tuple(periods) if periods else None)
+        periods=periods)
 
 
 # ---------------------------------------------------------------------------

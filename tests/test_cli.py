@@ -470,6 +470,48 @@ def test_solve_on_manifest(capsys, tmp_path):
     assert code == 0
 
 
+MALFORMED_DOMAINS = {
+    "zero-period": {"kind": "full", "periods": [0, 1, 1, 1]},
+    "negative-period": {"kind": "full", "periods": [-1, 1, 1, 1]},
+    "string-period": {"kind": "full", "periods": ["1", 1, 1, 1]},
+    "scalar-periods": {"kind": "full", "periods": 3},
+    "string-domain": "full",
+    "axis-out-of-range": {"kind": "halfplane", "punctured_axes": [5],
+                          "periods": [1, 1, 1, 1]},
+    "negative-axis": {"kind": "halfplane", "punctured_axes": [-1],
+                      "periods": [1, 1, 1, 1]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOMAINS))
+def test_malformed_manifest_domain_is_a_precondition_error(capsys, tmp_path, case):
+    # each of these once ran: a traceback, a nan defect, or a torus with
+    # negative volume
+    doc = {"name": "bad", "n": 2, "metric": "h[1][1] = 1\nh[2][2] = 1",
+           "domain": MALFORMED_DOMAINS[case],
+           "declared_gauduchon": True, "declared_balanced": True}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["inspect", str(path), "--points", "2"],
+                 ["solve", "chern-zero", "--manifold", str(path), "--grid", "8"],
+                 ["solve", "chern-negative", "--manifold", str(path), "--grid", "8"],
+                 ["solve", "bismut", "--manifold", str(path), "--grid", "8"],
+                 ["check", "duality", "--manifold", str(path), "--grid", "8"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("precondition error:") and out == "", argv
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+@pytest.mark.parametrize("argv", [["inspect", "hopf", "--points", "2"],
+                                  ["solve", "chern-zero", "--manifold", "flat-torus",
+                                   "--grid", "8"]], ids=["inspect-hopf", "solve-flat"])
+def test_dimension_below_two_is_a_precondition_error(capsys, argv, n):
+    code, out, err = run(capsys, *argv, "--n", n)
+    assert code == 2
+    assert err.startswith("precondition error:") and "n >= 2" in err and out == ""
+
+
 def test_solve_uses_the_manifest_periods(capsys, tmp_path):
     doc = {"name": "wide-flat", "n": 2, "metric": "h[1][1] = 1\nh[2][2] = 1",
            "domain": {"kind": "full", "periods": [2, 2, 2, 2]},

@@ -34,6 +34,9 @@ def test_grid_validation():
         TorusGrid(n=2, N=8, scheme="fd4")
     with pytest.raises(GridError):
         TorusGrid(n=3, N=64)  # node budget
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(GridError, match="positive finite"):
+            TorusGrid(n=2, N=8, periods=(1.0, bad, 1.0, 1.0))
 
 
 def test_field_validation():

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hermcurv import expr as ex
 from hermcurv import jets
 from hermcurv.dsl import parse_expr
 from hermcurv.jets import MetricJet, JetError, check_jet_invariants, inverse_and_det
-from hermcurv.manifolds import (DomainError, _TrigSum, builtin,
+from hermcurv.manifolds import (DomainError, ModelManifold, _TrigSum, builtin,
                                 builtin_names, conformal_manifold,
-                                manifold_from_manifest)
+                                manifold_from_manifest, plane_wave_jets)
 
-from conftest import make_gm
+from conftest import make_gm, scalar_jets
 
 ALL_BUILTINS = [
     ("flat-torus", {}),
@@ -22,6 +23,10 @@ ALL_BUILTINS = [
     ("vaisman", {"m": 2.0}),
     ("kaehler-bump", {}),
     ("pluriclosed-bump", {}),
+    # h - I is O(0.1) and h stays positive definite: a sign or factor slip
+    # in an amplitude table shows as a large error
+    ("kaehler-bump", {"eps": 0.01}),
+    ("pluriclosed-bump", {"eps": 0.05}),
 ]
 
 
@@ -78,32 +83,46 @@ def test_closed_form_agrees_with_expression_path(name, params):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_trig_derivs_agree_with_expression_path(n):
-    # every derivative up to order (2, 2) against the symbolic differentiator
-    # applied to the sum's DSL source
+    # value, d and d dbar of the sum as a 1 x 1 plane-wave sum against the
+    # symbolic differentiator applied to the sum's DSL source
     trig = _TrigSum([(A, a[:n], b[:n], ph) for A, a, b, ph in (
         (0.7, (1, -2, 1), (0, 1, 2), 0.3),
         (0.4, (2, 0, -1), (1, 1, 0), 1.1),
         (0.25, (0, 1, 3), (-1, 2, 1), 2.5))])
     z = np.random.default_rng(4).uniform(-1, 1, (5, n, 2)) @ np.array([1, 1j])
-    orders = [(p, q) for p in range(3) for q in range(3)]
-    got = trig.derivs(z, orders)
-    trees = {((), ()): parse_expr(trig.source(n), n)}
+    f, df, ddf = scalar_jets(z, trig)
+    tree = parse_expr(trig.source(n), n)
+    d_trees = [ex.wirtinger_derivative(tree, i, bar=False) for i in range(n)]
+    cases = [((), f, tree)]
+    cases += [((i,), df[i], d_trees[i]) for i in range(n)]
+    cases += [((i, j), ddf[i, j], ex.wirtinger_derivative(d_trees[i], j, bar=True))
+              for i, j in itertools.product(range(n), repeat=2)]
+    for idx, got, t in cases:
+        assert got.shape == (5,)
+        want = ex.evaluate(t, z)
+        dev = np.abs(got - want)
+        assert np.all(dev <= 1e-12 * np.maximum(1.0, np.abs(want))), idx
 
-    def tree(holo, anti):
-        if (holo, anti) not in trees:
-            if anti:
-                base, k, bar = tree(holo, anti[:-1]), anti[-1], True
-            else:
-                base, k, bar = tree(holo[:-1], ()), holo[-1], False
-            trees[holo, anti] = ex.wirtinger_derivative(base, k, bar=bar)
-        return trees[holo, anti]
 
-    for p, q in orders:
-        assert got[p, q].shape == (n,) * (p + q) + (5,)
-        for idx in itertools.product(range(n), repeat=p + q):
-            want = ex.evaluate(tree(idx[:p], idx[p:]), z)
-            dev = np.abs(got[p, q][idx] - want)
-            assert np.all(dev <= 1e-12 * np.maximum(1.0, np.abs(want))), (p, q, idx)
+def test_plane_wave_jets_of_a_non_hermitian_amplitude():
+    # P_t need not be Hermitian: h = I + sum (P_t e + P_t^H conj(e)) is
+    rng = np.random.default_rng(8)
+    waves = _TrigSum([(1.0, (1, 0, -1), (0, 2, 1), 0.4),
+                      (1.0, (0, 1, 1), (1, 0, 0), 2.0),
+                      (1.0, (2, -1, 0), (0, 1, -1), 5.1)])
+    amps = 0.04 * (rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
+    assert np.max(np.abs(amps - np.conj(amps.swapaxes(1, 2)))) > 0.01
+    man = ModelManifold(name="waves", n=3, closed_jet=partial(
+        plane_wave_jets, waves=waves, amplitude=lambda A, c: amps))
+    z = man.sample_points(200, seed=42)
+    jet = man.jet(z)
+    assert np.max(np.abs(jet.h - np.conj(jet.h.swapaxes(0, 1)))) < 1e-15
+    check_jet_invariants(jet)
+    dh_fd, ddh_fd = fd_jet_of_h(man, z)
+    scale = max(1.0, float(np.max(np.abs(jet.dh))))
+    assert np.max(np.abs(jet.dh - dh_fd)) / scale < 1e-7
+    scale2 = max(1.0, float(np.max(np.abs(jet.ddh))))
+    assert np.max(np.abs(jet.ddh - ddh_fd)) / scale2 < 1e-7
 
 
 def test_hopf_value_at_unit_point():
@@ -261,7 +280,9 @@ def test_jets_write_contiguous_component_fields(name, n, path, points):
     _assert_component_fields_contiguous(jet, 1)
 
 
-@pytest.mark.parametrize("name", ["kaehler-bump", "pluriclosed-bump"])
-def test_grid_jets_write_contiguous_component_fields(name):
-    gm = make_gm(name, 8)
+@pytest.mark.parametrize("name,N,params", [
+    ("kaehler-bump", 8, {}), ("pluriclosed-bump", 8, {}), ("flat-torus", 4, {"n": 3})],
+    ids=["kaehler-bump", "pluriclosed-bump", "flat-torus-n3"])
+def test_grid_jets_write_contiguous_component_fields(name, N, params):
+    gm = make_gm(name, N, **params)
     _assert_component_fields_contiguous(gm.jet, 2 * gm.n)
