@@ -52,11 +52,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 
-from .jets import MetricJet
+from .jets import MetricJet, map_blocks
 from .manifolds import ModelManifold
 
 __all__ = [
@@ -146,11 +147,21 @@ def ricci_and_scalars(curv: CurvatureTensor, jet: MetricJet) -> RicciForms:
 
 def _real_scalars(s1: np.ndarray, s2: np.ndarray):
     """Real parts of (s1, s2); ArithmeticError if either is not real."""
-    scale = max(1.0, float(np.max(np.abs(s1))), float(np.max(np.abs(s2))))
-    worst = max(float(np.max(np.abs(s1.imag))), float(np.max(np.abs(s2.imag))))
-    if worst > IMAG_TOL * scale:
-        raise ArithmeticError(f"scalar curvature has imaginary part {worst:.3e}")
+    _check_real(*_extents(s1, s2))
     return s1.real, s2.real
+
+
+def _extents(*fields) -> tuple:
+    """(max |x| for each field, then max |Im x| for each), as floats."""
+    return tuple(float(np.max(np.abs(x))) for x in fields + tuple(x.imag for x in fields))
+
+
+def _check_real(s1_max, s2_max, s1_imag, s2_imag) -> None:
+    """ArithmeticError unless the larger imaginary part of s1 and s2 is within
+    IMAG_TOL of max(1, max |s1|, max |s2|), each a maximum over every node."""
+    worst = max(s1_imag, s2_imag)
+    if worst > IMAG_TOL * max(1.0, s1_max, s2_max):
+        raise ArithmeticError(f"scalar curvature has imaginary part {worst:.3e}")
 
 
 def _sum(terms):
@@ -232,11 +243,23 @@ def torsion_traces(jet: MetricJet) -> TorsionTraces:
     Lambda^2 = h^{i jbar} h^{k lbar} (ddh[i,j,k,l] - ddh[k,j,i,l]),
     |del delbar omega^{n-1}| = (n-1)! |Lambda^2 - |del omega|^2 + |del* omega|^2|;
     at n = 2 this is |del delbar omega| too, and `_pluriclosed_norm` gives
-    that for n >= 3.
+    that for n >= 3.  Runs in node blocks (`map_blocks`); the pairing must be
+    real to IMAG_TOL of its largest value over every node.
     """
-    n = jet.n
+    g = jet.ginv
+    *fields, largest, worst = map_blocks(_traces_block, g.shape[2:], g, jet.dh, jet.ddh)
+    if worst > IMAG_TOL * max(1.0, largest):
+        raise ArithmeticError("pairing <del del* omega, omega> is not real")
+    if jet.n == 2:
+        fields.append(fields[-1])  # the pluriclosed residual is the Gauduchon one
+    return TorsionTraces(*fields)
+
+
+def _traces_block(g: np.ndarray, dh: np.ndarray, ddh: np.ndarray) -> tuple:
+    """`torsion_traces`' fields on one block of nodes (the pluriclosed
+    residual only for n >= 3), then max |pairing| and max |Im pairing|."""
+    n = g.shape[0]
     r = range(n)
-    g, dh, ddh = jet.ginv, jet.dh, jet.ddh
     # trace of ddh over its last index pair, and over its outer pair
     inner = [[_sum(g[k, l] * ddh[a, b, k, l] for k in r for l in r)
               for b in r] for a in r]
@@ -252,13 +275,12 @@ def torsion_traces(jet: MetricJet) -> TorsionTraces:
     z = _raise_last2(low, g)
     del_omega_sq = 0.5 * _full_norm2(low, z, g)
     del low
-    # real copies, so that no complex array stays alive behind the bundle
-    del_star_sq = _sum(g[i, j] * tau[i] * np.conj(tau[j]) for i in r for j in r).real.copy()
+    del_star_sq = _sum(g[i, j] * tau[i] * np.conj(tau[j]) for i in r for j in r).real
     lam2 -= del_omega_sq
     lam2 += del_star_sq
     gauduchon = math.factorial(n - 1) * np.abs(lam2)
     del lam2
-    pluriclosed = gauduchon if n == 2 else _pluriclosed_norm(ddh, g)
+    pluriclosed = () if n == 2 else (_pluriclosed_norm(ddh, g),)
 
     # ddstar[i, j] = -conj(d tau_j / dzbar^i): the derivative of the inverse
     # metric in tau, then the mixed second derivatives of h
@@ -269,11 +291,8 @@ def torsion_traces(jet: MetricJet) -> TorsionTraces:
             ddstar[i, j] = _sum(dh[i, c, b] * z[j, c, b] for c in r for b in r)
             ddstar[i, j] += np.conj(outer[i][j] - inner[j][i])
     pairing = _sum(g[i, j] * ddstar[i, j] for i in r for j in r)
-    scale = max(1.0, float(np.max(np.abs(pairing))))
-    if float(np.max(np.abs(pairing.imag))) > IMAG_TOL * scale:
-        raise ArithmeticError("pairing <del del* omega, omega> is not real")
-    return TorsionTraces(tau, ddstar, pairing.real.copy(), del_omega_sq, del_star_sq,
-                         s_c1, gauduchon, pluriclosed)
+    return (tau, ddstar, pairing.real, del_omega_sq, del_star_sq, s_c1, gauduchon,
+            *pluriclosed, *_extents(pairing))
 
 
 def _pluriclosed_norm(ddh: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -320,10 +339,25 @@ def ricci_forms(jet: MetricJet, ts) -> list[RicciForms]:
     A[i,j,k,l] = sum_p T[i,k,p] conj(L[j,l,p]) and B[i,j,k,l] =
     sum_{p,q} h^{p qbar} L[i,p,l] conj(L[j,q,k]), where L = dh - dh^T is the
     lowered torsion and T = E - E^T.  The C_m and the traces of A and B are
-    built once and serve every t.  The full-tensor path is its oracle.
+    built once per node block (`map_blocks`) and serve every t; s1 and s2
+    must be real to IMAG_TOL of their largest values over every node.  The
+    full-tensor path is its oracle.
     """
-    r = range(jet.n)
-    g, dh, ddh = jet.ginv, jet.dh, jet.ddh
+    ts = [float(t) for t in ts]
+    g = jet.ginv
+    res = map_blocks(partial(_ricci_block, ts), g.shape[2:], g, jet.dh, jet.ddh)
+    out = []
+    for k, t in enumerate(ts):
+        fields = res[10 * k:10 * k + 10]  # four forms, s1, s2, then their extents
+        _check_real(*fields[6:])
+        out.append(RicciForms(*fields[:6], t))
+    return out
+
+
+def _ricci_block(ts, g: np.ndarray, dh: np.ndarray, ddh: np.ndarray) -> tuple:
+    """For each t, `ricci_forms`' four forms and the real parts of s1 and s2
+    on one block of nodes, then `_extents(s1, s2)`."""
+    r = range(g.shape[0])
     e = _up(dh, g.swapaxes(0, 1), 2)
     et = e.swapaxes(0, 1)
     f = _up(dh, g, 1)                  # f[j, k, p] = h^{l kbar} dh[j, l, p]
@@ -358,8 +392,8 @@ def ricci_forms(jet: MetricJet, ts) -> list[RicciForms]:
                    c4 + t * (c1 + c2 - 2 * c4) - t2 * (a - b4)]
         s1 = _sum(g[i, j] * ric[0][i, j] for i in r for j in r)
         s2 = _sum(g[i, j] * ric[2][i, j] for i in r for j in r)
-        out.append(RicciForms(*ric, *_real_scalars(s1, s2), float(t)))
-    return out
+        out += [*ric, s1.real, s2.real, *_extents(s1, s2)]
+    return tuple(out)
 
 
 # The benchmark's span table (bench/spans.py) times this name.

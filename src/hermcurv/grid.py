@@ -53,7 +53,22 @@ __all__ = ["TorusGrid", "TorusField", "GridMetric", "GridError",
            "integrate", "gauduchon_degrees"]
 
 MEMORY_BUDGET_BYTES = 2 << 30
+# bytes per node a grid command holds beyond the jet, inverse and trace
+# bundle of `_bytes_per_node`: at most 844 B over the solve and duality
+# commands traced at n = 2 (N = 16, 32) and n = 3 (N = 6, 8), rounded up
+# (DECISIONS.md D12)
+WORKING_SET_BYTES = 864
 IMAG_TOL = 1e-9
+
+
+def _bytes_per_node(n: int) -> int:
+    """Peak bytes per node of a grid command at dimension n: the stored jet
+    (n^2 + n^3 + n^4 complex), the inverse and det, the torsion-trace bundle
+    (n + n^2 complex, five real fields) and the working set."""
+    jet = 16 * (n ** 2 + n ** 3 + n ** 4)
+    inverse = 16 * n ** 2 + 8
+    traces = 16 * (n + n ** 2) + 8 * 5
+    return jet + inverse + traces + WORKING_SET_BYTES
 
 
 class GridError(ValueError):
@@ -80,9 +95,11 @@ class TorusGrid:
             raise GridError(f"periods must be positive finite numbers, got {periods}")
         object.__setattr__(self, "periods", periods)
         nodes = self.N ** (2 * self.n)
-        # ~40 doubles of jet/curvature data per node is the working set
-        if nodes * 8 * 40 > MEMORY_BUDGET_BYTES:
-            raise GridError(f"grid with {nodes} nodes exceeds the memory budget")
+        need = nodes * _bytes_per_node(self.n)
+        if need > MEMORY_BUDGET_BYTES:
+            raise GridError(f"grid with {nodes} nodes is budgeted at {need / 2 ** 30:.1f} "
+                            f"GiB, over the memory budget of "
+                            f"{MEMORY_BUDGET_BYTES / 2 ** 30:g} GiB")
 
     @property
     def shape(self) -> tuple:

@@ -18,17 +18,28 @@ Antiholomorphic first derivatives are never stored: d h_{j lbar}/d zbar^i
 equals conj(dh[i, l, j]).  Every curvature formula downstream consumes
 exactly this data; a single point and a million grid nodes go through the
 same code path.
+
+Every per-node pass (the inverse here, the plane-wave jet, the trace and
+Ricci passes) runs through `map_blocks`: NODE_BLOCK nodes at a time, so its
+temporaries are block-sized whatever the batch, while its outputs are
+allocated once at full size and its checks compare maxima over every node
+(DECISIONS.md D12).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 __all__ = ["MetricJet", "FactorJet", "JetError", "inverse_and_det",
-           "ConformalJet", "conformal_jet", "check_jet_invariants"]
+           "ConformalJet", "conformal_jet", "check_jet_invariants",
+           "NODE_BLOCK", "map_blocks"]
+
+# nodes per block of every per-node pass (`map_blocks`, DECISIONS.md D12)
+NODE_BLOCK = 4096
 
 # smallest LDL^H pivot must exceed this times the largest diagonal entry
 PD_PIVOT_RTOL = 1e-10
@@ -76,6 +87,35 @@ class FactorJet:
     ddf: np.ndarray
 
 
+def map_blocks(fn, batch: tuple, *fields) -> tuple:
+    """Run fn over the nodes of `fields` in blocks of NODE_BLOCK nodes.
+
+    Each field is component-first with trailing batch axes `batch`, seen
+    with those axes flattened into one: a view for a C-ordered field, so fn
+    may also write its block of a preallocated output.  fn gets the same
+    block of every field and returns a tuple.  Its arrays (block last) are
+    copied into full-size outputs allocated on the first block; its floats
+    are maxima, combined over the blocks (NaN if any block's is NaN).
+    Returns that tuple, each output shaped (components...) + batch.
+    """
+    count = math.prod(batch)
+    flat = [x.reshape(x.shape[:x.ndim - len(batch)] + (count,)) for x in fields]
+    out = None
+    for start in range(0, max(count, 1), NODE_BLOCK):  # an empty batch runs once
+        block = slice(start, start + NODE_BLOCK)
+        res = fn(*(x[..., block] for x in flat))
+        if out is None:
+            out = [np.empty(r.shape[:-1] + (count,), r.dtype)
+                   if isinstance(r, np.ndarray) else r for r in res]
+        for k, r in enumerate(res):
+            if isinstance(r, np.ndarray):
+                out[k][..., block] = r
+            else:
+                out[k] = float(np.maximum(out[k], r))
+    return tuple(o.reshape(o.shape[:-1] + batch) if isinstance(o, np.ndarray) else o
+                 for o in out)
+
+
 def _hermitian_deviation(h: np.ndarray) -> float:
     """Largest |h[i, j] - conj(h[j, i])| over every index pair and point."""
     return float(np.max(np.abs(h - np.conj(h.swapaxes(0, 1)))))
@@ -106,13 +146,24 @@ def inverse_and_det(jet: MetricJet):
     smallest has to exceed PD_PIVOT_RTOL times the largest diagonal entry
     (which bounds the pivot condition estimate by 1/PD_PIVOT_RTOL, since
     every d_k <= h_kk), and the inverse residual has to stay within
-    INVERSE_RTOL; JetError otherwise.
+    INVERSE_RTOL; JetError otherwise.  Both tolerances scale with max |h|
+    over every node, whichever block a node falls in.
     """
-    h, n = jet.h, jet.n
-    r = range(n)
-    herm = _hermitian_deviation(h)
-    if herm > INVARIANT_ATOL * max(1.0, float(np.max(np.abs(h)))):
+    h, batch = jet.h, jet.h.shape[2:]
+    herm, hmax = map_blocks(lambda hb: (_hermitian_deviation(hb),
+                                        float(np.max(np.abs(hb)))), batch, h)
+    if herm > INVARIANT_ATOL * max(1.0, hmax):
         raise JetError(f"h is not Hermitian: max deviation {herm:.3e}")
+    ginv, det, dev = map_blocks(_ldl_inverse, batch, h)
+    _check_residual(dev, hmax)
+    return ginv, det
+
+
+def _ldl_inverse(h: np.ndarray):
+    """(ginv, det, inverse residual) of one block of Hermitian h; JetError
+    below the pivot floor."""
+    n = h.shape[0]
+    r = range(n)
     low, pivots = {}, np.empty(h.shape[1:])  # low[i, k] = L[i, k], pivots[k] = d_k
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in r:
@@ -136,16 +187,20 @@ def inverse_and_det(jet: MetricJet):
             ginv[i, j] = sum(np.conj(x[k, j]) * x[k, i] / pivots[k] for k in range(j, n))
             if i < j:
                 ginv[j, i] = np.conj(ginv[i, j])
-    _check_inverse(h, ginv)
-    return ginv, np.prod(pivots, axis=0)
+    return ginv, np.prod(pivots, axis=0), _inverse_residual(h, ginv)
 
 
-def _check_inverse(h: np.ndarray, ginv: np.ndarray) -> None:
-    """JetError unless sum_j h^{i jbar} h_{k jbar} = delta_{ik}; NaN fails."""
+def _inverse_residual(h: np.ndarray, ginv: np.ndarray) -> float:
+    """max |sum_j h^{i jbar} h_{k jbar} - delta_{ik}|; NaN if any entry is."""
     r = range(h.shape[0])
-    dev = float(np.max([np.max(np.abs(sum(ginv[i, j] * h[k, j] for j in r) - (i == k)))
-                        for i in r for k in r]))
-    if not dev <= INVERSE_RTOL * max(1.0, float(np.max(np.abs(h)))) * 10:
+    return float(np.max([np.max(np.abs(sum(ginv[i, j] * h[k, j] for j in r) - (i == k)))
+                         for i in r for k in r]))
+
+
+def _check_residual(dev: float, hmax: float) -> None:
+    """JetError unless the inverse residual dev is within INVERSE_RTOL of
+    max(1, max |h|); NaN fails."""
+    if not dev <= INVERSE_RTOL * max(1.0, hmax) * 10:
         raise JetError(f"inverse residual {dev:.3e} too large")
 
 
@@ -163,7 +218,9 @@ class ConformalJet(MetricJet):
             raise JetError("conformal factor out of range: e^(n f) det h is "
                            "not a positive finite number")
         self.h, self._inverse = ef * base.h, (base.ginv / ef, det)
-        _check_inverse(self.h, self.ginv)
+        _check_residual(*map_blocks(lambda hb, gb: (_inverse_residual(hb, gb),
+                                                    float(np.max(np.abs(hb)))),
+                                    self.h.shape[2:], self.h, self.ginv))
         self._base, self._factor = base, factor
 
     _jet = cached_property(lambda self: conformal_jet(self._base, self._factor()))

@@ -12,6 +12,7 @@ expression evaluated on the covering chart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import expr as ex
 from .dsl import MetricExpr, ParseError, parse_expr, parse_metric
-from .jets import FactorJet, MetricJet
+from .jets import FactorJet, MetricJet, map_blocks
 
 __all__ = ["Domain", "ModelManifold", "DomainError",
            "builtin", "builtin_names", "manifold_from_manifest", "plane_wave_jets",
@@ -335,8 +336,9 @@ def plane_wave_jets(z, waves: _TrigSum, amplitude: Callable):
     A (T,) and c (T, n), c_t = a_t/2 - i b_t/2.  d/dz^i multiplies
     e^{+-i theta} by +-2 pi i c_i and d/dzbar^j by +-2 pi i conj(c_j), so
     every component of h, dh and ddh is a fixed combination of the 2T fields
-    e^{+-i theta_t}: each array is one (components x 2T) @ (2T x points)
-    product, one C-ordered block.  T = 0 gives the identity.
+    e^{+-i theta_t}: on each node block (`map_blocks`) each array is one
+    (components x 2T) @ (2T x nodes) product written in place, and the
+    fields live for one block only.  T = 0 gives the identity.
     """
     n, batch = z.shape[-1], z.shape[:-1]
     A = np.array([t[0] for t in waves.terms])
@@ -346,19 +348,25 @@ def plane_wave_jets(z, waves: _TrigSum, amplitude: Callable):
     P = np.asarray(amplitude(A, c), complex)
     amp = np.concatenate([P, np.conj(P).swapaxes(1, 2)])  # of e^{i theta}, e^{-i theta}
     dz = 2j * np.pi * np.concatenate([c, -c])  # d/dz^i, then its d/dzbar^j is -conj
-    pts = z.reshape(-1, n)
-    e = np.exp(1j * (2 * np.pi * (a @ pts.real.T + b @ pts.imag.T) + phase[:, None]))
-    fields = np.concatenate([e, np.conj(e)])
+    coefs = (amp, dz[:, :, None, None] * amp[:, None],
+             dz[:, :, None, None, None] * -np.conj(dz)[:, None, :, None, None]
+             * amp[:, None, None])
+    rows = [coef.reshape(len(coef), math.prod(coef.shape[1:])).T  # (components, 2T)
+            for coef in coefs]
+    flat = [np.empty((len(row),) + batch, complex) for row in rows]
 
-    def expand(coef):
-        return np.tensordot(coef, fields, axes=(0, 0)).reshape(coef.shape[1:] + batch)
+    def block(zb, *out):  # zb[k, node]; out[m][component, node], written here
+        e = np.exp(1j * (2 * np.pi * (a @ zb.real + b @ zb.imag) + phase[:, None]))
+        fields = np.concatenate([e, np.conj(e)])
+        for row, o in zip(rows, out):
+            np.matmul(row, fields, out=o)
+        return ()
 
-    h = expand(amp)
+    map_blocks(block, batch, np.moveaxis(z, -1, 0), *flat)
+    h, dh, ddh = (f.reshape(coef.shape[1:] + batch) for f, coef in zip(flat, coefs))
     diag = np.arange(amp.shape[-1])
     h[diag, diag] += 1
-    return (h, expand(dz[:, :, None, None] * amp[:, None]),
-            expand(dz[:, :, None, None, None] * -np.conj(dz)[:, None, :, None, None]
-                   * amp[:, None, None]))
+    return h, dh, ddh
 
 
 def _kaehler_amplitude(A, c):
@@ -514,11 +522,24 @@ def builtin(name: str, n: int | None = None, **params) -> ModelManifold:
 
 
 def manifold_from_manifest(doc: dict) -> ModelManifold:
-    """Build a manifold from a parsed manifest dictionary."""
-    n = int(doc["n"])
-    metric = doc["metric"]
+    """Build a manifold from a parsed manifest dictionary; ParseError if a
+    field has the wrong JSON type."""
+    n, metric, params = doc["n"], doc["metric"], doc.get("params", {})
+    if type(n) is not int:
+        raise ParseError(f"manifest n must be an integer, got {n!r}")
+    if not (isinstance(metric, str) or (isinstance(metric, list)
+                                         and all(isinstance(m, str) for m in metric))):
+        raise ParseError(f"manifest metric must be a string or a list of strings, "
+                         f"got {metric!r}")
+    if not (isinstance(params, dict)
+            and all(type(v) in (int, float) for v in params.values())):
+        raise ParseError(f"manifest params must map names to numbers, got {params!r}")
+    flags = {key: doc.get(key, False) for key in ("declared_gauduchon", "declared_balanced")}
+    for key, flag in flags.items():
+        if type(flag) is not bool:
+            raise ParseError(f"manifest {key} must be true or false, got {flag!r}")
     src = metric if isinstance(metric, str) else "\n".join(metric)
-    params = {k: float(v) for k, v in doc.get("params", {}).items()}
+    params = {k: float(v) for k, v in params.items()}
     mx = parse_metric(src, n)
     unbound = set(mx.params) - set(params)
     if unbound:
@@ -549,9 +570,7 @@ def manifold_from_manifest(doc: dict) -> ModelManifold:
         periods = tuple(float(p) for p in periods)
     return ModelManifold(
         name=str(doc["name"]), n=n, params=params, metric_expr=mx, domain=domain,
-        declared_gauduchon=bool(doc.get("declared_gauduchon", False)),
-        declared_balanced=bool(doc.get("declared_balanced", False)),
-        periods=periods)
+        periods=periods, **flags)
 
 
 # ---------------------------------------------------------------------------

@@ -470,26 +470,34 @@ def test_solve_on_manifest(capsys, tmp_path):
     assert code == 0
 
 
-MALFORMED_DOMAINS = {
-    "zero-period": {"kind": "full", "periods": [0, 1, 1, 1]},
-    "negative-period": {"kind": "full", "periods": [-1, 1, 1, 1]},
-    "string-period": {"kind": "full", "periods": ["1", 1, 1, 1]},
-    "scalar-periods": {"kind": "full", "periods": 3},
-    "string-domain": "full",
-    "axis-out-of-range": {"kind": "halfplane", "punctured_axes": [5],
-                          "periods": [1, 1, 1, 1]},
-    "negative-axis": {"kind": "halfplane", "punctured_axes": [-1],
-                      "periods": [1, 1, 1, 1]},
+# manifest fields that replace the well-formed ones: the domain block, then
+# the top-level fields
+MALFORMED_MANIFESTS = {
+    "zero-period": {"domain": {"kind": "full", "periods": [0, 1, 1, 1]}},
+    "negative-period": {"domain": {"kind": "full", "periods": [-1, 1, 1, 1]}},
+    "string-period": {"domain": {"kind": "full", "periods": ["1", 1, 1, 1]}},
+    "scalar-periods": {"domain": {"kind": "full", "periods": 3}},
+    "string-domain": {"domain": "full"},
+    "axis-out-of-range": {"domain": {"kind": "halfplane", "punctured_axes": [5],
+                                     "periods": [1, 1, 1, 1]}},
+    "negative-axis": {"domain": {"kind": "halfplane", "punctured_axes": [-1],
+                                 "periods": [1, 1, 1, 1]}},
+    "fractional-n": {"n": 2.7},
+    "string-n": {"n": "2"},
+    "list-params": {"params": [1]},
+    "numeric-metric": {"metric": 5},
+    "string-flag": {"declared_gauduchon": "no"},
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_DOMAINS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
 def test_malformed_manifest_domain_is_a_precondition_error(capsys, tmp_path, case):
-    # each of these once ran: a traceback, a nan defect, or a torus with
-    # negative volume
+    # each of these once ran: a traceback, a nan defect, a torus with
+    # negative volume, n = 2.7 read as 2, or the flag "no" read as true
     doc = {"name": "bad", "n": 2, "metric": "h[1][1] = 1\nh[2][2] = 1",
-           "domain": MALFORMED_DOMAINS[case],
-           "declared_gauduchon": True, "declared_balanced": True}
+           "domain": {"kind": "full", "periods": [1, 1, 1, 1]},
+           "declared_gauduchon": True, "declared_balanced": True,
+           **MALFORMED_MANIFESTS[case]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     for argv in (["inspect", str(path), "--points", "2"],
@@ -510,6 +518,13 @@ def test_dimension_below_two_is_a_precondition_error(capsys, argv, n):
     code, out, err = run(capsys, *argv, "--n", n)
     assert code == 2
     assert err.startswith("precondition error:") and "n >= 2" in err and out == ""
+
+
+def test_grid_over_the_memory_budget_is_a_precondition_error(capsys):
+    code, out, err = run(capsys, "solve", "chern-zero", "--manifold", "flat-torus",
+                         "--n", "3", "--grid", "12")
+    assert code == 2
+    assert err.startswith("precondition error:") and "memory budget" in err and out == ""
 
 
 def test_solve_uses_the_manifest_periods(capsys, tmp_path):

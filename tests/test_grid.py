@@ -25,6 +25,18 @@ def x_field(grid, a):
     return np.broadcast_to(col, grid.shape).copy()
 
 
+@pytest.mark.parametrize("n, N", [(3, 12), (2, 48)])
+def test_memory_guard_counts_bytes_per_node_from_n(n, N):
+    # once admitted by a flat 40 doubles per node: the n = 3 jet alone is
+    # about 5.6 GB at N = 12, and n = 2 at N = 48 was measured to need 5.9 GB
+    with pytest.raises(GridError, match="memory budget"):
+        TorusGrid(n=n, N=N)
+
+
+def test_memory_guard_admits_n2_at_32():
+    assert TorusGrid(n=2, N=32).node_count == 32 ** 4
+
+
 def test_grid_validation():
     with pytest.raises(GridError):
         TorusGrid(n=2, N=5)
