@@ -212,8 +212,8 @@ class MetricExpr:
 
 
 def _param_names(e: ex.Expr, out: set):
-    if isinstance(e, ex.Param):
-        out.add(e.name)
+    if e.op == "Param":
+        out.add(e.value)
     for a in e.args:
         _param_names(a, out)
 

@@ -6,11 +6,21 @@ under +, -, *, /, integer powers, exp, log, re, im, abs2 and conj.  The
 grammar is closed under the Wirtinger derivatives d/dz_k and d/dzb_k, so
 metric coefficients written in this language have exact symbolic 2-jets.
 
-Trees are immutable; `evaluate` broadcasts over numpy arrays of chart
-points, so one compiled tree serves single points and whole grids alike.
+Every node is one immutable `Expr` tuple ``(op, args, value)``: ``op`` names
+the operation (``"Add"``, ``"Num"``, ...), ``args`` holds the child nodes,
+and ``value`` holds a leaf's payload (a finite complex literal, a 0-based
+coordinate index, a parameter name) or a power's integer exponent.  Nodes
+compare and hash by value, so two trees are equal however they were built.
+The constructors ``Num``, ``Z``, ``Add``, ... name the ops.
+
+`evaluate` broadcasts over numpy arrays of chart points, so one compiled
+tree serves single points and whole grids alike.
 """
 
 from __future__ import annotations
+
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,20 +32,12 @@ __all__ = [
 ]
 
 
-class Expr:
-    """Base node. Subclasses are value-like: hashable, comparable, immutable."""
+class Expr(NamedTuple):
+    """One tree node: operation tag, child nodes, leaf payload or exponent."""
 
-    __slots__ = ()
-    args: tuple
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.key()))
-
-    def key(self):
-        return self.args
+    op: str
+    args: tuple = ()
+    value: object = None
 
     def __repr__(self):
         return to_source(self)
@@ -45,110 +47,66 @@ def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, float, complex)):
-        return Num(complex(x))
+        return Num(x)
     raise TypeError(f"cannot coerce {x!r} to an expression")
 
 
-class Num(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: complex):
-        object.__setattr__(self, "value", complex(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def key(self):
-        return (self.value,)
+def Num(value: complex) -> Expr:
+    """Complex literal."""
+    return Expr("Num", (), complex(value))
 
 
-class Z(Expr):
+def Z(k: int) -> Expr:
     """Holomorphic coordinate z_k (0-based index)."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k: int):
-        object.__setattr__(self, "k", int(k))
-
-    __setattr__ = Num.__setattr__
-
-    def key(self):
-        return (self.k,)
+    return Expr("Z", (), int(k))
 
 
-class Zb(Expr):
+def Zb(k: int) -> Expr:
     """Conjugate coordinate conj(z_k) (0-based index)."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k: int):
-        object.__setattr__(self, "k", int(k))
-
-    __setattr__ = Num.__setattr__
-
-    def key(self):
-        return (self.k,)
+    return Expr("Zb", (), int(k))
 
 
-class Param(Expr):
+def Param(name: str) -> Expr:
     """Named real parameter, bound at evaluation time."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", str(name))
-
-    __setattr__ = Num.__setattr__
-
-    def key(self):
-        return (self.name,)
+    return Expr("Param", (), str(name))
 
 
-def _nary(name):
-    class _Node(Expr):
-        __slots__ = ("args",)
-
-        def __init__(self, *args):
-            object.__setattr__(self, "args", tuple(as_expr(a) for a in args))
-
-        __setattr__ = Num.__setattr__
-
-    _Node.__name__ = name
-    _Node.__qualname__ = name
-    return _Node
-
-
-Add = _nary("Add")
-Sub = _nary("Sub")
-Mul = _nary("Mul")
-Div = _nary("Div")
-Neg = _nary("Neg")
-Exp = _nary("Exp")
-Log = _nary("Log")
-Re = _nary("Re")
-Im = _nary("Im")
-Abs2 = _nary("Abs2")
-Conj = _nary("Conj")
-
-
-class Pow(Expr):
+def Pow(base, m: int) -> Expr:
     """Integer power pow(base, m); m may be negative, never symbolic."""
+    return Expr("Pow", (as_expr(base),), int(m))
 
-    __slots__ = ("args", "m")
 
-    def __init__(self, base, m: int):
-        object.__setattr__(self, "args", (as_expr(base),))
-        object.__setattr__(self, "m", int(m))
+def _op(op: str):
+    def make(*args) -> Expr:
+        return Expr(op, tuple(as_expr(a) for a in args))
 
-    __setattr__ = Num.__setattr__
+    make.__name__ = make.__qualname__ = op
+    make.__doc__ = f"{op} node over the given operands (numbers become Num)."
+    return make
 
-    def key(self):
-        return (self.args, self.m)
 
+Add, Sub, Mul, Div, Neg, Exp, Log, Re, Im, Abs2, Conj = map(_op, (
+    "Add", "Sub", "Mul", "Div", "Neg", "Exp", "Log", "Re", "Im", "Abs2", "Conj"))
 
 ZERO = Num(0.0)
 ONE = Num(1.0)
 HALF = Num(0.5)
+
+_OPS = {
+    "Add": operator.add, "Sub": operator.sub, "Mul": operator.mul,
+    "Div": operator.truediv, "Neg": operator.neg, "Pow": operator.pow,
+    "Exp": np.exp, "Log": np.log, "Conj": np.conj,
+    "Re": lambda v: np.real(v) + 0j,
+    "Im": lambda v: np.imag(v) + 0j,
+    "Abs2": lambda v: v * np.conj(v),
+}
+
+
+def _apply(t: Expr, vals: list):
+    """t's operation on its operands' values; a power's exponent comes last."""
+    if t.value is None:
+        return _OPS[t.op](*vals)
+    return _OPS[t.op](*vals, t.value)
 
 
 def evaluate(e: Expr, z: np.ndarray, params: dict | None = None):
@@ -156,43 +114,19 @@ def evaluate(e: Expr, z: np.ndarray, params: dict | None = None):
     params = params or {}
 
     def ev(t):
-        if isinstance(t, Num):
+        op = t.op
+        if op == "Num":
             return t.value
-        if isinstance(t, Z):
-            return z[..., t.k]
-        if isinstance(t, Zb):
-            return np.conj(z[..., t.k])
-        if isinstance(t, Param):
+        if op == "Z":
+            return z[..., t.value]
+        if op == "Zb":
+            return np.conj(z[..., t.value])
+        if op == "Param":
             try:
-                return complex(params[t.name])
+                return complex(params[t.value])
             except KeyError:
-                raise KeyError(f"unbound parameter {t.name!r}") from None
-        if isinstance(t, Add):
-            return ev(t.args[0]) + ev(t.args[1])
-        if isinstance(t, Sub):
-            return ev(t.args[0]) - ev(t.args[1])
-        if isinstance(t, Mul):
-            return ev(t.args[0]) * ev(t.args[1])
-        if isinstance(t, Div):
-            return ev(t.args[0]) / ev(t.args[1])
-        if isinstance(t, Neg):
-            return -ev(t.args[0])
-        if isinstance(t, Pow):
-            return ev(t.args[0]) ** t.m
-        if isinstance(t, Exp):
-            return np.exp(ev(t.args[0]))
-        if isinstance(t, Log):
-            return np.log(ev(t.args[0]))
-        if isinstance(t, Re):
-            return np.real(ev(t.args[0])) + 0j
-        if isinstance(t, Im):
-            return np.imag(ev(t.args[0])) + 0j
-        if isinstance(t, Abs2):
-            v = ev(t.args[0])
-            return v * np.conj(v)
-        if isinstance(t, Conj):
-            return np.conj(ev(t.args[0]))
-        raise TypeError(f"unknown node {t!r}")
+                raise KeyError(f"unbound parameter {t.value!r}") from None
+        return _apply(t, [ev(a) for a in t.args])
 
     return np.asarray(ev(e), dtype=complex)
 
@@ -206,45 +140,37 @@ def wirtinger_derivative(e: Expr, k: int, bar: bool = False) -> Expr:
     """
 
     def d(t, bar):
-        if isinstance(t, (Num, Param)):
+        op = t.op
+        if op in ("Num", "Param"):
             return ZERO
-        if isinstance(t, Z):
-            return ONE if (t.k == k and not bar) else ZERO
-        if isinstance(t, Zb):
-            return ONE if (t.k == k and bar) else ZERO
-        if isinstance(t, Add):
-            return Add(d(t.args[0], bar), d(t.args[1], bar))
-        if isinstance(t, Sub):
-            return Sub(d(t.args[0], bar), d(t.args[1], bar))
-        if isinstance(t, Mul):
-            a, b = t.args
+        if op in ("Z", "Zb"):
+            return ONE if (t.value == k and bar == (op == "Zb")) else ZERO
+        a, b = t.args[0], t.args[-1]
+        if op in ("Add", "Sub", "Neg"):
+            return t._replace(args=tuple(d(u, bar) for u in t.args))
+        if op == "Mul":
             return Add(Mul(d(a, bar), b), Mul(a, d(b, bar)))
-        if isinstance(t, Div):
-            a, b = t.args
+        if op == "Div":
             return Div(Sub(Mul(d(a, bar), b), Mul(a, d(b, bar))), Pow(b, 2))
-        if isinstance(t, Neg):
-            return Neg(d(t.args[0], bar))
-        if isinstance(t, Pow):
-            a = t.args[0]
-            if t.m == 0:
+        if op == "Pow":
+            if t.value == 0:
                 return ZERO
-            return Mul(Mul(Num(t.m), Pow(a, t.m - 1)), d(a, bar))
-        if isinstance(t, Exp):
-            return Mul(t, d(t.args[0], bar))
-        if isinstance(t, Log):
-            return Div(d(t.args[0], bar), t.args[0])
-        if isinstance(t, Conj):
-            return Conj(d(t.args[0], not bar))
-        if isinstance(t, Re):
+            return Mul(Mul(Num(t.value), Pow(a, t.value - 1)), d(a, bar))
+        if op == "Exp":
+            return Mul(t, d(a, bar))
+        if op == "Log":
+            return Div(d(a, bar), a)
+        if op == "Conj":
+            return Conj(d(a, not bar))
+        if op == "Re":
             # re(u) = (u + conj u)/2
-            return Mul(HALF, Add(d(t.args[0], bar), Conj(d(t.args[0], not bar))))
-        if isinstance(t, Im):
+            return Mul(HALF, Add(d(a, bar), Conj(d(a, not bar))))
+        if op == "Im":
             # im(u) = (u - conj u)/(2i)
-            return Mul(Num(-0.5j), Sub(d(t.args[0], bar), Conj(d(t.args[0], not bar))))
-        if isinstance(t, Abs2):
+            return Mul(Num(-0.5j), Sub(d(a, bar), Conj(d(a, not bar))))
+        if op == "Abs2":
             # abs2(u) = u * conj(u)
-            u = t.args[0]
-            return Add(Mul(d(u, bar), Conj(u)), Mul(u, Conj(d(u, not bar))))
+            return Add(Mul(d(a, bar), Conj(a)), Mul(a, Conj(d(a, not bar))))
         raise TypeError(f"unknown node {t!r}")
 
     return simplify(d(e, bar))
@@ -257,27 +183,28 @@ def formal_conj(e: Expr) -> Expr:
     is taken on positive quantities in any valid metric, so the formal rule
     conj(log u) = log(conj u) is sound here.
     """
-    if isinstance(e, Num):
+    op = e.op
+    if op == "Num":
         return Num(np.conj(e.value))
-    if isinstance(e, Z):
-        return Zb(e.k)
-    if isinstance(e, Zb):
-        return Z(e.k)
-    if isinstance(e, Param):
-        return e
-    if isinstance(e, Conj):
+    if op in ("Z", "Zb"):
+        return e._replace(op="Zb" if op == "Z" else "Z")
+    if op == "Conj":
         return e.args[0]
-    if isinstance(e, (Re, Im, Abs2)):
+    if op in ("Param", "Re", "Im", "Abs2"):
         return e  # real-valued: conj(re u) = re u, conj(im u) = im u
-    if isinstance(e, Pow):
-        return Pow(formal_conj(e.args[0]), e.m)
-    if isinstance(e, (Add, Sub, Mul, Div, Neg, Exp, Log)):
-        return type(e)(*[formal_conj(a) for a in e.args])
-    raise TypeError(f"unknown node {e!r}")
+    return e._replace(args=tuple(formal_conj(a) for a in e.args))
 
 
 def _is_const(e, v=None):
-    return isinstance(e, Num) and (v is None or e.value == v)
+    return e.op == "Num" and (v is None or e.value == v)
+
+
+_FOLDED = ("Add", "Sub", "Mul", "Div", "Neg", "Pow")
+
+
+def _fold(e: Expr) -> Expr:
+    """The constant node e as one Num."""
+    return Num(_apply(e, [a.value for a in e.args]))
 
 
 def simplify(e: Expr) -> Expr:
@@ -285,83 +212,44 @@ def simplify(e: Expr) -> Expr:
 
     Not a CAS; its job is to keep repeated differentiation from blowing up
     trees with trivial factors, and to give the Hermitian checker a stable
-    canonical-ish shape (commutative args sorted by hash key).
+    canonical-ish shape (commutative args sorted by op and printed source).
     """
-    if isinstance(e, (Num, Z, Zb, Param)):
+    if not e.args:
         return e
-    if isinstance(e, Pow):
-        a = simplify(e.args[0])
-        if e.m == 0:
-            return ONE
-        if e.m == 1:
-            return a
-        if _is_const(a):
-            return Num(a.value ** e.m)
-        return Pow(a, e.m)
     args = [simplify(a) for a in e.args]
-    if isinstance(e, Neg):
-        (a,) = args
-        if _is_const(a):
-            return Num(-a.value)
-        if isinstance(a, Neg):
-            return a.args[0]
-        return Neg(a)
-    if isinstance(e, Add):
-        a, b = args
-        if _is_const(a, 0):
-            return b
-        if _is_const(b, 0):
-            return a
-        if _is_const(a) and _is_const(b):
-            return Num(a.value + b.value)
-        if _sort_key(b) < _sort_key(a):
-            a, b = b, a
-        return Add(a, b)
-    if isinstance(e, Sub):
-        a, b = args
-        if _is_const(b, 0):
-            return a
-        if _is_const(a) and _is_const(b):
-            return Num(a.value - b.value)
-        if _is_const(a, 0):
-            return simplify(Neg(b))
-        return Sub(a, b)
-    if isinstance(e, Mul):
-        a, b = args
+    op, a, b = e.op, args[0], args[-1]
+    if op == "Conj":
+        return formal_conj(a)
+    if op == "Pow" and e.value in (0, 1):
+        return ONE if e.value == 0 else a
+    if op == "Add" and (_is_const(a, 0) or _is_const(b, 0)):
+        return b if _is_const(a, 0) else a
+    if op == "Sub" and _is_const(b, 0):
+        return a
+    if op == "Mul":
         if _is_const(a, 0) or _is_const(b, 0):
             return ZERO
-        if _is_const(a, 1):
-            return b
-        if _is_const(b, 1):
-            return a
-        if _is_const(a) and _is_const(b):
-            return Num(a.value * b.value)
-        if _sort_key(b) < _sort_key(a):
-            a, b = b, a
-        return Mul(a, b)
-    if isinstance(e, Div):
-        a, b = args
-        if _is_const(a, 0):
-            return ZERO
-        if _is_const(b, 1):
-            return a
-        if _is_const(a) and _is_const(b):
-            return Num(a.value / b.value)
-        return Div(a, b)
-    if isinstance(e, Conj):
-        (a,) = args
-        return formal_conj(a)
-    if isinstance(e, (Exp, Log, Re, Im, Abs2)):
-        return type(e)(*args)
-    raise TypeError(f"unknown node {e!r}")
+        if _is_const(a, 1) or _is_const(b, 1):
+            return b if _is_const(a, 1) else a
+    if op == "Div" and (_is_const(a, 0) or _is_const(b, 1)):
+        return ZERO if _is_const(a, 0) else a
+    if op in _FOLDED and all(_is_const(u) for u in args):
+        return _fold(e._replace(args=tuple(args)))
+    if op == "Sub" and _is_const(a, 0):
+        return simplify(Neg(b))
+    if op == "Neg" and a.op == "Neg":
+        return a.args[0]
+    if op in ("Add", "Mul") and _sort_key(b) < _sort_key(a):
+        args = [b, a]
+    return e._replace(args=tuple(args))
 
 
 def _sort_key(e: Expr):
-    return (type(e).__name__, to_source(e))
+    return (e.op, to_source(e))
 
 
-for _cls in (Num, Z, Zb, Param):
-    _cls.args = ()  # leaves have no children
+_INFIX = {"Add": (" + ", 0, 0, 0), "Sub": (" - ", 0, 1, 0),
+          "Mul": ("*", 1, 2, 1), "Div": ("/", 1, 2, 1)}
 
 
 def to_source(e: Expr) -> str:
@@ -369,7 +257,8 @@ def to_source(e: Expr) -> str:
 
     def p(t, prec):
         # precedence: 0 add, 1 mul, 2 unary, 3 atom
-        if isinstance(t, Num):
+        op = t.op
+        if op == "Num":
             v = t.value
             if v.imag == 0:
                 s = _fmt(v.real)
@@ -378,31 +267,22 @@ def to_source(e: Expr) -> str:
                 s = f"{_fmt(v.imag)}*i" if v.imag != 1 else "i"
                 return s if prec <= 1 else f"({s})"
             return f"({_fmt(v.real)}{'+' if v.imag >= 0 else '-'}{_fmt(abs(v.imag))}*i)"
-        if isinstance(t, Z):
-            return f"z{t.k + 1}"
-        if isinstance(t, Zb):
-            return f"zb{t.k + 1}"
-        if isinstance(t, Param):
-            return t.name
-        if isinstance(t, Add):
-            s = f"{p(t.args[0], 0)} + {p(t.args[1], 0)}"
-            return s if prec <= 0 else f"({s})"
-        if isinstance(t, Sub):
-            s = f"{p(t.args[0], 0)} - {p(t.args[1], 1)}"
-            return s if prec <= 0 else f"({s})"
-        if isinstance(t, Mul):
-            s = f"{p(t.args[0], 1)}*{p(t.args[1], 2)}"
-            return s if prec <= 1 else f"({s})"
-        if isinstance(t, Div):
-            s = f"{p(t.args[0], 1)}/{p(t.args[1], 2)}"
-            return s if prec <= 1 else f"({s})"
-        if isinstance(t, Neg):
+        if op == "Z":
+            return f"z{t.value + 1}"
+        if op == "Zb":
+            return f"zb{t.value + 1}"
+        if op == "Param":
+            return t.value
+        if op in _INFIX:
+            sym, left, right, level = _INFIX[op]
+            s = f"{p(t.args[0], left)}{sym}{p(t.args[1], right)}"
+            return s if prec <= level else f"({s})"
+        if op == "Neg":
             s = f"-{p(t.args[0], 2)}"
             return s if prec <= 1 else f"({s})"
-        if isinstance(t, Pow):
-            return f"pow({p(t.args[0], 0)}, {t.m})"
-        name = type(t).__name__.lower()
-        return f"{name}({p(t.args[0], 0)})"
+        if op == "Pow":
+            return f"pow({p(t.args[0], 0)}, {t.value})"
+        return f"{op.lower()}({p(t.args[0], 0)})"
 
     return p(e, 0)
 
