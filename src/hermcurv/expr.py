@@ -248,7 +248,7 @@ def _sort_key(e: Expr):
     return (e.op, to_source(e))
 
 
-_INFIX = {"Add": (" + ", 0, 0, 0), "Sub": (" - ", 0, 1, 0),
+_INFIX = {"Add": (" + ", 0, 1, 0), "Sub": (" - ", 0, 1, 0),
           "Mul": ("*", 1, 2, 1), "Div": ("/", 1, 2, 1)}
 
 
