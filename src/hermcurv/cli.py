@@ -53,7 +53,10 @@ def _parse_params(items):
         if "=" not in item:
             raise ParseError(f"--param expects name=value, got {item!r}")
         key, val = item.split("=", 1)
-        params[key.strip()] = float(val)
+        key, value = key.strip(), float(val)
+        if not np.isfinite(value):
+            raise ValueError(f"--param {key} must be finite, got {val!r}")
+        params[key] = value
     return params
 
 

@@ -134,7 +134,11 @@ class _Parser:
     def atom(self) -> ex.Expr:
         t = self.next()
         if t.kind == "num":
-            return ex.Num(float(t.text))
+            try:
+                return ex.Num(float(t.text))
+            except ValueError:
+                raise ParseError(f"literal {t.text} is not a finite number",
+                                 t.line, t.col) from None
         if t.text == "(":
             node = self.expr()
             self.expect(")")
@@ -187,12 +191,21 @@ def parse_expr(src: str, n: int) -> ex.Expr:
     p = _Parser(_tokenize(src), n)
     while p.peek().text == ";":
         p.next()
+    start = p.peek()
     node = p.expr()
     while p.peek().text == ";":
         p.next()
     if p.peek().kind != "eof":
         p.fail(f"trailing input {p.peek().text!r}")
-    return ex.simplify(node)
+    return _simplify(node, start)
+
+
+def _simplify(node: ex.Expr, at: _Tok) -> ex.Expr:
+    """`ex.simplify`, with a constant that has no finite value a ParseError at `at`."""
+    try:
+        return ex.simplify(node)
+    except ValueError as err:
+        raise ParseError(str(err), at.line, at.col) from None
 
 
 @dataclass
@@ -266,7 +279,7 @@ def parse_metric(text: str, n: int) -> MetricExpr:
         for k, tk in zip(ij, (ti, tj)):
             if not 1 <= k <= n:
                 raise ParseError(f"entry index {k} out of range for n={n}", tk.line, tk.col)
-        rhs = ex.simplify(p.expr())
+        rhs = _simplify(p.expr(), t)
         if ij in given:
             raise ParseError(f"entry h[{ij[0]}][{ij[1]}] assigned twice", ti.line, ti.col)
         given[ij] = rhs

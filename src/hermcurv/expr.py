@@ -19,6 +19,7 @@ tree serves single points and whole grids alike.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import NamedTuple
 
@@ -52,8 +53,11 @@ def as_expr(x) -> Expr:
 
 
 def Num(value: complex) -> Expr:
-    """Complex literal."""
-    return Expr("Num", (), complex(value))
+    """Complex literal; a tree holds finite constants only (ValueError)."""
+    v = complex(value)
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        raise ValueError(f"constant {v} is not finite")
+    return Expr("Num", (), v)
 
 
 def Z(k: int) -> Expr:
@@ -199,20 +203,13 @@ def _is_const(e, v=None):
     return e.op == "Num" and (v is None or e.value == v)
 
 
-_FOLDED = ("Add", "Sub", "Mul", "Div", "Neg", "Pow")
-
-
-def _fold(e: Expr) -> Expr:
-    """The constant node e as one Num."""
-    return Num(_apply(e, [a.value for a in e.args]))
-
-
 def simplify(e: Expr) -> Expr:
     """Light normalization: constant folding plus 0/1 identities.
 
     Not a CAS; its job is to keep repeated differentiation from blowing up
     trees with trivial factors, and to give the Hermitian checker a stable
     canonical-ish shape (commutative args sorted by op and printed source).
+    A constant that folds to no finite number raises ValueError.
     """
     if not e.args:
         return e
@@ -220,6 +217,7 @@ def simplify(e: Expr) -> Expr:
     op, a, b = e.op, args[0], args[-1]
     if op == "Conj":
         return formal_conj(a)
+    # the 0/1 identities run before the fold: 0*c stays +0 and 0/0 stays 0
     if op == "Pow" and e.value in (0, 1):
         return ONE if e.value == 0 else a
     if op == "Add" and (_is_const(a, 0) or _is_const(b, 0)):
@@ -233,8 +231,12 @@ def simplify(e: Expr) -> Expr:
             return b if _is_const(a, 1) else a
     if op == "Div" and (_is_const(a, 0) or _is_const(b, 1)):
         return ZERO if _is_const(a, 0) else a
-    if op in _FOLDED and all(_is_const(u) for u in args):
-        return _fold(e._replace(args=tuple(args)))
+    if op in ("Add", "Sub", "Mul", "Div", "Neg", "Pow") and all(map(_is_const, args)):
+        const = e._replace(args=tuple(args))
+        try:
+            return Num(_apply(const, [u.value for u in args]))
+        except (ArithmeticError, ValueError):
+            raise ValueError(f"constant {to_source(const)} has no finite value") from None
     if op == "Sub" and _is_const(a, 0):
         return simplify(Neg(b))
     if op == "Neg" and a.op == "Neg":

@@ -534,6 +534,9 @@ def manifold_from_manifest(doc: dict) -> ModelManifold:
     if not (isinstance(params, dict)
             and all(type(v) in (int, float) for v in params.values())):
         raise ParseError(f"manifest params must map names to numbers, got {params!r}")
+    for key, value in params.items():
+        if not np.isfinite(value):
+            raise ParseError(f"manifest param {key} must be finite, got {value!r}")
     flags = {key: doc.get(key, False) for key in ("declared_gauduchon", "declared_balanced")}
     for key, flag in flags.items():
         if type(flag) is not bool:

@@ -231,6 +231,35 @@ def test_inspect_refuses_a_non_finite_curvature(capsys):
     assert "not finite" in err and "t=1e+200" in err
 
 
+@pytest.mark.parametrize("factor", ["1e400*re(z1)", "0*1e400", "1/0", "pow(2, 5000)",
+                                    "pow(0, -1)"])
+def test_factor_without_a_finite_value_is_a_precondition_error(capsys, factor):
+    # an infinite literal, or a constant whose fold raises or overflows
+    code, out, err = run(capsys, "check", "conformal", "--manifold", "hopf",
+                         "--factor", factor, "--points", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("precondition error:") and "finite" in err
+
+
+@pytest.mark.parametrize("name,param", [("vaisman", "m=nan"), ("vaisman", "m=inf"),
+                                        ("kaehler-bump", "eps=inf")])
+def test_non_finite_param_is_refused_by_name(capsys, name, param):
+    key, value = param.split("=")
+    code, out, err = run(capsys, "inspect", name, "--param", param, "--points", "2")
+    assert code == 2 and out == ""
+    assert err == f"precondition error: --param {key} must be finite, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_manifest_param_is_refused_by_name(capsys, tmp_path, value):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "m", "n": 2, "params": {"a": value},
+                                "metric": "h[1][1] = 1 + a*abs2(z1)\nh[2][2] = 1"}))
+    code, out, err = run(capsys, "inspect", str(path), "--points", "2")
+    assert code == 2 and out == ""
+    assert err == f"precondition error: manifest param a must be finite, got {value!r}\n"
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_every_builtin_rejects_an_unknown_param(capsys, name):
     code, out, err = run(capsys, "inspect", name, "--param", "zz=2", "--points", "2")
@@ -487,6 +516,7 @@ MALFORMED_MANIFESTS = {
     "list-params": {"params": [1]},
     "numeric-metric": {"metric": 5},
     "string-flag": {"declared_gauduchon": "no"},
+    "constant-without-value": {"metric": "h[1][1] = 1/0 + abs2(z1)\nh[2][2] = 1"},
 }
 
 

@@ -79,6 +79,37 @@ def test_formal_conj_is_numeric_conj():
                                rtol=1e-13)
 
 
+def test_constructed_tree_equals_and_hashes_like_the_parsed_one():
+    # parse_metric's Hermitian check and conformal_manifold's reality check
+    # compare simplified trees by value
+    built = ex.Sub(ex.Mul(ex.Param("m"), ex.Pow(ex.Zb(1), -2)),
+                   ex.Div(ex.Num(4), ex.Add(ex.Abs2(ex.Z(0)), ex.Exp(ex.Num(1j)))))
+    parsed = parse_expr("pow(zb2, -2)*m - 4/(abs2(z1) + exp(i))", 2)
+    assert built is not parsed
+    assert built == parsed and hash(built) == hash(parsed)
+    assert ex.simplify(built) == built
+
+
+def test_nodes_are_set_and_dict_keys():
+    srcs = ["z1", "zb1", "z2", "0", "1", "i", "m", "pow(z1, 2)", "pow(z1, 3)",
+            "abs2(z1)", "re(z1)", "conj(z1*z2)", "z1 + z2", "z1*z2", "-z1"]
+    nodes = [parse_expr(src, 2) for src in srcs]
+    assert len(set(nodes)) == len(srcs)
+    table = {node: src for node, src in zip(nodes, srcs)}
+    assert [table[parse_expr(src, 2)] for src in srcs] == srcs
+    # a payload alone does not identify a node; the sign of a zero does not count
+    assert ex.Z(1) not in {ex.Num(1)} and ex.Param("m") not in {ex.Num(0)}
+    assert ex.Num(-0.0) in {ex.ZERO} and {ex.Num(-0.0): 1}[ex.ZERO] == 1
+
+
+@pytest.mark.parametrize("field", ["op", "args", "value", "other"])
+def test_nodes_are_immutable(field):
+    node = parse_expr("pow(z1 + m, 2)", 2)
+    with pytest.raises(AttributeError):
+        setattr(node, field, None)
+    assert ex.to_source(node) == "pow(m + z1, 2)"
+
+
 def test_print_parse_roundtrip():
     srcs = [
         "4/(abs2(z1) + abs2(z2))",
