@@ -147,11 +147,14 @@ def inverse_and_det(jet: MetricJet):
     (which bounds the pivot condition estimate by 1/PD_PIVOT_RTOL, since
     every d_k <= h_kk), and the inverse residual has to stay within
     INVERSE_RTOL; JetError otherwise.  Both tolerances scale with max |h|
-    over every node, whichever block a node falls in.
+    over every node, whichever block a node falls in, and it must be finite.
     """
     h, batch = jet.h, jet.h.shape[2:]
-    herm, hmax = map_blocks(lambda hb: (_hermitian_deviation(hb),
-                                        float(np.max(np.abs(hb)))), batch, h)
+    with np.errstate(invalid="ignore"):  # inf - inf in the deviation of a refused h
+        herm, hmax = map_blocks(lambda hb: (_hermitian_deviation(hb),
+                                            float(np.max(np.abs(hb)))), batch, h)
+    if not np.isfinite(hmax):
+        raise JetError(f"metric coefficients are not finite: max |h| is {hmax}")
     if herm > INVARIANT_ATOL * max(1.0, hmax):
         raise JetError(f"h is not Hermitian: max deviation {herm:.3e}")
     ginv, det, dev = map_blocks(_ldl_inverse, batch, h)
@@ -208,15 +211,10 @@ class ConformalJet(MetricJet):
     """Jet of e^f h0 with h, ginv and det scaled from the base jet's by e^f,
     e^{-f} and e^{nf}, never factorized; dh and ddh are `conformal_jet`'s
     with the factor 2-jet `factor()`, built when first read.  JetError if
-    e^{nf} det h0 is not positive and finite (NaN f, e^f over- or
-    underflowing) or the scaled inverse fails `inverse_and_det`'s residual."""
+    `_conformal_scale` refuses f or the scaled inverse fails the residual."""
 
     def __init__(self, base: MetricJet, f: np.ndarray, factor):
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            ef, det = np.exp(f), np.exp(base.n * f) * base.det
-        if not np.all((det > 0) & (det < np.inf)):  # a NaN fails too
-            raise JetError("conformal factor out of range: e^(n f) det h is "
-                           "not a positive finite number")
+        ef, det = _conformal_scale(base, f)
         self.h, self._inverse = ef * base.h, (base.ginv / ef, det)
         _check_residual(*map_blocks(lambda hb, gb: (_inverse_residual(hb, gb),
                                                     float(np.max(np.abs(hb)))),
@@ -228,15 +226,26 @@ class ConformalJet(MetricJet):
     ddh = property(lambda self: self._jet.ddh)
 
 
+def _conformal_scale(jet: MetricJet, f: np.ndarray) -> tuple:
+    """(e^f, e^{nf} det h); JetError unless the latter is a positive finite
+    number at every point, with no warning (NaN f, e^f over- or underflowing)."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ef, det = np.exp(f), np.exp(jet.n * f) * jet.det
+    if not np.all((det > 0) & (det < np.inf)):  # a NaN fails too
+        raise JetError("conformal factor out of range: e^(n f) det h is "
+                       "not a positive finite number")
+    return ef, det
+
+
 def conformal_jet(jet: MetricJet, fj: FactorJet) -> MetricJet:
-    """Jet of e^f h from the jets of h and f (f real).
+    """Jet of e^f h from the jets of h and f (f real, in `_conformal_scale`'s range).
 
     d(e^f h_{j lbar})/dz^i       = e^f (f_i h_{j lbar} + dh[i,j,l])
     d^2(e^f h_{k lbar})/dz^i dzbar^j
         = e^f [ (f_{i jbar} + f_i conj(f_j)) h_{k lbar}
                 + conj(f_j) dh[i,k,l] + f_i conj(dh[j,l,k]) + ddh[i,j,k,l] ]
     """
-    ef = np.exp(fj.f)
+    ef = _conformal_scale(jet, fj.f)[0]
     h, dh, ddh = jet.h, jet.dh, jet.ddh
     df, ddf = fj.df, fj.ddf
     h2 = ef * h

@@ -1,10 +1,11 @@
 """Model manifolds: chart domains, metric sources, and jet evaluation.
 
 A `ModelManifold` owns one coordinate chart and one Hermitian metric given
-either as parsed DSL expression trees (differentiated symbolically) or as
-hand-coded closed-form jet functions, or both.  Builtins carry both
-representations; the test suite asserts the two agree, which guards the
-symbolic differentiator and the hand transcription against each other.
+as parsed DSL expression trees (differentiated symbolically), as a
+hand-coded closed-form jet function, or both.  A builtin states its metric
+once, as DSL source; it adds a closed form only where a benchmark workload
+shows the closed form matters (`hopf`, the plane-wave metrics; DECISIONS.md
+D13), and the test suite asserts that closed form agrees with the DSL.
 
 Group quotients are not modeled: every pointwise quantity is an invariant
 expression evaluated on the covering chart.
@@ -89,11 +90,12 @@ class ModelManifold:
     """One coordinate chart and its Hermitian metric.
 
     The metric comes from `closed_jet`, from the DSL metric `metric_expr`,
-    or from both.  A builtin passes its DSL source as `metric_source`, a
-    callable that derives the text: `dsl_metric` parses it into
-    `metric_expr` on first use (by `expression_jet`, by `conformal_manifold`
-    or by a manifold with no closed form), so a run that only evaluates the
-    closed form never derives or parses it.
+    or from both; `jet` evaluates the closed form where there is one.  A
+    builtin passes its DSL source as `metric_source`, a callable that
+    derives the text: `dsl_metric` parses it into `metric_expr` on first use
+    (by `expression_jet`, by `conformal_manifold` or by a manifold with no
+    closed form), so a run that only evaluates a closed form never derives
+    or parses it.
     """
 
     name: str
@@ -202,93 +204,20 @@ def _hopf_source(n):
     return "\n".join(f"h[{k + 1}][{k + 1}] = 4/({r})" for k in range(n))
 
 
-def _tricerri_jets(z):
-    # diag(1/y^2, y) with y = Im z1, on Im z1 > 0
-    y = z[..., 0].imag
-    shape = z.shape[:-1]
-    h = np.zeros((2, 2) + shape, complex)
-    h[0, 0] = 1 / y ** 2
-    h[1, 1] = y
-    dh = np.zeros((2, 2, 2) + shape, complex)
-    dh[0, 0, 0] = 1j / y ** 3
-    dh[0, 1, 1] = -0.5j
-    ddh = np.zeros((2, 2, 2, 2) + shape, complex)
-    ddh[0, 0, 0, 0] = 1.5 / y ** 4
-    return h, dh, ddh
-
-
+# diag(1/y^2, y) with y = Im z1, on Im z1 > 0
 _TRICERRI_SRC = """
 h[1][1] = 1/pow(im(z1), 2)
 h[2][2] = im(z1)
 """
 
-
-def _elliptic_jets(z):
-    # Vaisman metric on (Im z1 > 0) x (z2 != 0); coordinates (z, w) = (z1, z2)
-    y = z[..., 0].imag
-    w = z[..., 1]
-    wb = np.conj(w)
-    shape = z.shape[:-1]
-    h = np.zeros((2, 2) + shape, complex)
-    h[0, 0] = 2 / y ** 2
-    h[0, 1] = -2j / (y * wb)
-    h[1, 0] = 2j / (y * w)
-    h[1, 1] = 4 / (w * wb)
-    dh = np.zeros((2, 2, 2) + shape, complex)
-    dh[0, 0, 0] = 2j / y ** 3
-    dh[0, 0, 1] = 1 / (wb * y ** 2)
-    dh[0, 1, 0] = -1 / (w * y ** 2)
-    dh[1, 1, 0] = -2j / (y * w ** 2)
-    dh[1, 1, 1] = -4 / (w ** 2 * wb)
-    ddh = np.zeros((2, 2, 2, 2) + shape, complex)
-    ddh[0, 0, 0, 0] = 3 / y ** 4
-    ddh[0, 0, 0, 1] = -1j / (y ** 3 * wb)
-    ddh[0, 0, 1, 0] = 1j / (y ** 3 * w)
-    ddh[0, 1, 0, 1] = -1 / (y ** 2 * wb ** 2)
-    ddh[1, 0, 1, 0] = -1 / (y ** 2 * w ** 2)
-    ddh[1, 1, 1, 1] = 4 / (w ** 2 * wb ** 2)
-    return h, dh, ddh
-
-
+# Vaisman metric on (Im z1 > 0) x (z2 != 0)
 _ELLIPTIC_SRC = """
 h[1][1] = 2/pow(im(z1), 2)
 h[1][2] = -2*i/(im(z1)*zb2)
 h[2][2] = 4/abs2(z2)
 """
 
-
-def _vaisman_jets(z, m):
-    # Inoue-surface family: s = Im z2 - m log(Im z1), on Im z1 > 0
-    y = z[..., 0].imag
-    v = z[..., 1].imag
-    s = v - m * np.log(y)
-    shape = z.shape[:-1]
-    h = np.zeros((2, 2) + shape, complex)
-    h[0, 0] = (1 + s ** 2) / y ** 2
-    h[0, 1] = -s / y
-    h[1, 0] = -s / y
-    h[1, 1] = 1.0
-    dh = np.zeros((2, 2, 2) + shape, complex)
-    dh[0, 0, 0] = 1j * (1 + s ** 2 + m * s) / y ** 3
-    dh[0, 0, 1] = -1j * (m + s) / (2 * y ** 2)
-    dh[0, 1, 0] = -1j * (m + s) / (2 * y ** 2)
-    dh[1, 0, 0] = -1j * s / y ** 2
-    dh[1, 0, 1] = 1j / (2 * y)
-    dh[1, 1, 0] = 1j / (2 * y)
-    ddh = np.zeros((2, 2, 2, 2) + shape, complex)
-    ddh[0, 0, 0, 0] = (3 + 3 * s ** 2 + 5 * m * s + m ** 2) / (2 * y ** 4)
-    ddh[0, 0, 0, 1] = -(3 * m + 2 * s) / (4 * y ** 3)
-    ddh[0, 0, 1, 0] = -(3 * m + 2 * s) / (4 * y ** 3)
-    ddh[0, 1, 0, 0] = -(2 * s + m) / (2 * y ** 3)
-    ddh[1, 0, 0, 0] = -(2 * s + m) / (2 * y ** 3)
-    ddh[0, 1, 0, 1] = 1 / (4 * y ** 2)
-    ddh[0, 1, 1, 0] = 1 / (4 * y ** 2)
-    ddh[1, 0, 0, 1] = 1 / (4 * y ** 2)
-    ddh[1, 0, 1, 0] = 1 / (4 * y ** 2)
-    ddh[1, 1, 0, 0] = 1 / (2 * y ** 2)
-    return h, dh, ddh
-
-
+# Inoue-surface family: s = Im z2 - m log(Im z1), on Im z1 > 0
 _VAISMAN_SRC = """
 h[1][1] = (1 + pow(im(z2) - m*log(im(z1)), 2))/pow(im(z1), 2)
 h[1][2] = -(im(z2) - m*log(im(z1)))/im(z1)
@@ -442,7 +371,6 @@ def _pluriclosed_bump_source(n, eps):
 class _Builtin(NamedTuple):
     """One catalog entry; `builtin` is its only reader."""
 
-    jets: Callable                   # closed form: (z, **params) -> (h, dh, ddh)
     source: Callable                 # DSL metric source: (n, **params) -> str
     defaults: dict = {}              # the only parameters accepted
     any_n: bool = False              # otherwise the chart has n = 2
@@ -450,6 +378,7 @@ class _Builtin(NamedTuple):
     balanced: bool = False
     periodic: bool = False
     golden: Callable | None = None   # stored Chern (s1, s2): (n, **params) -> dict
+    jets: Callable | None = None     # closed form (z, **params) -> (h, dh, ddh); D13
 
 
 # Every builtin is Gauduchon.  The golden (s1, s2) at t = 0 are asserted by
@@ -457,29 +386,28 @@ class _Builtin(NamedTuple):
 # suite, and DECISIONS.md (D1) records the corrected surface constants.
 _CATALOG = {
     "flat-torus": _Builtin(  # the empty plane-wave sum
-        partial(plane_wave_jets, waves=_TrigSum([]), amplitude=_kaehler_amplitude),
         lambda n: "\n".join(f"h[{k + 1}][{k + 1}] = 1" for k in range(n)),
         any_n=True, balanced=True, periodic=True,
-        golden=lambda n: {"s1": 0.0, "s2": 0.0}),
+        golden=lambda n: {"s1": 0.0, "s2": 0.0},
+        jets=partial(plane_wave_jets, waves=_TrigSum([]), amplitude=_kaehler_amplitude)),
     "hopf": _Builtin(
-        _hopf_jets, _hopf_source, any_n=True, domain=_punctured_domain,
-        golden=lambda n: {"s1": n * (n - 1) / 4.0, "s2": (n - 1) / 4.0}),
+        _hopf_source, any_n=True, domain=_punctured_domain,
+        golden=lambda n: {"s1": n * (n - 1) / 4.0, "s2": (n - 1) / 4.0}, jets=_hopf_jets),
     "elliptic": _Builtin(
-        _elliptic_jets, lambda n: _ELLIPTIC_SRC,
-        domain=partial(_halfplane_domain, punctured_axes=(1,)),
+        lambda n: _ELLIPTIC_SRC, domain=partial(_halfplane_domain, punctured_axes=(1,)),
         golden=lambda n: {"s1": -0.5, "s2": -0.75}),
     "tricerri": _Builtin(
-        _tricerri_jets, lambda n: _TRICERRI_SRC, domain=_halfplane_domain,
+        lambda n: _TRICERRI_SRC, domain=_halfplane_domain,
         golden=lambda n: {"s1": -0.25, "s2": -0.5}),
     "vaisman": _Builtin(
-        _vaisman_jets, lambda n, m: _VAISMAN_SRC, {"m": 0.0}, domain=_halfplane_domain,
+        lambda n, m: _VAISMAN_SRC, {"m": 0.0}, domain=_halfplane_domain,
         golden=lambda n, m: {"s1": -0.5, "s2": -(3.0 + m * m) / 4.0}),
     "kaehler-bump": _Builtin(
-        partial(_bump_jets, _KB_TERMS, _kaehler_amplitude), _kaehler_bump_source,
-        {"eps": 1e-3}, balanced=True, periodic=True),
+        _kaehler_bump_source, {"eps": 1e-3}, balanced=True, periodic=True,
+        jets=partial(_bump_jets, _KB_TERMS, _kaehler_amplitude)),
     "pluriclosed-bump": _Builtin(
-        partial(_bump_jets, _PB_TERMS, _pluriclosed_amplitude),
-        _pluriclosed_bump_source, {"eps": 0.03}, periodic=True),
+        _pluriclosed_bump_source, {"eps": 0.03}, periodic=True,
+        jets=partial(_bump_jets, _PB_TERMS, _pluriclosed_amplitude)),
 }
 
 _BUILTIN_ALIASES = {

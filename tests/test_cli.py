@@ -260,6 +260,30 @@ def test_non_finite_manifest_param_is_refused_by_name(capsys, tmp_path, value):
     assert err == f"precondition error: manifest param a must be finite, got {value!r}\n"
 
 
+@pytest.mark.parametrize("argv", [["m.json", "--points", "20"],
+                                  ["vaisman", "--param", "m=1e308", "--points", "2"]],
+                         ids=["manifest", "vaisman"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the DSL entries overflow first
+def test_non_finite_metric_coefficients_are_named(capsys, tmp_path, monkeypatch, argv):
+    # exp(1000 x) overflows at some of the 20 points and underflows at others:
+    # the overflow is named, not the indefinite h it leaves
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(json.dumps({"name": "m", "n": 2, "metric": [
+        "h[1][1] = exp(1000*re(z1))", "h[2][2] = 1"]}))
+    code, out, err = run(capsys, "inspect", *argv)
+    assert code == 2 and out == ""
+    assert err == "precondition error: metric coefficients are not finite: max |h| is inf\n"
+
+
+def test_an_overflowing_conformal_factor_is_named(capsys, recwarn):
+    code, out, err = run(capsys, "check", "conformal", "--manifold", "hopf",
+                         "--factor", "exp(1000*re(z1))", "--points", "2")
+    assert code == 2 and out == ""
+    assert err == ("precondition error: conformal factor out of range: "
+                   "e^(n f) det h is not a positive finite number\n")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_every_builtin_rejects_an_unknown_param(capsys, name):
     code, out, err = run(capsys, "inspect", name, "--param", "zz=2", "--points", "2")

@@ -186,7 +186,10 @@ ORACLE_SURFACES = [("flat-torus", [{}]), ("hopf", [{}]), ("elliptic", [{}]),
                    ("vaisman", [{"m": 0.0}, {"m": 1.0}, {"m": 2.0}])]
 
 
-def _oracle_curvature(sp, name):
+def _oracle_metric(sp, name):
+    """(H, d, db, conj, symbols): the metric matrix H[k, l] = h_{k lbar},
+    the Wirtinger derivatives d/dz_k and d/dzbar_k, conjugation, and the
+    symbols (z1, z2, w1, w2, y, v, lg, m) that H is written in."""
     z1, z2, w1, w2 = sp.symbols("z1 z2 w1 w2")
     y, v, lg, m = sp.symbols("y v lg m", real=True)
     Z, W = (z1, z2), (w1, w2)
@@ -214,6 +217,12 @@ def _oracle_curvature(sp, name):
          "tricerri": sp.Matrix([[1 / y ** 2, 0], [0, y]]),
          "vaisman": sp.Matrix([[(1 + s ** 2) / y ** 2, -s / y],
                                [-s / y, 1]])}[name]
+    return H, d, db, conj, (z1, z2, w1, w2, y, v, lg, m)
+
+
+def _oracle_curvature(sp, name):
+    H, d, db, conj, symbols = _oracle_metric(sp, name)
+    y, m = symbols[4], symbols[7]
     Hinv = H.inv().applyfunc(sp.cancel)
     g = lambda a, b: Hinv[b, a]  # h^{a bbar}
     # Theta_{i jbar} = -d_i dbar_j H + (d_i H) H^{-1} (dbar_j H), matrix in (k, l)
@@ -257,6 +266,28 @@ def test_symbolic_oracle_matches_golden_table(name, param_sets):
         assert sp.simplify(exact["ddstar_11"] - sp.Rational(1, 4) / y ** 2) == 0
     if name == "vaisman":
         assert sp.simplify(exact["s2"] + (3 + m ** 2) / 4) == 0
+
+
+@pytest.mark.parametrize("name,params", [
+    ("elliptic", {}), ("tricerri", {}), ("vaisman", {"m": 1.0}), ("vaisman", {"m": 2.0})])
+def test_surface_jets_match_the_symbolic_oracle(name, params):
+    # the surfaces have no closed form: their DSL jets are checked against
+    # the exact derivatives of the oracle's matrices
+    sp = pytest.importorskip("sympy")
+    H, d, db, _, symbols = _oracle_metric(sp, name)
+    man = builtin(name, **params)
+    z = man.sample_points(60, seed=9)
+    jet = man.jet(z)
+    y = z[:, 0].imag
+    values = (*z.T, *np.conj(z.T), y, z[:, 1].imag, np.log(y), params.get("m", 0.0))
+    exact = {"h": lambda j, l: H[j, l], "dh": lambda i, j, l: d(H[j, l], i),
+             "ddh": lambda i, j, k, l: db(d(H[k, l], i), j)}
+    for key, entry in exact.items():
+        got = getattr(jet, key)
+        for idx in np.ndindex(got.shape[:-1]):
+            want = sp.lambdify(symbols, entry(*idx), "numpy")(*values)
+            dev = np.abs(got[idx] - want)
+            assert np.all(dev <= 1e-12 * np.maximum(1.0, np.abs(want))), (key, idx)
 
 
 def test_tricerri_theta1_coefficient():

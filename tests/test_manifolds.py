@@ -70,7 +70,15 @@ def test_jets_match_finite_differences(name, params):
     assert np.max(np.abs(jet.ddh - ddh_fd)) / scale2 < 1e-7
 
 
-@pytest.mark.parametrize("name,params", ALL_BUILTINS)
+# the builtins with a closed form, under their ALL_BUILTINS ids; the DSL
+# jets of the others are checked against the sympy oracle (test_curvature)
+CLOSED_FORM_BUILTINS = {f"{name}-params{k}": (name, params)
+                        for k, (name, params) in enumerate(ALL_BUILTINS)
+                        if builtin(name, **params).closed_jet is not None}
+
+
+@pytest.mark.parametrize("name,params", CLOSED_FORM_BUILTINS.values(),
+                         ids=CLOSED_FORM_BUILTINS.keys())
 def test_closed_form_agrees_with_expression_path(name, params):
     man = builtin(name, **params)
     z = man.sample_points(60, seed=9)
