@@ -65,7 +65,8 @@ __all__ = [
     "chern_curvature", "gauduchon_curvature", "ricci_and_scalars", "torsion_diagnostics",
     "scalar_via_identity", "scalar_comparison_defect", "einstein_residual",
     "classify", "report_matrix", "oneone_norm2", "TorsionTraces",
-    "torsion_traces", "ricci_forms", "class_residual_fields",
+    "torsion_traces", "traces_block", "collect_traces", "ricci_forms",
+    "class_residual_fields",
 ]
 
 IMAG_TOL = 1e-10
@@ -247,15 +248,21 @@ def torsion_traces(jet: MetricJet) -> TorsionTraces:
     real to IMAG_TOL of its largest value over every node.
     """
     g = jet.ginv
-    *fields, largest, worst = map_blocks(_traces_block, g.shape[2:], g, jet.dh, jet.ddh)
+    return collect_traces(jet.n, map_blocks(traces_block, g.shape[2:], g, jet.dh, jet.ddh))
+
+
+def collect_traces(n: int, out: tuple) -> TorsionTraces:
+    """The bundle from `traces_block`'s outputs over every node (as
+    `map_blocks` returns them); ArithmeticError unless the pairing is real."""
+    *fields, largest, worst = out
     if worst > IMAG_TOL * max(1.0, largest):
         raise ArithmeticError("pairing <del del* omega, omega> is not real")
-    if jet.n == 2:
+    if n == 2:
         fields.append(fields[-1])  # the pluriclosed residual is the Gauduchon one
     return TorsionTraces(*fields)
 
 
-def _traces_block(g: np.ndarray, dh: np.ndarray, ddh: np.ndarray) -> tuple:
+def traces_block(g: np.ndarray, dh: np.ndarray, ddh: np.ndarray) -> tuple:
     """`torsion_traces`' fields on one block of nodes (the pluriclosed
     residual only for n >= 3), then max |pairing| and max |Im pairing|."""
     n = g.shape[0]

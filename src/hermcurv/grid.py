@@ -21,15 +21,19 @@ i != j stencils once per apply, and its transpose is sum_k S_k(c_k v).  The
 solvers' flat preconditioner inverts the Fourier symbol of the diagonal
 terms with mean coefficients (`d2_symbol`).
 
-Class residuals (`GridMetric.class_residuals`) are the maxima over every node
-of the closed-form residual fields in the grid metric's torsion-trace bundle
-(`GridMetric.traces`), the same pass that gives its scalar fields and Lee
-form.  The metric of e^f h (`GridMetric.conformal`) scales h, h^{-1} and
-det exactly, with no second inversion, and builds its dh and ddh (by
-`jets.conformal_jet`) only if a curvature pass reads them.  Geometry arrays
-are component-first like the jet's (ginv[i, j] is one field of grid.shape,
-and the duality check's real inverse metric is ginv_r[a, b, ...]); only the
-chart points (`TorusGrid.points`) keep their coordinate axis last.
+`GridMetric.from_manifold` builds a grid metric in one node-block pass: per
+block of nodes, the manifold's 2-jet, its inverse and det, and its
+torsion-trace bundle (`GridMetric.traces`).  Only h, the inverse, det and
+the bundle are kept for every node, so the whole 2-jet never exists; its dh
+and ddh are re-derived from the manifold if a test or a curvature oracle
+reads them.  Class residuals (`GridMetric.class_residuals`) are the maxima
+over every node of the closed-form residual fields in the bundle, the same
+pass that gives its scalar fields and Lee form.  The metric of e^f h
+(`GridMetric.conformal`) scales h, h^{-1} and det exactly, with no second
+inversion, and builds its dh and ddh (by `jets.conformal_jet`) only if a
+curvature pass reads them.  Geometry arrays are component-first like the
+jet's (ginv[i, j] is one field of grid.shape); only the chart points
+(`TorusGrid.points`) keep their coordinate axis last.
 
 Quadrature: the volume form is det(h) * 2^n dx1 dy1 ... , so periodic
 trapezoid integration is the plain node mean times det(h) 2^n and the cell
@@ -44,8 +48,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import TorsionTraces, class_residual_fields, torsion_traces
-from .jets import ConformalJet, FactorJet, MetricJet
+from .curvature import (TorsionTraces, class_residual_fields, collect_traces,
+                        torsion_traces, traces_block)
+from .jets import (ConformalJet, DeferredJet, FactorJet, MetricJet, check_inverse,
+                   inverse_block, map_blocks)
 from .manifolds import ModelManifold
 
 __all__ = ["TorusGrid", "TorusField", "GridMetric", "GridError",
@@ -53,22 +59,22 @@ __all__ = ["TorusGrid", "TorusField", "GridMetric", "GridError",
            "integrate", "gauduchon_degrees"]
 
 MEMORY_BUDGET_BYTES = 2 << 30
-# bytes per node a grid command holds beyond the jet, inverse and trace
-# bundle of `_bytes_per_node`: at most 844 B over the solve and duality
+# bytes per node a grid command holds beyond the metric, inverse and trace
+# bundle of `_bytes_per_node`: at most 525 B over the solve and duality
 # commands traced at n = 2 (N = 16, 32) and n = 3 (N = 6, 8), rounded up
-# (DECISIONS.md D12)
-WORKING_SET_BYTES = 864
+# (DECISIONS.md D14)
+WORKING_SET_BYTES = 544
 IMAG_TOL = 1e-9
 
 
 def _bytes_per_node(n: int) -> int:
-    """Peak bytes per node of a grid command at dimension n: the stored jet
-    (n^2 + n^3 + n^4 complex), the inverse and det, the torsion-trace bundle
-    (n + n^2 complex, five real fields) and the working set."""
-    jet = 16 * (n ** 2 + n ** 3 + n ** 4)
+    """Peak bytes per node of a grid command at dimension n: h (n^2
+    complex), the inverse and det, the torsion-trace bundle (n + n^2
+    complex, five real fields) and the working set."""
+    metric = 16 * n ** 2
     inverse = 16 * n ** 2 + 8
     traces = 16 * (n + n ** 2) + 8 * 5
-    return jet + inverse + traces + WORKING_SET_BYTES
+    return metric + inverse + traces + WORKING_SET_BYTES
 
 
 class GridError(ValueError):
@@ -280,13 +286,17 @@ class StencilTerm(NamedTuple):
 
 @dataclass
 class GridMetric:
-    """Metric jet data and cached curvature fields on every grid node."""
+    """h, its inverse and det, and the torsion-trace bundle on every grid
+    node.  The jet holds the first three; its dh and ddh are re-derived
+    when first read (`jets.DeferredJet`), never by a solve."""
 
     grid: TorusGrid
     jet: MetricJet
 
     @classmethod
     def from_manifold(cls, man: ModelManifold, grid: TorusGrid) -> "GridMetric":
+        """The grid metric of man in one node-block pass (module docstring);
+        `check_inverse`, then the pairing's check, judge maxima over every node."""
         if man.periods is None:
             raise GridError(f"{man.name} is not declared periodic; PDE solving "
                             "is restricted to torus charts")
@@ -294,10 +304,24 @@ class GridMetric:
             raise GridError(f"grid periods {grid.periods} do not match the "
                             f"manifold's {tuple(man.periods)}")
         z = grid.points()
-        jet = man.jet(z, check_domain=False)
         _check_periodicity(man, grid, z)
-        jet.ginv  # invert now, so that a JetError surfaces at build time
-        return cls(grid, jet)
+
+        def block(zb):  # zb[k, node]: its transpose is a C-ordered slice of z
+            jet = man.jet(zb.T, check_domain=False)
+            ginv, det, herm, hmax, shortfall, dev = inverse_block(jet.h)
+            # a block below the pivot floor is refused after the pass; its
+            # traces only fill the outputs, so they run silently
+            with np.errstate(all=None if shortfall < 0 else "ignore"):
+                return (jet.h, ginv, det, herm, hmax, shortfall, dev,
+                        *traces_block(ginv, jet.dh, jet.ddh))
+        h, ginv, det, herm, hmax, shortfall, dev, *traces = map_blocks(
+            block, grid.shape, np.moveaxis(z, -1, 0))
+        check_inverse(herm, hmax, shortfall, dev)
+        traces = collect_traces(grid.n, traces)
+        gm = cls(grid, DeferredJet(h, ginv, det,
+                                   lambda: man.jet(grid.points(), check_domain=False)))
+        gm.traces = traces  # the pass's bundle: `traces` never reads dh or ddh
+        return gm
 
     @property
     def n(self) -> int:
@@ -342,7 +366,8 @@ class GridMetric:
 
     @cached_property
     def traces(self) -> TorsionTraces:
-        """The torsion-trace bundle of the jet, computed on first use."""
+        """The torsion-trace bundle of the jet: `from_manifold`'s pass sets
+        it, and a metric made otherwise computes it on first use."""
         return torsion_traces(self.jet)
 
     def scalar_fields(self) -> dict:
@@ -430,21 +455,16 @@ def laplacian_duality_defect(gm: GridMetric, u: np.ndarray) -> float:
     <du, eta> pairs du with the Lee form; both read the same first
     differences d_b u.  g realifies 2h (an entry x + iy becomes the block
     [[x, y], [-y, x]]), and realification is multiplicative, so its inverse
-    g^{ab} realifies (2h)^{-1} = h^{-1}/2.
+    g^{ab} realifies (2h)^{-1} = h^{-1}/2; each entry is taken from the
+    metric's inverse where it is used (`_real_inverse`), never stored.
     """
     grid, nn = gm.grid, 2 * gm.n
-    hinv = 0.5 * gm.ginv.swapaxes(0, 1)
-    ginv_r = np.empty((nn, nn) + grid.shape)
-    ginv_r[0::2, 0::2] = hinv.real
-    ginv_r[1::2, 1::2] = hinv.real
-    ginv_r[0::2, 1::2] = hinv.imag
-    ginv_r[1::2, 0::2] = -hinv.imag
     jac = gm.det * (2 ** gm.n)  # sqrt(det g)
     du = [grid.d_axis(u, b) for b in range(nn)]
     first = np.zeros(grid.shape)
     for a in range(nn):
         for b in range(nn):
-            gg = ginv_r[a, b]
+            gg = _real_inverse(gm, a, b)
             if a == b:
                 first += gg * grid.d2_axis(u, a)
             else:
@@ -453,15 +473,24 @@ def laplacian_duality_defect(gm: GridMetric, u: np.ndarray) -> float:
     for b in range(nn):
         acc = np.zeros(grid.shape)
         for a in range(nn):
-            acc += grid.d_axis(jac * ginv_r[a, b], a)
+            acc += grid.d_axis(jac * _real_inverse(gm, a, b), a)
         second += acc / jac * du[b]
     eta = gm.traces.lee
     pairing = np.zeros(grid.shape)
     for a in range(nn):
         for b in range(nn):
-            pairing += ginv_r[a, b] * du[a] * eta[b]
+            pairing += _real_inverse(gm, a, b) * du[a] * eta[b]
     lhs = -2 * complex_laplacian(gm, u)
     return float(np.max(np.abs(lhs - (-(first + second) + pairing))))
+
+
+def _real_inverse(gm: GridMetric, a: int, b: int) -> np.ndarray:
+    """g^{ab}, a and b ordered (x1, y1, x2, y2, ...): the entry of the
+    realified h^{-1}/2, whose (i, j) entry is ginv[j, i] / 2."""
+    x = 0.5 * gm.ginv[b // 2, a // 2]
+    if a % 2 == b % 2:
+        return x.real
+    return x.imag if a % 2 == 0 else -x.imag
 
 
 def integrate(gm: GridMetric, v: np.ndarray) -> float:

@@ -23,7 +23,9 @@ Every per-node pass (the inverse here, the plane-wave jet, the trace and
 Ricci passes) runs through `map_blocks`: NODE_BLOCK nodes at a time, so its
 temporaries are block-sized whatever the batch, while its outputs are
 allocated once at full size and its checks compare maxima over every node
-(DECISIONS.md D12).
+(DECISIONS.md D12).  `inverse_block` never raises and `check_inverse`
+judges its maxima after the last block, so the grid metric's fused pass
+keeps the inverse's checks and their order (DECISIONS.md D14).
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from functools import cached_property
 import numpy as np
 
 __all__ = ["MetricJet", "FactorJet", "JetError", "inverse_and_det",
-           "ConformalJet", "conformal_jet", "check_jet_invariants",
-           "NODE_BLOCK", "map_blocks"]
+           "inverse_block", "check_inverse", "DeferredJet", "ConformalJet",
+           "conformal_jet", "check_jet_invariants", "NODE_BLOCK", "map_blocks"]
 
 # nodes per block of every per-node pass (`map_blocks`, DECISIONS.md D12)
 NODE_BLOCK = 4096
@@ -141,56 +143,77 @@ def inverse_and_det(jet: MetricJet):
     sum_j h^{i jbar} h_{k jbar} = delta_{ik} (the transpose of the plain
     inverse of h).  h = L D L^H is unrolled over the components and reads the
     lower triangle only, so a non-Hermitian h (beyond INVARIANT_ATOL,
-    relative) is refused first.  det h = prod d_k and h^{-1} = X^H D^{-1} X
-    with X = L^{-1}.  The pivots d_k are the squared Cholesky diagonal: the
+    relative) is refused.  det h = prod d_k and h^{-1} = X^H D^{-1} X with
+    X = L^{-1}.  The pivots d_k are the squared Cholesky diagonal: the
     smallest has to exceed PD_PIVOT_RTOL times the largest diagonal entry
     (which bounds the pivot condition estimate by 1/PD_PIVOT_RTOL, since
     every d_k <= h_kk), and the inverse residual has to stay within
     INVERSE_RTOL; JetError otherwise.  Both tolerances scale with max |h|
     over every node, whichever block a node falls in, and it must be finite.
+    One blocked pass (`inverse_block`), then `check_inverse` on its maxima.
     """
-    h, batch = jet.h, jet.h.shape[2:]
+    ginv, det, *maxima = map_blocks(inverse_block, jet.h.shape[2:], jet.h)
+    check_inverse(*maxima)
+    return ginv, det
+
+
+def inverse_block(h: np.ndarray) -> tuple:
+    """(ginv, det) of one block of h, then the block's maxima that
+    `check_inverse` reads: Hermitian deviation, max |h|, pivot shortfall and
+    inverse residual.  Never raises and never warns, so that a whole batch
+    is checked in `check_inverse`'s order whichever block fails."""
     with np.errstate(invalid="ignore"):  # inf - inf in the deviation of a refused h
-        herm, hmax = map_blocks(lambda hb: (_hermitian_deviation(hb),
-                                            float(np.max(np.abs(hb)))), batch, h)
+        herm, hmax = _hermitian_deviation(h), float(np.max(np.abs(h)))
+    ginv, det, shortfall, dev = _ldl_inverse(h)
+    return ginv, det, herm, hmax, shortfall, dev
+
+
+def check_inverse(herm: float, hmax: float, shortfall: float, dev: float) -> None:
+    """The inverse's checks on `inverse_block`'s maxima over every node, in
+    this order: finite coefficients, Hermitian h, the pivot floor, the
+    inverse residual; JetError at the first that fails (NaN fails each)."""
     if not np.isfinite(hmax):
         raise JetError(f"metric coefficients are not finite: max |h| is {hmax}")
     if herm > INVARIANT_ATOL * max(1.0, hmax):
         raise JetError(f"h is not Hermitian: max deviation {herm:.3e}")
-    ginv, det, dev = map_blocks(_ldl_inverse, batch, h)
+    if not shortfall < 0:
+        raise JetError("metric is not positive definite: LDL^H pivot below "
+                       f"{PD_PIVOT_RTOL} * max diagonal")
     _check_residual(dev, hmax)
-    return ginv, det
 
 
 def _ldl_inverse(h: np.ndarray):
-    """(ginv, det, inverse residual) of one block of Hermitian h; JetError
-    below the pivot floor."""
+    """(ginv, det, pivot shortfall, inverse residual) of one block of h.
+
+    The shortfall is the largest PD_PIVOT_RTOL * max diagonal - smallest
+    pivot over the block's nodes: negative when every node clears the
+    pivot floor, NaN if a pivot is.  A node below the floor may leave
+    non-finite entries in ginv and the residual, without a warning."""
     n = h.shape[0]
     r = range(n)
     low, pivots = {}, np.empty(h.shape[1:])  # low[i, k] = L[i, k], pivots[k] = d_k
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in r:
             pivots[j] = h[j, j].real - sum(
                 (low[j, k] * np.conj(low[j, k])).real * pivots[k] for k in range(j))
             for i in range(j + 1, n):
                 low[i, j] = (h[i, j] - sum(low[i, k] * np.conj(low[j, k]) * pivots[k]
                                            for k in range(j))) / pivots[j]
-    floor = PD_PIVOT_RTOL * np.max(h[r, r].real, axis=0)
-    if np.any(~(pivots.min(axis=0) > floor)):  # a NaN pivot fails too
-        raise JetError("metric is not positive definite: LDL^H pivot below "
-                       f"{PD_PIVOT_RTOL} * max diagonal")
-    x = {(k, k): 1.0 for k in r}  # x = L^{-1} by forward substitution
-    for i in r:
-        for j in range(i):
-            x[i, j] = -sum(low[i, k] * x[k, j] for k in range(j, i))
-    # ginv[i, j] = (h^{-1})[j, i] = sum_{k >= j} conj(x[k, j]) x[k, i] / d_k
-    ginv = np.empty(h.shape, complex)
-    for i in r:
-        for j in range(i, n):
-            ginv[i, j] = sum(np.conj(x[k, j]) * x[k, i] / pivots[k] for k in range(j, n))
-            if i < j:
-                ginv[j, i] = np.conj(ginv[i, j])
-    return ginv, np.prod(pivots, axis=0), _inverse_residual(h, ginv)
+        floor = PD_PIVOT_RTOL * np.max(h[r, r].real, axis=0)
+        shortfall = float(np.max(floor - pivots.min(axis=0)))
+        x = {(k, k): 1.0 for k in r}  # x = L^{-1} by forward substitution
+        for i in r:
+            for j in range(i):
+                x[i, j] = -sum(low[i, k] * x[k, j] for k in range(j, i))
+        # ginv[i, j] = (h^{-1})[j, i] = sum_{k >= j} conj(x[k, j]) x[k, i] / d_k
+        ginv = np.empty(h.shape, complex)
+        for i in r:
+            for j in range(i, n):
+                ginv[i, j] = sum(np.conj(x[k, j]) * x[k, i] / pivots[k]
+                                 for k in range(j, n))
+                if i < j:
+                    ginv[j, i] = np.conj(ginv[i, j])
+        return ginv, np.prod(pivots, axis=0), shortfall, _inverse_residual(h, ginv)
 
 
 def _inverse_residual(h: np.ndarray, ginv: np.ndarray) -> float:
@@ -207,7 +230,19 @@ def _check_residual(dev: float, hmax: float) -> None:
         raise JetError(f"inverse residual {dev:.3e} too large")
 
 
-class ConformalJet(MetricJet):
+class DeferredJet(MetricJet):
+    """A jet that holds h, ginv and det and builds its dh and ddh by
+    `derive()` when first read; one build serves both."""
+
+    def __init__(self, h: np.ndarray, ginv: np.ndarray, det: np.ndarray, derive):
+        self.h, self._inverse, self._derive = h, (ginv, det), derive
+
+    _jet = cached_property(lambda self: self._derive())
+    dh = property(lambda self: self._jet.dh)
+    ddh = property(lambda self: self._jet.ddh)
+
+
+class ConformalJet(DeferredJet):
     """Jet of e^f h0 with h, ginv and det scaled from the base jet's by e^f,
     e^{-f} and e^{nf}, never factorized; dh and ddh are `conformal_jet`'s
     with the factor 2-jet `factor()`, built when first read.  JetError if
@@ -215,15 +250,11 @@ class ConformalJet(MetricJet):
 
     def __init__(self, base: MetricJet, f: np.ndarray, factor):
         ef, det = _conformal_scale(base, f)
-        self.h, self._inverse = ef * base.h, (base.ginv / ef, det)
+        super().__init__(ef * base.h, base.ginv / ef, det,
+                         lambda: conformal_jet(base, factor()))
         _check_residual(*map_blocks(lambda hb, gb: (_inverse_residual(hb, gb),
                                                     float(np.max(np.abs(hb)))),
                                     self.h.shape[2:], self.h, self.ginv))
-        self._base, self._factor = base, factor
-
-    _jet = cached_property(lambda self: conformal_jet(self._base, self._factor()))
-    dh = property(lambda self: self._jet.dh)
-    ddh = property(lambda self: self._jet.ddh)
 
 
 def _conformal_scale(jet: MetricJet, f: np.ndarray) -> tuple:

@@ -166,10 +166,15 @@ class ModelManifold:
 
 
 def _evaluate_tensor(trees, z: np.ndarray, params: dict) -> np.ndarray:
-    """trees[i][j]... evaluated at z, as the component-first array a[i, j, ...]."""
+    """trees[i][j]... evaluated at z, as the component-first array a[i, j, ...].
+
+    numpy's floating-point warnings are silenced: the jet checks refuse a
+    non-finite coefficient by name."""
     if isinstance(trees, list):
         return np.stack([_evaluate_tensor(t, z, params) for t in trees])
-    return np.broadcast_to(ex.evaluate(trees, z, params), z.shape[:-1]).astype(complex)
+    with np.errstate(all="ignore"):
+        value = ex.evaluate(trees, z, params)
+    return np.broadcast_to(value, z.shape[:-1]).astype(complex)
 
 
 def _differentiate_metric(mx: MetricExpr):

@@ -263,7 +263,7 @@ def test_non_finite_manifest_param_is_refused_by_name(capsys, tmp_path, value):
 @pytest.mark.parametrize("argv", [["m.json", "--points", "20"],
                                   ["vaisman", "--param", "m=1e308", "--points", "2"]],
                          ids=["manifest", "vaisman"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the DSL entries overflow first
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the DSL entries overflow silently
 def test_non_finite_metric_coefficients_are_named(capsys, tmp_path, monkeypatch, argv):
     # exp(1000 x) overflows at some of the 20 points and underflows at others:
     # the overflow is named, not the indefinite h it leaves
@@ -273,6 +273,17 @@ def test_non_finite_metric_coefficients_are_named(capsys, tmp_path, monkeypatch,
     code, out, err = run(capsys, "inspect", *argv)
     assert code == 2 and out == ""
     assert err == "precondition error: metric coefficients are not finite: max |h| is inf\n"
+
+
+def test_an_overflowing_dsl_entry_prints_only_the_message():
+    # numpy's overflow warnings from the DSL evaluation once came first on stderr
+    src = str(Path(hermcurv.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "hermcurv.cli", "inspect", "vaisman",
+                          "--param", "m=1e308", "--points", "2"], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert "RuntimeWarning" not in out.stderr
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", "precondition error: metric coefficients are not finite: max |h| is inf\n")
 
 
 def test_an_overflowing_conformal_factor_is_named(capsys, recwarn):

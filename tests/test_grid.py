@@ -37,6 +37,11 @@ def test_memory_guard_admits_n2_at_32():
     assert TorusGrid(n=2, N=32).node_count == 32 ** 4
 
 
+def test_memory_guard_admits_n3_at_10():
+    # the grid holds no 2-jet: 1072 bytes per node at n = 3, 1.0 GiB here
+    assert TorusGrid(n=3, N=10).node_count == 10 ** 6
+
+
 def test_grid_validation():
     with pytest.raises(GridError):
         TorusGrid(n=2, N=5)
@@ -417,7 +422,9 @@ def test_scalar_fields_match_full_tensor_oracle(name, scheme):
 
 def test_grid_metric_runs_the_fused_pass_once(count_calls):
     import hermcurv.curvature as curvature
-    calls = count_calls(curvature, "torsion_traces")
+    # the build collects its blocks' trace bundle once, and never runs the
+    # whole-jet trace pass
+    calls = count_calls(curvature, "torsion_traces", "collect_traces")
     man = builtin("pluriclosed-bump")
     gm = GridMetric.from_manifold(man, TorusGrid(n=man.n, N=8))
     gm.scalar_fields()
@@ -425,7 +432,7 @@ def test_grid_metric_runs_the_fused_pass_once(count_calls):
     gm.traces.lee
     gauduchon_degrees(gm)
     gm.scalar_fields()
-    assert len(calls) == 1
+    assert calls == ["collect_traces"]
 
 
 def test_grid_metric_builds_the_nodes_once(count_calls):
