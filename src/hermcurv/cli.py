@@ -70,12 +70,12 @@ def _resolve_manifold(spec: str, n, params):
 
 
 def _write_report(table: dict, args):
-    text = records_to_csv(table) if args.format == "csv" else records_to_text(table)
+    write = records_to_csv if args.format == "csv" else records_to_text
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(table, fh)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        write(table, sys.stdout)
 
 
 def tolerance(text: str) -> float:

@@ -4,19 +4,21 @@ Implements the closed-form transformation of the third/fourth Ricci forms
 and the second scalar curvature under omega -> e^f omega, together with a
 direct-recomputation oracle: transform the metric jet, rerun the curvature
 engine, compare.  The oracle is the arbiter for every coefficient here.
-Every factor's law reads the base Ric3 and S_C2 of one shared Ricci pass.
-`s2_law` is the one S_C2 law; the grid solvers feed it the lap f they hold.
+Every factor's law reads the base Ric3 and S_C2 of one Ricci pass per node
+block.  `s2_law` is the one S_C2 law; the grid solvers feed it the lap f
+they hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .curvature import ricci_forms
 from .dsl import parse_expr
-from .jets import FactorJet, MetricJet, conformal_jet
+from .jets import DeferredJet, FactorJet, MetricJet, conformal_jet, map_blocks
 from .manifolds import ModelManifold, factor_jet_from_expr
 
 __all__ = ["TransformedCurvature", "law_coefficients", "s2_law", "transformed_ric34",
@@ -107,30 +109,48 @@ def transformed_ric34(jet: MetricJet, fj: FactorJet, base) -> list[TransformedCu
     return out
 
 
+_DEFECTS = ("s2", "ric3", "ric4")
+
+
 def _oracle_defects(jet: MetricJet, fj: FactorJet, base, ts) -> list[dict]:
     """Max absolute defects of the formula path against the direct path, per t."""
     direct = ricci_forms(conformal_jet(jet, fj), ts)
     rows = []
     for formula, ric_f in zip(transformed_ric34(jet, fj, base), direct):
         row = {key: float(np.max(np.abs(getattr(formula, key) - getattr(ric_f, key))))
-               for key in ("s2", "ric3", "ric4")}
+               for key in _DEFECTS}
         rows.append(dict(row, max=max(row.values())))
     return rows
+
+
+def _oracle_block(ts, h, dh, ddh, ginv, det, *factors) -> tuple:
+    """`_oracle_defects` of each factor's (f, df, ddf) on one block of nodes,
+    as floats, after the block's base Ricci pass."""
+    jet = DeferredJet(h, ginv, det, lambda: MetricJet(h, dh, ddh))
+    base = ricci_forms(jet, ts)
+    return tuple(row[key] for i in range(0, len(factors), 3)
+                 for row in _oracle_defects(jet, FactorJet(*factors[i:i + 3]), base, ts)
+                 for key in _DEFECTS)
 
 
 def conformal_oracle_check(man: ModelManifold, factors, ts, points) -> list[dict]:
     """Formula path vs direct recomputation at the given points.
 
     Returns one row of max absolute defects (s2, ric3, ric4 and their max)
-    per (factor, t), the factors outermost.  The base jet and its Ricci pass
-    run once, keeping only Ric3 and S_C2; the direct path builds the jet of
-    e^f h for each factor and reruns the Ricci pass on it for all t at once.
+    per (factor, t), the factors outermost.  The base jet, its inverse and
+    each factor's 2-jet are evaluated once over every point.  Then one
+    node-block pass (`map_blocks`) runs, per block, the base Ricci pass and,
+    for each factor, the jet of e^f h and its Ricci pass for all t at once;
+    each defect is the maximum over the blocks.  So the temporaries are one
+    block's whatever the point count, and the checks of the Ricci passes,
+    of the inverse of e^f h and of lap f compare each block's maxima.
     """
     z = np.asarray(points, dtype=complex)
     jet = man.jet(z)
-    base = [TransformedCurvature(ric.ric3, ric.s2, ric.t) for ric in ricci_forms(jet, ts)]
-    rows = []
-    for f in factors:
-        fj = factor_jet_from_expr(parse_expr(f, man.n), z, man.n, man.params)
-        rows += _oracle_defects(jet, fj, base, ts)  # frees each direct pass
-    return rows
+    fjs = [factor_jet_from_expr(parse_expr(f, man.n), z, man.n, man.params)
+           for f in factors]
+    res = map_blocks(partial(_oracle_block, ts), jet.h.shape[2:],
+                     jet.h, jet.dh, jet.ddh, jet.ginv, jet.det,
+                     *(x for fj in fjs for x in (fj.f, fj.df, fj.ddf)))
+    rows = [dict(zip(_DEFECTS, res[i:i + 3])) for i in range(0, len(res), 3)]
+    return [dict(row, max=max(row.values())) for row in rows]

@@ -60,10 +60,10 @@ __all__ = ["TorusGrid", "TorusField", "GridMetric", "GridError",
 
 MEMORY_BUDGET_BYTES = 2 << 30
 # bytes per node a grid command holds beyond the metric, inverse and trace
-# bundle of `_bytes_per_node`: at most 525 B over the solve and duality
-# commands traced at n = 2 (N = 16, 32) and n = 3 (N = 6, 8), rounded up
-# (DECISIONS.md D14)
-WORKING_SET_BYTES = 544
+# bundle of `_bytes_per_node`: at most 419 B over the solve and duality
+# commands traced at n = 2 (N = 16, 32) and n = 3 (N = 6, 8, 10), rounded up
+# (DECISIONS.md D14, D15)
+WORKING_SET_BYTES = 448
 IMAG_TOL = 1e-9
 
 

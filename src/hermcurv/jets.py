@@ -20,12 +20,14 @@ exactly this data; a single point and a million grid nodes go through the
 same code path.
 
 Every per-node pass (the inverse here, the plane-wave jet, the trace and
-Ricci passes) runs through `map_blocks`: NODE_BLOCK nodes at a time, so its
-temporaries are block-sized whatever the batch, while its outputs are
-allocated once at full size and its checks compare maxima over every node
-(DECISIONS.md D12).  `inverse_block` never raises and `check_inverse`
-judges its maxima after the last block, so the grid metric's fused pass
-keeps the inverse's checks and their order (DECISIONS.md D14).
+Ricci passes, the conformal oracle) runs through `map_blocks`:
+`node_block(n)` nodes at a time, so its temporaries are block-sized
+whatever the batch, while its outputs are allocated once at full size and
+its checks compare maxima over every node (DECISIONS.md D12); the conformal
+oracle's inner passes check each block (D15).  `inverse_block` never raises
+and `check_inverse` judges its maxima after the last block, so the grid
+metric's fused pass keeps the inverse's checks and their order
+(DECISIONS.md D14).
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ import numpy as np
 
 __all__ = ["MetricJet", "FactorJet", "JetError", "inverse_and_det",
            "inverse_block", "check_inverse", "DeferredJet", "ConformalJet",
-           "conformal_jet", "check_jet_invariants", "NODE_BLOCK", "map_blocks"]
+           "conformal_jet", "check_jet_invariants", "NODE_BLOCK", "node_block",
+           "map_blocks"]
 
-# nodes per block of every per-node pass (`map_blocks`, DECISIONS.md D12)
+# nodes per block of every per-node pass at n = 2 (`map_blocks`, DECISIONS.md D12)
 NODE_BLOCK = 4096
 
 # smallest LDL^H pivot must exceed this times the largest diagonal entry
@@ -89,22 +92,34 @@ class FactorJet:
     ddf: np.ndarray
 
 
+def node_block(n: int) -> int:
+    """Nodes per block at dimension n: NODE_BLOCK * 16 // n^4, so that a
+    block of the n^4-component passes holds as many entries as at n = 2
+    (4096 nodes at n = 2, 809 at n = 3, 256 at n = 4; DECISIONS.md D15)."""
+    return NODE_BLOCK * 16 // n ** 4
+
+
 def map_blocks(fn, batch: tuple, *fields) -> tuple:
-    """Run fn over the nodes of `fields` in blocks of NODE_BLOCK nodes.
+    """Run fn over the nodes of `fields` in blocks of `node_block(n)` nodes,
+    n being the leading axis of the first field.
 
     Each field is component-first with trailing batch axes `batch`, seen
     with those axes flattened into one: a view for a C-ordered field, so fn
     may also write its block of a preallocated output.  fn gets the same
     block of every field and returns a tuple.  Its arrays (block last) are
-    copied into full-size outputs allocated on the first block; its floats
-    are maxima, combined over the blocks (NaN if any block's is NaN).
-    Returns that tuple, each output shaped (components...) + batch.
+    copied into full-size outputs allocated on the first block, unless the
+    batch is one block; its floats are maxima, combined over the blocks
+    (NaN if any block's is NaN).  Returns that tuple, each output shaped
+    (components...) + batch.
     """
     count = math.prod(batch)
     flat = [x.reshape(x.shape[:x.ndim - len(batch)] + (count,)) for x in fields]
-    out = None
-    for start in range(0, max(count, 1), NODE_BLOCK):  # an empty batch runs once
-        block = slice(start, start + NODE_BLOCK)
+    out, step = None, node_block(fields[0].shape[0])
+    if count <= step:  # one block: fn's outputs as they are, with no copy (D15)
+        return tuple(r.reshape(r.shape[:-1] + batch) if isinstance(r, np.ndarray) else r
+                     for r in fn(*flat))
+    for start in range(0, count, step):
+        block = slice(start, start + step)
         res = fn(*(x[..., block] for x in flat))
         if out is None:
             out = [np.empty(r.shape[:-1] + (count,), r.dtype)
@@ -176,8 +191,9 @@ def check_inverse(herm: float, hmax: float, shortfall: float, dev: float) -> Non
         raise JetError(f"metric coefficients are not finite: max |h| is {hmax}")
     if herm > INVARIANT_ATOL * max(1.0, hmax):
         raise JetError(f"h is not Hermitian: max deviation {herm:.3e}")
-    if not shortfall < 0:
-        raise JetError("metric is not positive definite: LDL^H pivot below "
+    if not shortfall < 0:  # the floor bounds the condition estimate (DECISIONS.md D5)
+        raise JetError(f"metric is not positive definite with condition estimate at "
+                       f"most {1 / PD_PIVOT_RTOL:.0e}: LDL^H pivot below "
                        f"{PD_PIVOT_RTOL} * max diagonal")
     _check_residual(dev, hmax)
 

@@ -515,9 +515,10 @@ def manifold_from_manifest(doc: dict) -> ModelManifold:
 
 def factor_jet_from_expr(f: ex.Expr, z: np.ndarray, n: int,
                          params: dict | None = None) -> FactorJet:
-    """2-jet of a real-valued DSL expression f at points z."""
+    """2-jet of a real-valued DSL expression f at points z, each part
+    evaluated without numpy warnings (`_evaluate_tensor`)."""
     params = params or {}
-    val = ex.evaluate(f, z, params)
+    val = _evaluate_tensor(f, z, params)
     if np.max(np.abs(val.imag)) > 1e-10 * max(1.0, float(np.max(np.abs(val)))):
         raise ValueError("conformal factor is not real-valued")
     df_t = [ex.wirtinger_derivative(f, k, bar=False) for k in range(n)]

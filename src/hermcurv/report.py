@@ -3,9 +3,10 @@
 A report is one table: a dict from column name to its values, one per row
 (a float array, or a list of str, int or float).  The structured-text format
 is stable `key: value` lines grouped in records, prefixed with a
-schema-version header; CSV carries one row per record.  Both writers format
-a row with one template: `%.17g` for float columns and `str` for the rest.
-Outputs are byte-deterministic for a fixed seed and configuration.
+schema-version header; CSV carries one row per record.  Both writers stream
+to a text stream, ROWS_PER_WRITE rows per write, and format a row with one
+template: `%.17g` for float columns and `str` for the rest.  Outputs are
+byte-deterministic for a fixed seed and configuration.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .jets import MetricJet
 from .manifolds import ModelManifold
 
 SCHEMA_VERSION = "hermcurv-report-1"
+# rows formatted per write of the streaming writers: the largest memory
+# a writer holds beyond the table is one chunk of rows (DECISIONS.md D15)
+ROWS_PER_WRITE = 512
 
 __all__ = ["SCHEMA_VERSION", "curvature_records", "records_to_text",
            "records_to_csv", "solver_record"]
@@ -87,23 +91,39 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-3]  # drop the empty last field and "\r\n"
 
 
-def records_to_text(table: dict) -> str:
-    names = [key for key in table if key != "schema"]
-    cols = [_column(table[key], str) for key in names]
-    template = "\n[record %d]\n" + "".join(
-        f"{key.replace('%', '%%')}: {fmt}\n" for key, (fmt, _) in zip(names, cols))
-    rows = len(next(iter(table.values()), ()))
-    body = [template % row for row in zip(range(rows), *(vals for _, vals in cols))]
-    return f"schema: {SCHEMA_VERSION}\nrecords: {rows}\n" + "".join(body)
+def _rows(table: dict) -> int:
+    return len(next(iter(table.values()), ()))
 
 
-def records_to_csv(table: dict) -> str:
-    if not len(next(iter(table.values()), ())):
-        return "schema\n"
-    cols = [_column(values, _csv_cell) for values in table.values()]
-    template = ",".join(fmt for fmt, _ in cols) + "\r\n"
-    header = ",".join(map(_csv_cell, table)) + "\r\n"
-    return header + "".join(template % row for row in zip(*(vals for _, vals in cols)))
+def _chunks(columns: list, rows: int, cell):
+    """(first row, templates, values) of the given columns over each run of
+    ROWS_PER_WRITE rows; `cell` as in `_column`."""
+    for start in range(0, rows, ROWS_PER_WRITE):
+        cols = [_column(values[start:start + ROWS_PER_WRITE], cell) for values in columns]
+        yield start, [fmt for fmt, _ in cols], [vals for _, vals in cols]
+
+
+def records_to_text(table: dict, out) -> None:
+    """Write `table` as structured text to the text stream `out`."""
+    rows, names = _rows(table), [key for key in table if key != "schema"]
+    out.write(f"schema: {SCHEMA_VERSION}\nrecords: {rows}\n")
+    for start, fmts, cols in _chunks([table[key] for key in names], rows, str):
+        template = "\n[record %d]\n" + "".join(
+            f"{key.replace('%', '%%')}: {fmt}\n" for key, fmt in zip(names, fmts))
+        out.write("".join(template % row for row in
+                          zip(range(start, start + ROWS_PER_WRITE), *cols)))
+
+
+def records_to_csv(table: dict, out) -> None:
+    """Write `table` as CSV, one row per record, to the text stream `out`."""
+    rows = _rows(table)
+    if not rows:
+        out.write("schema\n")
+        return
+    out.write(",".join(map(_csv_cell, table)) + "\r\n")
+    for _, fmts, cols in _chunks(list(table.values()), rows, _csv_cell):
+        template = ",".join(fmts) + "\r\n"
+        out.write("".join(template % row for row in zip(*cols)))
 
 
 def solver_record(report, digest: dict) -> dict:

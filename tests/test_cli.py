@@ -286,6 +286,30 @@ def test_an_overflowing_dsl_entry_prints_only_the_message():
         2, "", "precondition error: metric coefficients are not finite: max |h| is inf\n")
 
 
+def test_an_overflowing_conformal_factor_prints_only_the_message():
+    # the factor's value was evaluated outside the DSL's silenced error state
+    src = str(Path(hermcurv.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "hermcurv.cli", "check", "conformal",
+                          "--manifold", "hopf", "--n", "2", "--points", "50",
+                          "--factor", "exp(exp(800*re(z1)))"], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", "precondition error: conformal factor out of range: "
+               "e^(n f) det h is not a positive finite number\n")
+
+
+def test_an_ill_conditioned_metric_is_refused_by_its_condition_bound(capsys, tmp_path):
+    # diag(1e11, 1) is positive definite; the pivot floor refuses it because
+    # its condition estimate exceeds 1 / PD_PIVOT_RTOL, and says so
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "m", "n": 2, "metric": [
+        "h[1][1] = 1e11", "h[2][2] = 1", "h[1][2] = 0"]}))
+    code, out, err = run(capsys, "inspect", str(path), "--points", "2")
+    assert code == 2 and out == ""
+    assert err == ("precondition error: metric is not positive definite with condition "
+                   "estimate at most 1e+10: LDL^H pivot below 1e-10 * max diagonal\n")
+
+
 def test_an_overflowing_conformal_factor_is_named(capsys, recwarn):
     code, out, err = run(capsys, "check", "conformal", "--manifold", "hopf",
                          "--factor", "exp(1000*re(z1))", "--points", "2")

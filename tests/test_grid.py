@@ -38,7 +38,7 @@ def test_memory_guard_admits_n2_at_32():
 
 
 def test_memory_guard_admits_n3_at_10():
-    # the grid holds no 2-jet: 1072 bytes per node at n = 3, 1.0 GiB here
+    # the grid holds no 2-jet: 976 bytes per node at n = 3, 0.91 GiB here
     assert TorusGrid(n=3, N=10).node_count == 10 ** 6
 
 

@@ -9,10 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
+from hermcurv import conformal
+from hermcurv.cli import DEFAULT_FACTORS, main
+from hermcurv.conformal import conformal_oracle_check
 from hermcurv.curvature import ricci_forms, torsion_traces
+from hermcurv.dsl import parse_expr
 from hermcurv.grid import GridMetric, TorusGrid
-from hermcurv.jets import NODE_BLOCK, JetError, MetricJet, inverse_and_det
-from hermcurv.manifolds import builtin
+from hermcurv.jets import NODE_BLOCK, JetError, MetricJet, inverse_and_det, node_block
+from hermcurv.manifolds import builtin, factor_jet_from_expr
 
 # a batch that is not a multiple of the block, with slices that straddle
 # the first block boundary and end the last (partial) block
@@ -78,10 +82,14 @@ def test_grid_passes_match_the_slice_alone(grid_case, nodes):
         assert np.array_equal(whole, getattr(part_traces, name)), name
 
 
-@pytest.mark.parametrize("nodes", SLICES, ids=["boundary", "tail"])
+@pytest.mark.parametrize("nodes", SLICES + (slice(4040, 4050),),
+                         ids=["boundary", "tail", "n3-boundary"])
 def test_ricci_forms_match_the_slice_alone(nodes):
+    # n = 3 runs 809-node blocks: 4090:4100 lies inside the sixth, 4040:4050
+    # straddles the fifth boundary (4045)
     man = builtin("hopf", n=3)
-    z = man.sample_points(5000, seed=4)  # one full block and 904 left over
+    z = man.sample_points(5000, seed=4)  # six full blocks and 146 left over
+    assert node_block(3) == 809
     ts = [0.0, 0.5, 1.0]
     whole, part = ricci_forms(man.jet(z), ts), ricci_forms(man.jet(z[nodes]), ts)
     for w, p in zip(whole, part):
@@ -89,7 +97,8 @@ def test_ricci_forms_match_the_slice_alone(nodes):
             assert np.array_equal(getattr(w, name)[..., nodes], getattr(p, name)), name
 
 
-PIVOT_MESSAGE = "metric is not positive definite: LDL^H pivot below 1e-10 * max diagonal"
+PIVOT_MESSAGE = ("metric is not positive definite with condition estimate at most 1e+10: "
+                 "LDL^H pivot below 1e-10 * max diagonal")
 
 
 def test_non_positive_last_node_is_refused(grid_case):
@@ -176,3 +185,65 @@ def test_grid_build_never_holds_the_whole_jet():
     finally:
         tracemalloc.stop()
     assert peak / 2 ** 20 < BUILD_BOUND_MIB
+
+
+# -- the conformal oracle: one node-block pass over every factor -------------
+
+ORACLE_TS = [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("man, points", [(builtin("hopf", n=3), 2000),
+                                         (builtin("pluriclosed-bump"), 9000)],
+                         ids=["hopf-n3", "pluriclosed-bump"])
+def test_conformal_oracle_blocks_match_the_whole_batch(man, points):
+    # three blocks or more (809 nodes at n = 3, 4096 at n = 2), against the
+    # formula and direct paths run once over every point
+    assert points > 2 * node_block(man.n)
+    z = man.sample_points(points, seed=6)
+    jet = man.jet(z)
+    base = ricci_forms(jet, ORACLE_TS)
+    want = []
+    for f in DEFAULT_FACTORS:
+        fj = factor_jet_from_expr(parse_expr(f, man.n), z, man.n, man.params)
+        want += conformal._oracle_defects(jet, fj, base, ORACLE_TS)
+    assert conformal_oracle_check(man, DEFAULT_FACTORS, ORACLE_TS, z) == want
+
+
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_a_nan_defect_in_any_block_reaches_the_verdict(capsys, monkeypatch, block):
+    # 2000 points at n = 3 are three blocks; the first factor's defects turn
+    # NaN in one of them, and the maxima over the blocks keep it
+    real, calls = conformal._oracle_defects, []
+
+    def defects(*args):
+        rows = real(*args)
+        calls.append(len(calls))
+        if calls[-1] == 3 * block:
+            rows = [{key: np.nan for key in row} for row in rows]
+        return rows
+    monkeypatch.setattr(conformal, "_oracle_defects", defects)
+    code = main(["check", "conformal", "--manifold", "hopf", "--n", "3",
+                 "--points", "2000", "--t", "0,1"])
+    out = capsys.readouterr().out
+    assert len(calls) == 9
+    assert code == 3 and "conformal oracle max defect nan (tol 1e-07)" in out
+    assert out.count("nan") == 1 + 2 * 3  # the verdict; s2, ric3, ric4 at two t
+
+
+# 5000 hopf n = 3 points, the three default factors at t = 0, 1: the whole
+# base jet (8.9 MiB) and the factor jets stay; the base Ricci forms, the jet
+# of e^f h and its Ricci pass are one 809-node block at a time.  A traced
+# peak of 19.3 MiB, where the whole-batch oracle peaked at 42.3 MiB.
+ORACLE_BOUND_MIB = 24
+
+
+def test_conformal_oracle_holds_one_block_of_temporaries():
+    man = builtin("hopf", n=3)
+    z = man.sample_points(5000, seed=0)
+    tracemalloc.start()
+    try:
+        conformal_oracle_check(man, DEFAULT_FACTORS, [0.0, 1.0], z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 < ORACLE_BOUND_MIB

@@ -1,14 +1,17 @@
 import csv
 import io
+import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from hermcurv.cli import main
 from hermcurv.conformal import conformal_oracle_check
 from hermcurv.manifolds import builtin
-from hermcurv.report import (SCHEMA_VERSION, curvature_records, records_to_csv,
-                             records_to_text, solver_record)
+from hermcurv.report import (ROWS_PER_WRITE, SCHEMA_VERSION, curvature_records,
+                             records_to_csv, records_to_text, solver_record)
 
 
 # -- reference writer: one dict per record, one value at a time ---------------
@@ -47,9 +50,15 @@ def _as_records(table):
     return [dict(zip(table, row)) for row in zip(*table.values())]
 
 
+def _written(writer, table) -> str:
+    buf = io.StringIO()
+    writer(table, buf)
+    return buf.getvalue()
+
+
 def _assert_writers_agree(table, records):
-    assert records_to_csv(table) == _ref_csv(records)
-    assert records_to_text(table) == _ref_text(records)
+    assert _written(records_to_csv, table) == _ref_csv(records)
+    assert _written(records_to_text, table) == _ref_text(records)
 
 
 def test_inspect_table_writes_like_the_record_writer():
@@ -100,4 +109,72 @@ def test_solver_record_writes_like_the_record_writer():
 
 def test_empty_table():
     _assert_writers_agree({}, [])
-    assert records_to_csv({}) == "schema\n"
+    assert _written(records_to_csv, {}) == "schema\n"
+
+
+# -- streaming: ROWS_PER_WRITE rows per write ---------------------------------
+
+R = ROWS_PER_WRITE
+
+
+class _Writes:
+    """A text stream that keeps the length of each write, or nothing."""
+
+    def __init__(self, keep=True):
+        self.lengths = [] if keep else None
+
+    def write(self, text):
+        if self.lengths is not None:
+            self.lengths.append(len(text))
+
+
+@pytest.fixture(scope="module")
+def long_table():
+    man = builtin("hopf")
+    z = man.sample_points(2 * R + 1, seed=2)
+    return curvature_records(man, z, man.jet(z), [0.5])
+
+
+@pytest.mark.parametrize("rows", [0, 1, R - 1, R, R + 1, 2 * R + 1])
+def test_writers_stream_runs_of_rows_like_the_record_writer(long_table, rows):
+    # record numbers continue across writes; the header is one write, then
+    # one write per run of at most R rows
+    table = {key: values[:rows] for key, values in long_table.items()}
+    _assert_writers_agree(table, _as_records(table))
+    for writer in (records_to_csv, records_to_text):
+        sink = _Writes()
+        writer(table, sink)
+        assert len(sink.lengths) == 1 + math.ceil(rows / R), writer.__name__
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_out_file_equals_stdout(capsys, tmp_path, fmt):
+    argv = ["inspect", "hopf", "--points", str(R + 7), "--t", "0,1", "--format", fmt]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    with open(out, newline="") as fh:
+        assert fh.read() == stdout
+    assert stdout.count("\n") > 2 * R
+
+
+# The 5000-row hopf n = 3 table at one t, written to a stream that drops its
+# input: the writers held the whole report at once (a traced peak of 30.8 MiB
+# for CSV and 57.6 MiB for text); one run of rows is 3.2 and 4.5 MiB.
+WRITER_BOUND_MIB = 8
+
+
+@pytest.mark.parametrize("writer", [records_to_csv, records_to_text])
+def test_writers_hold_one_run_of_rows(writer):
+    man = builtin("hopf", n=3)
+    z = man.sample_points(5000, seed=0)
+    table = curvature_records(man, z, man.jet(z), [0.0])
+    tracemalloc.start()
+    try:
+        writer(table, _Writes(keep=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 < WRITER_BOUND_MIB
