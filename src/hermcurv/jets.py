@@ -95,8 +95,9 @@ class FactorJet:
 def node_block(n: int) -> int:
     """Nodes per block at dimension n: NODE_BLOCK * 16 // n^4, so that a
     block of the n^4-component passes holds as many entries as at n = 2
-    (4096 nodes at n = 2, 809 at n = 3, 256 at n = 4; DECISIONS.md D15)."""
-    return NODE_BLOCK * 16 // n ** 4
+    (4096 nodes at n = 2, 809 at n = 3, 256 at n = 4), and one node at
+    least, which every n >= 17 runs (DECISIONS.md D15)."""
+    return max(1, NODE_BLOCK * 16 // n ** 4)
 
 
 def map_blocks(fn, batch: tuple, *fields) -> tuple:
@@ -107,18 +108,14 @@ def map_blocks(fn, batch: tuple, *fields) -> tuple:
     with those axes flattened into one: a view for a C-ordered field, so fn
     may also write its block of a preallocated output.  fn gets the same
     block of every field and returns a tuple.  Its arrays (block last) are
-    copied into full-size outputs allocated on the first block, unless the
-    batch is one block; its floats are maxima, combined over the blocks
-    (NaN if any block's is NaN).  Returns that tuple, each output shaped
-    (components...) + batch.
+    copied into full-size outputs allocated on the first block; its floats
+    are maxima, combined over the blocks (NaN if any block's is NaN).
+    Returns that tuple, each output shaped (components...) + batch.
     """
     count = math.prod(batch)
     flat = [x.reshape(x.shape[:x.ndim - len(batch)] + (count,)) for x in fields]
     out, step = None, node_block(fields[0].shape[0])
-    if count <= step:  # one block: fn's outputs as they are, with no copy (D15)
-        return tuple(r.reshape(r.shape[:-1] + batch) if isinstance(r, np.ndarray) else r
-                     for r in fn(*flat))
-    for start in range(0, count, step):
+    for start in range(0, max(count, 1), step):  # an empty batch runs once
         block = slice(start, start + step)
         res = fn(*(x[..., block] for x in flat))
         if out is None:

@@ -319,6 +319,16 @@ def test_an_overflowing_conformal_factor_is_named(capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_every_factor_value_check_runs_before_the_oracle_pass(capsys):
+    # the factor jets are evaluated before the blocked pass that builds the
+    # jet of e^f h, so the second factor's value check fires first
+    code, out, err = run(capsys, "check", "conformal", "--manifold", "hopf",
+                         "--factor", "exp(1000*re(z1))", "--factor", "re(z1) + im(z2)*i",
+                         "--points", "50")
+    assert (code, out, err) == (2, "", "precondition error: conformal factor is not "
+                                       "real-valued\n")
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_every_builtin_rejects_an_unknown_param(capsys, name):
     code, out, err = run(capsys, "inspect", name, "--param", "zz=2", "--points", "2")

@@ -97,6 +97,20 @@ def test_ricci_forms_match_the_slice_alone(nodes):
             assert np.array_equal(getattr(w, name)[..., nodes], getattr(p, name)), name
 
 
+def test_a_block_holds_one_node_at_least(capsys):
+    # NODE_BLOCK * 16 // n^4 is 0 from n = 17 on; such a batch runs one node
+    # at a time
+    assert [node_block(n) for n in (16, 17, 40)] == [1, 1, 1]
+    man = builtin("hopf", n=17)
+    z = man.sample_points(2, seed=1)
+    (whole,) = ricci_forms(man.jet(z), [0.5])
+    (alone,) = ricci_forms(man.jet(z[1:]), [0.5])
+    assert np.array_equal(whole.s2[1:], alone.s2)
+    assert main(["check", "conformal", "--manifold", "hopf", "--n", "17",
+                 "--points", "1"]) == 0
+    assert "max defect" in capsys.readouterr().out
+
+
 PIVOT_MESSAGE = ("metric is not positive definite with condition estimate at most 1e+10: "
                  "LDL^H pivot below 1e-10 * max diagonal")
 
