@@ -7,9 +7,13 @@ separated by newlines or semicolons::
     h[1][2] = 0
     h[2][2] = 4/(abs2(z1) + abs2(z2))
 
-Expression syntax: numeric literals, the imaginary unit ``i``, coordinates
-``z<k>`` and conjugates ``zb<k>`` (1-based), real parameter names, unary
-minus, ``+ - * /``, ``pow(e, int)``, and ``exp log re im abs2 conj``.
+Expression syntax is the subset of Python's: numeric literals, the
+imaginary unit ``i``, coordinates ``z<k>`` and conjugates ``zb<k>``
+(1-based), real parameter names (``lambda`` and ``True`` too), unary ``+``
+and ``-``, ``+ - * /``, ``pow(e, int)``, and ``exp log re im abs2 conj``.
+Each statement goes through `ast.parse`; one whitelist converter maps these
+node kinds to `expr` trees and refuses any other with a `ParseError` at its
+line and column, as it refuses trees deeper than `MAX_DEPTH` (weighted).
 
 Hermitian symmetry policy: the diagonal must be assigned; for an
 off-diagonal pair (i, j) either one entry is given (the mirror is filled
@@ -19,8 +23,11 @@ mismatch is an error), or neither is given (both default to 0).
 
 from __future__ import annotations
 
+import ast
 import json
+import keyword
 import re as _re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +38,30 @@ __all__ = ["MetricExpr", "ParseError", "parse_expr", "parse_metric", "load_manif
 
 _FUNCS = {"exp": ex.Exp, "log": ex.Log, "re": ex.Re, "im": ex.Im,
           "abs2": ex.Abs2, "conj": ex.Conj}
+_BINOPS = {ast.Add: ex.Add, ast.Sub: ex.Sub, ast.Mult: ex.Mul, ast.Div: ex.Div}
 
-_TOKEN = _re.compile(r"""
-    (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[-+*/()\[\],=;])
-  | (?P<ws>[ \t]+)
-  | (?P<nl>\n)
-""", _re.VERBOSE)
+_FOREIGN = _re.compile(r"[^A-Za-z0-9_.+\-*/()\[\],=; \t\n]")
+_NUMERAL = _re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+_COORD = _re.compile(r"(zb?)(\d+)")
+_TARGET = _re.compile(r"[ \t]*h[ \t]*\[[ \t]*(\d+)[ \t]*\][ \t]*\[[ \t]*(\d+)[ \t]*\][ \t]*=")
+_EXPONENT = _re.compile(r"[ \t)]*,[ \t]*(-?)[ \t]*(\d+)[ \t]*\)")
+# Python reads keywords (a DSL parameter may be called `lambda` or `True`) as
+# syntax and refuses leading zeros (`007`); both are rewritten to the same
+# length before `ast.parse`, and the converter reads names and numerals from
+# the text as written
+_KEYWORD = _re.compile(r"\b(?:%s)\b" % "|".join(keyword.kwlist))
+_LEADING_ZEROS = _re.compile(r"(?<![\w.])0+(?=\d)")
+
+# A node's weight is the Python frames one nesting level of it costs the
+# deepest recursive pass it meets (simplify or evaluate of a second Wirtinger
+# derivative), in units of the two frames of a sum level; other nodes weigh
+# 1.  A sum's derivative is a sum as deep, but a product's is a sum of
+# products and a quotient's a quotient of differences of products, so their
+# levels deepen with each derivative.  A tree of MAX_DEPTH weighted levels
+# takes about 850 of Python's 1000 frames (DECISIONS.md D16).
+_WEIGHT = {ast.Mult: 3, ast.Div: 6, "pow": 2, "exp": 2, "conj": 2,
+           "log": 3, "re": 3, "im": 3, "abs2": 3}
+MAX_DEPTH = 420
 
 
 class ParseError(ValueError):
@@ -51,161 +74,96 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _statements(text: str):
+    """(line, col, statement) of every non-blank statement, after checking
+    that `text` holds only DSL characters; col is the 1-based column."""
+    bad = _FOREIGN.search(text)
+    if bad:
+        at = bad.start()
+        raise ParseError(f"unexpected character {bad.group()!r}", text.count("\n", 0, at) + 1,
+                         at - text.rfind("\n", 0, at))
+    for line, row in enumerate(text.split("\n"), 1):
+        col = 1
+        for stmt in row.split(";"):
+            if stmt.strip(" \t"):
+                yield line, col, stmt
+            col += len(stmt) + 1
 
 
-def _tokenize(src: str) -> list[_Tok]:
-    toks, line, col, pos = [], 1, 1, 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "nl":
-            toks.append(_Tok("op", ";", line, col))
-            line += 1
-            col = 1
-        elif kind != "ws":
-            toks.append(_Tok(kind, text, line, col))
-            col += len(text)
-        else:
-            col += len(text)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
-    return toks
+def _index(digits: str, n: int, what: str, line: int, col: int) -> int:
+    """The 0-based index of 1-based `digits`; ParseError unless in 1..n."""
+    # int() refuses more than 4300 digits; so many are out of range anyway
+    k = int(digits) if len(digits.lstrip("0")) <= len(str(n)) else n + 1
+    if not 1 <= k <= n:
+        raise ParseError(f"{what} index {digits} out of range for n={n}", line, col)
+    return k - 1
 
 
-class _Parser:
-    def __init__(self, toks: list[_Tok], n: int):
-        self.toks = toks
-        self.i = 0
-        self.n = n
+def _expression(text: str, line: int, col: int, n: int) -> ex.Expr:
+    """The simplified tree of `text`, which starts at column `col` of `line`."""
+    body = text.lstrip(" \t")
+    col += len(text) - len(body)
+    code = _KEYWORD.sub(lambda m: "_" + m.group()[1:], body)
+    code = _LEADING_ZEROS.sub(lambda m: "1" * len(m.group()), code)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # SyntaxWarning, e.g. on "1if"
+            tree = ast.parse(code, mode="eval").body
+    except SyntaxError as err:
+        raise ParseError(err.msg, line, col + (err.offset or 1) - 1) from None
+    except (RecursionError, MemoryError):  # the parser's own stack
+        raise ParseError("expression nested too deeply", line, col) from None
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def fail(msg, node):
+        raise ParseError(msg, line, col + node.col_offset)
 
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, text: str) -> _Tok:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return t
-
-    def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
-
-    # expr := term (('+'|'-') term)*
-    def expr(self) -> ex.Expr:
-        node = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            rhs = self.term()
-            node = ex.Add(node, rhs) if op == "+" else ex.Sub(node, rhs)
-        return node
-
-    def term(self) -> ex.Expr:
-        node = self.unary()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
-            rhs = self.unary()
-            node = ex.Mul(node, rhs) if op == "*" else ex.Div(node, rhs)
-        return node
-
-    def unary(self) -> ex.Expr:
-        if self.peek().text == "-":
-            self.next()
-            return ex.Neg(self.unary())
-        if self.peek().text == "+":
-            self.next()
-            return self.unary()
-        return self.atom()
-
-    def atom(self) -> ex.Expr:
-        t = self.next()
-        if t.kind == "num":
+    def conv(node, depth):
+        if depth > MAX_DEPTH:
+            fail(f"expression nested deeper than {MAX_DEPTH} weighted levels", node)
+        text = body[node.col_offset:node.end_col_offset]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            depth += _WEIGHT.get(type(node.op), 1)
+            return _BINOPS[type(node.op)](conv(node.left, depth), conv(node.right, depth))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            arg = conv(node.operand, depth + 1)
+            return ex.Neg(arg) if isinstance(node.op, ast.USub) else arg
+        if isinstance(node, ast.Constant) and _NUMERAL.fullmatch(text):
             try:
-                return ex.Num(float(t.text))
+                return ex.Num(float(text))
             except ValueError:
-                raise ParseError(f"literal {t.text} is not a finite number",
-                                 t.line, t.col) from None
-        if t.text == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if t.kind == "name":
-            name = t.text
-            if name == "i":
-                return ex.Num(1j)
-            if name == "pow":
-                self.expect("(")
-                base = self.expr()
-                self.expect(",")
-                m = self._int_literal()
-                self.expect(")")
-                return ex.Pow(base, m)
-            if name in _FUNCS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return _FUNCS[name](arg)
-            zm = _re.fullmatch(r"z(\d+)", name)
-            if zm:
-                return ex.Z(self._coord_index(zm.group(1), t))
-            zbm = _re.fullmatch(r"zb(\d+)", name)
-            if zbm:
-                return ex.Zb(self._coord_index(zbm.group(1), t))
-            return ex.Param(name)
-        raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
+                fail(f"literal {text} is not a finite number", node)
+        if isinstance(node, ast.Name):
+            if text in _FUNCS or text == "pow":
+                fail(f"expected '(' after {text!r}", node)
+            coord = _COORD.fullmatch(text)
+            if coord:
+                k = _index(coord[2], n, "coordinate", line, col + node.col_offset)
+                return ex.Zb(k) if coord[1] == "zb" else ex.Z(k)
+            return ex.Num(1j) if text == "i" else ex.Param(text)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args:
+            name, arg = node.func.id, node.args[0]
+            rest = body[arg.end_col_offset:node.end_col_offset]
+            if name in _FUNCS and len(node.args) == 1 and "," not in rest:
+                return _FUNCS[name](conv(arg, depth + _WEIGHT[name]))
+            power = _EXPONENT.fullmatch(rest)
+            if name == "pow" and power:
+                return ex.Pow(conv(arg, depth + _WEIGHT[name]), int(power[1] + power[2]))
+        fail(f"unsupported syntax {text[:40]!r}", node)
 
-    def _int_literal(self) -> int:
-        sign = 1
-        if self.peek().text == "-":
-            self.next()
-            sign = -1
-        t = self.next()
-        if t.kind != "num" or not _re.fullmatch(r"\d+", t.text):
-            raise ParseError("pow exponent must be an integer literal", t.line, t.col)
-        return sign * int(t.text)
-
-    def _coord_index(self, digits: str, t: _Tok) -> int:
-        k = int(digits)
-        if not 1 <= k <= self.n:
-            raise ParseError(f"coordinate index {k} out of range for n={self.n}",
-                             t.line, t.col)
-        return k - 1
+    node = conv(tree, 0)
+    try:
+        return ex.simplify(node)
+    except ValueError as err:  # a constant that has no finite value
+        raise ParseError(str(err), line, col) from None
 
 
 def parse_expr(src: str, n: int) -> ex.Expr:
     """Parse a single expression over z1..zn."""
-    p = _Parser(_tokenize(src), n)
-    while p.peek().text == ";":
-        p.next()
-    start = p.peek()
-    node = p.expr()
-    while p.peek().text == ";":
-        p.next()
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
-    return _simplify(node, start)
-
-
-def _simplify(node: ex.Expr, at: _Tok) -> ex.Expr:
-    """`ex.simplify`, with a constant that has no finite value a ParseError at `at`."""
-    try:
-        return ex.simplify(node)
-    except ValueError as err:
-        raise ParseError(str(err), at.line, at.col) from None
+    stmts = list(_statements(src))
+    if len(stmts) != 1:
+        raise ParseError("expected one expression", *stmts[1][:2] if stmts else ())
+    line, col, text = stmts[0]
+    return _expression(text, line, col, n)
 
 
 @dataclass
@@ -254,34 +212,17 @@ def parse_metric(text: str, n: int) -> MetricExpr:
     """
     if n < 2:
         raise ParseError(f"complex dimension n={n}: n >= 2 is required")
-    toks = _tokenize(text)
-    p = _Parser(toks, n)
     given: dict[tuple, ex.Expr] = {}
-    while p.peek().kind != "eof":
-        if p.peek().text == ";":
-            p.next()
-            continue
-        t = p.next()
-        if t.kind != "name" or t.text != "h":
-            raise ParseError(f"expected assignment 'h[i][j] = ...', found {t.text!r}",
-                             t.line, t.col)
-        p.expect("[")
-        ti = p.next()
-        p.expect("]")
-        p.expect("[")
-        tj = p.next()
-        p.expect("]")
-        p.expect("=")
-        try:
-            ij = (int(ti.text), int(tj.text))
-        except ValueError:
-            raise ParseError("entry indices must be integers", ti.line, ti.col) from None
-        for k, tk in zip(ij, (ti, tj)):
-            if not 1 <= k <= n:
-                raise ParseError(f"entry index {k} out of range for n={n}", tk.line, tk.col)
-        rhs = _simplify(p.expr(), t)
+    for line, col, stmt in _statements(text):
+        target = _TARGET.match(stmt)
+        if not target:
+            raise ParseError("expected assignment 'h[i][j] = ...'", line,
+                             col + len(stmt) - len(stmt.lstrip(" \t")))
+        ij = tuple(_index(target[k], n, "entry", line, col + target.start(k)) + 1
+                   for k in (1, 2))
+        rhs = _expression(stmt[target.end():], line, col + target.end(), n)
         if ij in given:
-            raise ParseError(f"entry h[{ij[0]}][{ij[1]}] assigned twice", ti.line, ti.col)
+            raise ParseError(f"entry h[{ij[0]}][{ij[1]}] assigned twice", line, col)
         given[ij] = rhs
 
     params: set = set()
@@ -329,9 +270,13 @@ def load_manifest(path) -> dict:
     """Load a manifold manifest (JSON with keys name, n, params, metric, domain)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParseError(f"manifest must be a JSON object, got {doc!r}")
     for key in ("name", "n", "metric"):
         if key not in doc:
             raise ParseError(f"manifest missing required key {key!r}")
+    if not isinstance(doc["name"], str):
+        raise ParseError(f"manifest name must be a string, got {doc['name']!r}")
     doc.setdefault("params", {})
     doc.setdefault("domain", {})
     return doc

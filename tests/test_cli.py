@@ -336,6 +336,69 @@ def test_every_builtin_rejects_an_unknown_param(capsys, name):
     assert "zz" in err and out == ""
 
 
+@pytest.mark.parametrize("text,field", [
+    ('"name n metric"', "JSON object"), ("123", "JSON object"), ("null", "JSON object"),
+    ('{"name": ["x"], "n": 2, "metric": "h[1][1] = 1\\nh[2][2] = 1"}', "name"),
+], ids=["string", "number", "null", "list-name"])
+def test_manifest_must_be_an_object_with_a_string_name(capsys, tmp_path, text, field):
+    # the first three once ran into a traceback; the list was printed as the name
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "inspect", str(path), "--points", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("precondition error: manifest") and field in err
+
+
+@pytest.mark.parametrize("tail", ["\nh[", "\nh[1]["])
+def test_manifest_metric_cut_off_after_a_bracket(capsys, tmp_path, tail):
+    # once an IndexError from the tokenizer's end
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "m", "n": 2,
+                                "metric": "h[1][1] = 1\nh[2][2] = 1" + tail}))
+    code, out, err = run(capsys, "inspect", str(path), "--points", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("precondition error:") and "line 3" in err
+
+
+SUM_600 = " + ".join(["re(z1)*im(z2)"] * 600)
+
+
+@pytest.mark.parametrize("where,text", [
+    ("factor", SUM_600), ("manifest", SUM_600),
+    ("factor", "(" * 250 + "re(z1)" + ")" * 250), ("manifest", "(" * 250 + "1" + ")" * 250),
+], ids=["factor-sum", "manifest-sum", "factor-parentheses", "manifest-parentheses"])
+def test_too_deep_an_expression_is_a_precondition_error(capsys, tmp_path, where, text):
+    # each once ran out of Python's stack (RecursionError, exit 1)
+    argv = ["check", "conformal", "--manifold", "hopf", "--points", "2", "--factor", text]
+    if where == "manifest":
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"name": "m", "n": 2,
+                                    "metric": f"h[1][1] = 2 + {text}\nh[2][2] = 1"}))
+        argv = ["inspect", str(path), "--points", "2"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("precondition error:") and "nested" in err
+
+
+def test_a_400_term_factor_stays_inside_the_nesting_bound(capsys):
+    factor = " + ".join(["re(z1)*im(z2)/400"] * 400)
+    code, _, err = run(capsys, "check", "conformal", "--manifold", "hopf", "--points", "2",
+                       "--factor", factor)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("name", ["lambda", "if", "True", "None"])
+def test_a_parameter_may_bear_a_python_keyword(capsys, tmp_path, name):
+    # --param binds builtin parameters only, so the manifest's params are how
+    # such a name reaches the metric and a --factor
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "m", "n": 2, "params": {name: 0.5},
+                                "metric": f"h[1][1] = 1 + {name}*abs2(z1)\nh[2][2] = 1"}))
+    code, out, err = run(capsys, "check", "conformal", "--manifold", str(path),
+                         "--points", "2", "--factor", f"{name}*re(z1)")
+    assert code == 0, err
+
+
 def test_golden_gate_skips_a_manifest_named_like_a_builtin(capsys, tmp_path):
     # a flat manifest called "hopf" has no stored constants of its own
     doc = {"name": "hopf", "n": 2, "metric": "h[1][1] = 1\nh[2][2] = 1"}

@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 from hermcurv import expr as ex
-from hermcurv.dsl import MetricExpr, ParseError, parse_metric
+from hermcurv.dsl import MetricExpr, ParseError, parse_expr, parse_metric
 
 
 HOPF2 = """
@@ -73,3 +75,59 @@ def test_metric_source_roundtrip():
         for j in range(2):
             assert ex.simplify(mx.entries[i][j]) == ex.simplify(again.entries[i][j])
     assert isinstance(again, MetricExpr)
+
+
+# the DSL's characters, plus whole tokens so that some strings parse
+_PIECES = (list("azZ_019.+-*/()[],=; \t\n")
+           + ["z1", "zb2", "i", "m", "lambda", "007", "2.5e-1", "pow(", "exp(", "abs2(",
+              "im", ", 2)", ", -1)", ",)", "h[", "h[1][", "h[1][1] = ", "h[2][2] = ", "\n"])
+
+
+def test_parsers_raise_nothing_but_parse_error():
+    # a string either parses, and its trees print and parse back, or it is a
+    # ParseError; a metric ending in "h[" once raised IndexError
+    rng = random.Random(33)
+    parsed = 0
+    for _ in range(5000):
+        src = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 12)))
+        for text in (src, f"h[1][1] = 1\nh[2][2] = {src}"):
+            try:
+                trees = [parse_expr(text, 2)]
+            except ParseError:
+                trees = []
+            try:
+                trees += [e for row in parse_metric(text, 2).entries for e in row]
+            except ParseError:
+                pass
+            for tree in trees:
+                assert parse_expr(ex.to_source(tree), 2) == tree, text
+            parsed += len(trees)
+    assert parsed > 1000
+
+
+@pytest.mark.parametrize("src,want", [
+    ("007", ex.Num(7)),
+    ("z01", ex.Z(0)),
+    ("pow(z1, - 2)", ex.Pow(ex.Z(0), -2)),
+    ("lambda + if", ex.Add(ex.Param("if"), ex.Param("lambda"))),
+    ("True*None", ex.Mul(ex.Param("None"), ex.Param("True"))),
+])
+def test_accepted_edges(src, want):
+    # Python would refuse or misread each of these; the DSL never did
+    assert parse_expr(src, 2) == want
+    mx = parse_metric(f"h[01][1] = 1 + abs2({src})\nh[2][2] = 1", 2)
+    assert mx.entries[0][0] == ex.simplify(ex.Add(1, ex.Abs2(want)))
+
+
+@pytest.mark.parametrize("src", [
+    "h[2][2] = im", "h[2][2] = abs2(z1,)", "h[2][2] = z1**2", "h[2][2] = z1//2",
+    "h[2][2] = z1%2", "h[2][2] = 0x10", "h[2][2] = 1_0", "h[2][2] = 1j",
+    "h[2][2] = z1.real", "h[2][2] = 1 # c", "h[2][2] = 1\r\n", "h[2][2] = \u03b1",
+    "h[2][2] = pow(z1, 2.0)", "h[1.0][1] = 1", "h[1][1] += 1",
+    "h[2][2] = 1 h[1][2] = 0",
+])
+def test_refused_edges(src):
+    # Python accepts most of these, the DSL never did; the last one ran two
+    # assignments together without a separator (DECISIONS.md D16)
+    with pytest.raises(ParseError, match=r"\(line 2, col \d+\)"):
+        parse_metric(f"h[1][1] = 1\n{src}", 2)
