@@ -59,8 +59,8 @@ _LEADING_ZEROS = _re.compile(r"(?<![\w.])0+(?=\d)")
 # products and a quotient's a quotient of differences of products, so their
 # levels deepen with each derivative.  A tree of MAX_DEPTH weighted levels
 # takes about 850 of Python's 1000 frames (DECISIONS.md D16).
-_WEIGHT = {ast.Mult: 3, ast.Div: 6, "pow": 2, "exp": 2, "conj": 2,
-           "log": 3, "re": 3, "im": 3, "abs2": 3}
+_WEIGHT = {ex.Mul: 3, ex.Div: 6, ex.Pow: 2, ex.Exp: 2, ex.Conj: 2,
+           ex.Log: 3, ex.Re: 3, ex.Im: 3, ex.Abs2: 3}
 MAX_DEPTH = 420
 
 
@@ -122,7 +122,7 @@ def _expression(text: str, line: int, col: int, n: int) -> ex.Expr:
             fail(f"expression nested deeper than {MAX_DEPTH} weighted levels", node)
         text = body[node.col_offset:node.end_col_offset]
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            depth += _WEIGHT.get(type(node.op), 1)
+            depth += _WEIGHT.get(_BINOPS[type(node.op)], 1)
             return _BINOPS[type(node.op)](conv(node.left, depth), conv(node.right, depth))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             arg = conv(node.operand, depth + 1)
@@ -144,10 +144,10 @@ def _expression(text: str, line: int, col: int, n: int) -> ex.Expr:
             name, arg = node.func.id, node.args[0]
             rest = body[arg.end_col_offset:node.end_col_offset]
             if name in _FUNCS and len(node.args) == 1 and "," not in rest:
-                return _FUNCS[name](conv(arg, depth + _WEIGHT[name]))
+                return _FUNCS[name](conv(arg, depth + _WEIGHT[_FUNCS[name]]))
             power = _EXPONENT.fullmatch(rest)
             if name == "pow" and power:
-                return ex.Pow(conv(arg, depth + _WEIGHT[name]), int(power[1] + power[2]))
+                return ex.Pow(conv(arg, depth + _WEIGHT[ex.Pow]), int(power[1] + power[2]))
         fail(f"unsupported syntax {text[:40]!r}", node)
 
     node = conv(tree, 0)
