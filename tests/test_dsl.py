@@ -127,7 +127,8 @@ def test_accepted_edges(src, want):
     "h[2][2] = 1 h[1][2] = 0",
 ])
 def test_refused_edges(src):
-    # Python accepts most of these, the DSL never did; the last one ran two
-    # assignments together without a separator (DECISIONS.md D16)
+    # Python accepts most of these and the DSL never did; the last runs two
+    # assignments together without a separator, refused on purpose
+    # (DECISIONS.md D16)
     with pytest.raises(ParseError, match=r"\(line 2, col \d+\)"):
         parse_metric(f"h[1][1] = 1\n{src}", 2)
