@@ -53,12 +53,13 @@ _KEYWORD = _re.compile(r"\b(?:%s)\b" % "|".join(keyword.kwlist))
 _LEADING_ZEROS = _re.compile(r"(?<![\w.])0+(?=\d)")
 
 # A node's weight is the Python frames one nesting level of it costs the
-# deepest recursive pass it meets (simplify or evaluate of a second Wirtinger
-# derivative), in units of the two frames of a sum level; other nodes weigh
-# 1.  A sum's derivative is a sum as deep, but a product's is a sum of
-# products and a quotient's a quotient of differences of products, so their
-# levels deepen with each derivative.  A tree of MAX_DEPTH weighted levels
-# takes about 850 of Python's 1000 frames (DECISIONS.md D16).
+# deepest recursive pass it meets (simplify of a second Wirtinger derivative;
+# `compile_trees`, which evaluation runs, takes one frame a level, half as
+# many), in units of the two frames of a sum level; other nodes weigh 1.  A
+# sum's derivative is a sum as deep, but a product's is a sum of products
+# and a quotient's a quotient of differences of products, so their levels
+# deepen with each derivative.  A tree of MAX_DEPTH weighted levels takes
+# about 850 of Python's 1000 frames (DECISIONS.md D16, D17).
 _WEIGHT = {ex.Mul: 3, ex.Div: 6, ex.Pow: 2, ex.Exp: 2, ex.Conj: 2,
            ex.Log: 3, ex.Re: 3, ex.Im: 3, ex.Abs2: 3}
 MAX_DEPTH = 420
@@ -182,13 +183,6 @@ class MetricExpr:
         return "\n".join(lines)
 
 
-def _param_names(e: ex.Expr, out: set):
-    if e.op == "Param":
-        out.add(e.value)
-    for a in e.args:
-        _param_names(a, out)
-
-
 def _numeric_equal(a: ex.Expr, b: ex.Expr, n: int, params: set) -> bool:
     rng = np.random.default_rng(20240811)
     z = rng.normal(size=(24, n)) + 1j * rng.normal(size=(24, n))
@@ -225,9 +219,8 @@ def parse_metric(text: str, n: int) -> MetricExpr:
             raise ParseError(f"entry h[{ij[0]}][{ij[1]}] assigned twice", line, col)
         given[ij] = rhs
 
-    params: set = set()
-    for e in given.values():
-        _param_names(e, params)
+    steps, _ = ex.compile_trees(given.values())
+    params = {value for op, _, value in steps if op == "Param"}
 
     entries = [[None] * n for _ in range(n)]
     for i in range(1, n + 1):

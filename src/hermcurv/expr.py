@@ -13,8 +13,9 @@ coordinate index, a parameter name) or a power's integer exponent.  Nodes
 compare and hash by value, so two trees are equal however they were built.
 The constructors ``Num``, ``Z``, ``Add``, ... name the ops.
 
-`evaluate` broadcasts over numpy arrays of chart points, so one compiled
-tree serves single points and whole grids alike.
+`compile_trees` lists each distinct node of a set of trees once, operands
+first, as one straight-line program; `evaluate` runs it over numpy arrays
+of chart points, broadcasting, so a shared subtree is evaluated once.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "Expr", "Num", "Z", "Zb", "Param",
     "Add", "Sub", "Mul", "Div", "Neg", "Pow",
     "Exp", "Log", "Re", "Im", "Abs2", "Conj",
+    "compile_trees", "evaluate",
     "wirtinger_derivative", "formal_conj", "simplify", "to_source",
 ]
 
@@ -106,33 +108,51 @@ _OPS = {
 }
 
 
-def _apply(t: Expr, vals: list):
-    """t's operation on its operands' values; a power's exponent comes last."""
-    if t.value is None:
-        return _OPS[t.op](*vals)
-    return _OPS[t.op](*vals, t.value)
+def _apply(op: str, value, vals: list):
+    """op on its operands' values; a power's exponent (`value`) comes last."""
+    return _OPS[op](*vals) if value is None else _OPS[op](*vals, value)
 
 
-def evaluate(e: Expr, z: np.ndarray, params: dict | None = None):
-    """Evaluate `e` at chart points `z` of shape (..., n), broadcasting."""
-    params = params or {}
+def compile_trees(trees) -> tuple:
+    """The straight-line program (steps, roots) of `trees`: each distinct node
+    once, operands first, as (op, operand step indices, value), and the step
+    of each tree.  Literals are told apart by their printed value, so Num(0.0)
+    and Num(-0.0), which compare equal, stay two steps."""
+    steps, index, seen = [], {}, {}
 
-    def ev(t):
-        op = t.op
+    def visit(t):  # one frame per tree level, as the depth bound assumes
+        if id(t) not in seen:  # once per node object, however many parents share it
+            slots = tuple(map(visit, t.args))
+            key = (t.op, slots, repr(t.value) if t.op == "Num" else t.value)
+            if key not in index:
+                index[key] = len(steps)
+                steps.append((t.op, slots, t.value))
+            seen[id(t)] = index[key]
+        return seen[id(t)]
+
+    return steps, [visit(t) for t in trees]
+
+
+def evaluate(e: "Expr | tuple", z: np.ndarray, params: dict | None = None):
+    """Evaluate at chart points `z` of shape (..., n), broadcasting: a tree as
+    one complex array, a program (`compile_trees`) as the list of its roots'
+    values.  A parameter with no value in `params` raises ValueError."""
+    steps, roots = compile_trees([e]) if isinstance(e, Expr) else e
+    params, vals = params or {}, []
+    for op, slots, value in steps:
         if op == "Num":
-            return t.value
-        if op == "Z":
-            return z[..., t.value]
-        if op == "Zb":
-            return np.conj(z[..., t.value])
-        if op == "Param":
-            try:
-                return complex(params[t.value])
-            except KeyError:
-                raise KeyError(f"unbound parameter {t.value!r}") from None
-        return _apply(t, [ev(a) for a in t.args])
-
-    return np.asarray(ev(e), dtype=complex)
+            vals.append(value)
+        elif op in ("Z", "Zb"):
+            vals.append(z[..., value] if op == "Z" else np.conj(z[..., value]))
+        elif op == "Param":
+            if value not in params:
+                raise ValueError(f"unbound parameter {value!r}")
+            vals.append(complex(params[value]))
+        else:
+            vals.append(_apply(op, value, [vals[k] for k in slots]))
+    if isinstance(e, Expr):
+        return np.asarray(vals[roots[0]], dtype=complex)
+    return [vals[k] for k in roots]
 
 
 def wirtinger_derivative(e: Expr, k: int, bar: bool = False) -> Expr:
@@ -234,7 +254,7 @@ def simplify(e: Expr) -> Expr:
     if op in ("Add", "Sub", "Mul", "Div", "Neg", "Pow") and all(map(_is_const, args)):
         const = e._replace(args=tuple(args))
         try:
-            return Num(_apply(const, [u.value for u in args]))
+            return Num(_apply(op, e.value, [u.value for u in args]))
         except (ArithmeticError, ValueError):
             raise ValueError(f"constant {to_source(const)} has no finite value") from None
     if op == "Sub" and _is_const(a, 0):

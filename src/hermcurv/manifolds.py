@@ -1,11 +1,12 @@
 """Model manifolds: chart domains, metric sources, and jet evaluation.
 
 A `ModelManifold` owns one coordinate chart and one Hermitian metric given
-as parsed DSL expression trees (differentiated symbolically), as a
-hand-coded closed-form jet function, or both.  A builtin states its metric
-once, as DSL source; it adds a closed form only where a benchmark workload
-shows the closed form matters (`hopf`, the plane-wave metrics; DECISIONS.md
-D13), and the test suite asserts that closed form agrees with the DSL.
+as parsed DSL expression trees, whose 2-jet is differentiated symbolically,
+compiled into one program on first use and run per node block (as is a
+conformal factor's), as a hand-coded closed-form jet function, or both.  A
+builtin states its metric once, as DSL source, and adds a closed form only
+where a benchmark workload shows it matters (the plane-wave metrics;
+DECISIONS.md D13, D17); the test suite asserts that the two agree.
 
 Group quotients are not modeled: every pointwise quantity is an invariant
 expression evaluated on the covering chart.
@@ -93,9 +94,8 @@ class ModelManifold:
     or from both; `jet` evaluates the closed form where there is one.  A
     builtin passes its DSL source as `metric_source`, a callable that
     derives the text: `dsl_metric` parses it into `metric_expr` on first use
-    (by `expression_jet`, by `conformal_manifold` or by a manifold with no
-    closed form), so a run that only evaluates a closed form never derives
-    or parses it.
+    (by `expression_jet` or `conformal_manifold`), so a run that only
+    evaluates a closed form never derives or parses it.
     """
 
     name: str
@@ -109,7 +109,7 @@ class ModelManifold:
     metric_source: Callable[[], str] | None = None
     closed_jet: Callable | None = None  # z(..., n) -> (h[i, j, ...], dh, ddh)
     golden: dict | None = None  # stored Chern {"s1", "s2"} of a builtin, at t = 0
-    _expr_jets: tuple | None = None
+    _jet_program: tuple | None = None  # h, dh and ddh trees, compiled once
 
     def __post_init__(self):
         if self.n < 2:
@@ -120,10 +120,13 @@ class ModelManifold:
                 and self.metric_source is None):
             raise ValueError("manifold needs a metric source")
 
-    def dsl_metric(self) -> MetricExpr | None:
-        """The DSL metric, parsed from `metric_source` on first use."""
+    def dsl_metric(self) -> MetricExpr:
+        """The DSL metric, parsed from `metric_source` on first use; ValueError
+        if the manifold has none."""
         if self.metric_expr is None and self.metric_source is not None:
             self.metric_expr = parse_metric(self.metric_source(), self.n)
+        if self.metric_expr is None:
+            raise ValueError(f"{self.name} has no expression-DSL metric")
         return self.metric_expr
 
     # -- jets ---------------------------------------------------------------
@@ -138,23 +141,17 @@ class ModelManifold:
             if not np.all(ok):
                 raise DomainError(f"{int(np.sum(~ok))} point(s) outside domain "
                                   f"({self.domain.description})")
-        if self.closed_jet is not None:
-            h, dh, ddh = self.closed_jet(z, **self.params)
-        else:
-            h, dh, ddh = self._eval_expr_jets(z)
-        return MetricJet(np.asarray(h, complex), np.asarray(dh, complex),
-                         np.asarray(ddh, complex))
+        if self.closed_jet is None:
+            return self.expression_jet(z)
+        return MetricJet(*self.closed_jet(z, **self.params))
 
     def expression_jet(self, z: np.ndarray) -> MetricJet:
-        """Jet via the symbolic-differentiation path, ignoring closed forms."""
-        if self.dsl_metric() is None:
-            raise ValueError(f"{self.name} has no expression-DSL metric")
-        return MetricJet(*self._eval_expr_jets(np.asarray(z, complex)))
-
-    def _eval_expr_jets(self, z):
-        if self._expr_jets is None:
-            self._expr_jets = _differentiate_metric(self.dsl_metric())
-        return tuple(_evaluate_tensor(t, z, self.params) for t in self._expr_jets)
+        """Jet of the DSL metric's 2-jet program, ignoring closed forms."""
+        if self._jet_program is None:
+            h_t = [e for row in self.dsl_metric().entries for e in row]
+            self._jet_program = ex.compile_trees(_jet_trees(h_t, self.n))
+        return MetricJet(*_eval_blocks(self._jet_program, np.asarray(z, complex),
+                                       self.params, (2, 3, 4)))
 
     # -- sampling -----------------------------------------------------------
 
@@ -165,44 +162,47 @@ class ModelManifold:
         return self.domain.sample(rng, count, self.n)
 
 
-def _evaluate_tensor(trees, z: np.ndarray, params: dict) -> np.ndarray:
-    """trees[i][j]... evaluated at z, as the component-first array a[i, j, ...].
+def _eval_blocks(program: tuple, z: np.ndarray, params: dict, ranks: tuple) -> list:
+    """The program's roots at points z (..., n), filling in order arrays
+    a[i, j, ..., batch] with `ranks` index axes of length n, one node block at
+    a time, without numpy warnings: the jet checks name a non-finite value."""
+    batch = z.shape[:-1]
+    out = [np.empty(z.shape[-1:] * rank + batch, complex) for rank in ranks]
 
-    numpy's floating-point warnings are silenced: the jet checks refuse a
-    non-finite coefficient by name."""
-    if isinstance(trees, list):
-        return np.stack([_evaluate_tensor(t, z, params) for t in trees])
-    with np.errstate(all="ignore"):
-        value = ex.evaluate(trees, z, params)
-    return np.broadcast_to(value, z.shape[:-1]).astype(complex)
+    def block(zb, *fields):  # zb[k, node]; fields[m][component, node], written here
+        with np.errstate(all="ignore"):
+            values = ex.evaluate(program, zb.T, params)
+        for row, value in zip((row for f in fields for row in f), values):
+            row[...] = value
+        return ()
+
+    map_blocks(block, batch, np.moveaxis(z, -1, 0),
+               *(o.reshape((-1,) + batch) for o in out))
+    return out
 
 
-def _differentiate_metric(mx: MetricExpr):
-    n = mx.n
-    h_t = mx.entries
-    dh_t = [[[ex.wirtinger_derivative(h_t[j][l], i, bar=False)
-              for l in range(n)] for j in range(n)] for i in range(n)]
-    ddh_t = [[[[ex.wirtinger_derivative(dh_t[i][k][l], j, bar=True)
-                for l in range(n)] for k in range(n)]
-              for j in range(n)] for i in range(n)]
-    return h_t, dh_t, ddh_t
+def _jet_trees(trees: list, n: int) -> list:
+    """`trees`, then d/dz_i of each (i-major), then d/dzb_j of those ((i,
+    j)-major): a metric's h, dh and ddh, or a factor's f, df and ddf.  Each
+    distinct tree (as `compile_trees` tells them apart) is differentiated
+    once per variable: `hopf` at n = 17 has 88 723 jet trees, 308 distinct."""
+
+    def d(trees, k, bar):
+        _, roots = ex.compile_trees(trees)
+        once = {r: ex.wirtinger_derivative(t, k, bar)
+                for r, t in dict(zip(roots, trees)).items()}
+        return [once[r] for r in roots]
+
+    m = len(trees)
+    first = [e for i in range(n) for e in d(trees, i, False)]
+    second = [e for i in range(n) for j in range(n)
+              for e in d(first[i * m:(i + 1) * m], j, True)]
+    return trees + first + second
 
 
 # ---------------------------------------------------------------------------
 # builtin catalog
 # ---------------------------------------------------------------------------
-
-def _hopf_jets(z):
-    n = z.shape[-1]
-    r = np.sum(z * np.conj(z), axis=-1).real
-    zc = np.ascontiguousarray(np.moveaxis(z, -1, 0))  # zc[i] = z^i, one field each
-    zb, eye = np.conj(zc), np.eye(n).reshape((n, n) + (1,) * r.ndim)
-    # h = 4 delta / r, dh[i,j,l] = -4 delta_{jl} conj(z_i) / r^2, and
-    # ddh[i,j,k,l] = 4 delta_{kl} (-delta_{ij}/r^2 + 2 z_j conj(z_i)/r^3)
-    core = -eye / r ** 2 + 2 * zc[None, :] * zb[:, None] / r ** 3
-    return (4 * eye / r, -4 * zb[:, None, None] * eye / r ** 2,
-            4 * core[:, :, None, None] * eye)
-
 
 def _hopf_source(n):
     r = " + ".join(f"abs2(z{k + 1})" for k in range(n))
@@ -250,16 +250,12 @@ class _TrigSum:
             u_terms = []
             for k in range(n):
                 if a[k]:
-                    u_terms.append(f"{_flit(2 * np.pi * a[k])}*re(z{k + 1})")
+                    u_terms.append(f"{float(2 * np.pi * a[k])!r}*re(z{k + 1})")
                 if b[k]:
-                    u_terms.append(f"{_flit(2 * np.pi * b[k])}*im(z{k + 1})")
-            u_terms.append(_flit(ph))
-            parts.append(f"{_flit(A)}*re(exp(i*({' + '.join(u_terms)})))")
+                    u_terms.append(f"{float(2 * np.pi * b[k])!r}*im(z{k + 1})")
+            u_terms.append(repr(ph))
+            parts.append(f"{A!r}*re(exp(i*({' + '.join(u_terms)})))")
         return " + ".join(parts)
-
-
-def _flit(x: float) -> str:
-    return repr(float(x))
 
 
 def plane_wave_jets(z, waves: _TrigSum, amplitude: Callable):
@@ -397,7 +393,7 @@ _CATALOG = {
         jets=partial(plane_wave_jets, waves=_TrigSum([]), amplitude=_kaehler_amplitude)),
     "hopf": _Builtin(
         _hopf_source, any_n=True, domain=_punctured_domain,
-        golden=lambda n: {"s1": n * (n - 1) / 4.0, "s2": (n - 1) / 4.0}, jets=_hopf_jets),
+        golden=lambda n: {"s1": n * (n - 1) / 4.0, "s2": (n - 1) / 4.0}),
     "elliptic": _Builtin(
         lambda n: _ELLIPTIC_SRC, domain=partial(_halfplane_domain, punctured_axes=(1,)),
         golden=lambda n: {"s1": -0.5, "s2": -0.75}),
@@ -515,17 +511,12 @@ def manifold_from_manifest(doc: dict) -> ModelManifold:
 
 def factor_jet_from_expr(f: ex.Expr, z: np.ndarray, n: int,
                          params: dict | None = None) -> FactorJet:
-    """2-jet of a real-valued DSL expression f at points z, each part
-    evaluated without numpy warnings (`_evaluate_tensor`)."""
-    params = params or {}
-    val = _evaluate_tensor(f, z, params)
+    """2-jet of a real-valued DSL expression f at points z: f, df and ddf
+    compiled into one program and run in node blocks (`_eval_blocks`)."""
+    val, df, ddf = _eval_blocks(ex.compile_trees(_jet_trees([f], n)), z, params, (0, 1, 2))
     if np.max(np.abs(val.imag)) > 1e-10 * max(1.0, float(np.max(np.abs(val)))):
         raise ValueError("conformal factor is not real-valued")
-    df_t = [ex.wirtinger_derivative(f, k, bar=False) for k in range(n)]
-    ddf_t = [[ex.wirtinger_derivative(df_t[i], j, bar=True) for j in range(n)]
-             for i in range(n)]
-    return FactorJet(val.real, _evaluate_tensor(df_t, z, params),
-                     _evaluate_tensor(ddf_t, z, params))
+    return FactorJet(val.real, df, ddf)
 
 
 def conformal_manifold(man: ModelManifold, f: "ex.Expr | str") -> ModelManifold:
@@ -544,15 +535,10 @@ def conformal_manifold(man: ModelManifold, f: "ex.Expr | str") -> ModelManifold:
         if np.max(np.abs(va.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(va)))):
             raise ValueError("conformal factor is not real-valued")
     base = man.dsl_metric()
-    if base is None:
-        raise ValueError(f"{man.name} carries no expression metric to transform")
-    n = man.n
-    ef = ex.Exp(f)
-    entries = [[ex.simplify(ex.Mul(ef, base.entries[i][j]))
-                for j in range(n)] for i in range(n)]
-    mx = MetricExpr(n=n, entries=entries, params=base.params)
+    entries = [[ex.simplify(ex.Mul(ex.Exp(f), e)) for e in row] for row in base.entries]
+    mx = MetricExpr(n=man.n, entries=entries, params=base.params)
     return ModelManifold(
-        name=f"{man.name}*e^f", n=n, params=dict(man.params),
+        name=f"{man.name}*e^f", n=man.n, params=dict(man.params),
         metric_expr=mx, domain=man.domain,
         declared_gauduchon=False, declared_balanced=False,
         periods=man.periods)

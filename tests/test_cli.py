@@ -381,10 +381,21 @@ def test_too_deep_an_expression_is_a_precondition_error(capsys, tmp_path, where,
 
 
 def test_a_400_term_factor_stays_inside_the_nesting_bound(capsys):
-    factor = " + ".join(["re(z1)*im(z2)/400"] * 400)
-    code, _, err = run(capsys, "check", "conformal", "--manifold", "hopf", "--points", "2",
-                       "--factor", factor)
-    assert code == 0, err
+    # with the deepest sum (418 levels) and sign chain (417) the bound
+    # accepts: every pass over the factor, the compiled evaluation included,
+    # fits in Python's stack (DECISIONS.md D16, D17)
+    for factor in (" + ".join(["re(z1)*im(z2)/400"] * 400),
+                   " + ".join(["re(z1)"] * 418), "-" * 417 + "re(z1)"):
+        code, _, err = run(capsys, "check", "conformal", "--manifold", "hopf",
+                           "--points", "2", f"--factor={factor}")
+        assert code == 0, err
+
+
+def test_an_unbound_factor_parameter_is_a_precondition_error(capsys):
+    code, out, err = run(capsys, "check", "conformal", "--manifold", "hopf", "--points", "3",
+                         "--factor", "a*re(z1)")
+    assert code == 2 and out == ""
+    assert err == "precondition error: unbound parameter 'a'\n"
 
 
 @pytest.mark.parametrize("name", ["lambda", "if", "True", "None"])

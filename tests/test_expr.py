@@ -3,7 +3,7 @@ import pytest
 
 from hermcurv import expr as ex
 from hermcurv.dsl import parse_expr
-from hermcurv.manifolds import _differentiate_metric, builtin, builtin_names
+from hermcurv.manifolds import _jet_trees, builtin, builtin_names
 
 
 def wirt_fd(e, z, k, bar=False, step=1e-6, params=None):
@@ -122,16 +122,13 @@ def test_print_parse_roundtrip():
         assert tree == again
 
 
-def _leaves(tree):
-    return [t for u in tree for t in _leaves(u)] if isinstance(tree, list) else [tree]
-
-
 @pytest.mark.parametrize("name,n", [(name, 2) for name in builtin_names()]
                          + [("hopf", 3), ("flat-torus", 3)])
 def test_builtin_trees_print_and_parse_back(name, n):
     # the DSL metric and symbolic 2-jet of every builtin; a right-nested sum
     # once printed without parentheses and parsed back left-nested
-    trees = _leaves(list(_differentiate_metric(builtin(name, n=n).dsl_metric())))
+    h_t = [e for row in builtin(name, n=n).dsl_metric().entries for e in row]
+    trees = _jet_trees(h_t, n)
     assert len(trees) == n * n * (1 + n + n * n)
     bad = [ex.to_source(t) for t in trees if parse_expr(ex.to_source(t), n) != t]
     assert bad == []

@@ -27,6 +27,7 @@ ALL_BUILTINS = [
     # in an amplitude table shows as a large error
     ("kaehler-bump", {"eps": 0.01}),
     ("pluriclosed-bump", {"eps": 0.05}),
+    ("hopf", {"n": 3}),
 ]
 
 

@@ -16,7 +16,7 @@ from hermcurv.curvature import ricci_forms, torsion_traces
 from hermcurv.dsl import parse_expr
 from hermcurv.grid import GridMetric, TorusGrid
 from hermcurv.jets import NODE_BLOCK, JetError, MetricJet, inverse_and_det, node_block
-from hermcurv.manifolds import builtin, factor_jet_from_expr
+from hermcurv.manifolds import _jet_trees, builtin, factor_jet_from_expr
 
 # a batch that is not a multiple of the block, with slices that straddle
 # the first block boundary and end the last (partial) block
@@ -95,6 +95,36 @@ def test_ricci_forms_match_the_slice_alone(nodes):
     for w, p in zip(whole, part):
         for name in ("ric1", "ric2", "ric3", "ric4", "s1", "s2"):
             assert np.array_equal(getattr(w, name)[..., nodes], getattr(p, name)), name
+
+
+@pytest.mark.parametrize("name,params,points,nodes", [
+    ("hopf", {"n": 3}, 2000, slice(1610, 1625)), ("hopf", {"n": 3}, 2000, slice(-50, None)),
+    ("vaisman", {"m": 2.0}, 10000, SLICES[0]), ("vaisman", {"m": 2.0}, 10000, SLICES[1])],
+    ids=["hopf-n3-boundary", "hopf-n3-tail", "vaisman-boundary", "vaisman-tail"])
+def test_dsl_jets_match_the_slice_alone(name, params, points, nodes):
+    # the compiled DSL 2-jet runs in blocks of 809 nodes (n = 3: 1610:1625
+    # straddles the second boundary) and 4096 (n = 2)
+    man = builtin(name, **params)
+    z = man.sample_points(points, seed=6)
+    whole, part = man.jet(z), man.jet(z[nodes])
+    for key in ("h", "dh", "ddh"):
+        assert np.array_equal(getattr(whole, key)[..., nodes], getattr(part, key)), key
+
+
+def test_the_hopf_jet_program_has_one_step_per_distinct_node():
+    # each subtree shared within or across the 117 trees of the n = 3 2-jet
+    # is evaluated once
+    man = builtin("hopf", n=3)
+    man.jet(man.sample_points(3, seed=1))
+    h_t = [e for row in man.dsl_metric().entries for e in row]
+    stack, seen, total = _jet_trees(h_t, 3), set(), 0
+    while stack:
+        t = stack.pop()
+        total += 1
+        seen.add(t)
+        stack.extend(t.args)
+    steps, _ = man._jet_program
+    assert len(steps) == len(seen) < total
 
 
 def test_a_block_holds_one_node_at_least(capsys):
