@@ -32,16 +32,17 @@ scalar relations at every t, and |del omega|^2 = |delbar* omega|^2 in
 complex dimension two.
 
 Two paths produce the curvature traces.  The pointwise pipeline builds no
-4-tensor: `torsion_traces` gives tau, del del* omega, the torsion norms, S_C1
-and the Gauduchon and pluriclosed residuals in one pass over the jet (the
-grid metric, the class residuals, the report and the comparison identity
-read its bundle), and `ricci_forms` gives the four Ricci forms and s1/s2 at
-every t of a list in one pass; both read the jet's components in place.  The
-full-tensor path (`chern_torsion`, `chern_curvature`, `gauduchon_curvature`
-at one t, `ricci_and_scalars`) builds R_{i jbar k lbar} with `einsum`; it is
-the tests' oracle for both passes, and no CLI command runs it;
-`forms` is the exterior-algebra oracle of the class residuals and the Lee
-form, and no module here imports it.
+4-tensor: `torsion_traces` gives tau, <del del* omega, omega>, the torsion
+norms, S_C1 and the Gauduchon and pluriclosed residuals in one pass over the
+jet (the grid metric, the class residuals, the report and the comparison
+identity read it; `del_del_star` runs it for del del* omega), and
+`ricci_forms` gives the four Ricci forms and s1/s2 at every t of a list in
+one pass; both read the jet's components in place.  The full-tensor path
+(`chern_torsion`, `chern_curvature`, `gauduchon_curvature` at one t,
+`ricci_and_scalars`) builds R_{i jbar k lbar} with `einsum`; it is the
+tests' oracle for both passes, and no CLI command runs it; `forms` is the
+exterior-algebra oracle of the class residuals and the Lee form, and no
+module here imports it.
 
 Class membership is a dict of residual maxima (`classify`); each caller
 compares a residual with the threshold its decision needs (`CLASS_TOL` for
@@ -66,7 +67,7 @@ __all__ = [
     "scalar_via_identity", "scalar_comparison_defect", "einstein_residual",
     "classify", "report_matrix", "oneone_norm2", "TorsionTraces",
     "torsion_traces", "traces_block", "collect_traces", "ricci_forms",
-    "class_residual_fields",
+    "class_residual_fields", "del_del_star",
 ]
 
 IMAG_TOL = 1e-10
@@ -201,12 +202,11 @@ def _full_norm2(x: np.ndarray, z: np.ndarray, g: np.ndarray) -> np.ndarray:
 class TorsionTraces:
     """Pointwise torsion traces and scalars of one metric jet.
 
-    Every array carries the jet's batch axes last; `tau`, `ddstar` and
-    `lee` lead with their index axes, like the jet.
+    Every array carries the jet's batch axes last; `tau` and `lee` lead
+    with their index axes, like the jet.  del del* omega is not kept.
     """
 
     tau: np.ndarray           # tau_i = sum_p T_{ip}^p = eta^{1,0}_i
-    ddstar: np.ndarray        # (1,1)-matrix of del del* omega
     pairing: np.ndarray       # <del del* omega, omega>
     del_omega_sq: np.ndarray  # |del omega|^2
     del_star_sq: np.ndarray   # |del* omega|^2 = |delbar* omega|^2
@@ -233,8 +233,8 @@ class TorsionTraces:
 
 
 def torsion_traces(jet: MetricJet) -> TorsionTraces:
-    """One pass over the jet for tau, del del* omega, the torsion norms, S_C1
-    and the Gauduchon and pluriclosed residuals.
+    """One pass over the jet for tau, <del del* omega, omega>, the torsion
+    norms, S_C1 and the Gauduchon and pluriclosed residuals.
 
     Reads the jet's components in place and never forms the Chern 4-tensor:
     S_C1 = h^{i jbar} h^{k lbar} (-ddh[i,j,k,l]
@@ -248,7 +248,8 @@ def torsion_traces(jet: MetricJet) -> TorsionTraces:
     real to IMAG_TOL of its largest value over every node.
     """
     g = jet.ginv
-    return collect_traces(jet.n, map_blocks(traces_block, g.shape[2:], g, jet.dh, jet.ddh))
+    return collect_traces(jet.n, map_blocks(lambda *b: traces_block(*b)[1:], g.shape[2:],
+                                            g, jet.dh, jet.ddh))
 
 
 def collect_traces(n: int, out: tuple) -> TorsionTraces:
@@ -262,9 +263,17 @@ def collect_traces(n: int, out: tuple) -> TorsionTraces:
     return TorsionTraces(*fields)
 
 
+def del_del_star(jet: MetricJet) -> np.ndarray:
+    """ddstar[i, j, ...], the (1,1)-matrix of del del* omega, by the trace
+    pass, which pairs it with omega and does not keep it (`traces_block`)."""
+    g = jet.ginv
+    return map_blocks(lambda *b: traces_block(*b)[:1], g.shape[2:], g, jet.dh, jet.ddh)[0]
+
+
 def traces_block(g: np.ndarray, dh: np.ndarray, ddh: np.ndarray) -> tuple:
-    """`torsion_traces`' fields on one block of nodes (the pluriclosed
-    residual only for n >= 3), then max |pairing| and max |Im pairing|."""
+    """del del* omega on one block of nodes, then `torsion_traces`' fields
+    there (the pluriclosed residual only for n >= 3), then max |pairing|
+    and max |Im pairing|."""
     n = g.shape[0]
     r = range(n)
     # trace of ddh over its last index pair, and over its outer pair
@@ -298,7 +307,7 @@ def traces_block(g: np.ndarray, dh: np.ndarray, ddh: np.ndarray) -> tuple:
             ddstar[i, j] = _sum(dh[i, c, b] * z[j, c, b] for c in r for b in r)
             ddstar[i, j] += np.conj(outer[i][j] - inner[j][i])
     pairing = _sum(g[i, j] * ddstar[i, j] for i in r for j in r)
-    return (tau, ddstar, pairing.real, del_omega_sq, del_star_sq, s_c1, gauduchon,
+    return (ddstar, tau, pairing.real, del_omega_sq, del_star_sq, s_c1, gauduchon,
             *pluriclosed, *_extents(pairing))
 
 
@@ -438,25 +447,20 @@ def oneone_norm2(m: np.ndarray, ginv: np.ndarray) -> np.ndarray:
                      m, np.conj(m), ginv, ginv).real
 
 
-def einstein_residual(jet: MetricJet,
-                      traces: TorsionTraces | None = None) -> EinsteinReport:
+def einstein_residual(jet: MetricJet) -> EinsteinReport:
     """Deviation of Theta3 + Theta4 from f * omega with f = (2/n) S_C2.
 
     Also cross-checks Theta3 + Theta4 against 2 Theta1 - (dd* w + dbar dbar* w),
-    whose two sides are computed along independent code paths.  `traces` is
-    the jet's torsion-trace bundle when the caller holds it, and is computed
-    here otherwise.
+    whose two sides are computed along independent code paths: the Ricci
+    pass and `del_del_star`.
     """
-    if traces is None:
-        traces = torsion_traces(jet)
     ginv = jet.ginv
     ric, = ricci_forms(jet, [0.0])
-    n = jet.n
-    f_hat = 2.0 * ric.s2 / n
+    f_hat = 2.0 * ric.s2 / jet.n
     sum34 = ric.ric3 + ric.ric4
     resid = np.sqrt(np.maximum(oneone_norm2(
         sum34 - f_hat * jet.h, ginv), 0.0))
-    ddstar = traces.ddstar
+    ddstar = del_del_star(jet)
     other = 2 * ric.ric1 - (ddstar + np.conj(ddstar.swapaxes(0, 1)))
     cross = np.sqrt(np.maximum(oneone_norm2(sum34 - other, ginv), 0.0))
     return EinsteinReport(f_hat, resid, cross, ric.ric3, ric.ric4)

@@ -29,11 +29,12 @@ and ddh are re-derived from the manifold if a test or a curvature oracle
 reads them.  Class residuals (`GridMetric.class_residuals`) are the maxima
 over every node of the closed-form residual fields in the bundle, the same
 pass that gives its scalar fields and Lee form.  The metric of e^f h
-(`GridMetric.conformal`) scales h, h^{-1} and det exactly, with no second
-inversion, and builds its dh and ddh (by `jets.conformal_jet`) only if a
-curvature pass reads them.  Geometry arrays are component-first like the
-jet's (ginv[i, j] is one field of grid.shape); only the chart points
-(`TorusGrid.points`) keep their coordinate axis last.
+(`GridMetric.conformal`) keeps e^f and det e^{nf} det h, scales h and
+h^{-1} on each read, with no second inversion and no stored copy, and
+builds dh and ddh (`jets.conformal_jet`) only if a curvature pass reads
+them.  Geometry arrays are component-first like the jet's (ginv[i, j] is
+one field of grid.shape); only the chart points (`TorusGrid.points`) keep
+their coordinate axis last.
 
 Quadrature: the volume form is det(h) * 2^n dx1 dy1 ... , so periodic
 trapezoid integration is the plain node mean times det(h) 2^n and the cell
@@ -61,19 +62,19 @@ __all__ = ["TorusGrid", "TorusField", "GridMetric", "GridError",
 MEMORY_BUDGET_BYTES = 2 << 30
 # bytes per node a grid command holds beyond the metric, inverse and trace
 # bundle of `_bytes_per_node`: at most 419 B over the solve and duality
-# commands traced at n = 2 (N = 16, 32) and n = 3 (N = 6, 8, 10), rounded up
-# (DECISIONS.md D14, D15)
+# commands traced at n = 2 (N = 16, 32), n = 3 (N = 6, 8, 10) and n = 4
+# (N = 4), rounded up (DECISIONS.md D14, D15, D18)
 WORKING_SET_BYTES = 448
 IMAG_TOL = 1e-9
 
 
 def _bytes_per_node(n: int) -> int:
     """Peak bytes per node of a grid command at dimension n: h (n^2
-    complex), the inverse and det, the torsion-trace bundle (n + n^2
-    complex, five real fields) and the working set."""
+    complex), the inverse and det, the torsion-trace bundle (n complex,
+    five real fields) and the working set."""
     metric = 16 * n ** 2
     inverse = 16 * n ** 2 + 8
-    traces = 16 * (n + n ** 2) + 8 * 5
+    traces = 16 * n + 8 * 5
     return metric + inverse + traces + WORKING_SET_BYTES
 
 
@@ -313,27 +314,18 @@ class GridMetric:
             # traces only fill the outputs, so they run silently
             with np.errstate(all=None if shortfall < 0 else "ignore"):
                 return (jet.h, ginv, det, herm, hmax, shortfall, dev,
-                        *traces_block(ginv, jet.dh, jet.ddh))
+                        *traces_block(ginv, jet.dh, jet.ddh)[1:])
         h, ginv, det, herm, hmax, shortfall, dev, *traces = map_blocks(
             block, grid.shape, np.moveaxis(z, -1, 0))
         check_inverse(herm, hmax, shortfall, dev)
-        traces = collect_traces(grid.n, traces)
         gm = cls(grid, DeferredJet(h, ginv, det,
                                    lambda: man.jet(grid.points(), check_domain=False)))
-        gm.traces = traces  # the pass's bundle: `traces` never reads dh or ddh
+        gm.traces = collect_traces(grid.n, traces)  # so `traces` never reads dh or ddh
         return gm
 
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-    @property
-    def ginv(self) -> np.ndarray:
-        return self.jet.ginv
-
-    @property
-    def det(self) -> np.ndarray:
-        return self.jet.det
+    n = property(lambda self: self.grid.n)
+    ginv = property(lambda self: self.jet.ginv)
+    det = property(lambda self: self.jet.det)
 
     def weights(self) -> np.ndarray:
         """Quadrature weight per node: det(h) 2^n * cell volume."""
@@ -388,9 +380,9 @@ class GridMetric:
         return {k: float(np.max(v)) for k, v in class_residual_fields(self.traces).items()}
 
     def conformal(self, f: np.ndarray) -> "GridMetric":
-        """Grid metric of e^f h: h, h^{-1} and det scaled from this metric's
-        by e^f, e^{-f} and e^{nf} and checked now (`jets.ConformalJet`); dh
-        and ddh on first read, with f differentiated by the grid scheme."""
+        """Grid metric of e^f h (`jets.ConformalJet`): keeps e^f and e^{nf} det,
+        scales h and h^{-1} by e^f and e^{-f} on each read, checks the latter
+        now; dh and ddh on first read, f differentiated by the grid scheme."""
         f = np.array(f, float)
         return GridMetric(self.grid, ConformalJet(
             self.jet, f, lambda: factor_jet_from_field(self.grid, f)))

@@ -256,18 +256,22 @@ class DeferredJet(MetricJet):
 
 
 class ConformalJet(DeferredJet):
-    """Jet of e^f h0 with h, ginv and det scaled from the base jet's by e^f,
-    e^{-f} and e^{nf}, never factorized; dh and ddh are `conformal_jet`'s
-    with the factor 2-jet `factor()`, built when first read.  JetError if
-    `_conformal_scale` refuses f or the scaled inverse fails the residual."""
+    """Jet of e^f h0 keeping its base, e^f and det e^{nf} det h0: h = e^f h0 and
+    ginv = h0^{-1} / e^f are scaled on each read and kept by neither (DECISIONS.md
+    D18).  dh and ddh are `conformal_jet`'s with the factor 2-jet `factor()`, built
+    when first read.  JetError if `_conformal_scale` refuses f or the residual fails."""
 
     def __init__(self, base: MetricJet, f: np.ndarray, factor):
-        ef, det = _conformal_scale(base, f)
-        super().__init__(ef * base.h, base.ginv / ef, det,
-                         lambda: conformal_jet(base, factor()))
-        _check_residual(*map_blocks(lambda hb, gb: (_inverse_residual(hb, gb),
-                                                    float(np.max(np.abs(hb)))),
-                                    self.h.shape[2:], self.h, self.ginv))
+        self.base, self._derive = base, lambda: conformal_jet(base, factor())
+        self.ef, self._det = _conformal_scale(base, f)
+        _check_residual(*map_blocks(lambda h, g, ef: (  # residual, max |h| of e^f h
+            _inverse_residual(ef * h, g / ef), float(np.max(np.abs(ef * h)))),
+            base.h.shape[2:], base.h, base.ginv, self.ef))
+
+    n = property(lambda self: self.base.n)
+    h = property(lambda self: self.ef * self.base.h)
+    ginv = property(lambda self: self.base.ginv / self.ef)
+    det = property(lambda self: self._det)
 
 
 def _conformal_scale(jet: MetricJet, f: np.ndarray) -> tuple:

@@ -556,7 +556,7 @@ def lozenge_constancy_check(gm: GridMetric) -> dict:
     df = np.stack([dz(f_hat, i, gm.grid) for i in range(n)])
     # Re<del f, tau> = -Re kappa, the pairing of the conformal law
     lozenge = n * lap - 2 * torsion_pairing(gm.jet, gm.traces.tau, df).real
-    ein = einstein_residual(gm.jet, gm.traces)
+    ein = einstein_residual(gm.jet)
     ein_max = float(np.max(ein.residual))
     mean = integrate(gm, s2) / gm.volume()
     variance = integrate(gm, (s2 - mean) ** 2) / gm.volume()

@@ -12,11 +12,10 @@ import pytest
 
 from hermcurv.cli import main as cli_main
 from hermcurv.conformal import conformal_oracle_check
-from hermcurv.curvature import (CLASS_TOL, classify, einstein_residual,
+from hermcurv.curvature import (CLASS_TOL, classify, del_del_star, einstein_residual,
                                 gauduchon_curvature, report_matrix,
                                 ricci_and_scalars, scalar_comparison_defect,
-                                scalar_via_identity,
-                                torsion_diagnostics)
+                                scalar_via_identity)
 from hermcurv.grid import gauduchon_degrees, laplacian_duality_defect
 from hermcurv.manifolds import builtin, _TrigSum
 from hermcurv.solvers import (bismut_yamabe_minimize, continuity_solve,
@@ -87,9 +86,8 @@ def test_golden_inoue_s1():
     man, z, jet, ric = scalars_at("tricerri", count=100)
     dev_s1 = float(np.max(np.abs(ric.s1 - (-0.25))))
     dev_s2 = float(np.max(np.abs(ric.s2 - (-0.5))))
-    diag = torsion_diagnostics(jet)
     y = z[:, 0].imag
-    dev_dd = float(np.max(np.abs(diag.ddstar[0, 0] - 0.25 / y ** 2)))
+    dev_dd = float(np.max(np.abs(del_del_star(jet)[0, 0] - 0.25 / y ** 2)))
     ok = max(dev_s1, dev_s2, dev_dd) < GOLDEN_TOL
     report("1.inoue-s1", ok and time.perf_counter() - t0 < 1.0,
            f"s1 dev {dev_s1:.2e}; s2=-1/2 dev {dev_s2:.2e}; "

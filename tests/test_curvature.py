@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hermcurv.curvature import (CLASS_TOL, chern_curvature, chern_torsion,
-                                classify, einstein_residual, gauduchon_curvature,
+                                classify, del_del_star, einstein_residual,
+                                gauduchon_curvature,
                                 report_matrix, ricci_and_scalars, ricci_forms,
                                 scalar_comparison_defect, scalar_via_identity,
                                 torsion_diagnostics, torsion_traces)
@@ -320,7 +321,7 @@ def test_tricerri_diagnostics_closed_form():
     # del del* omega = (i/(4y^2)) dz^1 ^ dzbar^1
     want = np.zeros((2, 2))
     want[0, 0] = 1 / (4 * y ** 2)
-    np.testing.assert_allclose(diag.ddstar[:, :, 0], want, atol=1e-13)
+    np.testing.assert_allclose(del_del_star(jet)[:, :, 0], want, atol=1e-13)
     # Lee form is dy/y: real components (x1, y1, x2, y2)
     np.testing.assert_allclose(diag.lee[:, 0], [0, 1 / y, 0, 0], atol=1e-12)
 
@@ -358,8 +359,7 @@ def test_ddstar_matches_theta1_minus_theta3():
     for name, params in BUILTINS:
         _, jet = sample_jet(name, params, count=25)
         ric = ricci_and_scalars(gauduchon_curvature(jet, 0.0), jet)
-        diag = torsion_diagnostics(jet)
-        lhs = diag.ddstar
+        lhs = del_del_star(jet)
         rhs = ric.ric1 - ric.ric3
         scale = max(1.0, float(np.max(np.abs(rhs))))
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-11, name

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,8 +38,14 @@ def test_memory_guard_admits_n2_at_32():
     assert TorusGrid(n=2, N=32).node_count == 32 ** 4
 
 
+def test_memory_guard_admits_n2_at_42():
+    # the trace bundle keeps no del del* omega: 656 bytes per node at n = 2,
+    # 1.90 GiB here (720 and 2.09 GiB with it)
+    assert TorusGrid(n=2, N=42).node_count == 42 ** 4
+
+
 def test_memory_guard_admits_n3_at_10():
-    # the grid holds no 2-jet: 976 bytes per node at n = 3, 0.91 GiB here
+    # the grid holds no 2-jet: 832 bytes per node at n = 3, 0.77 GiB here
     assert TorusGrid(n=3, N=10).node_count == 10 ** 6
 
 
@@ -458,6 +465,35 @@ def test_conformal_metric_scales_the_inverse_and_det(scheme):
     ginv, det = inverse_and_det(MetricJet(np.exp(u) * gm.jet.h, None, None))
     for got, want in ((gm_u.ginv, ginv), (gm_u.det, det)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("scheme", ["fd2", "spectral"])
+def test_conformal_metric_scales_on_each_read(scheme):
+    # bit for bit the eager e^u h, h^{-1} / e^u and e^{nu} det h, with h and
+    # h^{-1} computed anew on each read and kept by neither
+    gm, u = _normalizer(scheme)
+    jet = gm.conformal(u).jet
+    want = (np.exp(u) * gm.jet.h, gm.ginv / np.exp(u), np.exp(gm.n * u) * gm.det)
+    for name, w in zip(("h", "ginv", "det"), want):
+        assert np.array_equal(getattr(jet, name), w), name
+    assert jet.h is not jet.h and jet.ginv is not jet.ginv
+
+
+def test_conformal_metric_holds_no_scaled_copy():
+    # At N = 16 building e^u omega and reading its det hold the copy of u,
+    # e^u and det (three real fields, 1.5 MiB) and one node block of the
+    # residual check's temporaries: a 2.2 MiB traced peak, where keeping
+    # e^u h and h^{-1} / e^u peaked at 9.8 MiB
+    gm = make_gm("pluriclosed-bump", 16)
+    u = 0.1 * np.cos(2 * np.pi * gm.grid.points()[..., 0].real)
+    gm.ginv, gm.det
+    tracemalloc.start()
+    try:
+        gm.conformal(u).det
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * gm.det.nbytes + 2 ** 20
 
 
 @pytest.mark.parametrize("scheme", ["fd2", "spectral"])

@@ -21,7 +21,7 @@ from hermcurv.manifolds import _jet_trees, builtin, factor_jet_from_expr
 # a batch that is not a multiple of the block, with slices that straddle
 # the first block boundary and end the last (partial) block
 SLICES = (slice(4090, 4100), slice(-50, None))
-TRACE_FIELDS = ("tau", "ddstar", "pairing", "del_omega_sq", "del_star_sq",
+TRACE_FIELDS = ("tau", "pairing", "del_omega_sq", "del_star_sq",
                 "s_c1", "gauduchon", "pluriclosed")
 
 
@@ -214,10 +214,11 @@ def test_grid_build_keeps_the_whole_batch_check_order(monkeypatch, first, last, 
 
 
 # At N = 16 (65 536 nodes) the whole 2-jet alone is 28 MiB.  The fused build
-# keeps h, the inverse, det and the trace bundle (17.8 MiB) and one block of
-# temporaries: a 25.6 MiB traced peak, where building the whole jet and then
-# its trace bundle peaked at 45.1 MiB.
-BUILD_BOUND_MIB = 28
+# keeps h, the inverse, det and the trace bundle without del del* omega
+# (13.8 MiB) and one block of temporaries: a 21.4 MiB traced peak, where
+# keeping del del* omega peaked at 25.6 MiB and building the whole jet and
+# then its trace bundle at 45.1 MiB.
+BUILD_BOUND_MIB = 24
 
 
 def test_grid_build_never_holds_the_whole_jet():
